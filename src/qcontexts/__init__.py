@@ -1,8 +1,9 @@
 """Measurement contexts, Born probabilities, and their certification machinery.
 
 Submodules:
-    linalg    -- tolerance policy, Gram-Schmidt, Hermitian eigensolver, unitarity
-    core      -- projectors, contexts, modalities, densities, measurement simulator
+    linalg    -- tolerance policy, coercion, Gram-Schmidt, unitarity check
+    core      -- projectors (a unit vector each), contexts (an orthonormal basis
+                 each), modalities, densities, measurement simulator
     gleason   -- frame-function validation, density reconstruction
     uhlhorn   -- ray-map certification and operator fitting
     partition -- {0,1} valuation search on vector systems

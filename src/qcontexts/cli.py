@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .core import context_distribution, repeat_simulation
+from .core import check_seed, context_distribution, repeat_simulation
 from .errors import QContextsError
 from .gleason import born_case_check, reconstruct_density
 from .jsonio import (
@@ -51,7 +51,6 @@ class RunConfig:
     seed: int = 0
     tolerance_abs: float = 1e-9
     output_format: str = "json"
-    input_paths: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def tol(self) -> Tolerance:
@@ -207,6 +206,8 @@ def cmd_perm_path(args, config: RunConfig) -> int:
 
 
 def cmd_simulate(args, config: RunConfig) -> int:
+    # a bad --seed is an input error, reported before any file is read
+    check_seed(config.seed)
     rho = density_from_json(load_json_file(args.initial), config.tol)
     initial = born_case_check(rho, config.tol)
     if initial is None:
@@ -295,17 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FILE_ARGS = ("density", "context", "samples", "raymap", "instance",
-              "permutation", "initial", "contexts")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    paths = tuple(getattr(args, name) for name in _FILE_ARGS
-                  if getattr(args, name, None) is not None)
     config = RunConfig(seed=args.seed, tolerance_abs=args.tol,
-                       output_format=args.format, input_paths=paths)
+                       output_format=args.format)
     try:
         return args.handler(args, config)
     except QContextsError as exc:

@@ -5,11 +5,17 @@ a rank-1 projector; a context is a complete set of N mutually orthogonal
 rank-1 projectors. Probabilities attach to projectors, never to the
 phase-dependent representative vectors, so global phase is quotiented
 out everywhere.
+
+Each type stores one representation: a Projector its unit vector, a
+Context its orthonormal basis matrix. Projector matrices and a context's
+projectors are built on first use. The Projector constructor and
+make_context validate their input once; nothing re-checks it later.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,6 +30,7 @@ __all__ = [
     "DensityOperator",
     "ContextTransform",
     "MeasurementRecord",
+    "check_seed",
     "make_generator",
     "make_context",
     "born_probability",
@@ -37,6 +44,13 @@ __all__ = [
 ]
 
 
+def check_seed(seed: int) -> int:
+    """The seed as an int; ValueError unless it lies in [0, 2^64)."""
+    if not (0 <= int(seed) < 2**64):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return int(seed)
+
+
 def make_generator(seed: int) -> np.random.Generator:
     """Counter-based (Philox) generator keyed by a 64-bit seed.
 
@@ -44,9 +58,7 @@ def make_generator(seed: int) -> np.random.Generator:
     bit-identical streams everywhere. All randomness in this package
     funnels through generators built here.
     """
-    if not (0 <= int(seed) < 2**64):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -57,11 +69,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Rank-1 orthogonal projector |psi><psi| on an N-dimensional space."""
+    """Rank-1 orthogonal projector |psi><psi|, stored as its unit vector
+    |psi> (phase irrelevant); from_vector normalizes any nonzero vector."""
 
-    dim: int
-    vector: np.ndarray  # unit representative |psi>, phase irrelevant
-    matrix: np.ndarray  # |psi><psi|
+    vector: np.ndarray
 
     @classmethod
     def from_vector(cls, v, tol: Tolerance = DEFAULT_TOL) -> "Projector":
@@ -70,24 +81,22 @@ class Projector:
         norm = float(np.linalg.norm(vec))
         if norm <= tol.bound():
             raise ValueError("cannot project onto the zero vector")
-        vec = vec / norm
-        mat = np.outer(vec, vec.conj())
-        return cls(dim=vec.shape[0], vector=_readonly(vec), matrix=_readonly(mat))
+        return cls(vec / norm)
 
     def __post_init__(self):
         vec = as_vector(self.vector)
-        mat = as_matrix(self.matrix)
-        if mat.shape != (self.dim, self.dim) or vec.shape != (self.dim,):
-            raise ValueError("projector fields have inconsistent shapes")
-        tol = DEFAULT_TOL
-        if max_abs(mat - mat.conj().T) > tol.abs_eps:
-            raise ValueError("projector matrix is not self-adjoint")
-        if max_abs(mat @ mat - mat) > tol.abs_eps:
-            raise ValueError("projector matrix is not idempotent")
-        if abs(np.trace(mat).real - 1.0) > tol.abs_eps:
-            raise ValueError("projector matrix does not have unit trace")
-        if max_abs(mat - np.outer(vec, vec.conj())) > tol.abs_eps:
-            raise ValueError("matrix does not match the representative vector")
+        if abs(float(np.linalg.norm(vec)) - 1.0) > DEFAULT_TOL.abs_eps:
+            raise ValueError("projector vector does not have unit norm")
+        object.__setattr__(self, "vector", _readonly(vec.copy()))
+
+    @property
+    def dim(self) -> int:
+        return self.vector.shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """|psi><psi|, built on first use."""
+        return _readonly(np.outer(self.vector, self.vector.conj()))
 
     def distance(self, other: "Projector") -> float:
         """Max-norm distance between the two projector matrices."""
@@ -102,22 +111,21 @@ def _check_dims(*dims: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Context:
-    """Ordered complete set of N mutually orthogonal rank-1 projectors."""
+    """Ordered complete set of N mutually orthogonal rank-1 projectors,
+    stored as the basis matrix of their unit vectors. Build it with
+    make_context, which validates the basis; this constructor trusts it."""
 
-    dim: int
-    projectors: tuple[Projector, ...]
+    basis: np.ndarray = field(repr=False)
     label: str = ""
-    # columns are the representative vectors, cached for fast Born evaluation
-    basis: np.ndarray = field(repr=False, default=None)
 
-    def __post_init__(self):
-        if len(self.projectors) != self.dim:
-            raise ValueError(
-                f"context needs exactly {self.dim} projectors, got {len(self.projectors)}"
-            )
-        if self.basis is None:
-            b = np.column_stack([p.vector for p in self.projectors])
-            object.__setattr__(self, "basis", _readonly(b))
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @cached_property
+    def projectors(self) -> tuple[Projector, ...]:
+        """One projector per basis column, built on first use."""
+        return tuple(Projector(self.basis[:, k]) for k in range(self.dim))
 
     def modality(self, index: int) -> "Modality":
         return Modality(context_label=self.label, index=index,
@@ -229,16 +237,17 @@ def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Cont
         if v.shape[0] != n:
             raise DimensionMismatch(
                 f"vector {k} has dimension {v.shape[0]}, expected {n}")
-    basis = np.column_stack(vs)
-    gram = basis.conj().T @ basis
+    raw = np.column_stack(vs)
+    gram = raw.conj().T @ raw
     for i in range(n):
         if abs(gram[i, i] - 1.0) > tol.bound():
             raise NotOrthonormal(i, i, complex(gram[i, i]))
         for j in range(i + 1, n):
             if abs(gram[i, j]) > tol.bound():
                 raise NotOrthonormal(i, j, complex(gram[i, j]))
-    projectors = tuple(Projector.from_vector(v, tol) for v in vs)
-    return Context(dim=n, projectors=projectors, label=label)
+    # one np.linalg.norm per vector: a norm over axis 0 rounds differently in the last bits
+    basis = np.column_stack([v / np.linalg.norm(v) for v in vs])
+    return Context(basis=_readonly(basis), label=label)
 
 
 def born_probability(rho: DensityOperator, p: Projector,
@@ -355,6 +364,7 @@ def simulate_sequence(initial: Projector, contexts: Sequence[Context],
 def repeat_simulation(initial: Projector, contexts: Sequence[Context],
                       seed: int, repeats: int) -> list[list[MeasurementRecord]]:
     """Run simulate_sequence for seeds seed, seed+1, ... (mod 2^64)."""
+    seed = check_seed(seed)
     if repeats < 1:
         raise ValueError("repeats must be positive")
     return [simulate_sequence(initial, contexts, (seed + k) % 2**64)

@@ -17,10 +17,6 @@ class DependentInput(QContextsError):
     """Input vectors are linearly dependent within tolerance."""
 
 
-class NotHermitian(QContextsError):
-    """Matrix deviates from self-adjointness beyond tolerance."""
-
-
 class NotOrthonormal(QContextsError):
     """Vectors fail the pairwise orthonormality check.
 

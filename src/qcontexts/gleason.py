@@ -113,6 +113,16 @@ def _design_matrix(projectors: Sequence[Projector], basis: np.ndarray) -> np.nda
     return np.einsum("kij,aji->ka", stack, basis).real
 
 
+def _rank_and_condition(a: np.ndarray) -> CompletenessReport:
+    """Numerical rank of a (numpy's default SVD cutoff) and its condition
+    number restricted to the row space."""
+    s = np.linalg.svd(a, compute_uv=False)
+    cutoff = s[0] * max(a.shape) * np.finfo(float).eps if s.size else 0.0
+    rank = int(np.sum(s > cutoff))
+    cond = float(s[0] / s[rank - 1]) if rank else float("inf")
+    return CompletenessReport(rank=rank, condition_number=cond)
+
+
 def validate_frame_function(samples_by_context: Sequence[tuple[Context, Sequence[float]]],
                             tol: Tolerance = DEFAULT_TOL) -> FrameValidation:
     """Check that per-context value vectors sum to 1 within tolerance.
@@ -156,12 +166,7 @@ def informational_completeness(projectors: Sequence[Projector]) -> CompletenessR
     if len(dims) > 1:
         raise DimensionMismatch(f"mixed dimensions: {sorted(dims)}")
     n = projectors[0].dim
-    a = _design_matrix(projectors, hermitian_basis(n))
-    s = np.linalg.svd(a, compute_uv=False)
-    cutoff = s[0] * max(a.shape) * np.finfo(float).eps if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    cond = float(s[0] / s[rank - 1]) if rank else float("inf")
-    return CompletenessReport(rank=rank, condition_number=cond)
+    return _rank_and_condition(_design_matrix(projectors, hermitian_basis(n)))
 
 
 def reconstruct_density(samples: Sequence[FrameSample],
@@ -188,13 +193,10 @@ def reconstruct_density(samples: Sequence[FrameSample],
 
     basis = hermitian_basis(n)
     a = _design_matrix(projectors, basis)
-    s = np.linalg.svd(a, compute_uv=False)
-    cutoff = s[0] * max(a.shape) * np.finfo(float).eps
-    rank = int(np.sum(s > cutoff))
+    rank, cond = _rank_and_condition(a)
     if rank < n * n:
         raise NotInformationallyComplete(
             f"design rank {rank} < {n * n}; supply more projectors")
-    cond = float(s[0] / s[rank - 1])
 
     values = np.array([s_.value for s_ in samples], dtype=float)
     # Tr(rho) = 1 pins the identity coordinate at 1/sqrt(n).

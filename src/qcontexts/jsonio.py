@@ -106,16 +106,24 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _require_int(doc: dict, key: str) -> int:
+    """An integer field: a JSON integer, never a bool, float, string or list."""
+    value = _require(doc, key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedDocument(f"field '{key}' must be an integer, got {value!r}")
+    return value
+
+
 def context_to_json(c: Context) -> dict:
     return {
         "dim": c.dim,
         "label": c.label,
-        "vectors": [vector_to_json(p.vector) for p in c.projectors],
+        "vectors": [vector_to_json(v) for v in c.basis.T],
     }
 
 
 def context_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> Context:
-    dim = int(_require(doc, "dim"))
+    dim = _require_int(doc, "dim")
     label = str(doc.get("label", ""))
     raw = _require(doc, "vectors")
     if not isinstance(raw, list) or len(raw) != dim:
@@ -139,7 +147,7 @@ def density_to_json(rho: DensityOperator) -> dict:
 
 
 def density_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> DensityOperator:
-    dim = int(_require(doc, "dim"))
+    dim = _require_int(doc, "dim")
     mat = json_to_matrix(_require(doc, "matrix"), dim)
     try:
         return DensityOperator.from_matrix(mat, tol)
@@ -155,7 +163,7 @@ def ray_map_to_json(m: RayMap) -> dict:
             for s, t in m.pairs
         ],
         "covering_contexts": [
-            {"label": c.label, "vectors": [vector_to_json(p.vector) for p in c.projectors]}
+            {"label": c.label, "vectors": [vector_to_json(v) for v in c.basis.T]}
             for c in m.covering_contexts
         ],
     }
@@ -164,7 +172,7 @@ def ray_map_to_json(m: RayMap) -> dict:
 def ray_map_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> RayMap:
     """Covering contexts may be inline objects, bare vector lists, or
     labels resolved against an optional top-level "contexts" table."""
-    dim = int(_require(doc, "dim"))
+    dim = _require_int(doc, "dim")
     raw_pairs = _require(doc, "pairs")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise MalformedDocument("'pairs' must be a non-empty list")
@@ -211,7 +219,7 @@ def frame_samples_from_json(doc: dict,
         groups = grouped_samples_from_json(doc, tol)
         return [FrameSample(projector=c.projectors[i], value=float(values[i]))
                 for c, values in groups for i in range(c.dim)]
-    dim = int(_require(doc, "dim"))
+    dim = _require_int(doc, "dim")
     raw = _require(doc, "samples")
     if not isinstance(raw, list) or not raw:
         raise MalformedDocument("'samples' must be a non-empty list")
@@ -241,6 +249,8 @@ def grouped_samples_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL
         if not isinstance(entry, dict):
             raise MalformedDocument(f"context group {k} must be an object")
         vectors = _require(entry, "vectors")
+        if not isinstance(vectors, list):
+            raise MalformedDocument(f"context group {k}: 'vectors' must be a list")
         entry_ctx = {"dim": len(vectors), "label": entry.get("label", f"group-{k}"),
                      "vectors": vectors}
         context = context_from_json(entry_ctx, tol)
@@ -253,7 +263,7 @@ def grouped_samples_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL
 
 
 def permutation_from_json(doc: dict) -> Permutation:
-    n = int(_require(doc, "n"))
+    n = _require_int(doc, "n")
     images = _require(doc, "images")
     if not isinstance(images, list):
         raise MalformedDocument("'images' must be a list")

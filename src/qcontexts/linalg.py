@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DependentInput, NotHermitian
+from .errors import DependentInput
 
 __all__ = [
     "Tolerance",
@@ -19,9 +19,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "max_abs",
-    "hermitian_deviation",
     "gram_schmidt",
-    "eig_hermitian",
     "is_unitary",
     "UnitaryCheck",
 ]
@@ -57,7 +55,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -67,7 +65,7 @@ def as_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=np.complex128)
     if a.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("vector contains non-finite entries")
     return a
 
@@ -76,11 +74,6 @@ def max_abs(m) -> float:
     """Entrywise max-norm."""
     a = np.asarray(m)
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def hermitian_deviation(m: np.ndarray) -> float:
-    """Max-norm distance from self-adjointness, ||M - M^dag||_max."""
-    return max_abs(m - m.conj().T)
 
 
 def gram_schmidt(vectors, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
@@ -112,23 +105,6 @@ def gram_schmidt(vectors, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
             )
         out.append(w / norm)
     return out
-
-
-def eig_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decompose a self-adjoint matrix.
-
-    Returns (eigenvalues ascending, unitary eigenvector matrix V) with
-    M = V diag(w) V^dag. Raises NotHermitian when ||M - M^dag||_max
-    exceeds tolerance.
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix is not square: {a.shape}")
-    dev = hermitian_deviation(a)
-    if dev > tol.bound(max_abs(a)):
-        raise NotHermitian(f"||M - M^dag||_max = {dev:.3e} exceeds tolerance")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return w, v
 
 
 @dataclass(frozen=True)

@@ -93,11 +93,15 @@ def load_ks_instance(document: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
         raise MalformedDocument(f"missing or invalid field: {exc}") from exc
     if dim < 1:
         raise MalformedDocument(f"dimension must be positive, got {dim}")
+    if not isinstance(raw_vectors, list) or not isinstance(raw_bases, list):
+        raise MalformedDocument("'vectors' and 'bases' must be lists")
     if not raw_vectors or not raw_bases:
         raise MalformedDocument("instance needs at least one vector and one basis")
 
     vectors = np.zeros((len(raw_vectors), dim), dtype=np.complex128)
     for m, entries in enumerate(raw_vectors):
+        if not isinstance(entries, list):
+            raise MalformedDocument(f"vector {m} must be a list of entries")
         if len(entries) != dim:
             raise MalformedDocument(f"vector {m} has {len(entries)} entries, "
                                     f"expected {dim}")
@@ -119,6 +123,8 @@ def load_ks_instance(document: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
 
     bases: list[tuple[int, ...]] = []
     for b, basis in enumerate(raw_bases):
+        if not isinstance(basis, list):
+            raise MalformedDocument(f"basis {b} must be a list of vector indices")
         if len(basis) != dim:
             raise MalformedDocument(
                 f"basis {b} has {len(basis)} members, expected {dim}")

@@ -62,19 +62,12 @@ class Permutation:
         return -1 if flips % 2 else 1
 
 
-class ObstructionResult(tuple):
-    """(det_sign, connected_in_orthogonal_group)."""
+@dataclass(frozen=True)
+class ObstructionResult:
+    """Determinant sign and reachability within the real orthogonal group."""
 
-    def __new__(cls, det_sign: int, connected: bool):
-        return super().__new__(cls, (det_sign, connected))
-
-    @property
-    def det_sign(self) -> int:
-        return self[0]
-
-    @property
-    def connected_in_orthogonal_group(self) -> bool:
-        return self[1]
+    det_sign: int
+    connected_in_orthogonal_group: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,4 +163,4 @@ def orthogonal_obstruction(sigma: Permutation) -> ObstructionResult:
     there exactly when its sign is +1.
     """
     s = sigma.sign()
-    return ObstructionResult(det_sign=s, connected=(s == 1))
+    return ObstructionResult(det_sign=s, connected_in_orthogonal_group=(s == 1))

@@ -295,7 +295,43 @@ class TestDeterminismAndGolden:
         assert first == second
 
 
+def _load(name: str) -> dict:
+    with open(ds(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# documents whose fields have the wrong JSON type, one per loader
+WRONG_TYPE_CASES = {
+    "born-dim-list": ("born", {**_load("density_mixed_dim3.json"), "dim": [3]},
+                      ds("context_fourier_dim3.json")),
+    "perm-path-n-list": ("perm-path", {"n": [3], "images": [1, 0, 2]}),
+    "ks-vector-numbers": ("ks", {"dim": 3, "vectors": [5, 6, 7], "bases": [[0, 1, 2]]}),
+    "ks-basis-number": ("ks", {"dim": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                               "bases": [7]}),
+    "gleason-fit-vectors-number": ("gleason-fit", {"contexts": [
+        {"label": "c0", "vectors": 5, "values": [1, 0, 0]}]}),
+}
+
+
 class TestUsage:
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPE_CASES))
+    def test_wrong_json_type_exits_two_with_one_line_error(self, capsys, tmp_path, case):
+        command, doc, *rest = WRONG_TYPE_CASES[case]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(path), *rest)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_two(self, capsys, seed):
+        code, out, err = run(capsys, "simulate", ds("density_e1_dim3.json"),
+                             ds("contexts_fourier_seq_dim3.json"), "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ValueError:")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -7,6 +7,7 @@ from helpers import fourier_basis, fourier_context, standard_basis, standard_con
 from qcontexts.core import (
     ContextTransform,
     DensityOperator,
+    Projector,
     apply_transform,
     are_exclusive,
     born_probability,
@@ -55,6 +56,45 @@ class TestMakeContext:
             assert max_abs(p.matrix - p.matrix.conj().T) <= 1e-12
             assert max_abs(p.matrix @ p.matrix - p.matrix) <= 1e-12
             assert abs(np.trace(p.matrix).real - 1.0) <= 1e-12
+
+
+class TestDataModel:
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_basis_columns_are_the_inputs_normalized_one_by_one(self, n):
+        # oracle: each input column divided by its own norm, to the last bit;
+        # a per-column norm over axis 0 rounds differently
+        for seed in range(1000):
+            u = random_unitary(n, make_generator(seed))
+            c = random_context(n, make_generator(seed))
+            for k in range(n):
+                v = u[:, k]
+                assert np.array_equal(c.basis[:, k], v / np.linalg.norm(v))
+
+    @pytest.mark.parametrize("vector", [
+        [1.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0],
+        [np.nan, 0.0, 0.0],
+        [np.inf, 0.0, 0.0],
+        [[1.0, 0.0], [0.0, 0.0]],
+    ])
+    def test_projector_constructor_rejects_non_unit_non_finite_and_2d(self, vector):
+        with pytest.raises(ValueError):
+            Projector(np.asarray(vector, dtype=np.complex128))
+
+    def test_projector_constructor_keeps_its_own_read_only_copy(self):
+        v = np.array([0.6, 0.8j, 0.0])
+        p = Projector(v)
+        v[0] = 1.0
+        assert p.vector[0] == 0.6 and not p.vector.flags.writeable
+        assert v.flags.writeable
+        assert p.dim == 3 and p.matrix is p.matrix
+
+    def test_context_projectors_are_built_once(self):
+        c = random_context(4, make_generator(5))
+        first = c.projectors
+        assert c.projectors is first
+        for k, p in enumerate(first):
+            assert np.array_equal(p.vector, c.basis[:, k])
 
 
 class TestBornProbability:
@@ -273,6 +313,12 @@ class TestSimulateSequence:
         singles = [simulate_sequence(p, [c], seed=10 + k)[0].outcome_index
                    for k in range(5)]
         assert [r[0].outcome_index for r in runs] == singles
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_repeat_simulation_rejects_seed_outside_64_bits_instead_of_wrapping(self, seed):
+        with pytest.raises(ValueError):
+            repeat_simulation(standard_context(3).projectors[0], [fourier_context(3)],
+                              seed=seed, repeats=2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcontexts.core import make_generator
-from qcontexts.errors import DependentInput, NotHermitian
+from qcontexts.errors import DependentInput
 from qcontexts.linalg import (
     Tolerance,
-    eig_hermitian,
     gram_schmidt,
     is_unitary,
     max_abs,
@@ -68,45 +67,6 @@ class TestGramSchmidt:
         twice = gram_schmidt(once)
         for a, b in zip(once, twice):
             assert max_abs(a - b) <= 1e-9
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        w, v = eig_hermitian(np.eye(3))
-        assert np.allclose(w, [1, 1, 1])
-        assert is_unitary(v).ok
-
-    def test_diagonal_sorted_ascending(self):
-        w, v = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1, 2, 3], atol=1e-12)
-        # eigenvectors are the standard basis, permuted
-        assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
-
-    def test_random_hermitian_reconstruction(self):
-        # oracle: the reconstruction residual, relative Frobenius
-        rng = make_generator(55)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = a + a.conj().T
-        w, v = eig_hermitian(m)
-        recon = (v * w) @ v.conj().T
-        rel = np.linalg.norm(recon - m) / np.linalg.norm(m)
-        assert rel <= 1e-8
-        assert is_unitary(v).ok
-
-    def test_projector_spectrum_is_one_and_zeros(self):
-        rng = make_generator(12)
-        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x /= np.linalg.norm(x)
-        w, _ = eig_hermitian(np.outer(x, x.conj()))
-        assert np.allclose(w, [0, 0, 0, 1], atol=1e-9)
-
-    def test_not_hermitian_raises(self):
-        with pytest.raises(NotHermitian):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.zeros((2, 3)))
 
 
 class TestIsUnitary:

@@ -7,6 +7,7 @@ from helpers import series_expm
 from qcontexts.core import make_generator
 from qcontexts.linalg import is_unitary, max_abs
 from qcontexts.topology import (
+    ObstructionResult,
     Permutation,
     orthogonal_obstruction,
     permutation_log_generator,
@@ -146,7 +147,7 @@ class TestOrthogonalObstruction:
 
     def test_double_transposition_connected(self):
         res = orthogonal_obstruction(Permutation(4, (1, 0, 3, 2)))
-        assert res == (1, True)
+        assert res == ObstructionResult(det_sign=1, connected_in_orthogonal_group=True)
 
     def test_connectivity_iff_even(self):
         for n in (3, 4):
