@@ -215,17 +215,15 @@ def cmd_simulate(args, config: RunConfig) -> int:
             "initial state must be a rank-1 projector (pure state)")
     contexts = contexts_from_json(load_json_file(args.contexts), config.tol)
     runs = repeat_simulation(initial, contexts, config.seed, args.repeats)
-    counts = [np.zeros(c.dim, dtype=int) for c in contexts]
-    for records in runs:
-        for step, record in enumerate(records):
-            counts[step][record.outcome_index] += 1
+    counts = [np.bincount(runs[:, step], minlength=c.dim)
+              for step, c in enumerate(contexts)]
     payload = {
         "command": "simulate",
         "seed": config.seed,
         "repeats": args.repeats,
         "sequence": [
-            {"context_label": r.context_label, "outcome_index": r.outcome_index}
-            for r in runs[0]
+            {"context_label": c.label, "outcome_index": int(o)}
+            for c, o in zip(contexts, runs[0])
         ],
         "frequencies": [
             {

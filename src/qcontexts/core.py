@@ -7,9 +7,11 @@ phase-dependent representative vectors, so global phase is quotiented
 out everywhere.
 
 Each type stores one representation: a Projector its unit vector, a
-Context its orthonormal basis matrix. Projector matrices and a context's
-projectors are built on first use. The Projector constructor and
-make_context validate their input once; nothing re-checks it later.
+Context its orthonormal basis matrix, a DensityOperator or a
+ContextTransform its matrix; dim is read from that array. Projector
+matrices and a context's projectors are built on first use. The
+Projector constructor, make_context and the from_* classmethods validate
+their input once; nothing re-checks it later.
 """
 
 from __future__ import annotations
@@ -161,8 +163,11 @@ class Modality(NamedTuple):
 class DensityOperator:
     """Positive-semidefinite self-adjoint operator with unit trace."""
 
-    dim: int
     matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "DensityOperator":
@@ -178,15 +183,15 @@ class DensityOperator:
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > tol.bound():
             raise ValueError(f"density matrix has trace {tr}, expected 1")
-        return cls(dim=mat.shape[0], matrix=_readonly(mat))
+        return cls(_readonly(mat))
 
     @classmethod
     def from_projector(cls, p: Projector) -> "DensityOperator":
-        return cls(dim=p.dim, matrix=p.matrix)
+        return cls(p.matrix)
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(dim=dim, matrix=_readonly(np.eye(dim, dtype=np.complex128) / dim))
+        return cls(_readonly(np.eye(dim, dtype=np.complex128) / dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,9 +202,12 @@ class ContextTransform:
     conjugation of P applied first when antiunitary is set.
     """
 
-    dim: int
     matrix: np.ndarray
     antiunitary: bool = False
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     @classmethod
     def from_matrix(cls, m, antiunitary: bool = False,
@@ -211,7 +219,7 @@ class ContextTransform:
         if not check:
             raise ValueError(f"transform matrix is not unitary "
                              f"(deviation {check.deviation:.3e})")
-        return cls(dim=mat.shape[0], matrix=_readonly(mat), antiunitary=antiunitary)
+        return cls(_readonly(mat), antiunitary=antiunitary)
 
     def act_vector(self, v: np.ndarray) -> np.ndarray:
         v = as_vector(v)
@@ -336,6 +344,69 @@ class MeasurementRecord(NamedTuple):
     projector: Projector
 
 
+# Philox4x64-10 constants (Salmon et al., SC'11), as numpy's Philox uses them
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of a * m, the high word from 32-bit limbs."""
+    a0, a1 = a & _LO32, a >> _S32
+    m0, m1 = m & _LO32, m >> _S32
+    t = a1 * m0 + ((a0 * m0) >> _S32)
+    w = (t & _LO32) + a0 * m1
+    return a1 * m1 + (t >> _S32) + (w >> _S32), a * m
+
+
+def _philox_uniforms(keys: np.ndarray, steps: int) -> np.ndarray:
+    """(len(keys), steps) uniforms; row i is make_generator(keys[i]).random(steps).
+
+    numpy's Philox with key k gives as its draw j word j % 4 of the
+    Philox4x64-10 block with counter (1 + j // 4, 0, 0, 0) and key (k, 0),
+    and random() maps a word x to (x >> 11) * 2**-53. The generator is
+    counter-based, so every block of every key is computed at once.
+    """
+    runs, blocks = len(keys), -(-steps // 4)
+    key0 = np.asarray(keys, dtype=np.uint64)[:, None]
+    key1 = np.zeros(1, dtype=np.uint64)
+    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (runs, blocks))
+    x1 = x2 = x3 = np.zeros((runs, blocks), dtype=np.uint64)
+    for r in range(10):
+        if r:
+            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
+        x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
+    words = np.stack([x0, x1, x2, x3], axis=-1).reshape(runs, 4 * blocks)[:, :steps]
+    return (words >> np.uint64(11)) * (1.0 / 2**53)
+
+
+def _sample_outcomes(initial: Projector, contexts: Sequence[Context],
+                     uniforms: np.ndarray) -> np.ndarray:
+    """Outcome indices (runs, steps), run k drawing uniforms[k, t] at step t.
+
+    Before step t every run holds the initial projector (t = 0) or one of
+    context t-1's projectors, so one CDF is built per state some run
+    holds, by the same context_distribution and cumsum for every run.
+    The outcome is searchsorted(cdf, u * cdf[-1], side="right") clamped
+    to dim - 1; on a non-decreasing CDF that is the count of the first
+    dim - 1 entries <= u * cdf[-1].
+    """
+    outcomes = np.empty(uniforms.shape, dtype=np.intp)
+    states, prev = (initial,), np.zeros(len(uniforms), dtype=np.intp)
+    for t, c in enumerate(contexts):
+        table = np.empty((len(states), c.dim))
+        for s in set(prev.tolist()):
+            state = DensityOperator.from_projector(states[s])
+            table[s] = np.cumsum(context_distribution(state, c))
+        rows = table[prev]
+        u = uniforms[:, t] * rows[:, -1]
+        prev = outcomes[:, t] = (rows[:, :-1] <= u[:, None]).sum(axis=1)
+        states = c.projectors
+    return outcomes
+
+
 def simulate_sequence(initial: Projector, contexts: Sequence[Context],
                       seed: int) -> list[MeasurementRecord]:
     """Measure through a sequence of contexts from a pure initial state.
@@ -344,28 +415,30 @@ def simulate_sequence(initial: Projector, contexts: Sequence[Context],
     is replaced by the obtained outcome's projector, which realizes
     repeatability: re-measuring in the same context repeats the outcome
     with probability 1. Sampling is inverse-CDF on the seeded Philox
-    stream, so identical inputs and seed give identical records.
+    stream, one make_generator(seed) draw per step, so identical inputs
+    and seed give identical records. This is repeat_simulation's sampling
+    for a single run.
     """
-    rng = make_generator(seed)
-    state = DensityOperator.from_projector(initial)
-    records: list[MeasurementRecord] = []
-    for c in contexts:
-        _check_dims(state.dim, c.dim)
-        probs = context_distribution(state, c)
-        cdf = np.cumsum(probs)
-        u = rng.random() * cdf[-1]
-        outcome = int(np.searchsorted(cdf, u, side="right"))
-        outcome = min(outcome, c.dim - 1)
-        records.append(MeasurementRecord(c.label, outcome, c.projectors[outcome]))
-        state = DensityOperator.from_projector(c.projectors[outcome])
-    return records
+    u = make_generator(seed).random(len(contexts))
+    outcomes = _sample_outcomes(initial, contexts, u[None, :])[0].tolist()
+    return [MeasurementRecord(c.label, o, c.projectors[o])
+            for c, o in zip(contexts, outcomes)]
 
 
 def repeat_simulation(initial: Projector, contexts: Sequence[Context],
-                      seed: int, repeats: int) -> list[list[MeasurementRecord]]:
-    """Run simulate_sequence for seeds seed, seed+1, ... (mod 2^64)."""
+                      seed: int, repeats: int) -> np.ndarray:
+    """Outcome indices of runs seeded seed, seed+1, ... (mod 2^64).
+
+    Returns an int array of shape (repeats, len(contexts)); row k equals
+    the outcome indices of simulate_sequence(initial, contexts,
+    (seed + k) % 2**64). All runs are sampled in one pass: their Philox
+    draws come from one vectorised evaluation of the counter-based
+    generator, bit-identical to make_generator's stream for each run's
+    key, and each step builds one CDF per state that some run holds.
+    """
     seed = check_seed(seed)
     if repeats < 1:
         raise ValueError("repeats must be positive")
-    return [simulate_sequence(initial, contexts, (seed + k) % 2**64)
-            for k in range(repeats)]
+    # uint64 addition wraps, so the keys past 2^64 - 1 continue at 0
+    keys = np.uint64(seed) + np.arange(repeats, dtype=np.uint64)
+    return _sample_outcomes(initial, contexts, _philox_uniforms(keys, len(contexts)))

@@ -78,6 +78,8 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 def json_to_matrix(rows, dim: int | None = None) -> np.ndarray:
     if not isinstance(rows, (list, tuple)) or not rows:
         raise MalformedDocument("expected a non-empty matrix (list of rows)")
+    if not all(isinstance(row, (list, tuple)) for row in rows):
+        raise MalformedDocument("every matrix row must be a list")
     mat = np.array([[pair_to_complex(e) for e in row] for row in rows],
                    dtype=np.complex128)
     if mat.ndim != 2:
@@ -123,6 +125,8 @@ def context_to_json(c: Context) -> dict:
 
 
 def context_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> Context:
+    if not isinstance(doc, dict):
+        raise MalformedDocument(f"a context must be an object, got {type(doc).__name__}")
     dim = _require_int(doc, "dim")
     label = str(doc.get("label", ""))
     raw = _require(doc, "vectors")
@@ -188,8 +192,12 @@ def ray_map_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> RayMap:
         pairs.append((src, tgt))
 
     table = doc.get("contexts", {})
+    covering = doc.get("covering_contexts", [])
+    if not isinstance(table, dict) or not isinstance(covering, list):
+        raise MalformedDocument(
+            "'contexts' must be an object and 'covering_contexts' a list")
     contexts = []
-    for k, entry in enumerate(doc.get("covering_contexts", [])):
+    for k, entry in enumerate(covering):
         if isinstance(entry, str):
             if entry not in table:
                 raise MalformedDocument(
@@ -258,7 +266,11 @@ def grouped_samples_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL
         if not isinstance(values, list) or len(values) != context.dim:
             raise MalformedDocument(
                 f"context group {k} needs exactly {context.dim} values")
-        groups.append((context, [float(v) for v in values]))
+        try:
+            numbers = [float(v) for v in values]
+        except (TypeError, ValueError) as exc:
+            raise MalformedDocument(f"context group {k} has a non-numeric value") from exc
+        groups.append((context, numbers))
     return groups
 
 

@@ -5,7 +5,9 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from qcontexts.cli import main
-from qcontexts.jsonio import dataset_path
+from qcontexts.core import simulate_sequence
+from qcontexts.gleason import born_case_check
+from qcontexts.jsonio import contexts_from_json, dataset_path, density_from_json, load_json_file
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMAS = Path(__file__).parents[1] / "src" / "qcontexts" / "schemas"
@@ -264,6 +266,27 @@ class TestSimulate:
         assert payload["sequence"][1]["outcome_index"] == \
             payload["sequence"][2]["outcome_index"]
 
+    def test_seed_wraps_past_two_to_the_64(self, capsys):
+        initial_path = ds("density_e1_dim3.json")
+        contexts_path = ds("contexts_fourier_seq_dim3.json")
+        code, out, _ = run(capsys, "simulate", initial_path, contexts_path,
+                           "--seed", str(2**64 - 2), "--repeats", "5")
+        assert code == 0
+        payload = json.loads(out)
+        initial = born_case_check(density_from_json(load_json_file(initial_path)))
+        contexts = contexts_from_json(load_json_file(contexts_path))
+        # runs 2-4 continue at keys 0, 1 and 2
+        runs = [simulate_sequence(initial, contexts, key)
+                for key in (2**64 - 2, 2**64 - 1, 0, 1, 2)]
+        assert payload["sequence"] == [
+            {"context_label": r.context_label, "outcome_index": r.outcome_index}
+            for r in runs[0]]
+        for step, c in enumerate(contexts):
+            counts = [0] * c.dim
+            for records in runs:
+                counts[records[step].outcome_index] += 1
+            assert payload["frequencies"][step]["counts"] == counts
+
 
 class TestDeterminismAndGolden:
     @pytest.mark.parametrize("name,argv", [
@@ -310,16 +333,33 @@ WRONG_TYPE_CASES = {
                                "bases": [7]}),
     "gleason-fit-vectors-number": ("gleason-fit", {"contexts": [
         {"label": "c0", "vectors": 5, "values": [1, 0, 0]}]}),
+    "born-matrix-row-number": ("born", {"dim": 3, "matrix": [5, [0, 1, 0], [0, 0, 1]]},
+                               ds("context_fourier_dim3.json")),
+    "uhlhorn-covering-number": ("uhlhorn", {**_load("raymap_unitary_dim3.json"),
+                                            "covering_contexts": 5}),
+    "uhlhorn-contexts-table-list": ("uhlhorn", {**_load("raymap_unitary_dim3.json"),
+                                                "contexts": ["c0"],
+                                                "covering_contexts": ["c0"]}),
+    # the contexts document is the second file argument
+    "simulate-context-number": ("simulate", ds("density_e1_dim3.json"), {"contexts": [5]}),
+    "gleason-fit-values-lists": ("gleason-fit", {"contexts": [
+        {"label": "c0", "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+         "values": [[1], [0], [0]]}]}),
 }
 
 
 class TestUsage:
     @pytest.mark.parametrize("case", sorted(WRONG_TYPE_CASES))
     def test_wrong_json_type_exits_two_with_one_line_error(self, capsys, tmp_path, case):
-        command, doc, *rest = WRONG_TYPE_CASES[case]
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, command, str(path), *rest)
+        command, *files = WRONG_TYPE_CASES[case]
+        args = []
+        for k, f in enumerate(files):
+            if isinstance(f, dict):  # a document to write; otherwise a bundled path
+                path = tmp_path / f"doc{k}.json"
+                path.write_text(json.dumps(f))
+                f = str(path)
+            args.append(f)
+        code, out, err = run(capsys, command, *args)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err

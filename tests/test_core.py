@@ -19,6 +19,7 @@ from qcontexts.core import (
     repeat_simulation,
     simulate_sequence,
 )
+from qcontexts.core import _philox_uniforms
 from qcontexts.errors import DimensionMismatch, NotOrthonormal
 from qcontexts.linalg import max_abs
 from qcontexts.sampling import random_context, random_density, random_projector, random_unitary
@@ -312,7 +313,7 @@ class TestSimulateSequence:
         runs = repeat_simulation(p, [c], seed=10, repeats=5)
         singles = [simulate_sequence(p, [c], seed=10 + k)[0].outcome_index
                    for k in range(5)]
-        assert [r[0].outcome_index for r in runs] == singles
+        assert runs[:, 0].tolist() == singles
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_repeat_simulation_rejects_seed_outside_64_bits_instead_of_wrapping(self, seed):
@@ -324,6 +325,48 @@ class TestSimulateSequence:
         with pytest.raises(DimensionMismatch):
             simulate_sequence(standard_context(3).projectors[0],
                               [standard_context(4)], seed=0)
+
+
+def _per_run_outcomes(initial, contexts, seed):
+    """Per-run reference: one generator, one Born evaluation and one
+    searchsorted per step."""
+    rng = make_generator(seed)
+    state, outcomes = DensityOperator.from_projector(initial), []
+    for c in contexts:
+        cdf = np.cumsum(context_distribution(state, c))
+        u = rng.random() * cdf[-1]
+        outcomes.append(min(int(np.searchsorted(cdf, u, side="right")), c.dim - 1))
+        state = DensityOperator.from_projector(c.projectors[outcomes[-1]])
+    return outcomes
+
+
+class TestBatchSimulation:
+    @pytest.mark.parametrize("steps", [1, 3, 4, 5, 17])
+    def test_philox_kernel_matches_make_generator_bit_for_bit(self, steps):
+        rng = np.random.default_rng(2024)
+        keys = np.concatenate([
+            np.array([0, 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+            rng.integers(0, 2**64, size=1000, dtype=np.uint64, endpoint=False)])
+        expected = np.array([make_generator(int(k)).random(steps) for k in keys])
+        assert np.array_equal(_philox_uniforms(keys, steps), expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([2, 3, 5]),
+           picks=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+           seed=st.one_of(st.integers(0, 100), st.integers(2**64 - 100, 2**64 - 1)),
+           repeats=st.integers(1, 50),
+           world=st.integers(0, 2**32))
+    def test_rows_equal_per_seed_runs(self, n, picks, seed, repeats, world):
+        rng = make_generator(world)
+        pool = [random_context(n, rng, f"c{k}") for k in range(3)]
+        contexts = [pool[k] for k in picks]  # a small pool repeats contexts, often at once
+        initial = random_projector(n, rng)
+        runs = repeat_simulation(initial, contexts, seed, repeats)
+        assert runs.shape == (repeats, len(contexts))
+        for k in range(repeats):
+            key = (seed + k) % 2**64
+            single = [r.outcome_index for r in simulate_sequence(initial, contexts, key)]
+            assert runs[k].tolist() == single == _per_run_outcomes(initial, contexts, key)
 
 
 class TestMakeGenerator:
