@@ -147,7 +147,7 @@ def cmd_uhlhorn(args, config: RunConfig) -> int:
         _emit(payload, config)
         return EXIT_NEGATIVE
 
-    fit = fit_transform(ray_map, config.tol)
+    fit = fit_transform(ray_map, config.tol, classification=classification)
     payload.update({
         "antiunitary": fit.transform.antiunitary,
         "matrix": matrix_to_json(fit.transform.matrix),

@@ -86,11 +86,13 @@ def load_ks_instance(document: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
     if not isinstance(document, dict):
         raise MalformedDocument("instance document must be an object")
     try:
-        dim = int(document["dim"])
+        dim = document["dim"]
         raw_vectors = document["vectors"]
         raw_bases = document["bases"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise MalformedDocument(f"missing or invalid field: {exc}") from exc
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise MalformedDocument(f"field 'dim' must be an integer, got {dim!r}")
     if dim < 1:
         raise MalformedDocument(f"dimension must be positive, got {dim}")
     if not isinstance(raw_vectors, list) or not isinstance(raw_bases, list):

@@ -140,6 +140,23 @@ class TestUhlhorn:
         assert payload["orthogonality_preserving"] is False
         assert "violating_pair" in payload
 
+    def test_accepted_map_is_classified_once(self, capsys, monkeypatch):
+        import qcontexts.cli as cli
+        import qcontexts.uhlhorn as uhlhorn
+
+        calls = []
+        classify = uhlhorn.classify_transform
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "classify_transform", counted)
+        monkeypatch.setattr(uhlhorn, "classify_transform", counted)
+        code, _, _ = run(capsys, "uhlhorn", ds("raymap_unitary_dim3.json"))
+        assert code == 0
+        assert len(calls) == 1
+
     def test_corrupted_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "corrupt.json"
         path.write_text("{not json")
@@ -331,6 +348,12 @@ WRONG_TYPE_CASES = {
     "ks-vector-numbers": ("ks", {"dim": 3, "vectors": [5, 6, 7], "bases": [[0, 1, 2]]}),
     "ks-basis-number": ("ks", {"dim": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                                "bases": [7]}),
+    # one-basis documents: a dim read with int() would make each satisfiable (exit 1)
+    "ks-dim-float": ("ks", {"dim": 3.7, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                            "bases": [[0, 1, 2]]}),
+    "ks-dim-string": ("ks", {"dim": "3", "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                             "bases": [[0, 1, 2]]}),
+    "ks-dim-bool": ("ks", {"dim": True, "vectors": [[1]], "bases": [[0]]}),
     "gleason-fit-vectors-number": ("gleason-fit", {"contexts": [
         {"label": "c0", "vectors": 5, "values": [1, 0, 0]}]}),
     "born-matrix-row-number": ("born", {"dim": 3, "matrix": [5, [0, 1, 0], [0, 0, 1]]},

@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,10 +16,13 @@ from qcontexts.errors import (
     HypothesisViolated,
     MissingGadget,
 )
-from qcontexts.linalg import max_abs
+from qcontexts.jsonio import ray_map_to_json
+from qcontexts.linalg import DEFAULT_TOL, Tolerance, max_abs
 from qcontexts.sampling import random_state_vector, random_unitary
 from qcontexts.uhlhorn import (
+    OrthogonalityCheck,
     RayMap,
+    TransformClassification,
     Verdict,
     bargmann_invariant,
     check_orthogonality_preserving,
@@ -295,3 +305,249 @@ class TestFitTransform:
         assert max_abs(u1 - u2) == 0.0
         lead = u1[np.flatnonzero(np.abs(u1[:, 0]) > 1e-12)[0], 0]
         assert abs(lead.imag) <= 1e-12 and lead.real > 0
+
+
+# ------------------------------------------------------------------
+# Reference implementations: the per-pair loops and the fully
+# materialised triple scan the stacked and streamed kernels replaced.
+# The kernels must reproduce them bit for bit.
+
+def ref_bijectivity_error(pairs, tol=DEFAULT_TOL) -> str | None:
+    for i, j in combinations(range(len(pairs)), 2):
+        if pairs[i][0].distance(pairs[j][0]) <= tol.abs_eps:
+            return f"sources {i} and {j} coincide; map must be bijective"
+        if pairs[i][1].distance(pairs[j][1]) <= tol.abs_eps:
+            return f"targets {i} and {j} coincide; map must be bijective"
+    return None
+
+
+def ref_check(m: RayMap, tol=DEFAULT_TOL) -> OrthogonalityCheck:
+    for i, j in combinations(range(len(m.pairs)), 2):
+        s = max_abs(m.pairs[i][0].matrix @ m.pairs[j][0].matrix)
+        t = max_abs(m.pairs[i][1].matrix @ m.pairs[j][1].matrix)
+        if (s <= tol.abs_eps) != (t <= tol.abs_eps):
+            return OrthogonalityCheck(ok=False, violating_pair=(i, j),
+                                      source_product_norm=s,
+                                      target_product_norm=t)
+    return OrthogonalityCheck(ok=True)
+
+
+def ref_classify(m: RayMap, tol=DEFAULT_TOL) -> TransformClassification:
+    if not ref_check(m, tol):
+        raise HypothesisViolated("map does not preserve orthogonality both ways")
+    k = len(m.pairs)
+    bs = np.column_stack([p.vector for p in m.sources])
+    bt = np.column_stack([p.vector for p in m.targets])
+    gs, gt = bs.conj().T @ bs, bt.conj().T @ bt
+    triples = np.array(list(combinations(range(k), 3)), dtype=int)
+    if triples.size == 0:
+        return TransformClassification(Verdict.INCONCLUSIVE)
+    i, j, l = triples[:, 0], triples[:, 1], triples[:, 2]
+    vs = gs[i, j] * gs[j, l] * gs[l, i]
+    vt = gt[i, j] * gt[j, l] * gt[l, i]
+    nonreal = np.abs(vs.imag) > tol.abs_eps
+    if not np.any(nonreal):
+        return TransformClassification(Verdict.INCONCLUSIVE)
+    unitary_ok = np.abs(vt - vs) <= tol.abs_eps
+    anti_ok = np.abs(vt - vs.conj()) <= tol.abs_eps
+
+    def witness(mask):
+        idx = int(np.argmax(mask))
+        return tuple(int(x) for x in triples[idx]), complex(vs[idx]), complex(vt[idx])
+
+    if np.all(unitary_ok[nonreal]):
+        return TransformClassification(Verdict.UNITARY, *witness(nonreal))
+    if np.all(anti_ok[nonreal]):
+        return TransformClassification(Verdict.ANTIUNITARY, *witness(nonreal))
+    bad = nonreal & ~unitary_ok & ~anti_ok
+    if not np.any(bad):
+        bad = nonreal & ~unitary_ok
+    return TransformClassification(Verdict.NEITHER, *witness(bad))
+
+
+def _swap_last_targets(m: RayMap) -> RayMap:
+    pairs = list(m.pairs)
+    pairs[-1], pairs[-2] = (pairs[-1][0], m.pairs[-2][1]), (pairs[-2][0], m.pairs[-1][1])
+    return RayMap(dim=m.dim, pairs=tuple(pairs), covering_contexts=m.covering_contexts)
+
+
+def _nudge_last_target(m: RayMap) -> RayMap:
+    pairs = list(m.pairs)
+    pairs[-1] = (pairs[-1][0], proj(pairs[-1][1].vector + np.array([1e-5, 0, 0])))
+    return RayMap(dim=m.dim, pairs=tuple(pairs), covering_contexts=m.covering_contexts)
+
+
+def _block_map(*antiunitary: bool) -> RayMap:
+    """Four rays in each block span(e_2b, e_2b+1), mapped by a unitary or
+    an anti-unitary on that block. Cross-block invariants vanish, so with
+    both kinds of block every nonreal triple fits one branch only (mixed
+    evidence)."""
+    rng = make_generator(80)
+    dim = 2 * len(antiunitary)
+    pairs = []
+    for block, anti in enumerate(antiunitary):
+        u = random_unitary(2, rng)
+        for _ in range(4):
+            w = random_state_vector(2, rng)
+            v, t = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=complex)
+            v[2 * block:2 * block + 2] = w
+            t[2 * block:2 * block + 2] = u @ (w.conj() if anti else w)
+            pairs.append((proj(v), proj(t)))
+    return RayMap(dim=dim, pairs=tuple(pairs))
+
+
+def _shuffled(m: RayMap, seed: int) -> RayMap:
+    order = make_generator(seed).permutation(len(m.pairs))
+    return RayMap(dim=m.dim, pairs=tuple(m.pairs[i] for i in order),
+                  covering_contexts=m.covering_contexts)
+
+
+def _small_map(k: int) -> RayMap:
+    rng = make_generator(81 + k)
+    u = random_unitary(3, rng)
+    rays = [random_state_vector(3, rng) for _ in range(k)]
+    return RayMap(dim=3, pairs=tuple((proj(r), proj(u @ r)) for r in rays))
+
+
+def _real_map() -> RayMap:
+    e = standard_basis(3)
+    rays = [e[0], e[1], e[2], (e[0] + e[1]) / np.sqrt(2),
+            (e[1] + e[2]) / np.sqrt(2), (e[0] - e[2]) / np.sqrt(2)]
+    return RayMap(dim=3, pairs=tuple((proj(r), proj(r)) for r in rays))
+
+
+def _violating_map() -> RayMap:
+    e = standard_basis(3)
+    return RayMap(dim=3, pairs=(
+        (proj(e[0]), proj(e[0])),
+        (proj(e[1]), proj((e[0] + e[1]) / np.sqrt(2))),
+        (proj(e[2]), proj(e[2])),
+    ))
+
+
+def reference_cases():
+    """(name, map, tol) over the shapes the kernels must agree on."""
+    rng = make_generator(90)
+    loose = Tolerance(abs_eps=1e-4, rel_eps=1e-4)
+    cases = []
+    for dim in (3, 4):
+        for anti in (False, True):
+            for rep in range(3):
+                m, _ = random_ray_map(dim, rng, antiunitary=anti, n_extra=6 + 4 * rep)
+                cases.append((f"random-d{dim}-anti{anti}-{rep}", m, DEFAULT_TOL))
+                cases.append((f"shuffled-d{dim}-anti{anti}-{rep}", _shuffled(m, rep),
+                              DEFAULT_TOL))
+    swapped = _swap_last_targets(random_ray_map(3, make_generator(73))[0])
+    cases += [
+        ("swapped-targets", swapped, DEFAULT_TOL),
+        ("swapped-targets-shuffled", _shuffled(swapped, 3), DEFAULT_TOL),
+        ("nudged-target-loose", _nudge_last_target(random_ray_map(3, make_generator(76))[0]),
+         loose),
+        ("nudged-target", _nudge_last_target(random_ray_map(3, make_generator(76))[0]),
+         DEFAULT_TOL),
+        ("violating", _violating_map(), DEFAULT_TOL),
+        ("mixed-evidence", _block_map(False, True), DEFAULT_TOL),
+        ("neither-past-first-chunk", _swap_last_targets(_block_map(False, True)), DEFAULT_TOL),
+        # the first non-unitary triple fits the anti-unitary branch; a triple
+        # fitting neither branch comes chunks later and is the witness
+        ("neither-after-mixed", _swap_last_targets(_block_map(True, False, False)),
+         DEFAULT_TOL),
+        ("all-real", _real_map(), DEFAULT_TOL),
+    ]
+    cases += [(f"k{k}", _small_map(k), DEFAULT_TOL) for k in (1, 2, 3)]
+    return cases
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypothesisViolated as exc:
+        return ("raised", str(exc))
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("name,m,tol", reference_cases(),
+                             ids=[c[0] for c in reference_cases()])
+    def test_check_and_classification_bit_identical(self, name, m, tol):
+        assert check_orthogonality_preserving(m, tol) == ref_check(m, tol)
+        assert _outcome(classify_transform, m, tol) == _outcome(ref_classify, m, tol)
+
+    def test_cases_cover_every_verdict(self):
+        outcomes = [_outcome(classify_transform, m, tol) for _, m, tol in reference_cases()]
+        verdicts = {getattr(c, "verdict", "raised") for c in outcomes}
+        assert verdicts == {"raised", *Verdict}
+        # some witnesses lie past the first chunk of the streamed scan
+        assert any(c.witness_triple[0] > 0 for c in outcomes
+                   if getattr(c, "witness_triple", None))
+
+    def test_mixed_evidence_witnesses_first_non_unitary_triple(self):
+        c = classify_transform(_block_map(False, True))
+        assert c.verdict is Verdict.NEITHER
+        # a block-1 triple: anti-unitary only
+        assert min(c.witness_triple) >= 4
+        assert abs(c.witness_target_value - c.witness_source_value.conjugate()) <= 1e-9
+
+    def test_bijectivity_error_bit_identical(self):
+        rng = make_generator(91)
+        for anti in (False, True):
+            m, _ = random_ray_map(3, rng, antiunitary=anti, n_extra=8)
+            pairs = list(m.pairs)
+            k = len(pairs)
+            variants = {
+                "none": pairs,
+                "source": pairs[:-1] + [(pairs[3][0], pairs[-1][1])],
+                "target": pairs[:-1] + [(pairs[-1][0], pairs[5][1])],
+                "both-same-pair": pairs[:-1] + [pairs[2]],
+                "source-later-than-target":
+                    pairs[:4] + [(pairs[4][0], pairs[1][1])] + pairs[5:-1]
+                    + [(pairs[2][0], pairs[-1][1])],
+                "rephased": pairs + [(proj(1j * pairs[k - 1][0].vector),
+                                      proj(pairs[0][1].vector))],
+            }
+            for label, ps in variants.items():
+                expected = ref_bijectivity_error(ps)
+                try:
+                    RayMap(dim=3, pairs=tuple(ps))
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == expected, label
+                assert (expected is None) == (label == "none"), label
+
+
+class TestOneClassificationPerRun:
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_passed_classification_gives_the_same_fit(self, anti):
+        m, _ = random_ray_map(3, make_generator(92), antiunitary=anti)
+        fresh = fit_transform(m)
+        given = fit_transform(m, DEFAULT_TOL, classification=classify_transform(m))
+        assert np.array_equal(given.transform.matrix, fresh.transform.matrix)
+        assert given.transform.antiunitary == fresh.transform.antiunitary
+        assert given.residual == fresh.residual
+        assert (given.verdict, given.ambiguous_branch, given.fiduciary_label) == (
+            fresh.verdict, fresh.ambiguous_branch, fresh.fiduciary_label)
+
+
+def test_large_map_certifies_in_bounded_memory(tmp_path):
+    """400 rays: C(400, 3) = 10.6M triples, which the materialised scan held
+    at once (about 1.1 GiB); streamed, the whole CLI run stays small."""
+    rng = make_generator(93)
+    hidden = ContextTransform.from_matrix(random_unitary(3, rng), antiunitary=True)
+    basis = random_unitary(3, rng)
+    context = make_context([basis[:, k] for k in range(3)], "fiduciary")
+    extras = [random_state_vector(3, rng) for _ in range(400 - 7)]
+    m = induced_ray_map(hidden, context, extras)
+    assert len(m.pairs) == 400
+    path = tmp_path / "raymap_400.json"
+    path.write_text(json.dumps(ray_map_to_json(m)))
+    import qcontexts
+    env = dict(os.environ, PYTHONPATH=str(Path(qcontexts.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "qcontexts.cli", "uhlhorn", str(path)],
+                            stdout=subprocess.PIPE, env=env)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "Antiunitary" and payload["antiunitary"] is True
+    assert usage.ru_maxrss / 1024 < 150  # KiB on Linux
