@@ -6,10 +6,11 @@ Submodules:
                  each), modalities, densities, measurement simulator
     gleason   -- frame-function validation, density reconstruction
     uhlhorn   -- ray-map certification and operator fitting
-    partition -- {0,1} valuation search on vector systems
+    partition -- {0,1} valuation search and parity certificates on vector systems
     topology  -- permutation paths in the unitary group
-    jsonio    -- file formats for the CLI
-    sampling  -- seeded random domain objects
+    jsonio    -- file formats for the CLI; the only document reader, with one
+                 strict rule for every scalar
+    sampling  -- seeded random domain objects, random ray maps included
 """
 
 __version__ = "0.1.0"

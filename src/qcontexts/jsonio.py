@@ -1,23 +1,33 @@
 """JSON readers/writers for every file format the CLI speaks.
 
-Complex scalars serialize as two-element [re, im] arrays; bare numbers
-are accepted on input as shorthand for [x, 0]. All loaders raise
-MalformedDocument on structural problems so the CLI can map them to a
-uniform exit code.
+This is the only module that reads documents. Every scalar field is
+read by one rule:
+
+- a number is a JSON int or float, never a bool or a string, and finite;
+- a complex entry is a number or an [re, im] pair of numbers (complex
+  scalars serialize as [re, im]; a bare number is shorthand for [x, 0]);
+- an integer field (dim, n, permutation images, basis indices) is a
+  JSON int, never a bool;
+- a label is a JSON string.
+
+All loaders raise MalformedDocument on structural problems so the CLI
+can map them to a uniform exit code.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .core import Context, DensityOperator, Projector, make_context
-from .errors import MalformedDocument
+from .errors import BasisNotOrthogonal, MalformedDocument
 from .gleason import FrameSample
 from .linalg import DEFAULT_TOL, Tolerance
-from .partition import KSInstance, load_ks_instance
+from .partition import KSInstance
 from .topology import Permutation
 from .uhlhorn import RayMap
 
@@ -48,14 +58,12 @@ def complex_to_pair(z: complex) -> list[float]:
 
 
 def pair_to_complex(entry) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(float(entry), 0.0)
-    try:
-        re, im = entry
-        return complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
-        raise MalformedDocument(
-            f"expected a number or [re, im] pair, got {entry!r}") from exc
+    """A complex entry: a number, or an [re, im] pair of numbers."""
+    if not isinstance(entry, (list, tuple)):
+        return complex(_number(entry, "a complex entry"), 0.0)
+    if len(entry) != 2:
+        raise MalformedDocument(f"expected a number or [re, im] pair, got {entry!r}")
+    return complex(_number(entry[0], "a real part"), _number(entry[1], "an imaginary part"))
 
 
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
@@ -65,10 +73,9 @@ def vector_to_json(v: np.ndarray) -> list[list[float]]:
 def json_to_vector(entries, dim: int | None = None) -> np.ndarray:
     if not isinstance(entries, (list, tuple)):
         raise MalformedDocument(f"expected a vector (list), got {type(entries).__name__}")
-    v = np.array([pair_to_complex(e) for e in entries], dtype=np.complex128)
-    if dim is not None and v.shape != (dim,):
-        raise MalformedDocument(f"vector has {v.shape[0]} entries, expected {dim}")
-    return v
+    if dim is not None and len(entries) != dim:
+        raise MalformedDocument(f"vector has {len(entries)} entries, expected {dim}")
+    return np.array([pair_to_complex(e) for e in entries], dtype=np.complex128)
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
@@ -78,12 +85,10 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 def json_to_matrix(rows, dim: int | None = None) -> np.ndarray:
     if not isinstance(rows, (list, tuple)) or not rows:
         raise MalformedDocument("expected a non-empty matrix (list of rows)")
-    if not all(isinstance(row, (list, tuple)) for row in rows):
-        raise MalformedDocument("every matrix row must be a list")
+    if not all(isinstance(row, (list, tuple)) and len(row) == len(rows[0]) for row in rows):
+        raise MalformedDocument("matrix rows must be lists of one length")
     mat = np.array([[pair_to_complex(e) for e in row] for row in rows],
                    dtype=np.complex128)
-    if mat.ndim != 2:
-        raise MalformedDocument("matrix rows have inconsistent lengths")
     if dim is not None and mat.shape != (dim, dim):
         raise MalformedDocument(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
     return mat
@@ -95,7 +100,7 @@ def load_json_file(path) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise MalformedDocument(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, huge int
         raise MalformedDocument(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument(f"{path}: top level must be an object")
@@ -109,11 +114,33 @@ def _require(doc: dict, key: str):
 
 
 def _require_int(doc: dict, key: str) -> int:
-    """An integer field: a JSON integer, never a bool, float, string or list."""
-    value = _require(doc, key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedDocument(f"field '{key}' must be an integer, got {value!r}")
-    return value
+    return _int(_require(doc, key), f"field '{key}'")
+
+
+def _int(value, what: str) -> int:
+    """An integer: a JSON int, never a bool, float, string or list."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise MalformedDocument(f"{what} must be an integer, got {value!r}")
+
+
+def _number(value, what: str) -> float:
+    """A number: a JSON int or float, never a bool or string, and finite."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise MalformedDocument(f"{what} must be a finite number, got {value!r}")
+
+
+def _label(value, what: str) -> str:
+    """A label: a JSON string."""
+    if isinstance(value, str):
+        return value
+    raise MalformedDocument(f"{what} must be a string, got {value!r}")
 
 
 def context_to_json(c: Context) -> dict:
@@ -128,7 +155,7 @@ def context_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> Context:
     if not isinstance(doc, dict):
         raise MalformedDocument(f"a context must be an object, got {type(doc).__name__}")
     dim = _require_int(doc, "dim")
-    label = str(doc.get("label", ""))
+    label = _label(doc.get("label", ""), "a context label")
     raw = _require(doc, "vectors")
     if not isinstance(raw, list) or len(raw) != dim:
         raise MalformedDocument(f"context needs exactly {dim} vectors")
@@ -225,7 +252,7 @@ def frame_samples_from_json(doc: dict,
     context-grouped variant (converted by pairing vectors with values)."""
     if "contexts" in doc and "samples" not in doc:
         groups = grouped_samples_from_json(doc, tol)
-        return [FrameSample(projector=c.projectors[i], value=float(values[i]))
+        return [FrameSample(projector=c.projectors[i], value=values[i])
                 for c, values in groups for i in range(c.dim)]
     dim = _require_int(doc, "dim")
     raw = _require(doc, "samples")
@@ -236,10 +263,7 @@ def frame_samples_from_json(doc: dict,
         if not isinstance(entry, dict):
             raise MalformedDocument(f"sample {k} must be an object")
         vec = json_to_vector(_require(entry, "vector"), dim)
-        try:
-            value = float(_require(entry, "value"))
-        except (TypeError, ValueError) as exc:
-            raise MalformedDocument(f"sample {k} has a non-numeric value") from exc
+        value = _number(_require(entry, "value"), f"the value of sample {k}")
         try:
             samples.append(FrameSample(Projector.from_vector(vec, tol), value))
         except ValueError as exc:
@@ -266,11 +290,7 @@ def grouped_samples_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL
         if not isinstance(values, list) or len(values) != context.dim:
             raise MalformedDocument(
                 f"context group {k} needs exactly {context.dim} values")
-        try:
-            numbers = [float(v) for v in values]
-        except (TypeError, ValueError) as exc:
-            raise MalformedDocument(f"context group {k} has a non-numeric value") from exc
-        groups.append((context, numbers))
+        groups.append((context, [_number(v, f"a value of context group {k}") for v in values]))
     return groups
 
 
@@ -280,13 +300,61 @@ def permutation_from_json(doc: dict) -> Permutation:
     if not isinstance(images, list):
         raise MalformedDocument("'images' must be a list")
     try:
-        return Permutation(n=n, images=tuple(int(i) for i in images))
-    except (TypeError, ValueError) as exc:
+        return Permutation(n=n, images=tuple(_int(i, "a permutation image") for i in images))
+    except ValueError as exc:
         raise MalformedDocument(f"invalid permutation: {exc}") from exc
 
 
 def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance:
-    return load_ks_instance(doc, tol)
+    """Vector-system document {"dim", "vectors", "bases"}.
+
+    Each vector is divided by its own norm. Every basis must list dim
+    distinct vector indices and be pairwise orthogonal (the first
+    offending basis and pair is reported), and every vector must belong
+    to at least one basis.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedDocument("instance document must be an object")
+    dim = _require_int(doc, "dim")
+    raw_vectors = _require(doc, "vectors")
+    raw_bases = _require(doc, "bases")
+    if dim < 1:
+        raise MalformedDocument(f"dimension must be positive, got {dim}")
+    if not isinstance(raw_vectors, list) or not isinstance(raw_bases, list):
+        raise MalformedDocument("'vectors' and 'bases' must be lists")
+    if not raw_vectors or not raw_bases:
+        raise MalformedDocument("instance needs at least one vector and one basis")
+
+    zero = tol.bound()
+    rows = []  # no array is sized by dim before the entries are counted
+    for m, entries in enumerate(raw_vectors):
+        v = json_to_vector(entries, dim)
+        norm = np.linalg.norm(v)
+        if not zero < norm < math.inf:
+            raise MalformedDocument(f"vector {m} has a zero or overflowing norm")
+        rows.append(v / norm)
+    vectors = np.array(rows)
+
+    bases = []
+    for b, basis in enumerate(raw_bases):
+        if not isinstance(basis, list) or len(basis) != dim:
+            raise MalformedDocument(f"basis {b} must be a list of {dim} vector indices")
+        idx = tuple(_int(i, f"a vector index of basis {b}") for i in basis)
+        if not all(0 <= i < len(vectors) for i in idx):
+            raise MalformedDocument(f"basis {b} has a vector index out of range")
+        if len(set(idx)) != dim:
+            raise MalformedDocument(f"basis {b} repeats a vector index")
+        for i, j in combinations(idx, 2):
+            overlap = abs(complex(np.vdot(vectors[i], vectors[j])))
+            if overlap > zero:
+                raise BasisNotOrthogonal(b, i, j, overlap)
+        bases.append(idx)
+
+    missing = sorted(set(range(len(vectors))) - {i for basis in bases for i in basis})
+    if missing:
+        raise MalformedDocument(f"vectors {missing} belong to no basis")
+    vectors.flags.writeable = False
+    return KSInstance(dim=dim, vectors=vectors, bases=tuple(bases))
 
 
 def dataset_path(name: str) -> Path:

@@ -11,18 +11,13 @@ counting refutation (the parity certificate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-
-from .errors import BasisNotOrthogonal, MalformedDocument
-from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "KSInstance",
     "AssignmentResult",
     "ParityCertificate",
-    "load_ks_instance",
     "search_assignment",
     "parity_certificate",
     "verify_assignment",
@@ -31,7 +26,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class KSInstance:
-    """Unit vectors with designated orthogonal bases (index lists)."""
+    """Unit vectors with designated orthogonal bases (index lists).
+
+    Documents are parsed and validated by jsonio.ks_instance_from_json.
+    """
 
     dim: int
     vectors: np.ndarray  # (M, dim) complex, rows unit-norm
@@ -74,82 +72,6 @@ class AssignmentResult:
     assignment: tuple[int, ...] | None
     nodes_explored: int
     certificate: ParityCertificate | None
-
-
-def load_ks_instance(document: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance:
-    """Parse and validate a vector-system document.
-
-    Entries may be [re, im] pairs or bare reals. Vectors are normalized;
-    every designated basis is re-checked for pairwise orthogonality and
-    every vector must belong to at least one basis.
-    """
-    if not isinstance(document, dict):
-        raise MalformedDocument("instance document must be an object")
-    try:
-        dim = document["dim"]
-        raw_vectors = document["vectors"]
-        raw_bases = document["bases"]
-    except KeyError as exc:
-        raise MalformedDocument(f"missing or invalid field: {exc}") from exc
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise MalformedDocument(f"field 'dim' must be an integer, got {dim!r}")
-    if dim < 1:
-        raise MalformedDocument(f"dimension must be positive, got {dim}")
-    if not isinstance(raw_vectors, list) or not isinstance(raw_bases, list):
-        raise MalformedDocument("'vectors' and 'bases' must be lists")
-    if not raw_vectors or not raw_bases:
-        raise MalformedDocument("instance needs at least one vector and one basis")
-
-    vectors = np.zeros((len(raw_vectors), dim), dtype=np.complex128)
-    for m, entries in enumerate(raw_vectors):
-        if not isinstance(entries, list):
-            raise MalformedDocument(f"vector {m} must be a list of entries")
-        if len(entries) != dim:
-            raise MalformedDocument(f"vector {m} has {len(entries)} entries, "
-                                    f"expected {dim}")
-        for a, entry in enumerate(entries):
-            if isinstance(entry, (int, float)):
-                vectors[m, a] = float(entry)
-            else:
-                try:
-                    re, im = entry
-                    vectors[m, a] = complex(float(re), float(im))
-                except (TypeError, ValueError) as exc:
-                    raise MalformedDocument(
-                        f"vector {m} entry {a} is not a number or [re, im] pair"
-                    ) from exc
-        norm = float(np.linalg.norm(vectors[m]))
-        if norm <= tol.bound():
-            raise MalformedDocument(f"vector {m} is (numerically) zero")
-        vectors[m] /= norm
-
-    bases: list[tuple[int, ...]] = []
-    for b, basis in enumerate(raw_bases):
-        if not isinstance(basis, list):
-            raise MalformedDocument(f"basis {b} must be a list of vector indices")
-        if len(basis) != dim:
-            raise MalformedDocument(
-                f"basis {b} has {len(basis)} members, expected {dim}")
-        idx = []
-        for i in basis:
-            if not isinstance(i, int) or not (0 <= i < len(raw_vectors)):
-                raise MalformedDocument(f"basis {b} has invalid vector index {i!r}")
-            idx.append(i)
-        if len(set(idx)) != dim:
-            raise MalformedDocument(f"basis {b} repeats a vector index")
-        for i, j in combinations(idx, 2):
-            overlap = abs(complex(np.vdot(vectors[i], vectors[j])))
-            if overlap > tol.bound():
-                raise BasisNotOrthogonal(b, i, j, overlap)
-        bases.append(tuple(idx))
-
-    covered = set(i for basis in bases for i in basis)
-    missing = sorted(set(range(len(raw_vectors))) - covered)
-    if missing:
-        raise MalformedDocument(f"vectors {missing} belong to no basis")
-
-    vectors.flags.writeable = False
-    return KSInstance(dim=dim, vectors=vectors, bases=tuple(bases))
 
 
 def parity_certificate(inst: KSInstance) -> ParityCertificate | None:

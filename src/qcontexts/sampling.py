@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Context, DensityOperator, Projector, make_context
-from .linalg import DEFAULT_TOL, Tolerance
+from .core import Context, ContextTransform, DensityOperator, Projector, make_context
+from .linalg import DEFAULT_TOL, Tolerance, max_abs
+from .uhlhorn import RayMap, gadget_sources, induced_ray_map
 
 __all__ = [
     "random_unitary",
@@ -17,6 +18,7 @@ __all__ = [
     "random_projector",
     "random_context",
     "random_density",
+    "random_ray_map",
 ]
 
 
@@ -53,3 +55,22 @@ def random_density(n: int, rng: np.random.Generator,
     g = _ginibre(n, rng)
     m = g @ g.conj().T
     return DensityOperator.from_matrix(m / np.trace(m).real, tol)
+
+
+def random_ray_map(dim: int, rng: np.random.Generator, antiunitary: bool = False,
+                   n_extra: int = 6,
+                   tol: Tolerance = DEFAULT_TOL) -> tuple[RayMap, ContextTransform]:
+    """Random operator-induced map on a gadget set plus extra random rays."""
+    hidden = ContextTransform.from_matrix(random_unitary(dim, rng),
+                                          antiunitary=antiunitary, tol=tol)
+    context = random_context(dim, rng, label="fiduciary", tol=tol)
+    extras = []
+    existing = gadget_sources(context)
+    while len(extras) < n_extra:
+        v = random_state_vector(dim, rng)
+        p = np.outer(v, v.conj())
+        # keep sources distinct as projectors
+        if all(max_abs(p - np.outer(u, u.conj()) / np.vdot(u, u)) > 1e-6
+               for u in existing + extras):
+            extras.append(v)
+    return induced_ray_map(hidden, context, extras, tol), hidden

@@ -35,7 +35,6 @@ from .errors import (
     MissingGadget,
 )
 from .linalg import DEFAULT_TOL, Tolerance, max_abs
-from .sampling import random_context, random_state_vector, random_unitary
 
 __all__ = [
     "RayMap",
@@ -50,7 +49,6 @@ __all__ = [
     "phase_aligned_distance",
     "gadget_sources",
     "induced_ray_map",
-    "random_ray_map",
     "FIT_RESIDUAL_LIMIT",
 ]
 
@@ -298,25 +296,6 @@ def induced_ray_map(transform: ContextTransform, context: Context,
         for r in rays
     )
     return RayMap(dim=context.dim, pairs=pairs, covering_contexts=(context,))
-
-
-def random_ray_map(dim: int, rng: np.random.Generator, antiunitary: bool = False,
-                   n_extra: int = 6,
-                   tol: Tolerance = DEFAULT_TOL) -> tuple[RayMap, ContextTransform]:
-    """Random operator-induced map on a gadget set plus extra random rays."""
-    hidden = ContextTransform.from_matrix(random_unitary(dim, rng),
-                                          antiunitary=antiunitary, tol=tol)
-    context = random_context(dim, rng, label="fiduciary", tol=tol)
-    extras = []
-    existing = gadget_sources(context)
-    while len(extras) < n_extra:
-        v = random_state_vector(dim, rng)
-        p = np.outer(v, v.conj())
-        # keep sources distinct as projectors
-        if all(max_abs(p - np.outer(u, u.conj()) / np.vdot(u, u)) > 1e-6
-               for u in existing + extras):
-            extras.append(v)
-    return induced_ray_map(hidden, context, extras, tol), hidden
 
 
 def _match_source(m: RayMap, p: Projector, tol: Tolerance) -> int:

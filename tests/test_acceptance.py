@@ -19,14 +19,13 @@ from qcontexts.core import (
     simulate_sequence,
 )
 from qcontexts.gleason import FrameSample, reconstruct_density
-from qcontexts.jsonio import dataset_path
+from qcontexts.jsonio import dataset_path, ks_instance_from_json as load_ks_instance
 from qcontexts.partition import (
     KSInstance,
-    load_ks_instance,
     parity_certificate,
     search_assignment,
 )
-from qcontexts.sampling import random_context, random_density
+from qcontexts.sampling import random_context, random_density, random_ray_map
 from qcontexts.topology import (
     Permutation,
     orthogonal_obstruction,
@@ -38,7 +37,6 @@ from qcontexts.uhlhorn import (
     classify_transform,
     fit_transform,
     phase_aligned_distance,
-    random_ray_map,
 )
 
 GOLDEN = Path(__file__).parent / "golden"

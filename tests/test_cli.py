@@ -5,7 +5,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from qcontexts.cli import main
-from qcontexts.core import simulate_sequence
+from qcontexts.core import make_generator, simulate_sequence
 from qcontexts.gleason import born_case_check
 from qcontexts.jsonio import contexts_from_json, dataset_path, density_from_json, load_json_file
 
@@ -340,6 +340,19 @@ def _load(name: str) -> dict:
         return json.load(fh)
 
 
+def _with(name: str, path: tuple, value) -> dict:
+    """A bundled document with the leaf at `path` replaced by `value`."""
+    doc = _load(name)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_KS_BASIS = {"dim": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "bases": [[0, 1, 2]]}
+
+
 # documents whose fields have the wrong JSON type, one per loader
 WRONG_TYPE_CASES = {
     "born-dim-list": ("born", {**_load("density_mixed_dim3.json"), "dim": [3]},
@@ -368,24 +381,99 @@ WRONG_TYPE_CASES = {
     "gleason-fit-values-lists": ("gleason-fit", {"contexts": [
         {"label": "c0", "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
          "values": [[1], [0], [0]]}]}),
+    # scalars of the wrong kind: strings, bools, floats for ints, NaN
+    "perm-path-images-mixed": ("perm-path", {"n": 3, "images": ["2", 0.0, True]}),
+    "perm-path-images-float": ("perm-path", {"n": 3, "images": [1.9, 0, 2]}),
+    "gleason-fit-value-string": ("gleason-fit",
+                                 _with("gleason_demo_dim3.json", ("samples", 0, "value"), "0.5")),
+    "born-matrix-entry-strings": ("born",
+                                  _with("density_e1_dim3.json", ("matrix", 0, 0), ["1", "0"]),
+                                  ds("context_standard_dim3.json")),
+    "born-context-entry-bool": ("born", ds("density_mixed_dim3.json"),
+                                _with("context_standard_dim3.json", ("vectors", 0, 0), True)),
+    "ks-vector-entry-bool": ("ks", {**_KS_BASIS, "vectors": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+    "ks-vector-entry-nan": ("ks", {**_KS_BASIS,
+                                   "vectors": [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]}),
+    "ks-basis-index-bool": ("ks", {**_KS_BASIS, "bases": [[0, True, 2]]}),
+    # a dim far beyond the entries given is reported, not allocated
+    "ks-dim-huge": ("ks", {**_KS_BASIS, "dim": 10**10}),
+    # an integer beyond the float range is not a finite number
+    "ks-vector-entry-huge-int": ("ks", {**_KS_BASIS, "vectors": [[10**400, 0, 0], [0, 1, 0],
+                                                                 [0, 0, 1]]}),
 }
+
+
+def _run_with_documents(capsys, tmp_path, command: str, *files) -> tuple[int, str, str]:
+    """Run a command; dict arguments are written to files first."""
+    args = []
+    for k, f in enumerate(files):
+        if isinstance(f, dict):  # a document to write; otherwise a bundled path
+            path = tmp_path / f"doc{k}.json"
+            path.write_text(json.dumps(f))
+            f = str(path)
+        args.append(f)
+    return run(capsys, command, *args)
+
+
+# each bundled document as one file argument (None) of a command line
+SWEEP_COMMANDS = {
+    "context_fourier_dim3.json": ("born", ds("density_mixed_dim3.json"), None),
+    "context_standard_dim3.json": ("born", ds("density_mixed_dim3.json"), None),
+    "contexts_fourier_seq_dim3.json": ("simulate", ds("density_e1_dim3.json"), None),
+    "density_e1_dim3.json": ("born", None, ds("context_standard_dim3.json")),
+    "density_mixed_dim3.json": ("born", None, ds("context_fourier_dim3.json")),
+    "gleason_demo_dim3.json": ("gleason-fit", None),
+    "ks_dim3_33rays_closure.json": ("ks", None),
+    "ks_dim4_18vectors.json": ("ks", None),
+    "perm_4cycle_n4.json": ("perm-path", None),
+    "perm_transposition_n3.json": ("perm-path", None),
+    "raymap_antiunitary_dim3.json": ("uhlhorn", None),
+    "raymap_unitary_dim3.json": ("uhlhorn", None),
+}
+SWEEP_LEAVES = 40
+# every scalar the readers accept is a number or a label (a string)
+NUMBER_REPLACEMENTS = (True, "1", float("nan"))
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for k, child in enumerate(node):
+            yield from _leaves(child, path + (k,))
+    else:
+        yield path, node
 
 
 class TestUsage:
     @pytest.mark.parametrize("case", sorted(WRONG_TYPE_CASES))
     def test_wrong_json_type_exits_two_with_one_line_error(self, capsys, tmp_path, case):
-        command, *files = WRONG_TYPE_CASES[case]
-        args = []
-        for k, f in enumerate(files):
-            if isinstance(f, dict):  # a document to write; otherwise a bundled path
-                path = tmp_path / f"doc{k}.json"
-                path.write_text(json.dumps(f))
-                f = str(path)
-            args.append(f)
-        code, out, err = run(capsys, command, *args)
+        code, out, err = _run_with_documents(capsys, tmp_path, *WRONG_TYPE_CASES[case])
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("error: MalformedDocument:") and "Traceback" not in err
+
+    def test_sweep_covers_every_bundled_document(self):
+        bundled = sorted(p.name for p in dataset_path("").glob("*.json"))
+        assert bundled == sorted(SWEEP_COMMANDS)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_COMMANDS))
+    def test_mutated_scalar_leaf_exits_two(self, capsys, tmp_path, name):
+        # a seeded sample of leaves: numbers become true, "1" or NaN, labels 1
+        leaves = list(_leaves(_load(name)))
+        rng = make_generator(7919)
+        picks = rng.choice(len(leaves), size=min(SWEEP_LEAVES, len(leaves)), replace=False)
+        command, *slots = SWEEP_COMMANDS[name]
+        for k, pick in enumerate(sorted(picks)):
+            path, leaf = leaves[pick]
+            assert isinstance(leaf, (int, float, str)) and not isinstance(leaf, bool), path
+            value = 1 if isinstance(leaf, str) else NUMBER_REPLACEMENTS[k % 3]
+            doc = _with(name, path, value)
+            files = [doc if slot is None else slot for slot in slots]
+            code, out, err = _run_with_documents(capsys, tmp_path, command, *files)
+            assert (code, out) == (2, ""), (path, value, err)
+            assert err.startswith("error: MalformedDocument:"), (path, value, err)
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exits_two(self, capsys, seed):
@@ -405,6 +493,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", [
+        b'{"dim": ' + b"[" * 100000 + b"]" * 100000 + b"}",  # RecursionError in json.load
+        b'\xff\xfe{"dim": 3}',                               # not UTF-8
+        b'{"dim": 1' + b"0" * 5000 + b"}",                    # int beyond the digit limit
+    ], ids=["deep", "not-utf8", "huge-int-literal"])
+    def test_unreadable_json_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_bytes(text)
+        code, out, err = run(capsys, "born", str(path), ds("context_fourier_dim3.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: MalformedDocument:") and "Traceback" not in err
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "ks", "/nonexistent/file.json")

@@ -22,8 +22,8 @@ from qcontexts.jsonio import (
     vector_to_json,
 )
 from qcontexts.linalg import max_abs
-from qcontexts.sampling import random_density
-from qcontexts.uhlhorn import fit_transform, random_ray_map
+from qcontexts.sampling import random_density, random_ray_map
+from qcontexts.uhlhorn import fit_transform
 
 
 class TestScalars:

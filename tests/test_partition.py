@@ -1,17 +1,92 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from helpers import brute_force_valuation_count
+from qcontexts.core import make_generator
 from qcontexts.errors import BasisNotOrthogonal, MalformedDocument
-from qcontexts.jsonio import dataset_path
+from qcontexts.jsonio import dataset_path, ks_instance_from_json
+from qcontexts.linalg import DEFAULT_TOL, Tolerance
 from qcontexts.partition import (
-    load_ks_instance,
+    KSInstance,
     parity_certificate,
     search_assignment,
     verify_assignment,
 )
+from qcontexts.sampling import random_unitary
+
+
+def ref_load_ks_instance(document: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance:
+    """The ks loader as it stood in partition, kept as a reference for jsonio."""
+    if not isinstance(document, dict):
+        raise MalformedDocument("instance document must be an object")
+    try:
+        dim = document["dim"]
+        raw_vectors = document["vectors"]
+        raw_bases = document["bases"]
+    except KeyError as exc:
+        raise MalformedDocument(f"missing or invalid field: {exc}") from exc
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise MalformedDocument(f"field 'dim' must be an integer, got {dim!r}")
+    if dim < 1:
+        raise MalformedDocument(f"dimension must be positive, got {dim}")
+    if not isinstance(raw_vectors, list) or not isinstance(raw_bases, list):
+        raise MalformedDocument("'vectors' and 'bases' must be lists")
+    if not raw_vectors or not raw_bases:
+        raise MalformedDocument("instance needs at least one vector and one basis")
+
+    vectors = np.zeros((len(raw_vectors), dim), dtype=np.complex128)
+    for m, entries in enumerate(raw_vectors):
+        if not isinstance(entries, list):
+            raise MalformedDocument(f"vector {m} must be a list of entries")
+        if len(entries) != dim:
+            raise MalformedDocument(f"vector {m} has {len(entries)} entries, "
+                                    f"expected {dim}")
+        for a, entry in enumerate(entries):
+            if isinstance(entry, (int, float)):
+                vectors[m, a] = float(entry)
+            else:
+                try:
+                    re, im = entry
+                    vectors[m, a] = complex(float(re), float(im))
+                except (TypeError, ValueError) as exc:
+                    raise MalformedDocument(
+                        f"vector {m} entry {a} is not a number or [re, im] pair"
+                    ) from exc
+        norm = float(np.linalg.norm(vectors[m]))
+        if norm <= tol.bound():
+            raise MalformedDocument(f"vector {m} is (numerically) zero")
+        vectors[m] /= norm
+
+    bases: list[tuple[int, ...]] = []
+    for b, basis in enumerate(raw_bases):
+        if not isinstance(basis, list):
+            raise MalformedDocument(f"basis {b} must be a list of vector indices")
+        if len(basis) != dim:
+            raise MalformedDocument(
+                f"basis {b} has {len(basis)} members, expected {dim}")
+        idx = []
+        for i in basis:
+            if not isinstance(i, int) or not (0 <= i < len(raw_vectors)):
+                raise MalformedDocument(f"basis {b} has invalid vector index {i!r}")
+            idx.append(i)
+        if len(set(idx)) != dim:
+            raise MalformedDocument(f"basis {b} repeats a vector index")
+        for i, j in combinations(idx, 2):
+            overlap = abs(complex(np.vdot(vectors[i], vectors[j])))
+            if overlap > tol.bound():
+                raise BasisNotOrthogonal(b, i, j, overlap)
+        bases.append(tuple(idx))
+
+    covered = set(i for basis in bases for i in basis)
+    missing = sorted(set(range(len(raw_vectors))) - covered)
+    if missing:
+        raise MalformedDocument(f"vectors {missing} belong to no basis")
+
+    vectors.flags.writeable = False
+    return KSInstance(dim=dim, vectors=vectors, bases=tuple(bases))
 
 
 def load_dataset(name: str):
@@ -21,12 +96,12 @@ def load_dataset(name: str):
 
 @pytest.fixture(scope="module")
 def ceg18():
-    return load_ks_instance(load_dataset("ks_dim4_18vectors.json"))
+    return ks_instance_from_json(load_dataset("ks_dim4_18vectors.json"))
 
 
 @pytest.fixture(scope="module")
 def rays33_closure():
-    return load_ks_instance(load_dataset("ks_dim3_33rays_closure.json"))
+    return ks_instance_from_json(load_dataset("ks_dim3_33rays_closure.json"))
 
 
 def single_basis_doc():
@@ -37,9 +112,21 @@ def single_basis_doc():
     }
 
 
+MALFORMED_MUTATIONS = [
+    lambda d: d.pop("dim"),
+    lambda d: d.pop("vectors"),
+    lambda d: d.pop("bases"),
+    lambda d: d["bases"].append([0, 1]),          # wrong length
+    lambda d: d["bases"].append([0, 1, 99]),      # index out of range
+    lambda d: d["bases"].__setitem__(0, [0, 0, 1]),  # repeated index
+    lambda d: d["vectors"].append([1, 0, 0]),     # vector in no basis
+    lambda d: d["vectors"].__setitem__(0, [0, 0, 0]),  # zero vector
+]
+
+
 class TestLoadKSInstance:
     def test_single_standard_basis(self):
-        inst = load_ks_instance(single_basis_doc())
+        inst = ks_instance_from_json(single_basis_doc())
         assert inst.dim == 3 and inst.n_vectors == 3 and len(inst.bases) == 1
 
     def test_bundled_dim4_instance(self, ceg18):
@@ -63,7 +150,7 @@ class TestLoadKSInstance:
             "bases": [[0, 1, 2]],
         }
         with pytest.raises(BasisNotOrthogonal) as err:
-            load_ks_instance(doc)
+            ks_instance_from_json(doc)
         assert err.value.basis_index == 0
         assert err.value.pair == (0, 1)
 
@@ -75,7 +162,7 @@ class TestLoadKSInstance:
                         [[0, 0], [0, 0], [1, 0]]],
             "bases": [[0, 1, 2]],
         }
-        inst = load_ks_instance(doc)
+        inst = ks_instance_from_json(doc)
         assert inst.vectors[1][1] == pytest.approx(1j)
 
     def test_vectors_are_normalized(self):
@@ -84,29 +171,98 @@ class TestLoadKSInstance:
             "vectors": [[2, 0, 0], [0, 3, 0], [0, 0, -1]],
             "bases": [[0, 1, 2]],
         }
-        inst = load_ks_instance(doc)
+        inst = ks_instance_from_json(doc)
         assert np.allclose(np.linalg.norm(inst.vectors, axis=1), 1.0)
 
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d.pop("dim"),
-        lambda d: d.pop("vectors"),
-        lambda d: d.pop("bases"),
-        lambda d: d["bases"].append([0, 1]),          # wrong length
-        lambda d: d["bases"].append([0, 1, 99]),      # index out of range
-        lambda d: d["bases"].__setitem__(0, [0, 0, 1]),  # repeated index
-        lambda d: d["vectors"].append([1, 0, 0]),     # vector in no basis
-        lambda d: d["vectors"].__setitem__(0, [0, 0, 0]),  # zero vector
-    ])
+    def test_vector_norm_overflow_rejected(self):
+        # finite entries whose norm overflows would normalize to the zero vector
+        doc = single_basis_doc()
+        doc["vectors"][0] = [1e308, 1e308, 0]
+        doc["vectors"][1] = [1, -1, 0]
+        with pytest.raises(MalformedDocument):
+            ks_instance_from_json(doc)
+
+    @pytest.mark.parametrize("mutate", MALFORMED_MUTATIONS)
     def test_malformed_documents_rejected(self, mutate):
         doc = single_basis_doc()
         mutate(doc)
         with pytest.raises(MalformedDocument):
-            load_ks_instance(doc)
+            ks_instance_from_json(doc)
+
+
+def _seeded_ks_doc(seed: int, pairs: bool) -> dict:
+    """Two orthonormal bases sharing their first vector, rescaled and
+    rephased entry by entry, written as bare reals (real bases) or as
+    [re, im] pairs (complex bases)."""
+    rng = make_generator(seed)
+    dim = 3 + seed % 3
+    first = random_unitary(dim, rng)
+    second = random_unitary(dim - 1, rng)
+    if not pairs:
+        first, second = first.real.copy(), second.real.copy()
+        first, _ = np.linalg.qr(first)
+        second, _ = np.linalg.qr(second)
+    # the second basis spans the complement of the first basis's column 0
+    second = first[:, 1:] @ second
+    columns = [first[:, k] for k in range(dim)] + [second[:, k] for k in range(dim - 1)]
+    scales = rng.uniform(0.5, 4.0, size=len(columns))
+    vectors = [c * s for c, s in zip(columns, scales)]
+    if pairs:
+        entries = [[[float(z.real), float(z.imag)] for z in v] for v in vectors]
+    else:
+        entries = [[float(x.real) for x in v] for v in vectors]
+    bases = [list(range(dim)), [0] + list(range(dim, 2 * dim - 1))]
+    return {"dim": dim, "vectors": entries, "bases": bases}
+
+
+def _reference_docs():
+    docs = [(name, load_dataset(name)) for name in
+            ("ks_dim4_18vectors.json", "ks_dim3_33rays_closure.json")]
+    docs += [(f"seeded-{'pairs' if pairs else 'reals'}-{seed}", _seeded_ks_doc(seed, pairs))
+             for seed in range(6) for pairs in (False, True)]
+    for k, mutate in enumerate(MALFORMED_MUTATIONS):
+        doc = single_basis_doc()
+        mutate(doc)
+        docs.append((f"malformed-{k}", doc))
+    doc = single_basis_doc()
+    doc["vectors"][1] = [1, 1, 0]
+    docs.append(("non-orthogonal", doc))
+    return docs
+
+
+class TestReferenceLoader:
+    """jsonio.ks_instance_from_json against the loader it replaced."""
+
+    @pytest.mark.parametrize("name, doc", _reference_docs(),
+                             ids=[name for name, _ in _reference_docs()])
+    def test_same_instance_or_same_error(self, name, doc):
+        try:
+            expected = ref_load_ks_instance(doc)
+        except Exception as exc:  # the reference's error class is the expectation
+            with pytest.raises(type(exc)) as err:
+                ks_instance_from_json(doc)
+            assert type(err.value) is type(exc)
+            if isinstance(exc, BasisNotOrthogonal):
+                assert (err.value.basis_index, err.value.pair) == (exc.basis_index, exc.pair)
+            return
+        got = ks_instance_from_json(doc)
+        assert got.dim == expected.dim
+        assert np.array_equal(got.vectors, expected.vectors)
+        assert got.vectors.dtype == expected.vectors.dtype
+        assert got.bases == expected.bases
+        assert not got.vectors.flags.writeable
+
+    def test_seeded_documents_load(self):
+        # the seeded documents are valid instances, not only equal failures
+        for seed in range(6):
+            for pairs in (False, True):
+                inst = ks_instance_from_json(_seeded_ks_doc(seed, pairs))
+                assert len(inst.bases) == 2
 
 
 class TestSearchAssignment:
     def test_single_basis_sat(self):
-        inst = load_ks_instance(single_basis_doc())
+        inst = ks_instance_from_json(single_basis_doc())
         result = search_assignment(inst)
         assert result.status == "SAT"
         assert verify_assignment(inst, result.assignment)
@@ -147,7 +303,7 @@ class TestSearchAssignment:
                         [0, 1, 1], [0, 1, -1]],
             "bases": [[0, 1, 2], [0, 3, 4]],
         }
-        inst = load_ks_instance(doc)
+        inst = ks_instance_from_json(doc)
         full = brute_force_valuation_count(inst.n_vectors, inst.bases)
         for drop in range(len(inst.bases)):
             remaining = [b for k, b in enumerate(inst.bases) if k != drop]
@@ -170,7 +326,7 @@ class TestParityCertificate:
 
     def test_single_basis_has_none(self):
         # B = 1 is odd but multiplicities are all 1 (odd)
-        inst = load_ks_instance(single_basis_doc())
+        inst = ks_instance_from_json(single_basis_doc())
         assert parity_certificate(inst) is None
 
     def test_two_disjoint_bases_have_none(self):
@@ -181,7 +337,7 @@ class TestParityCertificate:
                         [1, 1, 0], [1, -1, 0], [0, 0, 2]],
             "bases": [[0, 1, 2], [3, 4, 5]],
         }
-        assert parity_certificate(load_ks_instance(doc)) is None
+        assert parity_certificate(ks_instance_from_json(doc)) is None
 
     def test_certificate_implies_unsat(self, ceg18, rays33_closure):
         for inst in (ceg18, rays33_closure):
@@ -196,7 +352,7 @@ class TestParityCertificate:
                         [0, 1, 1], [0, 1, -1]],
             "bases": [[0, 1, 2], [0, 3, 4]],
         }
-        inst = load_ks_instance(doc)
+        inst = ks_instance_from_json(doc)
         result = search_assignment(inst)
         assert result.status == "SAT"
         values = result.assignment

@@ -18,7 +18,7 @@ from qcontexts.errors import (
 )
 from qcontexts.jsonio import ray_map_to_json
 from qcontexts.linalg import DEFAULT_TOL, Tolerance, max_abs
-from qcontexts.sampling import random_state_vector, random_unitary
+from qcontexts.sampling import random_ray_map, random_state_vector, random_unitary
 from qcontexts.uhlhorn import (
     OrthogonalityCheck,
     RayMap,
@@ -31,7 +31,6 @@ from qcontexts.uhlhorn import (
     gadget_sources,
     induced_ray_map,
     phase_aligned_distance,
-    random_ray_map,
 )
 
 
