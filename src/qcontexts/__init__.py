@@ -11,8 +11,9 @@ Submodules:
     jsonio    -- file formats for the CLI; the only document reader, with one
                  strict rule for every scalar
     sampling  -- seeded random domain objects, random ray maps included
+
+Importing the package loads none of them, and so not numpy: the CLI sets
+its BLAS thread policy before numpy is loaded.
 """
 
 __version__ = "0.1.0"
-
-from .linalg import DEFAULT_TOL, Tolerance  # noqa: F401

@@ -4,13 +4,29 @@ Exit codes are uniform across subcommands: 0 for success or a confirmed
 property, 1 for a semantically negative result (a satisfiable instance,
 a failed certification), 2 for malformed input or usage errors. Output
 is deterministic for fixed inputs, flags, and seed.
+
+OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set. A command's matrices are small (contexts and ray
+maps in dimension 3 to 16, the Gleason fit at most a few hundred rows),
+too small to gain from a second thread, while an idle OpenBLAS worker
+spins at start-up and exit and costs about a third of the CPU time of a
+short command. The policy must be set before numpy loads OpenBLAS,
+so it applies only when this module is the first to import numpy; a
+program that loaded numpy before importing the CLI keeps its threads.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+
+if "numpy" not in sys.modules and not any(
+        var in os.environ
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import argparse
 import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np

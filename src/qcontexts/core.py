@@ -80,9 +80,10 @@ class Projector:
     def from_vector(cls, v, tol: Tolerance = DEFAULT_TOL) -> "Projector":
         """Build the projector onto the ray of v (v is normalized here)."""
         vec = as_vector(v)
-        norm = float(np.linalg.norm(vec))
-        if norm <= tol.bound():
-            raise ValueError("cannot project onto the zero vector")
+        with np.errstate(over="ignore"):  # finite entries may overflow the norm
+            norm = float(np.linalg.norm(vec))
+        if not tol.bound() < norm < np.inf:
+            raise ValueError("cannot project onto the zero vector or one whose norm overflows")
         return cls(vec / norm)
 
     def __post_init__(self):
@@ -246,7 +247,9 @@ def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Cont
             raise DimensionMismatch(
                 f"vector {k} has dimension {v.shape[0]}, expected {n}")
     raw = np.column_stack(vs)
-    gram = raw.conj().T @ raw
+    # entries that overflow the Gram matrix leave an infinite diagonal entry, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = raw.conj().T @ raw
     for i in range(n):
         if abs(gram[i, i] - 1.0) > tol.bound():
             raise NotOrthonormal(i, i, complex(gram[i, i]))

@@ -310,8 +310,11 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
 
     Each vector is divided by its own norm. Every basis must list dim
     distinct vector indices and be pairwise orthogonal (the first
-    offending basis and pair is reported), and every vector must belong
-    to at least one basis.
+    offending basis and pair is reported), every vector must belong to at
+    least one basis, and no two vectors may be the same ray: projector
+    matrices within tol.abs_eps in every entry, the rule RayMap applies to
+    its sources. A repeated ray would become two independent variables of
+    the search.
     """
     if not isinstance(doc, dict):
         raise MalformedDocument("instance document must be an object")
@@ -327,12 +330,13 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
 
     zero = tol.bound()
     rows = []  # no array is sized by dim before the entries are counted
-    for m, entries in enumerate(raw_vectors):
-        v = json_to_vector(entries, dim)
-        norm = np.linalg.norm(v)
-        if not zero < norm < math.inf:
-            raise MalformedDocument(f"vector {m} has a zero or overflowing norm")
-        rows.append(v / norm)
+    with np.errstate(over="ignore"):  # finite entries may overflow the norm
+        for m, entries in enumerate(raw_vectors):
+            v = json_to_vector(entries, dim)
+            norm = np.linalg.norm(v)
+            if not zero < norm < math.inf:
+                raise MalformedDocument(f"vector {m} has a zero or overflowing norm")
+            rows.append(v / norm)
     vectors = np.array(rows)
 
     bases = []
@@ -353,8 +357,45 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
     missing = sorted(set(range(len(vectors))) - {i for basis in bases for i in basis})
     if missing:
         raise MalformedDocument(f"vectors {missing} belong to no basis")
+    repeated = _repeated_ray(vectors, tol.abs_eps)
+    if repeated is not None:
+        raise MalformedDocument("vectors %d and %d are the same ray" % repeated)
     vectors.flags.writeable = False
     return KSInstance(dim=dim, vectors=vectors, bases=tuple(bases))
+
+
+_BLOCK_ENTRIES = 1 << 15  # complex entries per block: 512 KiB, about 1 MiB with its temporaries
+
+
+def _repeated_ray(vectors: np.ndarray, eps: float) -> tuple[int, int] | None:
+    """First pair (i, j), i < j in lexicographic order, of unit vectors whose
+    projector matrices differ by at most eps in every entry.
+
+    Such a pair has 1 - |<u, v>|^2 <= (n eps)^2 / 2, a gap the Gram entry
+    cannot resolve in floating point, so |<u, v>| only screens the pairs
+    and each candidate is decided on its projector matrices. Both run in
+    blocks of about 1 MiB.
+    """
+    k, n = vectors.shape
+    floor = 1.0 - (n * eps) ** 2 / 2 - 1e-10  # the margin covers rounding in the Gram entries
+    rows = max(1, _BLOCK_ENTRIES // k)
+    pairs = max(1, _BLOCK_ENTRIES // (n * n))
+    for a in range(0, k - 1, rows):
+        gram = vectors[a:a + rows].conj() @ vectors[a:].T
+        parts = gram.view(np.float64)  # |<u, v>|^2 from squared real and imaginary parts
+        np.square(parts, out=parts)
+        near = parts[:, 0::2] + parts[:, 1::2] >= floor
+        r, c = np.divmod(np.flatnonzero(near), near.shape[1])
+        upper = c > r
+        i, j = a + r[upper], a + c[upper]
+        for s in range(0, len(i), pairs):
+            u, v = vectors[i[s:s + pairs]], vectors[j[s:s + pairs]]
+            diff = (u[:, :, None] * u.conj()[:, None, :]
+                    - v[:, :, None] * v.conj()[:, None, :])
+            hits = np.flatnonzero(np.abs(diff).max(axis=(1, 2)) <= eps)
+            if hits.size:
+                return int(i[s + hits[0]]), int(j[s + hits[0]])
+    return None
 
 
 def dataset_path(name: str) -> Path:

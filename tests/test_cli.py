@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
+import qcontexts
 from qcontexts.cli import main
 from qcontexts.core import make_generator, simulate_sequence
 from qcontexts.gleason import born_case_check
@@ -199,6 +203,16 @@ class TestKS:
         code, _, err = run(capsys, "ks", str(path))
         assert code == 2
         assert "BasisNotOrthogonal" in err
+
+    def test_repeated_ray_exits_two(self, capsys, tmp_path):
+        # a copy of vector 0 in its last basis: read as two rays, the set is colourable
+        doc = _load("ks_dim4_18vectors.json")
+        doc["vectors"].append(doc["vectors"][0])
+        last = [b for b in doc["bases"] if 0 in b][-1]
+        last[last.index(0)] = 18
+        code, out, err = _run_with_documents(capsys, tmp_path, "ks", doc)
+        assert (code, out) == (2, "")
+        assert err == "error: MalformedDocument: vectors 0 and 18 are the same ray\n"
 
 
 class TestPermPath:
@@ -403,8 +417,8 @@ WRONG_TYPE_CASES = {
 }
 
 
-def _run_with_documents(capsys, tmp_path, command: str, *files) -> tuple[int, str, str]:
-    """Run a command; dict arguments are written to files first."""
+def _paths(tmp_path, files) -> list[str]:
+    """File arguments; dict arguments are written to files first."""
     args = []
     for k, f in enumerate(files):
         if isinstance(f, dict):  # a document to write; otherwise a bundled path
@@ -412,7 +426,12 @@ def _run_with_documents(capsys, tmp_path, command: str, *files) -> tuple[int, st
             path.write_text(json.dumps(f))
             f = str(path)
         args.append(f)
-    return run(capsys, command, *args)
+    return args
+
+
+def _run_with_documents(capsys, tmp_path, command: str, *files) -> tuple[int, str, str]:
+    """Run a command; dict arguments are written to files first."""
+    return run(capsys, command, *_paths(tmp_path, files))
 
 
 # each bundled document as one file argument (None) of a command line
@@ -474,6 +493,22 @@ class TestUsage:
             code, out, err = _run_with_documents(capsys, tmp_path, command, *files)
             assert (code, out) == (2, ""), (path, value, err)
             assert err.startswith("error: MalformedDocument:"), (path, value, err)
+
+    @pytest.mark.parametrize("command, files", [
+        ("ks", [{**_KS_BASIS, "vectors": [[1e308, 1e308, 0], [1, -1, 0], [0, 0, 1]]}]),
+        ("born", [ds("density_mixed_dim3.json"),
+                  {"dim": 3, "vectors": [[1e308, 1e308, 0], [1, -1, 0], [0, 0, 1]]}]),
+        ("gleason-fit", [_with("gleason_demo_dim3.json", ("samples", 0, "vector"),
+                               [1e308, 1e308, 0])]),
+    ], ids=["ks", "born-context", "gleason-fit-sample"])
+    def test_overflowing_norm_is_a_one_line_error(self, tmp_path, command, files):
+        # numpy's overflow warning would print to stderr before the error line
+        src = str(Path(qcontexts.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-m", "qcontexts.cli", command,
+                               *_paths(tmp_path, files)],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exits_two(self, capsys, seed):

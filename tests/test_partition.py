@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_valuation_count
+from qcontexts import jsonio
 from qcontexts.core import make_generator
 from qcontexts.errors import BasisNotOrthogonal, MalformedDocument
 from qcontexts.jsonio import dataset_path, ks_instance_from_json
@@ -19,7 +20,8 @@ from qcontexts.sampling import random_unitary
 
 
 def ref_load_ks_instance(document: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance:
-    """The ks loader as it stood in partition, kept as a reference for jsonio."""
+    """The ks loader as it stood in partition, kept as a reference for jsonio,
+    plus the repeated-ray rule checked on every pair of projector matrices."""
     if not isinstance(document, dict):
         raise MalformedDocument("instance document must be an object")
     try:
@@ -84,6 +86,10 @@ def ref_load_ks_instance(document: dict, tol: Tolerance = DEFAULT_TOL) -> KSInst
     missing = sorted(set(range(len(raw_vectors))) - covered)
     if missing:
         raise MalformedDocument(f"vectors {missing} belong to no basis")
+    for i, j in combinations(range(len(vectors)), 2):
+        if np.abs(np.outer(vectors[i], vectors[i].conj())
+                  - np.outer(vectors[j], vectors[j].conj())).max() <= tol.abs_eps:
+            raise MalformedDocument(f"vectors {i} and {j} are the same ray")
 
     vectors.flags.writeable = False
     return KSInstance(dim=dim, vectors=vectors, bases=tuple(bases))
@@ -121,6 +127,8 @@ MALFORMED_MUTATIONS = [
     lambda d: d["bases"].__setitem__(0, [0, 0, 1]),  # repeated index
     lambda d: d["vectors"].append([1, 0, 0]),     # vector in no basis
     lambda d: d["vectors"].__setitem__(0, [0, 0, 0]),  # zero vector
+    # vector 3 is the ray of vector 0, in a basis of its own
+    lambda d: (d["vectors"].append([[0, -2], 0, 0]), d["bases"].append([3, 1, 2])),
 ]
 
 
@@ -230,6 +238,53 @@ def _reference_docs():
     return docs
 
 
+def _rotation(theta: float) -> np.ndarray:
+    """Rotation by theta about z after theta about x: it moves every
+    standard basis ray by about theta in projector distance."""
+    c, s = np.cos(theta), np.sin(theta)
+    return (np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+            @ np.array([[1, 0, 0], [0, c, -s], [0, s, c]]))
+
+
+class TestRepeatedRays:
+    @pytest.mark.parametrize("eps, theta, repeated", [
+        (1e-9, 0.5e-9, True), (1e-9, 2e-9, False), (1e-6, 0.5e-6, True), (1e-6, 2e-6, False)])
+    def test_projector_distance_decides_at_the_tolerance(self, eps, theta, repeated):
+        # 1 - |<u, v>|^2 is about theta^2 here, far below what the Gram entry resolves
+        turned = _rotation(theta)
+        doc = {"dim": 3,
+               "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+               + [turned[:, k].tolist() for k in range(3)],
+               "bases": [[0, 1, 2], [3, 4, 5]]}
+        tol = Tolerance(abs_eps=eps, rel_eps=eps)
+        if repeated:
+            with pytest.raises(MalformedDocument, match="vectors 0 and 3 are the same ray"):
+                ks_instance_from_json(doc, tol)
+        else:
+            assert ks_instance_from_json(doc, tol).n_vectors == 6
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocked_screen_reports_the_reference_pair(self, monkeypatch, block):
+        monkeypatch.setattr(jsonio, "_BLOCK_ENTRIES", block)
+        for seed in range(4):
+            doc = _seeded_ks_doc(seed, pairs=True)
+            rng = make_generator(100 + seed)
+            # copy two vectors, rephased, into a new basis each: the reference
+            # reports the first repeated pair in lexicographic order
+            for src in sorted(rng.choice(len(doc["vectors"]), size=2, replace=False)):
+                phase = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+                copy = [[re * phase.real - im * phase.imag, re * phase.imag + im * phase.real]
+                        for re, im in doc["vectors"][src]]
+                basis = next(b for b in doc["bases"] if src in b)
+                doc["vectors"].append(copy)
+                doc["bases"].append([len(doc["vectors"]) - 1 if i == src else i for i in basis])
+            with pytest.raises(MalformedDocument) as expected:
+                ref_load_ks_instance(doc)
+            with pytest.raises(MalformedDocument) as got:
+                ks_instance_from_json(doc)
+            assert str(got.value) == str(expected.value)
+
+
 class TestReferenceLoader:
     """jsonio.ks_instance_from_json against the loader it replaced."""
 
@@ -334,7 +389,7 @@ class TestParityCertificate:
         doc = {
             "dim": 3,
             "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
-                        [1, 1, 0], [1, -1, 0], [0, 0, 2]],
+                        [1, 1, 1], [1, -1, 0], [1, 1, -2]],
             "bases": [[0, 1, 2], [3, 4, 5]],
         }
         assert parity_certificate(ks_instance_from_json(doc)) is None
