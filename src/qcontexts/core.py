@@ -16,14 +16,14 @@ their input once; nothing re-checks it later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotOrthonormal
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, is_unitary, max_abs
+from .linalg import DEFAULT_TOL, Frozen, Tolerance, as_matrix, as_vector, is_unitary, max_abs
 
 __all__ = [
     "Projector",
@@ -69,12 +69,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
+class Projector(Frozen):
     """Rank-1 orthogonal projector |psi><psi|, stored as its unit vector
     |psi> (phase irrelevant); from_vector normalizes any nonzero vector."""
 
-    vector: np.ndarray
+    def __init__(self, vector: np.ndarray):
+        self.__dict__["vector"] = vector
+        self.__post_init__()  # perfbench/traced.py wraps this hook to count projectors
 
     @classmethod
     def from_vector(cls, v, tol: Tolerance = DEFAULT_TOL) -> "Projector":
@@ -90,7 +91,7 @@ class Projector:
         vec = as_vector(self.vector)
         if abs(float(np.linalg.norm(vec)) - 1.0) > DEFAULT_TOL.abs_eps:
             raise ValueError("projector vector does not have unit norm")
-        object.__setattr__(self, "vector", _readonly(vec.copy()))
+        self.__dict__["vector"] = _readonly(vec.copy())
 
     @property
     def dim(self) -> int:
@@ -112,14 +113,13 @@ def _check_dims(*dims: int) -> None:
         raise DimensionMismatch(f"dimension mismatch: {dims}")
 
 
-@dataclass(frozen=True, eq=False)
-class Context:
+class Context(Frozen):
     """Ordered complete set of N mutually orthogonal rank-1 projectors,
     stored as the basis matrix of their unit vectors. Build it with
     make_context, which validates the basis; this constructor trusts it."""
 
-    basis: np.ndarray = field(repr=False)
-    label: str = ""
+    def __init__(self, basis: np.ndarray, label: str = ""):
+        self.__dict__.update(basis=basis, label=label)
 
     @property
     def dim(self) -> int:
@@ -131,20 +131,15 @@ class Context:
         return tuple(Projector(self.basis[:, k]) for k in range(self.dim))
 
     def modality(self, index: int) -> "Modality":
-        return Modality(context_label=self.label, index=index,
-                        projector=self.projectors[index])
+        return Modality(self.label, index, self.projectors[index])
 
     def modalities(self) -> list["Modality"]:
         return [self.modality(i) for i in range(self.dim)]
 
     def exclusivity_defect(self) -> float:
         """max over i != j of ||P_i P_j||_max."""
-        worst = 0.0
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                worst = max(worst, max_abs(
-                    self.projectors[i].matrix @ self.projectors[j].matrix))
-        return worst
+        return max((max_abs(p.matrix @ q.matrix) for p, q in combinations(self.projectors, 2)),
+                   default=0.0)
 
     def completeness_defect(self) -> float:
         """||sum_i P_i - I||_max."""
@@ -160,11 +155,11 @@ class Modality(NamedTuple):
     projector: Projector
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(Frozen):
     """Positive-semidefinite self-adjoint operator with unit trace."""
 
-    matrix: np.ndarray
+    def __init__(self, matrix: np.ndarray):
+        self.__dict__["matrix"] = matrix
 
     @property
     def dim(self) -> int:
@@ -175,13 +170,17 @@ class DensityOperator:
         mat = as_matrix(m)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got {mat.shape}")
-        if max_abs(mat - mat.conj().T) > tol.bound(max_abs(mat)):
-            raise ValueError("density matrix is not self-adjoint")
-        mat = (mat + mat.conj().T) / 2.0
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < -tol.abs_eps:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
-        tr = float(np.trace(mat).real)
+        # entries near the float limit overflow here; rejected below, without a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if max_abs(mat - mat.conj().T) > tol.bound(max_abs(mat)):
+                raise ValueError("density matrix is not self-adjoint")
+            mat = (mat + mat.conj().T) / 2.0
+            if not np.isfinite(mat).all():
+                raise ValueError("density matrix entries overflow")
+            eigs = np.linalg.eigvalsh(mat)
+            if eigs[0] < -tol.abs_eps:
+                raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
+            tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > tol.bound():
             raise ValueError(f"density matrix has trace {tr}, expected 1")
         return cls(_readonly(mat))
@@ -195,16 +194,15 @@ class DensityOperator:
         return cls(_readonly(np.eye(dim, dtype=np.complex128) / dim))
 
 
-@dataclass(frozen=True, eq=False)
-class ContextTransform:
+class ContextTransform(Frozen):
     """Unitary context change, optionally composed with conjugation.
 
     The action on a projector is P -> U P U^dag, with entrywise complex
     conjugation of P applied first when antiunitary is set.
     """
 
-    matrix: np.ndarray
-    antiunitary: bool = False
+    def __init__(self, matrix: np.ndarray, antiunitary: bool = False):
+        self.__dict__.update(matrix=matrix, antiunitary=antiunitary)
 
     @property
     def dim(self) -> int:

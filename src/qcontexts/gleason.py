@@ -9,7 +9,6 @@ and recovers rho by linear inversion from sampled values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (
     NotInformationallyComplete,
     ValueOutOfRange,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, FrozenValue, Tolerance
 
 __all__ = [
     "FrameSample",
@@ -39,17 +38,15 @@ __all__ = [
 EXACT_RECOVERY_LIMIT = 1e-8
 
 
-@dataclass(frozen=True)
-class FrameSample:
+class FrameSample(FrozenValue):
     """One sampled frame-function value on a projector."""
 
-    projector: Projector
-    value: float
+    _fields = ("projector", "value")
 
-    def __post_init__(self):
-        if not (-1e-12 <= self.value <= 1.0 + 1e-12):
-            raise ValueOutOfRange(
-                f"frame value {self.value} outside the unit interval")
+    def __init__(self, projector: Projector, value: float):
+        if not (-1e-12 <= value <= 1.0 + 1e-12):
+            raise ValueOutOfRange(f"frame value {value} outside the unit interval")
+        self.__dict__.update(projector=projector, value=value)
 
 
 class CompletenessReport(NamedTuple):
@@ -57,8 +54,7 @@ class CompletenessReport(NamedTuple):
     condition_number: float
 
 
-@dataclass(frozen=True)
-class FrameValidation:
+class FrameValidation(NamedTuple):
     """Per-context normalization check of a candidate frame function."""
 
     max_deviation: float
@@ -71,8 +67,7 @@ class FrameValidation:
         return self.max_deviation <= self.tolerance
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
+class ReconstructionReport(NamedTuple):
     """Least-squares density fit with conditioning diagnostics."""
 
     rho: DensityOperator
@@ -107,9 +102,8 @@ def hermitian_basis(n: int) -> np.ndarray:
     return np.stack(mats)
 
 
-def _design_matrix(projectors: Sequence[Projector], basis: np.ndarray) -> np.ndarray:
-    # Tr(P B) is real for self-adjoint P and B
-    stack = np.stack([p.matrix for p in projectors])
+def _design_matrix(stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    # Tr(P B) is real for self-adjoint P and B; stack holds the projector matrices
     return np.einsum("kij,aji->ka", stack, basis).real
 
 
@@ -133,8 +127,7 @@ def validate_frame_function(samples_by_context: Sequence[tuple[Context, Sequence
     """
     if not samples_by_context:
         raise ValueError("no contexts supplied")
-    worst = -1.0
-    worst_label = ""
+    worst, worst_label = -1.0, ""
     for context, values in samples_by_context:
         vals = np.asarray(values, dtype=float)
         if vals.shape != (context.dim,):
@@ -146,8 +139,7 @@ def validate_frame_function(samples_by_context: Sequence[tuple[Context, Sequence
                 f"context '{context.label}' carries a value outside [0, 1]")
         deviation = abs(float(vals.sum()) - 1.0)
         if deviation > worst:
-            worst = deviation
-            worst_label = context.label
+            worst, worst_label = deviation, context.label
     return FrameValidation(max_deviation=worst, worst_context_label=worst_label,
                            contexts_checked=len(samples_by_context),
                            tolerance=tol.abs_eps)
@@ -166,7 +158,8 @@ def informational_completeness(projectors: Sequence[Projector]) -> CompletenessR
     if len(dims) > 1:
         raise DimensionMismatch(f"mixed dimensions: {sorted(dims)}")
     n = projectors[0].dim
-    return _rank_and_condition(_design_matrix(projectors, hermitian_basis(n)))
+    stack = np.stack([p.matrix for p in projectors])
+    return _rank_and_condition(_design_matrix(stack, hermitian_basis(n)))
 
 
 def reconstruct_density(samples: Sequence[FrameSample],
@@ -192,7 +185,8 @@ def reconstruct_density(samples: Sequence[FrameSample],
             f"reconstruction requires dimension >= 3, got {n}")
 
     basis = hermitian_basis(n)
-    a = _design_matrix(projectors, basis)
+    stack = np.stack([p.matrix for p in projectors])
+    a = _design_matrix(stack, basis)
     rank, cond = _rank_and_condition(a)
     if rank < n * n:
         raise NotInformationallyComplete(
@@ -216,7 +210,6 @@ def reconstruct_density(samples: Sequence[FrameSample],
     psd_correction = float(np.linalg.norm(projected - raw))
 
     rho = DensityOperator.from_matrix(projected, tol)
-    stack = np.stack([p.matrix for p in projectors])
     fitted = np.einsum("kij,ji->k", stack, rho.matrix).real
     residual_rms = float(np.sqrt(np.mean((fitted - values) ** 2)))
     return ReconstructionReport(rho=rho, residual_rms=residual_rms,

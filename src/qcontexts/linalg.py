@@ -7,7 +7,7 @@ downstream; the defaults are overridable per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,22 +25,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Frozen:
+    """Base of the validated value types. __init__ checks the input and
+    writes the fields to the instance __dict__, as functools.cached_property
+    does; no attribute can be assigned or deleted. Compared by identity."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class FrozenValue(Frozen):
+    """A Frozen type compared and hashed by the fields named in _fields."""
+
+    _fields: tuple[str, ...]
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Tolerance(FrozenValue):
     """Absolute and relative comparison thresholds.
 
     Both must stay well below 1 (sanity bound 1e-3); everything in this
     package is conditioned far better than that.
     """
 
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
+    _fields = ("abs_eps", "rel_eps")
 
-    def __post_init__(self):
-        for name in ("abs_eps", "rel_eps"):
-            v = getattr(self, name)
+    def __init__(self, abs_eps: float = 1e-9, rel_eps: float = 1e-9):
+        for name, v in (("abs_eps", abs_eps), ("rel_eps", rel_eps)):
             if not (0.0 <= v < 1e-3):
                 raise ValueError(f"{name} must be in [0, 1e-3), got {v}")
+        self.__dict__.update(abs_eps=abs_eps, rel_eps=rel_eps)
 
     def bound(self, scale: float = 1.0) -> float:
         """Threshold for comparing quantities of the given magnitude."""
@@ -107,8 +131,7 @@ def gram_schmidt(vectors, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
-class UnitaryCheck:
+class UnitaryCheck(NamedTuple):
     """Outcome of a unitarity test with the measured deviation."""
 
     ok: bool

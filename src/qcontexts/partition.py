@@ -10,9 +10,11 @@ counting refutation (the parity certificate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .linalg import Frozen
 
 __all__ = [
     "KSInstance",
@@ -24,16 +26,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class KSInstance:
-    """Unit vectors with designated orthogonal bases (index lists).
+class KSInstance(Frozen):
+    """Unit vectors, an (M, dim) complex array of unit-norm rows, with
+    designated orthogonal bases (tuples of row indices).
 
     Documents are parsed and validated by jsonio.ks_instance_from_json.
     """
 
-    dim: int
-    vectors: np.ndarray  # (M, dim) complex, rows unit-norm
-    bases: tuple[tuple[int, ...], ...]
+    def __init__(self, dim: int, vectors: np.ndarray,
+                 bases: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(dim=dim, vectors=vectors, bases=bases)
 
     @property
     def n_vectors(self) -> int:
@@ -41,15 +43,11 @@ class KSInstance:
 
     def multiplicities(self) -> np.ndarray:
         """How many bases each vector belongs to."""
-        counts = np.zeros(self.n_vectors, dtype=int)
-        for basis in self.bases:
-            for i in basis:
-                counts[i] += 1
-        return counts
+        members = np.array([i for basis in self.bases for i in basis], dtype=int)
+        return np.bincount(members, minlength=self.n_vectors)
 
 
-@dataclass(frozen=True)
-class ParityCertificate:
+class ParityCertificate(NamedTuple):
     """Counting refutation: per-basis sums total an odd basis count,
     but the same total counts each vector an even number of times."""
 
@@ -64,8 +62,7 @@ class ParityCertificate:
         )
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
+class AssignmentResult(NamedTuple):
     """Outcome of the valuation search."""
 
     status: str  # "SAT" | "UNSAT"
@@ -97,17 +94,21 @@ def search_assignment(inst: KSInstance) -> AssignmentResult:
     Variable order is fixed (descending basis membership, index
     tie-break) and value order tries 1 before 0, so nodes_explored is
     identical across runs. UNSAT means the whole tree was refuted.
+
+    The search loops over an explicit stack of decisions, so no recursion
+    limit bounds its depth. The variables before a decision's position in
+    the order are all set, so the next free one is sought from there on.
     """
     n = inst.n_vectors
-    membership: list[list[int]] = [[] for _ in range(n)]
-    for b, basis in enumerate(inst.bases):
+    membership: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # the bases of each vector
+    for basis in inst.bases:
         for i in basis:
-            membership[i].append(b)
+            membership[i].append(basis)
     order = sorted(range(n), key=lambda i: (-len(membership[i]), i))
     values = [-1] * n
-    nodes = 0
+    trail: list[int] = []  # variables in the order they were set
 
-    def propagate(var: int, val: int, trail: list[int]) -> bool:
+    def propagate(var: int, val: int) -> bool:
         stack = [(var, val)]
         while stack:
             i, x = stack.pop()
@@ -117,40 +118,41 @@ def search_assignment(inst: KSInstance) -> AssignmentResult:
                 continue
             values[i] = x
             trail.append(i)
-            for b in membership[i]:
-                basis = inst.bases[b]
+            for basis in membership[i]:
                 ones = sum(1 for q in basis if values[q] == 1)
                 free = [q for q in basis if values[q] == -1]
                 if ones > 1:
                     return False
                 if ones == 1:
-                    for q in free:
-                        stack.append((q, 0))
+                    stack.extend((q, 0) for q in free)
                 elif not free:
                     return False  # all zero: basis has no designated outcome
                 elif len(free) == 1:
                     stack.append((free[0], 1))
         return True
 
-    def solve() -> bool:
-        nonlocal nodes
-        var = next((i for i in order if values[i] == -1), None)
-        if var is None:
-            return True
-        for val in (1, 0):
-            nodes += 1
-            trail: list[int] = []
-            if propagate(var, val, trail) and solve():
-                return True
-            for q in trail:
+    decisions: list[tuple[int, int]] = []  # still at 1: (position in order, trail length)
+    nodes = pos = 0
+    while True:
+        while pos < n and values[order[pos]] != -1:
+            pos += 1
+        if pos == n:
+            break
+        decisions.append((pos, len(trail)))
+        nodes += 1
+        ok = propagate(order[pos], 1)
+        while not ok and decisions:  # refuted: the latest decision still at 1 moves to 0
+            pos, mark = decisions.pop()
+            for q in trail[mark:]:
                 values[q] = -1
-        return False
-
+            del trail[mark:]
+            nodes += 1
+            ok = propagate(order[pos], 0)
+        if not ok:
+            break
     certificate = parity_certificate(inst)
-    if solve():
-        assignment = tuple(values)
-        assert verify_assignment(inst, assignment)
-        return AssignmentResult(status="SAT", assignment=assignment,
-                                nodes_explored=nodes, certificate=certificate)
-    return AssignmentResult(status="UNSAT", assignment=None,
-                            nodes_explored=nodes, certificate=certificate)
+    if pos < n:
+        return AssignmentResult("UNSAT", None, nodes, certificate)
+    assignment = tuple(values)
+    assert verify_assignment(inst, assignment)
+    return AssignmentResult("SAT", assignment, nodes, certificate)

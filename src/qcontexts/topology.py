@@ -9,11 +9,11 @@ per permutation: an explicit sampled path, and the determinant sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import is_unitary, max_abs
+from .linalg import FrozenValue, is_unitary, max_abs
 
 __all__ = [
     "Permutation",
@@ -26,16 +26,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(FrozenValue):
     """Bijection i -> images[i] on {0..n-1}."""
 
-    n: int
-    images: tuple[int, ...]
+    _fields = ("n", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.n or sorted(self.images) != list(range(self.n)):
-            raise ValueError(f"images {self.images} is not a permutation of 0..{self.n - 1}")
+    def __init__(self, n: int, images: tuple[int, ...]):
+        if len(images) != n or sorted(images) != list(range(n)):
+            raise ValueError(f"images {images} is not a permutation of 0..{n - 1}")
+        self.__dict__.update(n=n, images=images)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -62,16 +61,14 @@ class Permutation:
         return -1 if flips % 2 else 1
 
 
-@dataclass(frozen=True)
-class ObstructionResult:
+class ObstructionResult(NamedTuple):
     """Determinant sign and reachability within the real orthogonal group."""
 
     det_sign: int
     connected_in_orthogonal_group: bool
 
 
-@dataclass(frozen=True, eq=False)
-class PathReport:
+class PathReport(NamedTuple):
     """Sampled unitary path from the identity to a permutation matrix."""
 
     steps: int

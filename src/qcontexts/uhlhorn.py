@@ -19,10 +19,9 @@ verdicts, witnesses and reported norms do not depend on the chunking.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .errors import (
     HypothesisViolated,
     MissingGadget,
 )
-from .linalg import DEFAULT_TOL, Tolerance, max_abs
+from .linalg import DEFAULT_TOL, Frozen, Tolerance, max_abs
 
 __all__ = [
     "RayMap",
@@ -66,8 +65,7 @@ def _projector_stack(projectors: Sequence[Projector], dim: int) -> np.ndarray:
     return v[:, :, None] * v.conj()[:, None, :]
 
 
-@dataclass(frozen=True, eq=False)
-class RayMap:
+class RayMap(Frozen):
     """Finite bijective ray correspondence with covering contexts.
 
     pairs lists (source, target) projectors; covering_contexts are
@@ -75,11 +73,9 @@ class RayMap:
     for the fiduciary basis of the constructive fit.
     """
 
-    dim: int
-    pairs: tuple[tuple[Projector, Projector], ...]
-    covering_contexts: tuple[Context, ...] = ()
-
-    def __post_init__(self):
+    def __init__(self, dim: int, pairs: tuple[tuple[Projector, Projector], ...],
+                 covering_contexts: tuple[Context, ...] = ()):
+        self.__dict__.update(dim=dim, pairs=pairs, covering_contexts=covering_contexts)
         if self.dim < 3:
             raise DimensionTooSmall(
                 f"ray maps are certified only for dimension >= 3, got {self.dim}")
@@ -98,13 +94,10 @@ class RayMap:
                                  "map must be bijective")
         for c in self.covering_contexts:
             if c.dim != self.dim:
-                raise DimensionMismatch(
-                    f"covering context '{c.label}' has dimension {c.dim}")
-            for p in c.projectors:
-                if self._find_source(p) is None:
-                    raise ValueError(
-                        f"covering context '{c.label}' has a projector "
-                        "missing from the sources")
+                raise DimensionMismatch(f"covering context '{c.label}' has dimension {c.dim}")
+            if any(self._find_source(p) is None for p in c.projectors):
+                raise ValueError(f"covering context '{c.label}' has a projector "
+                                 "missing from the sources")
 
     @cached_property
     def source_matrices(self) -> np.ndarray:
@@ -131,8 +124,7 @@ class RayMap:
         return [t for _, t in self.pairs]
 
 
-@dataclass(frozen=True)
-class OrthogonalityCheck:
+class OrthogonalityCheck(NamedTuple):
     """Verdict of the both-ways orthogonality-preservation test."""
 
     ok: bool
@@ -151,8 +143,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class TransformClassification:
+class TransformClassification(NamedTuple):
     """Branch decision with the decisive Bargmann triple, when one exists."""
 
     verdict: Verdict
@@ -161,8 +152,7 @@ class TransformClassification:
     witness_target_value: complex | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class FitResult:
+class FitResult(NamedTuple):
     """Constructively fitted operator and its verification residual."""
 
     transform: ContextTransform
@@ -298,13 +288,6 @@ def induced_ray_map(transform: ContextTransform, context: Context,
     return RayMap(dim=context.dim, pairs=pairs, covering_contexts=(context,))
 
 
-def _match_source(m: RayMap, p: Projector, tol: Tolerance) -> int:
-    idx = m._find_source(p, tol)
-    if idx is None:
-        raise MissingGadget("fiduciary projector missing from sources")
-    return idx
-
-
 def _locate_gadget(m: RayMap, context: Context, source_reps: list[np.ndarray],
                    tol: Tolerance):
     """Find basis indices and, per k, the pair of balanced superposition rays.
@@ -315,7 +298,9 @@ def _locate_gadget(m: RayMap, context: Context, source_reps: list[np.ndarray],
     two rays of a pair are oriented so their relative-phase ratio is
     +i, making the fit deterministic.
     """
-    basis_idx = [_match_source(m, p, tol) for p in context.projectors]
+    basis_idx = [m._find_source(p, tol) for p in context.projectors]
+    if None in basis_idx:
+        raise MissingGadget("fiduciary projector missing from sources")
     e = [source_reps[i] for i in basis_idx]
     n = context.dim
     superpositions: list[tuple[int, int]] = []
@@ -376,16 +361,14 @@ def fit_transform(m: RayMap, tol: Tolerance = DEFAULT_TOL, *,
 
     if not m.covering_contexts:
         raise MissingGadget("ray map lists no covering context")
-    last_error: MissingGadget | None = None
     for context in m.covering_contexts:
         try:
             basis_idx, superpositions = _locate_gadget(m, context, source_reps, tol)
+            break
         except MissingGadget as exc:
             last_error = exc
-            continue
-        break
     else:
-        raise last_error if last_error is not None else MissingGadget("no gadget")
+        raise last_error
 
     n = m.dim
     e = [source_reps[i] for i in basis_idx]
@@ -418,9 +401,8 @@ def fit_transform(m: RayMap, tol: Tolerance = DEFAULT_TOL, *,
         raise FitFailed(
             f"fit residual {residual:.3e} exceeds {FIT_RESIDUAL_LIMIT:.0e}; "
             "no single operator reproduces the listed rays")
-    fiduciary = context.label
     return FitResult(transform=transform, residual=residual, verdict=verdict,
-                     ambiguous_branch=ambiguous, fiduciary_label=fiduciary)
+                     ambiguous_branch=ambiguous, fiduciary_label=context.label)
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

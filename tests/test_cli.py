@@ -8,6 +8,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import qcontexts
+from qcontexts import cli
 from qcontexts.cli import main
 from qcontexts.core import make_generator, simulate_sequence
 from qcontexts.gleason import born_case_check
@@ -500,7 +501,11 @@ class TestUsage:
                   {"dim": 3, "vectors": [[1e308, 1e308, 0], [1, -1, 0], [0, 0, 1]]}]),
         ("gleason-fit", [_with("gleason_demo_dim3.json", ("samples", 0, "vector"),
                                [1e308, 1e308, 0])]),
-    ], ids=["ks", "born-context", "gleason-fit-sample"])
+        ("born", [{"dim": 3, "matrix": [[1e308, 1e308, 0], [1e308, 1e308, 0], [0, 0, 0]]},
+                  ds("context_fourier_dim3.json")]),
+        ("born", [{"dim": 3, "matrix": [[1e308, 0, 0], [0, 0, 0], [0, 0, 0]]},
+                  ds("context_fourier_dim3.json")]),
+    ], ids=["ks", "born-context", "gleason-fit-sample", "born-density", "born-density-diagonal"])
     def test_overflowing_norm_is_a_one_line_error(self, tmp_path, command, files):
         # numpy's overflow warning would print to stderr before the error line
         src = str(Path(qcontexts.__file__).parents[1])
@@ -509,6 +514,17 @@ class TestUsage:
                               capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_unexpected_exception_exits_two_on_one_line(self, capsys, monkeypatch):
+        # exit 1 would read as a negative result, and a traceback is not an error line
+        def broken(args, config):
+            raise RuntimeError("handler broke")
+
+        monkeypatch.setattr(cli, "cmd_born", broken)
+        code, out, err = run(capsys, "born", ds("density_mixed_dim3.json"),
+                             ds("context_fourier_dim3.json"))
+        assert (code, out) == (2, "")
+        assert err == "error: RuntimeError: handler broke\n"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exits_two(self, capsys, seed):

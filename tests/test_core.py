@@ -90,6 +90,20 @@ class TestDataModel:
         assert v.flags.writeable
         assert p.dim == 3 and p.matrix is p.matrix
 
+    def test_value_types_are_immutable_and_compared_by_identity(self):
+        c = standard_context(3)
+        p = c.projectors[0]
+        values = ((p, "vector"), (c, "label"), (DensityOperator.maximally_mixed(3), "matrix"),
+                  (ContextTransform.from_matrix(np.eye(3)), "antiunitary"))
+        for obj, name in values:
+            before = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert getattr(obj, name) is before
+        assert Projector(p.vector) != p and p == p
+
     def test_context_projectors_are_built_once(self):
         c = random_context(4, make_generator(5))
         first = c.projectors

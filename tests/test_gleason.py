@@ -219,3 +219,15 @@ class TestFrameSample:
             FrameSample(p, -0.2)
         FrameSample(p, 1.0)
         FrameSample(p, 0.0)
+
+    def test_immutable_value(self):
+        p = random_projector(3, make_generator(0))
+        s = FrameSample(p, 0.25)
+        assert s == FrameSample(p, 0.25) and hash(s) == hash(FrameSample(p, 0.25))
+        assert s != FrameSample(p, 0.5)
+        # projectors compare by identity, so an equal ray is another sample
+        assert s != FrameSample(Projector(p.vector), 0.25)
+        with pytest.raises(AttributeError):
+            s.value = 0.5
+        with pytest.raises(AttributeError):
+            del s.projector

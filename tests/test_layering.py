@@ -1,7 +1,9 @@
-"""Layering guards: what the CLI loads, its BLAS thread policy, and which
-module reads documents."""
+"""Layering guards: what the CLI loads, its BLAS thread policy, its frozen
+import heap, how records are built, and which module reads documents."""
 
+import gc
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import qcontexts
+import qcontexts.cli
 
 SRC = Path(qcontexts.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,3 +85,52 @@ def test_only_jsonio_raises_malformed_document():
     raisers = sorted(p.name for p in SRC.glob("*.py")
                      if re.search(r"(?<!class )MalformedDocument\(", p.read_text(encoding="utf-8")))
     assert raisers == ["jsonio.py"]
+
+
+RECORDS = {"UnitaryCheck", "FrameValidation", "ReconstructionReport", "ParityCertificate",
+           "AssignmentResult", "ObstructionResult", "PathReport", "OrthogonalityCheck",
+           "TransformClassification", "FitResult", "RunConfig"}
+VALUE_TYPES = {"Tolerance", "Projector", "Context", "DensityOperator", "ContextTransform",
+               "FrameSample", "KSInstance", "Permutation", "RayMap"}
+
+
+def test_no_record_type_is_a_dataclass():
+    # dataclass compiles each class's methods with exec at every import
+    import qcontexts.sampling  # noqa: F401 - the one module the CLI does not load
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "qcontexts"]
+    classes = [c for m in modules for c in vars(m).values()
+               if inspect.isclass(c) and c.__module__ == m.__name__]
+    assert RECORDS | VALUE_TYPES <= {c.__name__ for c in classes}
+    assert all(issubclass(c, tuple) for c in classes if c.__name__ in RECORDS)
+    assert [c.__name__ for c in classes if hasattr(c, "__dataclass_fields__")] == []
+    assert not [p.name for p in SRC.glob("*.py")
+                if re.search(r"^\s*(from|import) dataclasses", p.read_text(encoding="utf-8"), re.M)]
+
+
+def test_main_leaves_the_callers_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert qcontexts.cli.main(["perm-path", str(SRC / "datasets" / "perm_4cycle_n4.json")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_process_entry_freezes_the_import_heap():
+    # `python -m qcontexts.cli` as runpy runs it; --version exits inside main()
+    probe = ("import gc, runpy, sys; sys.argv = ['qcontexts', '--version']\n"
+             "before = gc.get_freeze_count()\n"
+             "try: runpy.run_module('qcontexts.cli', run_name='__main__')\n"
+             "except SystemExit: pass\n"
+             "print(before, gc.get_freeze_count() > 1000)")
+    assert _probe(probe).splitlines()[-1] == "0 True"
+    # the console script runs the same entry
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\nqcontexts = "qcontexts.cli:entry"\n' in pyproject
+
+
+def test_objects_a_command_creates_stay_collectable():
+    probe = ("import gc, qcontexts.cli as cli\n"
+             "def main():\n"
+             "    cycle = []; cycle.append(cycle); del cycle\n"
+             "    return gc.collect()\n"
+             "cli.main = main\n"
+             "print(cli.entry() >= 1)")
+    assert _probe(probe) == "True"

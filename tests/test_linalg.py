@@ -22,6 +22,17 @@ def test_tolerance_defaults_and_sanity_bound():
         Tolerance(rel_eps=-1.0)
 
 
+def test_tolerance_is_an_immutable_value():
+    tol = Tolerance(1e-8, 1e-7)
+    assert tol == Tolerance(abs_eps=1e-8, rel_eps=1e-7) != Tolerance()
+    assert hash(tol) == hash(Tolerance(1e-8, 1e-7))
+    with pytest.raises(AttributeError):
+        tol.abs_eps = 1e-6
+    with pytest.raises(AttributeError):
+        del tol.rel_eps
+    assert tol.abs_eps == 1e-8
+
+
 class TestGramSchmidt:
     def test_already_orthonormal_is_unchanged(self):
         vs = [np.array([1, 0, 0]), np.array([0, 1, 0])]

@@ -1,4 +1,5 @@
 import json
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -93,6 +94,51 @@ def ref_load_ks_instance(document: dict, tol: Tolerance = DEFAULT_TOL) -> KSInst
 
     vectors.flags.writeable = False
     return KSInstance(dim=dim, vectors=vectors, bases=tuple(bases))
+
+
+def ref_search(bases, n: int) -> tuple[tuple[int, ...] | None, int]:
+    """The recursive search as it stood before the decision loop, kept as the
+    reference for its node count: (assignment or None, nodes_explored)."""
+    membership = [[b for b, basis in enumerate(bases) if i in basis] for i in range(n)]
+    order = sorted(range(n), key=lambda i: (-len(membership[i]), i))
+    values, nodes = [-1] * n, 0
+
+    def propagate(var, val, trail):
+        stack = [(var, val)]
+        while stack:
+            i, x = stack.pop()
+            if values[i] != -1:
+                if values[i] != x:
+                    return False
+                continue
+            values[i] = x
+            trail.append(i)
+            for b in membership[i]:
+                ones = sum(1 for q in bases[b] if values[q] == 1)
+                free = [q for q in bases[b] if values[q] == -1]
+                if ones > 1 or (ones == 0 and not free):
+                    return False
+                if ones == 1:
+                    stack.extend((q, 0) for q in free)
+                elif len(free) == 1:
+                    stack.append((free[0], 1))
+        return True
+
+    def solve():
+        nonlocal nodes
+        var = next((i for i in order if values[i] == -1), None)
+        if var is None:
+            return True
+        for val in (1, 0):
+            nodes += 1
+            trail = []
+            if propagate(var, val, trail) and solve():
+                return True
+            for q in trail:
+                values[q] = -1
+        return False
+
+    return (tuple(values) if solve() else None), nodes
 
 
 def load_dataset(name: str):
@@ -363,6 +409,35 @@ class TestSearchAssignment:
         for drop in range(len(inst.bases)):
             remaining = [b for k, b in enumerate(inst.bases) if k != drop]
             assert brute_force_valuation_count(inst.n_vectors, remaining) >= full
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_tree_as_the_recursive_search(self, seed):
+        # exactly-one constraints on random index sets: the search reads only the bases
+        rng = make_generator(seed)
+        for _ in range(100):
+            n = int(rng.integers(3, 25))
+            bases = tuple(tuple(int(i) for i in rng.choice(n, size=3, replace=False))
+                          for _ in range(int(rng.integers(1, 16))))
+            result = search_assignment(KSInstance(dim=3, vectors=np.zeros((n, 3)), bases=bases))
+            assert (result.assignment, result.nodes_explored) == ref_search(bases, n), bases
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # one decision per disjoint basis: 1200 levels deep
+        assert sys.getrecursionlimit() < 1200
+        rng = make_generator(7919)
+        vectors = np.concatenate([random_unitary(3, rng).T for _ in range(1200)])
+        bases = tuple((3 * b, 3 * b + 1, 3 * b + 2) for b in range(1200))
+        inst = KSInstance(dim=3, vectors=vectors, bases=bases)
+        result = search_assignment(inst)
+        assert result.status == "SAT" and result.nodes_explored == 1200
+        assert verify_assignment(inst, result.assignment)
+
+    def test_instance_is_immutable(self, ceg18):
+        for name in ("dim", "vectors", "bases"):
+            with pytest.raises(AttributeError):
+                setattr(ceg18, name, None)
+            with pytest.raises(AttributeError):
+                delattr(ceg18, name)
 
     def test_search_is_deterministic(self, ceg18):
         a = search_assignment(ceg18)

@@ -34,6 +34,15 @@ class TestPermutation:
                 det = np.linalg.det(permutation_matrix(sigma)).real
                 assert abs(det - sigma.sign()) <= 1e-12
 
+    def test_immutable_value(self):
+        sigma = Permutation(3, (1, 0, 2))
+        assert sigma == Permutation(3, (1, 0, 2)) != Permutation.identity(3)
+        assert len({sigma, Permutation(3, (1, 0, 2)), Permutation.identity(3)}) == 2
+        with pytest.raises(AttributeError):
+            sigma.images = (0, 1, 2)
+        with pytest.raises(AttributeError):
+            del sigma.n
+
     def test_cycles_partition_indices(self):
         sigma = Permutation(5, (1, 0, 3, 4, 2))
         flat = sorted(i for c in sigma.cycles() for i in c)

@@ -60,6 +60,17 @@ class TestRayMap:
         with pytest.raises(ValueError):
             RayMap(dim=3, pairs=pairs, covering_contexts=(c,))
 
+    def test_immutable_with_cached_stacks(self):
+        m = identity_map(3)
+        stack = m.source_matrices
+        assert m.source_matrices is stack
+        for name in ("dim", "pairs", "covering_contexts", "source_matrices"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        assert m.source_matrices is stack
+
     def test_mismatched_pair_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             RayMap(dim=3, pairs=((proj([1, 0, 0, 0]), proj([1, 0, 0, 0])),))
@@ -92,7 +103,7 @@ class TestOrthogonalityPreservation:
         )
         m = RayMap(dim=3, pairs=pairs)
         check = check_orthogonality_preserving(m)
-        assert not check.ok
+        assert not check.ok and not check
         assert check.violating_pair == (0, 1)
         assert check.source_product_norm <= 1e-9
         assert check.target_product_norm > 1e-9
