@@ -1,7 +1,7 @@
 """Measurement contexts, Born probabilities, and their certification machinery.
 
 Submodules:
-    linalg    -- tolerance policy, coercion, Gram-Schmidt, unitarity check
+    linalg    -- tolerance policy, coercion, same-ray screen, unitarity check
     core      -- projectors (a unit vector each), contexts (an orthonormal basis
                  each), modalities, densities, measurement simulator
     gleason   -- frame-function validation, density reconstruction

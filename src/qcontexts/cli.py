@@ -54,7 +54,7 @@ from .jsonio import (
     permutation_from_json,
     ray_map_from_json,
 )
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .partition import search_assignment
 from .topology import orthogonal_obstruction, unitary_path_to_identity
 from .uhlhorn import Verdict, check_orthogonality_preserving, classify_transform, fit_transform
@@ -70,12 +70,8 @@ class RunConfig(NamedTuple):
     """Reproducibility knobs shared by every subcommand."""
 
     seed: int = 0
-    tolerance_abs: float = 1e-9
+    tol: Tolerance = DEFAULT_TOL
     output_format: str = "json"
-
-    @property
-    def tol(self) -> Tolerance:
-        return Tolerance(abs_eps=self.tolerance_abs, rel_eps=self.tolerance_abs)
 
 
 def _emit(payload: dict, config: RunConfig) -> None:
@@ -315,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(seed=args.seed, tolerance_abs=args.tol,
-                       output_format=args.format)
     try:
+        # an out-of-range --tol exits 2 like any other bad input
+        config = RunConfig(seed=args.seed, tol=Tolerance(args.tol), output_format=args.format)
         return args.handler(args, config)
     except Exception as exc:  # any crash: exit 1 would read as a negative result
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

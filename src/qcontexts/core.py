@@ -234,7 +234,7 @@ def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Cont
     """Build a context from an orthonormal basis.
 
     Raises NotOrthonormal with the first offending pair (i == j flags a
-    non-unit norm). Callers may pre-apply gram_schmidt to raw vectors.
+    non-unit norm).
     """
     vs = [as_vector(v) for v in vectors]
     n = len(vs)

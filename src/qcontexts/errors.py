@@ -13,10 +13,6 @@ class DimensionTooSmall(QContextsError):
     """The operation is only defined for dimension >= 3."""
 
 
-class DependentInput(QContextsError):
-    """Input vectors are linearly dependent within tolerance."""
-
-
 class NotOrthonormal(QContextsError):
     """Vectors fail the pairwise orthonormality check.
 

@@ -26,7 +26,7 @@ import numpy as np
 from .core import Context, DensityOperator, Projector, make_context
 from .errors import BasisNotOrthogonal, MalformedDocument
 from .gleason import FrameSample
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, first_repeated_ray
 from .partition import KSInstance
 from .topology import Permutation
 from .uhlhorn import RayMap
@@ -311,10 +311,10 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
     Each vector is divided by its own norm. Every basis must list dim
     distinct vector indices and be pairwise orthogonal (the first
     offending basis and pair is reported), every vector must belong to at
-    least one basis, and no two vectors may be the same ray: projector
-    matrices within tol.abs_eps in every entry, the rule RayMap applies to
-    its sources. A repeated ray would become two independent variables of
-    the search.
+    least one basis, and no two vectors may be the same ray
+    (linalg.first_repeated_ray at tol.abs_eps, the rule RayMap applies to
+    its sources and targets). A repeated ray would become two independent
+    variables of the search.
     """
     if not isinstance(doc, dict):
         raise MalformedDocument("instance document must be an object")
@@ -357,45 +357,11 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
     missing = sorted(set(range(len(vectors))) - {i for basis in bases for i in basis})
     if missing:
         raise MalformedDocument(f"vectors {missing} belong to no basis")
-    repeated = _repeated_ray(vectors, tol.abs_eps)
+    repeated = first_repeated_ray(vectors, tol.abs_eps)
     if repeated is not None:
         raise MalformedDocument("vectors %d and %d are the same ray" % repeated)
     vectors.flags.writeable = False
     return KSInstance(dim=dim, vectors=vectors, bases=tuple(bases))
-
-
-_BLOCK_ENTRIES = 1 << 15  # complex entries per block: 512 KiB, about 1 MiB with its temporaries
-
-
-def _repeated_ray(vectors: np.ndarray, eps: float) -> tuple[int, int] | None:
-    """First pair (i, j), i < j in lexicographic order, of unit vectors whose
-    projector matrices differ by at most eps in every entry.
-
-    Such a pair has 1 - |<u, v>|^2 <= (n eps)^2 / 2, a gap the Gram entry
-    cannot resolve in floating point, so |<u, v>| only screens the pairs
-    and each candidate is decided on its projector matrices. Both run in
-    blocks of about 1 MiB.
-    """
-    k, n = vectors.shape
-    floor = 1.0 - (n * eps) ** 2 / 2 - 1e-10  # the margin covers rounding in the Gram entries
-    rows = max(1, _BLOCK_ENTRIES // k)
-    pairs = max(1, _BLOCK_ENTRIES // (n * n))
-    for a in range(0, k - 1, rows):
-        gram = vectors[a:a + rows].conj() @ vectors[a:].T
-        parts = gram.view(np.float64)  # |<u, v>|^2 from squared real and imaginary parts
-        np.square(parts, out=parts)
-        near = parts[:, 0::2] + parts[:, 1::2] >= floor
-        r, c = np.divmod(np.flatnonzero(near), near.shape[1])
-        upper = c > r
-        i, j = a + r[upper], a + c[upper]
-        for s in range(0, len(i), pairs):
-            u, v = vectors[i[s:s + pairs]], vectors[j[s:s + pairs]]
-            diff = (u[:, :, None] * u.conj()[:, None, :]
-                    - v[:, :, None] * v.conj()[:, None, :])
-            hits = np.flatnonzero(np.abs(diff).max(axis=(1, 2)) <= eps)
-            if hits.size:
-                return int(i[s + hits[0]]), int(j[s + hits[0]])
-    return None
 
 
 def dataset_path(name: str) -> Path:

@@ -11,15 +11,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DependentInput
-
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
     "as_vector",
     "max_abs",
-    "gram_schmidt",
+    "first_repeated_ray",
     "is_unitary",
     "UnitaryCheck",
 ]
@@ -52,23 +50,22 @@ class FrozenValue(Frozen):
 
 
 class Tolerance(FrozenValue):
-    """Absolute and relative comparison thresholds.
+    """Comparison threshold, absolute below magnitude 1 and relative above.
 
-    Both must stay well below 1 (sanity bound 1e-3); everything in this
+    It must stay well below 1 (sanity bound 1e-3); everything in this
     package is conditioned far better than that.
     """
 
-    _fields = ("abs_eps", "rel_eps")
+    _fields = ("abs_eps",)
 
-    def __init__(self, abs_eps: float = 1e-9, rel_eps: float = 1e-9):
-        for name, v in (("abs_eps", abs_eps), ("rel_eps", rel_eps)):
-            if not (0.0 <= v < 1e-3):
-                raise ValueError(f"{name} must be in [0, 1e-3), got {v}")
-        self.__dict__.update(abs_eps=abs_eps, rel_eps=rel_eps)
+    def __init__(self, abs_eps: float = 1e-9):
+        if not (0.0 <= abs_eps < 1e-3):
+            raise ValueError(f"abs_eps must be in [0, 1e-3), got {abs_eps}")
+        self.__dict__["abs_eps"] = abs_eps
 
     def bound(self, scale: float = 1.0) -> float:
         """Threshold for comparing quantities of the given magnitude."""
-        return max(self.abs_eps, self.rel_eps * scale)
+        return self.abs_eps * max(1.0, scale)
 
 
 DEFAULT_TOL = Tolerance()
@@ -100,35 +97,44 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def gram_schmidt(vectors, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormalize vectors by modified Gram-Schmidt with a second pass.
+_BLOCK_ENTRIES = 1 << 15  # complex entries per block: 512 KiB, about 1 MiB with its temporaries
 
-    Raises DependentInput when the numerical rank is below the input
-    count. Output spans the same subspace; pairwise inner products
-    vanish and norms are 1 within tol.
+
+def first_repeated_ray(vectors: np.ndarray, eps: float) -> tuple[int, int] | None:
+    """First pair (i, j), i < j in lexicographic order, of rows of the (k, n)
+    array whose projector matrices differ by at most eps in every entry:
+    the rule for "the same ray" in ray maps and KS documents.
+
+    Such a pair has |<u, v>|^2 >= s^2 - (n eps)^2 / 2, with s the smallest
+    squared row norm, a gap the Gram entry cannot resolve in floating
+    point, so |<u, v>| only screens the pairs and each candidate is decided
+    on its projector matrices. The floor is taken from s rather than 1
+    because a Projector's vector may miss unit norm by 1e-9, which moves
+    |<u, v>|^2 by more than the gap. Both run in blocks of about 1 MiB.
     """
-    vs = [as_vector(v) for v in vectors]
-    if not vs:
-        raise ValueError("gram_schmidt requires at least one vector")
-    n = vs[0].shape[0]
-    for k, v in enumerate(vs):
-        if v.shape[0] != n:
-            raise ValueError(f"vector {k} has dimension {v.shape[0]}, expected {n}")
-
-    out: list[np.ndarray] = []
-    for k, v in enumerate(vs):
-        w = v.copy()
-        for _ in range(2):  # re-orthogonalization pass for stability
-            for u in out:
-                w = w - np.vdot(u, w) * u
-        norm = float(np.linalg.norm(w))
-        if norm <= tol.bound(float(np.linalg.norm(v))):
-            raise DependentInput(
-                f"vector {k} is linearly dependent on its predecessors "
-                f"(residual norm {norm:.3e})"
-            )
-        out.append(w / norm)
-    return out
+    k, n = vectors.shape
+    if k < 2:
+        return None
+    smallest = float(np.min(np.sum(np.abs(vectors) ** 2, axis=1)))
+    floor = smallest ** 2 - (n * eps) ** 2 / 2 - 1e-10  # the margin covers Gram rounding
+    rows = max(1, _BLOCK_ENTRIES // k)
+    pairs = max(1, _BLOCK_ENTRIES // (n * n))
+    for a in range(0, k - 1, rows):
+        gram = vectors[a:a + rows].conj() @ vectors[a:].T
+        parts = gram.view(np.float64)  # |<u, v>|^2 from squared real and imaginary parts
+        np.square(parts, out=parts)
+        near = parts[:, 0::2] + parts[:, 1::2] >= floor
+        r, c = np.divmod(np.flatnonzero(near), near.shape[1])
+        upper = c > r
+        i, j = a + r[upper], a + c[upper]
+        for s in range(0, len(i), pairs):
+            u, v = vectors[i[s:s + pairs]], vectors[j[s:s + pairs]]
+            diff = (u[:, :, None] * u.conj()[:, None, :]
+                    - v[:, :, None] * v.conj()[:, None, :])
+            hits = np.flatnonzero(np.abs(diff).max(axis=(1, 2)) <= eps)
+            if hits.size:
+                return int(i[s + hits[0]]), int(j[s + hits[0]])
+    return None
 
 
 class UnitaryCheck(NamedTuple):

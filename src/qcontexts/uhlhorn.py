@@ -9,11 +9,15 @@ Bargmann triple products, then fit the operator constructively from a
 phase-fixing gadget and verify the fit on every listed pair.
 
 For k rays in dimension n the whole certification costs O(k^2 n^3 + k^3)
-time and O(k n^2 + k^2) memory: a RayMap caches its source and target
-projector matrices as (k, n, n) stacks, the pair checks run one stacked
-row at a time, and the C(k, 3) Bargmann triples are streamed, never held
-at once. Every kernel reproduces the per-pair arithmetic exactly, so
-verdicts, witnesses and reported norms do not depend on the chunking.
+time and O(k n^2 + k^2) memory. A RayMap holds its source and target
+unit vectors once, as (k, n) arrays, and derives everything from them:
+bijectivity is the blocked same-ray screen that ks documents use
+(O(k^2 n) for the Gram screen), the pair checks run one row at a time
+on cached (k, n, n) projector stacks, the C(k, 3) Bargmann triples are
+streamed from the two Gram matrices, never held at once, and the fit
+residual is one stacked U S U^dag. Every kernel reproduces the per-pair
+arithmetic exactly, so verdicts, witnesses and reported norms do not
+depend on the chunking.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (
     HypothesisViolated,
     MissingGadget,
 )
-from .linalg import DEFAULT_TOL, Frozen, Tolerance, max_abs
+from .linalg import DEFAULT_TOL, Frozen, Tolerance, first_repeated_ray, max_abs
 
 __all__ = [
     "RayMap",
@@ -59,9 +63,15 @@ FIT_RESIDUAL_LIMIT = 1e-8
 _GADGET_PATTERN_TOL = 1e-6
 
 
-def _projector_stack(projectors: Sequence[Projector], dim: int) -> np.ndarray:
-    """(k, n, n) stack of |v><v|, entry for entry the same as np.outer."""
-    v = np.array([p.vector for p in projectors], dtype=np.complex128).reshape(-1, dim)
+def _rows(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """Read-only (k, n) array with one unit vector per row."""
+    v = np.array(vectors, dtype=np.complex128).reshape(-1, dim)
+    v.flags.writeable = False
+    return v
+
+
+def _projector_stack(v: np.ndarray) -> np.ndarray:
+    """(k, n, n) stack of |v><v| over the rows, entry for entry the same as np.outer."""
     return v[:, :, None] * v.conj()[:, None, :]
 
 
@@ -70,7 +80,9 @@ class RayMap(Frozen):
 
     pairs lists (source, target) projectors; covering_contexts are
     contexts whose projectors all occur among the sources, candidates
-    for the fiduciary basis of the constructive fit.
+    for the fiduciary basis of the constructive fit. The source and
+    target unit vectors are held once, as the rows of the read-only
+    arrays source_vectors and target_vectors.
     """
 
     def __init__(self, dim: int, pairs: tuple[tuple[Projector, Projector], ...],
@@ -82,16 +94,16 @@ class RayMap(Frozen):
         for s, t in self.pairs:
             if s.dim != self.dim or t.dim != self.dim:
                 raise DimensionMismatch("ray pair dimension differs from map dimension")
-        tol = DEFAULT_TOL
-        src, tgt = self.source_matrices, self.target_matrices
-        for i in range(len(self.pairs) - 1):
-            ds = np.abs(src[i] - src[i + 1:]).max(axis=(1, 2))
-            dt = np.abs(tgt[i] - tgt[i + 1:]).max(axis=(1, 2))
-            hits = np.flatnonzero((ds <= tol.abs_eps) | (dt <= tol.abs_eps))
-            if hits.size:
-                which = "sources" if ds[hits[0]] <= tol.abs_eps else "targets"
-                raise ValueError(f"{which} {i} and {i + 1 + int(hits[0])} coincide; "
-                                 "map must be bijective")
+        self.__dict__.update(source_vectors=_rows([s.vector for s, _ in pairs], dim),
+                             target_vectors=_rows([t.vector for _, t in pairs], dim))
+        # the first repeated pair in lexicographic order; sources first on a tie
+        eps = DEFAULT_TOL.abs_eps
+        repeated = [(hit, which) for which, v in (("sources", self.source_vectors),
+                                                  ("targets", self.target_vectors))
+                    if (hit := first_repeated_ray(v, eps)) is not None]
+        if repeated:
+            (i, j), which = min(repeated)
+            raise ValueError(f"{which} {i} and {j} coincide; map must be bijective")
         for c in self.covering_contexts:
             if c.dim != self.dim:
                 raise DimensionMismatch(f"covering context '{c.label}' has dimension {c.dim}")
@@ -102,26 +114,18 @@ class RayMap(Frozen):
     @cached_property
     def source_matrices(self) -> np.ndarray:
         """(k, n, n) stack of the source projector matrices."""
-        return _projector_stack(self.sources, self.dim)
+        return _projector_stack(self.source_vectors)
 
     @cached_property
     def target_matrices(self) -> np.ndarray:
         """(k, n, n) stack of the target projector matrices."""
-        return _projector_stack(self.targets, self.dim)
+        return _projector_stack(self.target_vectors)
 
     def _find_source(self, p: Projector,
                      tol: Tolerance = DEFAULT_TOL) -> int | None:
         dist = np.abs(self.source_matrices - p.matrix).max(axis=(1, 2))
         hits = np.flatnonzero(dist <= tol.abs_eps)
         return int(hits[0]) if hits.size else None
-
-    @property
-    def sources(self) -> list[Projector]:
-        return [s for s, _ in self.pairs]
-
-    @property
-    def targets(self) -> list[Projector]:
-        return [t for _, t in self.pairs]
 
 
 class OrthogonalityCheck(NamedTuple):
@@ -199,11 +203,6 @@ def bargmann_invariant(p1: Projector, p2: Projector, p3: Projector) -> complex:
     return complex(np.trace(p1.matrix @ p2.matrix @ p3.matrix))
 
 
-def _gram(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    b = np.column_stack(vectors)
-    return b.conj().T @ b
-
-
 def classify_transform(m: RayMap,
                        tol: Tolerance = DEFAULT_TOL) -> TransformClassification:
     """Decide the unitary/anti-unitary branch through Bargmann triples.
@@ -225,8 +224,8 @@ def classify_transform(m: RayMap,
         raise HypothesisViolated("map does not preserve orthogonality both ways")
     k = len(m.pairs)
     eps = tol.abs_eps
-    gs = _gram([p.vector for p in m.sources])
-    gt = _gram([p.vector for p in m.targets])
+    gs = m.source_vectors.conj() @ m.source_vectors.T  # Gram matrices <v_i|v_j>
+    gt = m.target_vectors.conj() @ m.target_vectors.T
     rows, cols = np.triu_indices(k, 1)
     first_nonreal = first_nonunitary = None
     all_anti = True
@@ -288,7 +287,7 @@ def induced_ray_map(transform: ContextTransform, context: Context,
     return RayMap(dim=context.dim, pairs=pairs, covering_contexts=(context,))
 
 
-def _locate_gadget(m: RayMap, context: Context, source_reps: list[np.ndarray],
+def _locate_gadget(m: RayMap, context: Context, source_reps: np.ndarray,
                    tol: Tolerance):
     """Find basis indices and, per k, the pair of balanced superposition rays.
 
@@ -301,20 +300,18 @@ def _locate_gadget(m: RayMap, context: Context, source_reps: list[np.ndarray],
     basis_idx = [m._find_source(p, tol) for p in context.projectors]
     if None in basis_idx:
         raise MissingGadget("fiduciary projector missing from sources")
-    e = [source_reps[i] for i in basis_idx]
+    # overlaps[idx, j] = <e_j|s_idx> for every source row at once
+    overlaps = source_reps @ source_reps[basis_idx].conj().T
+    weights = np.abs(overlaps)
+    weights[basis_idx] = np.inf  # basis rays are never superpositions
     n = context.dim
     superpositions: list[tuple[int, int]] = []
     for k in range(1, n):
-        candidates: list[tuple[int, complex]] = []
-        for idx, s in enumerate(source_reps):
-            if idx in basis_idx:
-                continue
-            overlaps = np.array([np.vdot(ei, s) for ei in e])
-            weights = np.abs(overlaps)
-            pattern = np.zeros(n)
-            pattern[0] = pattern[k] = 1.0 / np.sqrt(2.0)
-            if max_abs(weights - pattern) <= _GADGET_PATTERN_TOL:
-                candidates.append((idx, overlaps[k] / overlaps[0]))
+        pattern = np.zeros(n)
+        pattern[0] = pattern[k] = 1.0 / np.sqrt(2.0)
+        matches = np.abs(weights - pattern).max(axis=1) <= _GADGET_PATTERN_TOL
+        candidates = [(int(idx), overlaps[idx, k] / overlaps[idx, 0])
+                      for idx in np.flatnonzero(matches)]
         pair = None
         for (ia, za), (ib, zb) in combinations(candidates, 2):
             ratio = zb / za
@@ -342,6 +339,8 @@ def fit_transform(m: RayMap, tol: Tolerance = DEFAULT_TOL, *,
     from the fiduciary basis images, with each column's phase pinned by
     the balanced-superposition images; its global phase is normalized
     so the first nonzero entry of the first column is real positive.
+    The residual is the max-norm of T_i - U S_i U^dag (S_i conjugated on
+    the anti-unitary branch) over the whole stack at once.
     A caller that already holds classify_transform(m, tol) passes it as
     classification, so the triples are not scanned again.
     """
@@ -356,8 +355,8 @@ def fit_transform(m: RayMap, tol: Tolerance = DEFAULT_TOL, *,
 
     # Anti-unitary action is conjugation followed by a unitary; fitting in
     # the conjugated source gauge reduces both branches to the unitary case.
-    source_reps = [p.vector.conj() if anti else p.vector for p in m.sources]
-    target_reps = [p.vector for p in m.targets]
+    source_reps = m.source_vectors.conj() if anti else m.source_vectors
+    target_reps = m.target_vectors
 
     if not m.covering_contexts:
         raise MissingGadget("ray map lists no covering context")
@@ -371,8 +370,8 @@ def fit_transform(m: RayMap, tol: Tolerance = DEFAULT_TOL, *,
         raise last_error
 
     n = m.dim
-    e = [source_reps[i] for i in basis_idx]
-    f = [target_reps[i] for i in basis_idx]
+    e = source_reps[basis_idx]
+    f = target_reps[basis_idx]
     phases = [1.0 + 0.0j]
     for k in range(1, n):
         plus_idx, _ = superpositions[k - 1]
@@ -393,10 +392,8 @@ def fit_transform(m: RayMap, tol: Tolerance = DEFAULT_TOL, *,
         u = u * (abs(lead) / lead)
 
     transform = ContextTransform.from_matrix(u, antiunitary=anti, tol=tol)
-    residual = 0.0
-    for source, target in m.pairs:
-        residual = max(residual, max_abs(
-            target.matrix - transform.act_matrix(source.matrix)))
+    sources = m.source_matrices.conj() if anti else m.source_matrices
+    residual = max_abs(m.target_matrices - u @ sources @ u.conj().T)
     if residual > FIT_RESIDUAL_LIMIT:
         raise FitFailed(
             f"fit residual {residual:.3e} exceeds {FIT_RESIDUAL_LIMIT:.0e}; "

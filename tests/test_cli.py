@@ -1,10 +1,15 @@
+import copy
+import functools
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import qcontexts
@@ -568,3 +573,84 @@ class TestUsage:
         assert code == 0
         assert "probabilities:" in out
         assert "command: \"born\"" in out
+
+
+# ------------------------------------------------------------------
+# Exit-code contract under structural mutations of the bundled documents:
+# exit 2 is one error line and no output, exit 0 or 1 a schema-valid payload.
+
+# one value of each JSON type; a swap picks one of another type, never a
+# larger number
+JSON_VALUES = (None, True, 0, "x", [], {})
+
+
+@functools.cache
+def _validator(command: str) -> Draft202012Validator:
+    with open(SCHEMAS / f"{command}.schema.json", encoding="utf-8") as fh:
+        return Draft202012Validator(json.load(fh))
+
+
+def _json_type(value) -> str:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return "number" if number else type(value).__name__
+
+
+def _nodes(node, path=()):
+    """(path, value) of every value below the top level."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    name = draw(st.sampled_from(sorted(SWEEP_COMMANDS)))
+    doc = _load(name)
+    for _ in range(draw(st.integers(1, 2))):
+        op = draw(st.sampled_from(["drop", "swap", "wrap", "truncate", "repeat"]))
+        targets = [(path, value) for path, value in _nodes(doc)
+                   if (op != "drop" or isinstance(path[-1], str))
+                   and (op not in ("truncate", "repeat") or isinstance(value, list) and value)]
+        if not targets:
+            continue
+        # a depth first, so the few top-level fields are picked as often as vector entries
+        depth = draw(st.sampled_from(sorted({len(path) for path, _ in targets})))
+        targets = [t for t in targets if len(t[0]) == depth]
+        path, value = targets[draw(st.integers(0, len(targets) - 1))]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "drop":
+            del parent[path[-1]]
+        elif op == "swap":
+            parent[path[-1]] = draw(st.sampled_from(
+                [v for v in JSON_VALUES if _json_type(v) != _json_type(value)]))
+        elif op == "wrap":
+            parent[path[-1]] = [value]
+        elif op == "truncate":
+            del value[draw(st.integers(0, len(value) - 1)):]
+        else:
+            k = draw(st.integers(0, len(value) - 1))
+            value.insert(k + 1, copy.deepcopy(value[k]))
+    return name, doc
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_documents())
+def test_mutated_document_keeps_the_exit_code_contract(capsys, tmp_path, case):
+    name, doc = case
+    command, *slots = SWEEP_COMMANDS[name]
+    files = [doc if slot is None else slot for slot in slots]
+    with warnings.catch_warnings(record=True) as caught:  # a process would print them
+        warnings.simplefilter("always")
+        code, out, err = _run_with_documents(capsys, tmp_path, command, *files)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        return
+    assert code in (0, 1) and err == ""
+    _validator(command).validate(json.loads(out))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_valuation_count
-from qcontexts import jsonio
+from qcontexts import linalg
 from qcontexts.core import make_generator
 from qcontexts.errors import BasisNotOrthogonal, MalformedDocument
 from qcontexts.jsonio import dataset_path, ks_instance_from_json
@@ -302,7 +302,7 @@ class TestRepeatedRays:
                "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
                + [turned[:, k].tolist() for k in range(3)],
                "bases": [[0, 1, 2], [3, 4, 5]]}
-        tol = Tolerance(abs_eps=eps, rel_eps=eps)
+        tol = Tolerance(abs_eps=eps)
         if repeated:
             with pytest.raises(MalformedDocument, match="vectors 0 and 3 are the same ray"):
                 ks_instance_from_json(doc, tol)
@@ -311,7 +311,7 @@ class TestRepeatedRays:
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_blocked_screen_reports_the_reference_pair(self, monkeypatch, block):
-        monkeypatch.setattr(jsonio, "_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", block)
         for seed in range(4):
             doc = _seeded_ks_doc(seed, pairs=True)
             rng = make_generator(100 + seed)
