@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from qcontexts.linalg import Tolerance, is_unitary
+from qcontexts.core import make_generator
+from qcontexts.linalg import Tolerance, first_repeated_ray, is_unitary
 
 
 def test_tolerance_defaults_and_sanity_bound():
@@ -41,3 +44,53 @@ class TestIsUnitary:
     def test_truthiness(self):
         assert bool(is_unitary(np.eye(2)))
         assert not bool(is_unitary(2 * np.eye(2)))
+
+
+def ref_first_repeated_ray(vectors, eps):
+    """Pairwise reference: the first (i, j) whose projector matrices differ by <= eps."""
+    mats = [np.outer(v, v.conj()) for v in vectors]
+    for i, j in combinations(range(len(mats)), 2):
+        if np.abs(mats[i] - mats[j]).max() <= eps:
+            return i, j
+    return None
+
+
+class TestFirstRepeatedRay:
+    def test_distinct_and_short_inputs_give_none(self):
+        rays = np.vstack([np.eye(3), [[1, 1j, 0]] / np.sqrt(2)]).astype(complex)
+        assert first_repeated_ray(rays, 1e-9) is None
+        assert first_repeated_ray(rays[:1], 1e-9) is None
+        assert first_repeated_ray(rays[:0], 1e-9) is None
+
+    def test_rephased_copy_is_the_same_ray(self):
+        rays = np.array([[1, 0, 0], [0, 1, 0], [1j, 0, 0]], dtype=complex)
+        assert first_repeated_ray(rays, 1e-9) == (0, 2)
+
+    def test_first_pair_in_lexicographic_order(self):
+        # (1, 2) is found first in row order of i but (0, 4) is smaller
+        e = np.eye(4, dtype=complex)
+        rays = np.array([e[0], e[1], -e[1], e[2], 1j * e[0]])
+        assert first_repeated_ray(rays, 1e-9) == (0, 4)
+
+    def test_short_norm_copies_are_found(self):
+        # a Projector keeps |norm - 1| <= 1e-9; a floor taken from unit rows misses these
+        short = np.array([1, 1j, -1]) / np.sqrt(3) * (1 - 5e-10)
+        rays = np.array([short, short, [0, 1, 1j] / np.sqrt(2)])
+        assert first_repeated_ray(rays, 1e-9) == (0, 1)
+
+    @pytest.mark.parametrize("block", [None, 1, 40])
+    def test_agrees_with_pairwise_reference(self, monkeypatch, block):
+        from qcontexts import linalg
+        if block is not None:
+            monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", block)
+        rng = make_generator(303)
+        for n in (3, 5):
+            for _ in range(6):
+                v = rng.standard_normal((10, n)) + 1j * rng.standard_normal((10, n))
+                v /= np.linalg.norm(v, axis=1, keepdims=True)
+                # near copies straddling eps = 1e-9, rephased, some short of unit norm
+                for i, j, step in ((7, 2, 2e-10), (9, 4, 4e-9), (8, 5, 8e-10)):
+                    moved = v[i] + step * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                    moved *= np.exp(1j * rng.uniform(0, 2 * np.pi)) / np.linalg.norm(moved)
+                    v[j] = moved * (1 - 5e-10 * rng.integers(0, 2))
+                assert first_repeated_ray(v, 1e-9) == ref_first_repeated_ray(v, 1e-9)

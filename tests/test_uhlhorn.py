@@ -71,6 +71,21 @@ class TestRayMap:
                 delattr(m, name)
         assert m.source_matrices is stack
 
+    def test_vectors_are_read_only_rows_of_the_pairs(self):
+        rng = make_generator(72)
+        hidden = ContextTransform.from_matrix(random_unitary(3, rng))
+        m = induced_ray_map(hidden, standard_context(3), [random_state_vector(3, rng)])
+        for rows, side in ((m.source_vectors, 0), (m.target_vectors, 1)):
+            assert rows.shape == (len(m.pairs), 3) and rows.dtype == np.complex128
+            assert not rows.flags.writeable
+            for row, pair in zip(rows, m.pairs):
+                assert np.array_equal(row, pair[side].vector)
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0
+        for stack, side in ((m.source_matrices, 0), (m.target_matrices, 1)):
+            for mat, pair in zip(stack, m.pairs):
+                assert np.array_equal(mat, pair[side].matrix)
+
     def test_mismatched_pair_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             RayMap(dim=3, pairs=((proj([1, 0, 0, 0]), proj([1, 0, 0, 0])),))
