@@ -4,7 +4,12 @@ A frame function assigns a value in [0, 1] to every rank-1 projector
 such that the values over any complete orthogonal set sum to 1. For
 dimension >= 3 every such function is P -> Tr(rho P) for a unique
 density operator rho; this module checks the normalization numerically
-and recovers rho by linear inversion from sampled values.
+and recovers rho by linear inversion from sampled values. A projector
+|v><v| enters through its unit vector: its coordinates in the
+orthonormal basis E_jj, (E_jl + E_lj)/sqrt(2), i(E_lj - E_jl)/sqrt(2)
+(j < l) of the self-adjoint matrices are |v_j|^2 and sqrt(2) times the
+real and imaginary parts of conj(v_j) v_l. So k samples give their
+(k, n^2) design matrix in O(k n^2); its SVD and the fit cost O(k n^4).
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ __all__ = [
     "FrameValidation",
     "ReconstructionReport",
     "CompletenessReport",
-    "hermitian_basis",
     "validate_frame_function",
     "informational_completeness",
     "reconstruct_density",
@@ -77,34 +81,20 @@ class ReconstructionReport(NamedTuple):
     psd_correction: float
 
 
-def hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal real basis of n x n self-adjoint matrices, shape (n^2, n, n).
-
-    Element 0 is I/sqrt(n); the rest are the generalized Gell-Mann
-    matrices scaled to Tr(B_a B_b) = delta_ab, so the basis is
-    orthonormal under the Hilbert-Schmidt inner product.
-    """
-    mats = [np.eye(n, dtype=np.complex128) / np.sqrt(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            sym = np.zeros((n, n), dtype=np.complex128)
-            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
-            mats.append(sym)
-            asym = np.zeros((n, n), dtype=np.complex128)
-            asym[j, k] = -1j / np.sqrt(2.0)
-            asym[k, j] = 1j / np.sqrt(2.0)
-            mats.append(asym)
-    for l in range(1, n):
-        diag = np.zeros(n, dtype=np.complex128)
-        diag[:l] = 1.0
-        diag[l] = -l
-        mats.append(np.diag(diag) / np.sqrt(l * (l + 1)))
-    return np.stack(mats)
+def _rows(projectors: Sequence[Projector]) -> np.ndarray:
+    """(k, n) array of the projectors' unit vectors, one per row."""
+    dims = {p.dim for p in projectors}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"mixed dimensions: {sorted(dims)}")
+    return np.stack([p.vector for p in projectors])
 
 
-def _design_matrix(stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # Tr(P B) is real for self-adjoint P and B; stack holds the projector matrices
-    return np.einsum("kij,aji->ka", stack, basis).real
+def _design_matrix(v: np.ndarray) -> np.ndarray:
+    """Real (k, n^2) coordinates of |v><v| over the rows of v in the module's
+    basis: the diagonal, then the pairs j < l in np.triu_indices order."""
+    j, l = np.triu_indices(v.shape[1], 1)
+    cross = np.sqrt(2.0) * v.conj()[:, j] * v[:, l]
+    return np.hstack([np.abs(v) ** 2, cross.real, cross.imag])
 
 
 def _rank_and_condition(a: np.ndarray) -> CompletenessReport:
@@ -150,16 +140,12 @@ def informational_completeness(projectors: Sequence[Projector]) -> CompletenessR
 
     rank is the dimension of the family's real span inside the
     n^2-dimensional space of self-adjoint matrices; the condition number
-    is taken on the design map restricted to its row space.
+    is taken on the design map restricted to its row space. Neither
+    depends on the orthonormal basis used; the SVD costs O(k n^4).
     """
     if not projectors:
         raise ValueError("no projectors supplied")
-    dims = {p.dim for p in projectors}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed dimensions: {sorted(dims)}")
-    n = projectors[0].dim
-    stack = np.stack([p.matrix for p in projectors])
-    return _rank_and_condition(_design_matrix(stack, hermitian_basis(n)))
+    return _rank_and_condition(_design_matrix(_rows(projectors)))
 
 
 def reconstruct_density(samples: Sequence[FrameSample],
@@ -167,38 +153,35 @@ def reconstruct_density(samples: Sequence[FrameSample],
     """Recover the density operator behind sampled frame-function values.
 
     Solves the least-squares problem Tr(rho P_k) ~ value_k over the
-    trace-1 affine slice of self-adjoint matrices (real coordinates in
-    the orthonormal Hermitian basis, minimum-norm solution), then
-    projects onto the PSD cone by eigenvalue clipping and a trace
-    renormalization. Exact Born input reproduces its source within
-    1e-8 Frobenius.
+    trace-1 affine slice of self-adjoint matrices, rho = I/n + X with X's
+    last diagonal entry minus the sum of the others (unique, as the design
+    rank must be n^2), then projects onto the PSD cone by eigenvalue
+    clipping and a trace renormalization. Exact Born input reproduces its
+    source within 1e-8 Frobenius. Costs O(k n^2) to design, O(k n^4) to solve.
     """
     if not samples:
         raise ValueError("no samples supplied")
-    projectors = [s.projector for s in samples]
-    dims = {p.dim for p in projectors}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed dimensions: {sorted(dims)}")
-    n = projectors[0].dim
+    v = _rows([s.projector for s in samples])
+    n = v.shape[1]
     if n < 3:
         raise DimensionTooSmall(
             f"reconstruction requires dimension >= 3, got {n}")
 
-    basis = hermitian_basis(n)
-    stack = np.stack([p.matrix for p in projectors])
-    a = _design_matrix(stack, basis)
+    a = _design_matrix(v)
     rank, cond = _rank_and_condition(a)
     if rank < n * n:
         raise NotInformationallyComplete(
             f"design rank {rank} < {n * n}; supply more projectors")
 
     values = np.array([s_.value for s_ in samples], dtype=float)
-    # Tr(rho) = 1 pins the identity coordinate at 1/sqrt(n).
-    c0 = 1.0 / np.sqrt(n)
-    rhs = values - a[:, 0] * c0
-    rest, *_ = np.linalg.lstsq(a[:, 1:], rhs, rcond=None)
-    coords = np.concatenate(([c0], rest))
-    raw = np.tensordot(coords, basis, axes=1)
+    # Tr(P_k) = 1, so I/n adds 1/n to every value; Tr(X) = 0 eliminates X_{n-1,n-1}
+    slice_design = np.hstack([a[:, :n - 1] - a[:, n - 1:n], a[:, n:]])
+    x, *_ = np.linalg.lstsq(slice_design, values - 1.0 / n, rcond=None)
+    diag, c_re, c_im = np.split(x, [n - 1, n - 1 + n * (n - 1) // 2])
+    raw = np.diag(np.append(diag, -diag.sum()) + 1.0 / n).astype(np.complex128)
+    j, l = np.triu_indices(n, 1)
+    raw[j, l] = (c_re - 1j * c_im) / np.sqrt(2.0)
+    raw[l, j] = raw[j, l].conj()
 
     eigs, vecs = np.linalg.eigh(raw)
     clipped = np.clip(eigs, 0.0, None)
@@ -210,7 +193,7 @@ def reconstruct_density(samples: Sequence[FrameSample],
     psd_correction = float(np.linalg.norm(projected - raw))
 
     rho = DensityOperator.from_matrix(projected, tol)
-    fitted = np.einsum("kij,ji->k", stack, rho.matrix).real
+    fitted = np.einsum("ki,ij,kj->k", v.conj(), rho.matrix, v).real
     residual_rms = float(np.sqrt(np.mean((fitted - values) ** 2)))
     return ReconstructionReport(rho=rho, residual_rms=residual_rms,
                                 design_rank=rank, condition_number=cond,

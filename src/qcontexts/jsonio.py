@@ -241,7 +241,7 @@ def ray_map_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> RayMap:
         else:
             raise MalformedDocument(f"covering context {k} has unsupported type")
     try:
-        return RayMap(dim=dim, pairs=tuple(pairs), covering_contexts=tuple(contexts))
+        return RayMap(dim=dim, pairs=tuple(pairs), covering_contexts=tuple(contexts), tol=tol)
     except ValueError as exc:
         raise MalformedDocument(str(exc)) from exc
 

@@ -82,11 +82,13 @@ class RayMap(Frozen):
     contexts whose projectors all occur among the sources, candidates
     for the fiduciary basis of the constructive fit. The source and
     target unit vectors are held once, as the rows of the read-only
-    arrays source_vectors and target_vectors.
+    arrays source_vectors and target_vectors. Bijectivity and covering
+    are decided at tol, by linalg.first_repeated_ray and _find_source.
     """
 
     def __init__(self, dim: int, pairs: tuple[tuple[Projector, Projector], ...],
-                 covering_contexts: tuple[Context, ...] = ()):
+                 covering_contexts: tuple[Context, ...] = (),
+                 tol: Tolerance = DEFAULT_TOL):
         self.__dict__.update(dim=dim, pairs=pairs, covering_contexts=covering_contexts)
         if self.dim < 3:
             raise DimensionTooSmall(
@@ -97,17 +99,16 @@ class RayMap(Frozen):
         self.__dict__.update(source_vectors=_rows([s.vector for s, _ in pairs], dim),
                              target_vectors=_rows([t.vector for _, t in pairs], dim))
         # the first repeated pair in lexicographic order; sources first on a tie
-        eps = DEFAULT_TOL.abs_eps
         repeated = [(hit, which) for which, v in (("sources", self.source_vectors),
                                                   ("targets", self.target_vectors))
-                    if (hit := first_repeated_ray(v, eps)) is not None]
+                    if (hit := first_repeated_ray(v, tol.abs_eps)) is not None]
         if repeated:
             (i, j), which = min(repeated)
             raise ValueError(f"{which} {i} and {j} coincide; map must be bijective")
         for c in self.covering_contexts:
             if c.dim != self.dim:
                 raise DimensionMismatch(f"covering context '{c.label}' has dimension {c.dim}")
-            if any(self._find_source(p) is None for p in c.projectors):
+            if any(self._find_source(p, tol) is None for p in c.projectors):
                 raise ValueError(f"covering context '{c.label}' has a projector "
                                  "missing from the sources")
 
@@ -284,7 +285,7 @@ def induced_ray_map(transform: ContextTransform, context: Context,
          Projector.from_vector(transform.act_vector(r), tol))
         for r in rays
     )
-    return RayMap(dim=context.dim, pairs=pairs, covering_contexts=(context,))
+    return RayMap(dim=context.dim, pairs=pairs, covering_contexts=(context,), tol=tol)
 
 
 def _locate_gadget(m: RayMap, context: Context, source_reps: np.ndarray,

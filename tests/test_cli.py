@@ -17,7 +17,15 @@ from qcontexts import cli
 from qcontexts.cli import main
 from qcontexts.core import make_generator, simulate_sequence
 from qcontexts.gleason import born_case_check
-from qcontexts.jsonio import contexts_from_json, dataset_path, density_from_json, load_json_file
+from qcontexts.jsonio import (
+    contexts_from_json,
+    dataset_path,
+    density_from_json,
+    load_json_file,
+    ray_map_to_json,
+    vector_to_json,
+)
+from qcontexts.sampling import random_ray_map, random_state_vector
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMAS = Path(__file__).parents[1] / "src" / "qcontexts" / "schemas"
@@ -166,6 +174,28 @@ class TestUhlhorn:
         code, _, _ = run(capsys, "uhlhorn", ds("raymap_unitary_dim3.json"))
         assert code == 0
         assert len(calls) == 1
+
+    def test_same_ray_is_decided_at_the_run_tolerance(self, capsys, tmp_path):
+        # a 14th source 1e-7 from source 12, with another target
+        m, _ = random_ray_map(3, make_generator(5))
+        rng = make_generator(6)
+        doc = ray_map_to_json(m)
+        doc["pairs"].append({
+            "source": vector_to_json(m.source_vectors[12] + 1e-7 * random_state_vector(3, rng)),
+            "target": vector_to_json(random_state_vector(3, rng))})
+        path = _paths(tmp_path, [doc])[0]
+        code, out, err = run(capsys, "uhlhorn", path, "--tol", "1e-6")
+        assert (code, out) == (2, "")
+        assert err == ("error: MalformedDocument: sources 12 and 13 coincide; "
+                       "map must be bijective\n")
+        code, out, _ = run(capsys, "uhlhorn", path)
+        assert code == 1
+        assert json.loads(out)["verdict"] == "Neither"
+
+    def test_tolerance_below_float_resolution_exits_two(self, capsys):
+        code, out, err = run(capsys, "uhlhorn", ds("raymap_unitary_dim3.json"), "--tol", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: abs_eps must be in [1e-12, 1e-3), got 0.0\n"
 
     def test_corrupted_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "corrupt.json"

@@ -12,7 +12,6 @@ from qcontexts.errors import (
 from qcontexts.gleason import (
     FrameSample,
     born_case_check,
-    hermitian_basis,
     informational_completeness,
     reconstruct_density,
     validate_frame_function,
@@ -38,20 +37,23 @@ def ic_family(n: int, rng) -> list:
     return projectors
 
 
-class TestHermitianBasis:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_orthonormal_and_hermitian(self, n):
-        basis = hermitian_basis(n)
-        assert basis.shape == (n * n, n, n)
-        flat = basis.reshape(n * n, -1)
-        gram = np.einsum("af,bf->ab", flat.conj(), flat).real
-        assert max_abs(gram - np.eye(n * n)) <= 1e-12
-        for b in basis:
-            assert max_abs(b - b.conj().T) <= 1e-12
-
-    def test_identity_component_first(self):
-        basis = hermitian_basis(3)
-        assert max_abs(basis[0] - np.eye(3) / np.sqrt(3)) <= 1e-12
+def assert_matches_embedding(projs) -> None:
+    """Rank and condition number of the design against the flattened real
+    embedding P -> [Re vec P | Im vec P], an isometry of the self-adjoint
+    matrices, so its singular values are those of any orthonormal design."""
+    flat = np.stack([p.matrix.reshape(-1) for p in projs])
+    embedding = np.hstack([flat.real, flat.imag])
+    s = np.linalg.svd(embedding, compute_uv=False)
+    rank = np.linalg.matrix_rank(embedding)
+    cond = s[0] / s[rank - 1]
+    report = informational_completeness(projs)
+    assert report.rank == rank
+    assert report.condition_number == pytest.approx(cond, rel=1e-12)
+    n = projs[0].dim
+    if rank == n * n:
+        fit = reconstruct_density([FrameSample(p, 1 / n) for p in projs])
+        assert fit.design_rank == rank
+        assert fit.condition_number == pytest.approx(cond, rel=1e-12)
 
 
 class TestValidateFrameFunction:
@@ -109,6 +111,17 @@ class TestInformationalCompleteness:
         assert np.linalg.matrix_rank(real_design, tol=1e-10) == 9
         report = informational_completeness(projs)
         assert report.rank == 9
+        assert_matches_embedding(projs)
+
+    @pytest.mark.parametrize("family, n", [
+        ("random", 3), ("random", 4), ("random", 5), ("random", 6), ("two-contexts", 4)])
+    def test_rank_and_condition_match_the_flattened_embedding(self, family, n):
+        rng = make_generator(400 + n)
+        if family == "random":
+            assert_matches_embedding(ic_family(n, rng))
+        else:
+            assert_matches_embedding([*random_context(n, rng).projectors,
+                                      *random_context(n, rng).projectors])
 
     def test_single_projector_rank_one(self):
         p = random_projector(3, make_generator(8))
@@ -178,6 +191,35 @@ class TestReconstructDensity:
             report = reconstruct_density(samples)
             err = np.linalg.norm(report.rho.matrix - rho.matrix)
             assert err <= 10 * sigma * report.condition_number
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_noisy_fit_solves_the_normal_equations_on_the_slice(self, n):
+        # an interior rho keeps the PSD projection idle, so the report is the
+        # least-squares fit itself: the residuals r_k weight the P_k into a
+        # multiple of the identity, the normal to the trace-1 slice
+        rng = make_generator(700 + n)
+        rho = 0.5 * random_density(n, rng).matrix + 0.5 * np.eye(n) / n
+        projs = ic_family(n, rng)
+        samples = [FrameSample(p, float(np.trace(rho @ p.matrix).real)
+                               + 1e-4 * rng.standard_normal()) for p in projs]
+        fit = reconstruct_density(samples)
+        residuals = [np.trace(fit.rho.matrix @ s.projector.matrix).real - s.value
+                     for s in samples]
+        weighted = sum(r * p.matrix for r, p in zip(residuals, projs))
+        traceless = weighted - np.trace(weighted) / n * np.eye(n)
+        assert fit.residual_rms > 1e-6
+        assert np.linalg.norm(traceless) <= 1e-12
+
+    def test_works_on_unit_vectors_without_projector_matrices(self):
+        rng = make_generator(31)
+        projs = ic_family(4, rng)
+        rho = random_density(4, rng).matrix
+        samples = [FrameSample(p, float(np.vdot(p.vector, rho @ p.vector).real))
+                   for p in projs]
+        informational_completeness(projs)
+        report = reconstruct_density(samples)
+        assert np.linalg.norm(report.rho.matrix - rho) <= 1e-8
+        assert not any("matrix" in p.__dict__ for p in projs)
 
 
 class TestBornCaseCheck:

@@ -10,10 +10,11 @@ from qcontexts.linalg import Tolerance, first_repeated_ray, is_unitary
 def test_tolerance_defaults_and_sanity_bound():
     tol = Tolerance()
     assert tol.abs_eps == 1e-9
-    with pytest.raises(ValueError):
-        Tolerance(abs_eps=1e-2)
-    with pytest.raises(ValueError):
-        Tolerance(-1.0)
+    assert Tolerance(1e-12).abs_eps == 1e-12
+    # above the sanity bound, negative, or so small that rounding noise decides
+    for bad in (1e-2, -1.0, 0.0, 1e-300, float("nan")):
+        with pytest.raises(ValueError):
+            Tolerance(abs_eps=bad)
 
 
 def test_tolerance_is_an_immutable_value():

@@ -60,6 +60,25 @@ class TestRayMap:
         with pytest.raises(ValueError):
             RayMap(dim=3, pairs=pairs, covering_contexts=(c,))
 
+    def test_same_ray_is_decided_at_the_given_tolerance(self):
+        # a source 1e-7 from source 12 is the same ray at 1e-6, another at 1e-9
+        m, _ = random_ray_map(3, make_generator(5))
+        rng = make_generator(6)
+        near = proj(m.source_vectors[12] + 1e-7 * random_state_vector(3, rng))
+        pairs = m.pairs + ((near, proj(random_state_vector(3, rng))),)
+        assert len(RayMap(dim=3, pairs=pairs).pairs) == 14
+        with pytest.raises(ValueError, match="sources 12 and 13 coincide"):
+            RayMap(dim=3, pairs=pairs, tol=Tolerance(1e-6))
+
+    def test_covering_context_is_located_at_the_given_tolerance(self):
+        c = standard_context(3)
+        turned = np.array([[1, 1e-7, 0], [-1e-7, 1, 0], [0, 0, 1]], dtype=complex)
+        pairs = tuple((proj(turned @ v), proj(turned @ v)) for v in standard_basis(3))
+        with pytest.raises(ValueError, match="missing from the sources"):
+            RayMap(dim=3, pairs=pairs, covering_contexts=(c,))
+        m = RayMap(dim=3, pairs=pairs, covering_contexts=(c,), tol=Tolerance(1e-6))
+        assert m.covering_contexts == (c,)
+
     def test_immutable_with_cached_stacks(self):
         m = identity_map(3)
         stack = m.source_matrices

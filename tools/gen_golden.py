@@ -3,6 +3,10 @@
 
 Run from the repository root after any intentional output change:
     python3 tools/gen_golden.py
+
+A golden file is rewritten only when its bytes differ, and each file is
+reported as changed or unchanged, so a deliberate change shows exactly
+which files it touched.
 """
 
 from __future__ import annotations
@@ -63,8 +67,13 @@ def main_tool() -> None:
         code, out = run_cli(argv)
         if code != 0:
             raise SystemExit(f"{name}: unexpected exit code {code}")
-        (GOLDEN / name).write_text(out, encoding="utf-8")
-        print(f"wrote tests/golden/{name} ({len(out)} bytes)")
+        path = GOLDEN / name
+        data = out.encode("utf-8")
+        if path.exists() and path.read_bytes() == data:
+            print(f"unchanged tests/golden/{name}")
+            continue
+        path.write_bytes(data)
+        print(f"changed tests/golden/{name} ({len(data)} bytes)")
 
 
 if __name__ == "__main__":
