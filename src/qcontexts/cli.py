@@ -137,7 +137,7 @@ def cmd_uhlhorn(args, config: RunConfig) -> int:
     payload: dict = {
         "command": "uhlhorn",
         "dim": ray_map.dim,
-        "n_rays": len(ray_map.pairs),
+        "n_rays": len(ray_map.source_vectors),
         "orthogonality_preserving": check.ok,
     }
     if not check.ok:

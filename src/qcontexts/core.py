@@ -23,7 +23,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotOrthonormal
-from .linalg import DEFAULT_TOL, Frozen, Tolerance, as_matrix, as_vector, is_unitary, max_abs
+from .linalg import (DEFAULT_TOL, Frozen, Tolerance, as_matrix, as_vector, is_unitary,
+                     max_abs, row_norms)
 
 __all__ = [
     "Projector",
@@ -31,7 +32,6 @@ __all__ = [
     "Modality",
     "DensityOperator",
     "ContextTransform",
-    "MeasurementRecord",
     "check_seed",
     "make_generator",
     "make_context",
@@ -41,7 +41,6 @@ __all__ = [
     "extravalent",
     "extravalence_classes",
     "apply_transform",
-    "simulate_sequence",
     "repeat_simulation",
 ]
 
@@ -81,8 +80,7 @@ class Projector(Frozen):
     def from_vector(cls, v, tol: Tolerance = DEFAULT_TOL) -> "Projector":
         """Build the projector onto the ray of v (v is normalized here)."""
         vec = as_vector(v)
-        with np.errstate(over="ignore"):  # finite entries may overflow the norm
-            norm = float(np.linalg.norm(vec))
+        norm = float(row_norms(vec))
         if not tol.bound() < norm < np.inf:
             raise ValueError("cannot project onto the zero vector or one whose norm overflows")
         return cls(vec / norm)
@@ -248,15 +246,11 @@ def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Cont
     # entries that overflow the Gram matrix leave an infinite diagonal entry, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         gram = raw.conj().T @ raw
-    for i in range(n):
-        if abs(gram[i, i] - 1.0) > tol.bound():
-            raise NotOrthonormal(i, i, complex(gram[i, i]))
-        for j in range(i + 1, n):
-            if abs(gram[i, j]) > tol.bound():
-                raise NotOrthonormal(i, j, complex(gram[i, j]))
-    # one np.linalg.norm per vector: a norm over axis 0 rounds differently in the last bits
-    basis = np.column_stack([v / np.linalg.norm(v) for v in vs])
-    return Context(basis=_readonly(basis), label=label)
+        bad = np.argwhere(np.triu(np.abs(gram - np.eye(n)) > tol.bound()))
+    if bad.size:  # the first pair in row order, (i, i) before (i, j > i)
+        i, j = map(int, bad[0])
+        raise NotOrthonormal(i, j, complex(gram[i, j]))
+    return Context(basis=_readonly(raw / row_norms(raw.T)), label=label)
 
 
 def born_probability(rho: DensityOperator, p: Projector,
@@ -337,14 +331,6 @@ def apply_transform(c: Context, g: ContextTransform,
     return make_context(vectors, label=f"{c.label}*", tol=tol)
 
 
-class MeasurementRecord(NamedTuple):
-    """One step of a simulated measurement sequence."""
-
-    context_label: str
-    outcome_index: int
-    projector: Projector
-
-
 # Philox4x64-10 constants (Salmon et al., SC'11), as numpy's Philox uses them
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
@@ -408,34 +394,20 @@ def _sample_outcomes(initial: Projector, contexts: Sequence[Context],
     return outcomes
 
 
-def simulate_sequence(initial: Projector, contexts: Sequence[Context],
-                      seed: int) -> list[MeasurementRecord]:
-    """Measure through a sequence of contexts from a pure initial state.
-
-    The state starts as the initial projector; after each measurement it
-    is replaced by the obtained outcome's projector, which realizes
-    repeatability: re-measuring in the same context repeats the outcome
-    with probability 1. Sampling is inverse-CDF on the seeded Philox
-    stream, one make_generator(seed) draw per step, so identical inputs
-    and seed give identical records. This is repeat_simulation's sampling
-    for a single run.
-    """
-    u = make_generator(seed).random(len(contexts))
-    outcomes = _sample_outcomes(initial, contexts, u[None, :])[0].tolist()
-    return [MeasurementRecord(c.label, o, c.projectors[o])
-            for c, o in zip(contexts, outcomes)]
-
-
 def repeat_simulation(initial: Projector, contexts: Sequence[Context],
                       seed: int, repeats: int) -> np.ndarray:
-    """Outcome indices of runs seeded seed, seed+1, ... (mod 2^64).
+    """Outcome indices of runs seeded seed, seed+1, ... (mod 2^64) that
+    measure through a sequence of contexts from a pure initial state.
 
-    Returns an int array of shape (repeats, len(contexts)); row k equals
-    the outcome indices of simulate_sequence(initial, contexts,
-    (seed + k) % 2**64). All runs are sampled in one pass: their Philox
-    draws come from one vectorised evaluation of the counter-based
-    generator, bit-identical to make_generator's stream for each run's
-    key, and each step builds one CDF per state that some run holds.
+    A run's state starts as the initial projector and becomes each
+    obtained outcome's projector, so re-measuring a context repeats its
+    outcome with probability 1. Returns an int array of shape (repeats,
+    len(contexts)); run k samples by inverse CDF, step t drawing
+    make_generator((seed + k) % 2**64).random(len(contexts))[t]. All runs
+    are sampled in one pass: their Philox draws come from one vectorised
+    evaluation of the counter-based generator, bit-identical to
+    make_generator's stream for each run's key, and each step builds one
+    CDF per state that some run holds.
     """
     seed = check_seed(seed)
     if repeats < 1:

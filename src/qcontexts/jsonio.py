@@ -10,6 +10,11 @@ read by one rule:
   JSON int, never a bool;
 - a label is a JSON string.
 
+Each complex field becomes an array in one bulk conversion; the
+element-wise rule runs only to name the first bad entry. Each part of a
+document is read structure first, then its leaves, then its row norms
+(linalg.row_norms), and the first fault of the earliest kind is reported.
+
 All loaders raise MalformedDocument on structural problems so the CLI
 can map them to a uniform exit code.
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import combinations
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,18 +31,15 @@ import numpy as np
 from .core import Context, DensityOperator, Projector, make_context
 from .errors import BasisNotOrthogonal, MalformedDocument
 from .gleason import FrameSample
-from .linalg import DEFAULT_TOL, Tolerance, first_repeated_ray
+from .linalg import DEFAULT_TOL, Tolerance, first_repeated_ray, row_norms
 from .partition import KSInstance
 from .topology import Permutation
 from .uhlhorn import RayMap
 
 __all__ = [
     "complex_to_pair",
-    "pair_to_complex",
     "vector_to_json",
-    "json_to_vector",
     "matrix_to_json",
-    "json_to_matrix",
     "load_json_file",
     "context_to_json",
     "context_from_json",
@@ -57,41 +59,12 @@ def complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def pair_to_complex(entry) -> complex:
-    """A complex entry: a number, or an [re, im] pair of numbers."""
-    if not isinstance(entry, (list, tuple)):
-        return complex(_number(entry, "a complex entry"), 0.0)
-    if len(entry) != 2:
-        raise MalformedDocument(f"expected a number or [re, im] pair, got {entry!r}")
-    return complex(_number(entry[0], "a real part"), _number(entry[1], "an imaginary part"))
-
-
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
     return [complex_to_pair(complex(z)) for z in np.asarray(v)]
 
 
-def json_to_vector(entries, dim: int | None = None) -> np.ndarray:
-    if not isinstance(entries, (list, tuple)):
-        raise MalformedDocument(f"expected a vector (list), got {type(entries).__name__}")
-    if dim is not None and len(entries) != dim:
-        raise MalformedDocument(f"vector has {len(entries)} entries, expected {dim}")
-    return np.array([pair_to_complex(e) for e in entries], dtype=np.complex128)
-
-
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return [[complex_to_pair(complex(z)) for z in row] for row in np.asarray(m)]
-
-
-def json_to_matrix(rows, dim: int | None = None) -> np.ndarray:
-    if not isinstance(rows, (list, tuple)) or not rows:
-        raise MalformedDocument("expected a non-empty matrix (list of rows)")
-    if not all(isinstance(row, (list, tuple)) and len(row) == len(rows[0]) for row in rows):
-        raise MalformedDocument("matrix rows must be lists of one length")
-    mat = np.array([[pair_to_complex(e) for e in row] for row in rows],
-                   dtype=np.complex128)
-    if dim is not None and mat.shape != (dim, dim):
-        raise MalformedDocument(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
-    return mat
 
 
 def load_json_file(path) -> dict:
@@ -126,7 +99,7 @@ def _int(value, what: str) -> int:
 
 def _number(value, what: str) -> float:
     """A number: a JSON int or float, never a bool or string, and finite."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if type(value) in (int, float):
         try:
             x = float(value)
         except OverflowError:  # an int beyond the float range
@@ -134,6 +107,36 @@ def _number(value, what: str) -> float:
         if math.isfinite(x):
             return x
     raise MalformedDocument(f"{what} must be a finite number, got {value!r}")
+
+
+def _complex_array(rows, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex array of the given shape whose vectors of shape[-1]
+    entries rows lists in order. The row lengths are checked before any
+    array is made, so no array is sized by a claimed dim alone."""
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise MalformedDocument(f"expected a vector (list), got {type(row).__name__}")
+        if len(row) != shape[-1]:
+            raise MalformedDocument(f"vector has {len(row)} entries, expected {shape[-1]}")
+    entries = [e for row in rows for e in row]
+    pairs = [e if isinstance(e, (list, tuple)) else (e, 0.0) for e in entries]
+    leaf_types = set(map(type, chain.from_iterable(pairs)))
+    if all(len(p) == 2 for p in pairs) and leaf_types <= {int, float}:
+        try:
+            parts = np.array(pairs, dtype=float)
+            if np.isfinite(parts).all():
+                return parts.view(np.complex128).reshape(shape)
+        except OverflowError:  # an int beyond the float range, named below
+            pass
+    for e in entries:  # the element-wise rule names the first bad entry
+        if not isinstance(e, (list, tuple)):
+            _number(e, "a complex entry")
+        elif len(e) != 2:
+            raise MalformedDocument(f"expected a number or [re, im] pair, got {e!r}")
+        else:
+            _number(e[0], "a real part")
+            _number(e[1], "an imaginary part")
+    raise AssertionError("the bulk and the element-wise rule disagree")
 
 
 def _label(value, what: str) -> str:
@@ -159,8 +162,7 @@ def context_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> Context:
     raw = _require(doc, "vectors")
     if not isinstance(raw, list) or len(raw) != dim:
         raise MalformedDocument(f"context needs exactly {dim} vectors")
-    vectors = [json_to_vector(v, dim) for v in raw]
-    return make_context(vectors, label=label, tol=tol)
+    return make_context(_complex_array(raw, (dim, dim)), label=label, tol=tol)
 
 
 def contexts_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> list[Context]:
@@ -179,7 +181,15 @@ def density_to_json(rho: DensityOperator) -> dict:
 
 def density_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> DensityOperator:
     dim = _require_int(doc, "dim")
-    mat = json_to_matrix(_require(doc, "matrix"), dim)
+    rows = _require(doc, "matrix")
+    if not isinstance(rows, (list, tuple)) or not rows:
+        raise MalformedDocument("expected a non-empty matrix (list of rows)")
+    if not all(isinstance(row, (list, tuple)) and len(row) == len(rows[0]) for row in rows):
+        raise MalformedDocument("matrix rows must be lists of one length")
+    if (len(rows), len(rows[0])) != (dim, dim):
+        raise MalformedDocument(
+            f"matrix has shape {(len(rows), len(rows[0]))}, expected ({dim}, {dim})")
+    mat = _complex_array(rows, (dim, dim))
     try:
         return DensityOperator.from_matrix(mat, tol)
     except ValueError as exc:
@@ -190,8 +200,8 @@ def ray_map_to_json(m: RayMap) -> dict:
     return {
         "dim": m.dim,
         "pairs": [
-            {"source": vector_to_json(s.vector), "target": vector_to_json(t.vector)}
-            for s, t in m.pairs
+            {"source": vector_to_json(s), "target": vector_to_json(t)}
+            for s, t in zip(m.source_vectors, m.target_vectors)
         ],
         "covering_contexts": [
             {"label": c.label, "vectors": [vector_to_json(v) for v in c.basis.T]}
@@ -207,16 +217,12 @@ def ray_map_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> RayMap:
     raw_pairs = _require(doc, "pairs")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise MalformedDocument("'pairs' must be a non-empty list")
-    pairs = []
+    rows = []
     for k, entry in enumerate(raw_pairs):
         if not isinstance(entry, dict):
             raise MalformedDocument(f"pair {k} must be an object")
-        try:
-            src = Projector.from_vector(json_to_vector(_require(entry, "source"), dim), tol)
-            tgt = Projector.from_vector(json_to_vector(_require(entry, "target"), dim), tol)
-        except ValueError as exc:
-            raise MalformedDocument(f"pair {k}: {exc}") from exc
-        pairs.append((src, tgt))
+        rows += (_require(entry, "source"), _require(entry, "target"))
+    vectors = _complex_array(rows, (len(raw_pairs), 2, dim))
 
     table = doc.get("contexts", {})
     covering = doc.get("covering_contexts", [])
@@ -229,19 +235,14 @@ def ray_map_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> RayMap:
             if entry not in table:
                 raise MalformedDocument(
                     f"covering context '{entry}' not found in the 'contexts' table")
-            contexts.append(context_from_json(
-                {"dim": dim, "label": entry, "vectors": table[entry]}, tol))
-        elif isinstance(entry, dict):
-            entry = dict(entry)
-            entry.setdefault("dim", dim)
-            contexts.append(context_from_json(entry, tol))
+            entry = {"label": entry, "vectors": table[entry]}
         elif isinstance(entry, list):
-            contexts.append(context_from_json(
-                {"dim": dim, "label": f"covering-{k}", "vectors": entry}, tol))
-        else:
+            entry = {"label": f"covering-{k}", "vectors": entry}
+        elif not isinstance(entry, dict):
             raise MalformedDocument(f"covering context {k} has unsupported type")
-    try:
-        return RayMap(dim=dim, pairs=tuple(pairs), covering_contexts=tuple(contexts), tol=tol)
+        contexts.append(context_from_json({"dim": dim, **entry}, tol))
+    try:  # RayMap checks the row norms
+        return RayMap(dim, vectors[:, 0], vectors[:, 1], tuple(contexts), tol)
     except ValueError as exc:
         raise MalformedDocument(str(exc)) from exc
 
@@ -258,17 +259,20 @@ def frame_samples_from_json(doc: dict,
     raw = _require(doc, "samples")
     if not isinstance(raw, list) or not raw:
         raise MalformedDocument("'samples' must be a non-empty list")
-    samples = []
+    rows, values = [], []
     for k, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise MalformedDocument(f"sample {k} must be an object")
-        vec = json_to_vector(_require(entry, "vector"), dim)
-        value = _number(_require(entry, "value"), f"the value of sample {k}")
-        try:
-            samples.append(FrameSample(Projector.from_vector(vec, tol), value))
-        except ValueError as exc:
-            raise MalformedDocument(f"sample {k}: {exc}") from exc
-    return samples
+        rows.append(_require(entry, "vector"))
+        values.append(_require(entry, "value"))
+    v = _complex_array(rows, (len(rows), dim))
+    values = [_number(x, f"the value of sample {k}") for k, x in enumerate(values)]
+    norms = row_norms(v)
+    bad = np.flatnonzero(~((tol.bound() < norms) & (norms < math.inf)))
+    if bad.size:
+        raise MalformedDocument(f"sample {bad[0]}: cannot project onto the zero vector "
+                                "or one whose norm overflows")
+    return [FrameSample(Projector(row), value) for row, value in zip(v / norms[:, None], values)]
 
 
 def grouped_samples_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL
@@ -329,15 +333,12 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
         raise MalformedDocument("instance needs at least one vector and one basis")
 
     zero = tol.bound()
-    rows = []  # no array is sized by dim before the entries are counted
-    with np.errstate(over="ignore"):  # finite entries may overflow the norm
-        for m, entries in enumerate(raw_vectors):
-            v = json_to_vector(entries, dim)
-            norm = np.linalg.norm(v)
-            if not zero < norm < math.inf:
-                raise MalformedDocument(f"vector {m} has a zero or overflowing norm")
-            rows.append(v / norm)
-    vectors = np.array(rows)
+    v = _complex_array(raw_vectors, (len(raw_vectors), dim))
+    norms = row_norms(v)
+    bad = np.flatnonzero(~((zero < norms) & (norms < math.inf)))
+    if bad.size:
+        raise MalformedDocument(f"vector {bad[0]} has a zero or overflowing norm")
+    vectors = v / norms[:, None]
 
     bases = []
     for b, basis in enumerate(raw_bases):
@@ -348,11 +349,17 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
             raise MalformedDocument(f"basis {b} has a vector index out of range")
         if len(set(idx)) != dim:
             raise MalformedDocument(f"basis {b} repeats a vector index")
-        for i, j in combinations(idx, 2):
-            overlap = abs(complex(np.vdot(vectors[i], vectors[j])))
-            if overlap > zero:
-                raise BasisNotOrthogonal(b, i, j, overlap)
         bases.append(idx)
+    i, j = np.triu_indices(dim, 1)  # the pairs of a basis in combinations order
+    step = max(1, (1 << 15) // (dim * dim))  # bases per batched Gram: 2^15 entries, 512 KiB
+    for a in range(0, len(bases), step):
+        block = vectors[np.array(bases[a:a + step])]
+        overlaps = np.abs(block.conj() @ block.transpose(0, 2, 1))[:, i, j]
+        hits = np.argwhere(overlaps > zero)  # in (basis, pair) order
+        if hits.size:
+            b, p = hits[0]
+            basis = bases[a + b]
+            raise BasisNotOrthogonal(a + int(b), basis[i[p]], basis[j[p]], float(overlaps[b, p]))
 
     missing = sorted(set(range(len(vectors))) - {i for basis in bases for i in basis})
     if missing:

@@ -17,6 +17,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "max_abs",
+    "row_norms",
     "first_repeated_ray",
     "is_unitary",
     "UnitaryCheck",
@@ -96,6 +97,16 @@ def max_abs(m) -> float:
     """Entrywise max-norm."""
     a = np.asarray(m)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of a complex array, bit for bit
+    np.linalg.norm of each row: every row's real and imaginary parts go
+    through the same vector dot product, and overflowing squares give inf."""
+    re, im = v.real, v.imag
+    with np.errstate(over="ignore"):
+        squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(squares[..., 0, 0])
 
 
 _BLOCK_ENTRIES = 1 << 15  # complex entries per block: 512 KiB, about 1 MiB with its temporaries

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Context, ContextTransform, DensityOperator, Projector, make_context
-from .linalg import DEFAULT_TOL, Tolerance, max_abs
-from .uhlhorn import RayMap, gadget_sources, induced_ray_map
+from .linalg import DEFAULT_TOL, Tolerance
+from .uhlhorn import RayMap, induced_ray_map
 
 __all__ = [
     "random_unitary",
@@ -64,13 +64,6 @@ def random_ray_map(dim: int, rng: np.random.Generator, antiunitary: bool = False
     hidden = ContextTransform.from_matrix(random_unitary(dim, rng),
                                           antiunitary=antiunitary, tol=tol)
     context = random_context(dim, rng, label="fiduciary", tol=tol)
-    extras = []
-    existing = gadget_sources(context)
-    while len(extras) < n_extra:
-        v = random_state_vector(dim, rng)
-        p = np.outer(v, v.conj())
-        # keep sources distinct as projectors
-        if all(max_abs(p - np.outer(u, u.conj()) / np.vdot(u, u)) > 1e-6
-               for u in existing + extras):
-            extras.append(v)
+    # RayMap rejects a repeated source, so the extra rays need no screening here
+    extras = [random_state_vector(dim, rng) for _ in range(n_extra)]
     return induced_ray_map(hidden, context, extras, tol), hidden

@@ -10,7 +10,8 @@ phase-fixing gadget and verify the fit on every listed pair.
 
 For k rays in dimension n the whole certification costs O(k^2 n^3 + k^3)
 time and O(k n^2 + k^2) memory. A RayMap holds its source and target
-unit vectors once, as (k, n) arrays, and derives everything from them:
+unit vectors once, as (k, n) arrays normalized by linalg.row_norms, and
+derives everything from them, its Projector pairs only when asked for:
 bijectivity is the blocked same-ray screen that ks documents use
 (O(k^2 n) for the Gram screen), the pair checks run one row at a time
 on cached (k, n, n) projector stacks, the C(k, 3) Bargmann triples are
@@ -37,7 +38,7 @@ from .errors import (
     HypothesisViolated,
     MissingGadget,
 )
-from .linalg import DEFAULT_TOL, Frozen, Tolerance, first_repeated_ray, max_abs
+from .linalg import DEFAULT_TOL, Frozen, Tolerance, first_repeated_ray, max_abs, row_norms
 
 __all__ = [
     "RayMap",
@@ -63,13 +64,6 @@ FIT_RESIDUAL_LIMIT = 1e-8
 _GADGET_PATTERN_TOL = 1e-6
 
 
-def _rows(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Read-only (k, n) array with one unit vector per row."""
-    v = np.array(vectors, dtype=np.complex128).reshape(-1, dim)
-    v.flags.writeable = False
-    return v
-
-
 def _projector_stack(v: np.ndarray) -> np.ndarray:
     """(k, n, n) stack of |v><v| over the rows, entry for entry the same as np.outer."""
     return v[:, :, None] * v.conj()[:, None, :]
@@ -78,29 +72,35 @@ def _projector_stack(v: np.ndarray) -> np.ndarray:
 class RayMap(Frozen):
     """Finite bijective ray correspondence with covering contexts.
 
-    pairs lists (source, target) projectors; covering_contexts are
-    contexts whose projectors all occur among the sources, candidates
-    for the fiduciary basis of the constructive fit. The source and
-    target unit vectors are held once, as the rows of the read-only
-    arrays source_vectors and target_vectors. Bijectivity and covering
-    are decided at tol, by linalg.first_repeated_ray and _find_source.
+    Row i of the (k, dim) arrays sources and targets lies on pair i's
+    source and target ray. The map stores only those rows divided by
+    their norms, as the read-only arrays source_vectors and
+    target_vectors. covering_contexts are contexts whose projectors all
+    occur among the sources, candidates for the fiduciary basis of the
+    constructive fit. Bijectivity and covering are decided at tol, by
+    linalg.first_repeated_ray and _find_source.
     """
 
-    def __init__(self, dim: int, pairs: tuple[tuple[Projector, Projector], ...],
+    def __init__(self, dim: int, sources, targets,
                  covering_contexts: tuple[Context, ...] = (),
                  tol: Tolerance = DEFAULT_TOL):
-        self.__dict__.update(dim=dim, pairs=pairs, covering_contexts=covering_contexts)
-        if self.dim < 3:
+        rows = np.asarray([sources, targets], dtype=np.complex128)
+        if rows.ndim != 3 or rows.shape[2] != dim:
+            raise DimensionMismatch("ray pair dimension differs from map dimension")
+        norms = row_norms(rows)
+        bad = np.flatnonzero(~((tol.bound() < norms) & (norms < np.inf)).all(axis=0))
+        if bad.size:  # the lowest pair with a zero, overflowing or NaN norm on either side
+            raise ValueError(f"pair {bad[0]}: cannot project onto the zero vector "
+                             "or one whose norm overflows")
+        if dim < 3:
             raise DimensionTooSmall(
-                f"ray maps are certified only for dimension >= 3, got {self.dim}")
-        for s, t in self.pairs:
-            if s.dim != self.dim or t.dim != self.dim:
-                raise DimensionMismatch("ray pair dimension differs from map dimension")
-        self.__dict__.update(source_vectors=_rows([s.vector for s, _ in pairs], dim),
-                             target_vectors=_rows([t.vector for _, t in pairs], dim))
+                f"ray maps are certified only for dimension >= 3, got {dim}")
+        unit = rows / norms[:, :, None]
+        unit.flags.writeable = False
+        self.__dict__.update(dim=dim, covering_contexts=covering_contexts,
+                             source_vectors=unit[0], target_vectors=unit[1])
         # the first repeated pair in lexicographic order; sources first on a tie
-        repeated = [(hit, which) for which, v in (("sources", self.source_vectors),
-                                                  ("targets", self.target_vectors))
+        repeated = [(hit, which) for which, v in zip(("sources", "targets"), unit)
                     if (hit := first_repeated_ray(v, tol.abs_eps)) is not None]
         if repeated:
             (i, j), which = min(repeated)
@@ -108,9 +108,15 @@ class RayMap(Frozen):
         for c in self.covering_contexts:
             if c.dim != self.dim:
                 raise DimensionMismatch(f"covering context '{c.label}' has dimension {c.dim}")
-            if any(self._find_source(p, tol) is None for p in c.projectors):
+            if any(self._find_source(v, tol) is None for v in c.basis.T):
                 raise ValueError(f"covering context '{c.label}' has a projector "
                                  "missing from the sources")
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[Projector, Projector], ...]:
+        """(source, target) projector of every pair, built on first use."""
+        return tuple((Projector(s), Projector(t))
+                     for s, t in zip(self.source_vectors, self.target_vectors))
 
     @cached_property
     def source_matrices(self) -> np.ndarray:
@@ -122,9 +128,9 @@ class RayMap(Frozen):
         """(k, n, n) stack of the target projector matrices."""
         return _projector_stack(self.target_vectors)
 
-    def _find_source(self, p: Projector,
+    def _find_source(self, v: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL) -> int | None:
-        dist = np.abs(self.source_matrices - p.matrix).max(axis=(1, 2))
+        dist = np.abs(self.source_matrices - np.outer(v, v.conj())).max(axis=(1, 2))
         hits = np.flatnonzero(dist <= tol.abs_eps)
         return int(hits[0]) if hits.size else None
 
@@ -185,7 +191,7 @@ def check_orthogonality_preserving(m: RayMap,
     """
     src, tgt = m.source_matrices, m.target_matrices
     eps = tol.abs_eps
-    for i in range(len(m.pairs) - 1):
+    for i in range(len(src) - 1):
         s = np.abs(np.matmul(src[i], src[i + 1:])).max(axis=(1, 2))
         t = np.abs(np.matmul(tgt[i], tgt[i + 1:])).max(axis=(1, 2))
         bad = np.flatnonzero((s <= eps) != (t <= eps))
@@ -223,7 +229,7 @@ def classify_transform(m: RayMap,
     """
     if not check_orthogonality_preserving(m, tol):
         raise HypothesisViolated("map does not preserve orthogonality both ways")
-    k = len(m.pairs)
+    k = len(m.source_vectors)
     eps = tol.abs_eps
     gs = m.source_vectors.conj() @ m.source_vectors.T  # Gram matrices <v_i|v_j>
     gt = m.target_vectors.conj() @ m.target_vectors.T
@@ -267,7 +273,7 @@ def classify_transform(m: RayMap,
 def gadget_sources(context: Context) -> list[np.ndarray]:
     """Phase-fixing rays for a fiduciary context: the basis rays plus
     (e1 + ek)/sqrt(2) and (e1 + i ek)/sqrt(2) for k = 2..N."""
-    e = [p.vector for p in context.projectors]
+    e = list(context.basis.T)
     rays = list(e)
     for k in range(1, context.dim):
         rays.append((e[0] + e[k]) / np.sqrt(2.0))
@@ -280,12 +286,8 @@ def induced_ray_map(transform: ContextTransform, context: Context,
                     tol: Tolerance = DEFAULT_TOL) -> RayMap:
     """Ray map obtained by pushing a gadget set (plus extras) through an operator."""
     rays = gadget_sources(context) + [np.asarray(r) for r in extra_rays]
-    pairs = tuple(
-        (Projector.from_vector(r, tol),
-         Projector.from_vector(transform.act_vector(r), tol))
-        for r in rays
-    )
-    return RayMap(dim=context.dim, pairs=pairs, covering_contexts=(context,), tol=tol)
+    return RayMap(context.dim, rays, [transform.act_vector(r) for r in rays],
+                  covering_contexts=(context,), tol=tol)
 
 
 def _locate_gadget(m: RayMap, context: Context, source_reps: np.ndarray,
@@ -298,7 +300,7 @@ def _locate_gadget(m: RayMap, context: Context, source_reps: np.ndarray,
     two rays of a pair are oriented so their relative-phase ratio is
     +i, making the fit deterministic.
     """
-    basis_idx = [m._find_source(p, tol) for p in context.projectors]
+    basis_idx = [m._find_source(v, tol) for v in context.basis.T]
     if None in basis_idx:
         raise MissingGadget("fiduciary projector missing from sources")
     # overlaps[idx, j] = <e_j|s_idx> for every source row at once

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from qcontexts.core import make_context
+from qcontexts.core import DensityOperator, context_distribution, make_context, make_generator
+from qcontexts.linalg import DEFAULT_TOL
+from qcontexts.uhlhorn import RayMap
 
 
 def standard_basis(n: int) -> list[np.ndarray]:
@@ -35,6 +37,26 @@ def standard_context(n: int, label: str = "standard"):
 
 def fourier_context(n: int, label: str = "fourier"):
     return make_context(fourier_basis(n), label)
+
+
+def ray_map(dim: int, pairs, covering_contexts=(), tol=DEFAULT_TOL) -> RayMap:
+    """RayMap over (source, target) projector pairs: their vectors are the rows."""
+    sources = np.array([s.vector for s, _ in pairs])
+    targets = np.array([t.vector for _, t in pairs])
+    return RayMap(dim, sources, targets, covering_contexts, tol)
+
+
+def simulate_reference(initial, contexts, seed: int) -> list[int]:
+    """Outcome indices of one seeded run, step by step: step t draws
+    make_generator(seed).random(steps)[t] and inverts the cumulative
+    context_distribution of the current state at that one uniform."""
+    uniforms = make_generator(seed).random(len(contexts))
+    state, outcomes = initial, []
+    for c, u in zip(contexts, uniforms):
+        cdf = np.cumsum(context_distribution(DensityOperator.from_projector(state), c))
+        outcomes.append(min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), c.dim - 1))
+        state = c.projectors[outcomes[-1]]
+    return outcomes
 
 
 def series_expm(m: np.ndarray, terms: int = 60) -> np.ndarray:

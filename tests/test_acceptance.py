@@ -16,7 +16,7 @@ from qcontexts.core import (
     context_distribution,
     make_context,
     make_generator,
-    simulate_sequence,
+    repeat_simulation,
 )
 from qcontexts.gleason import FrameSample, reconstruct_density
 from qcontexts.jsonio import dataset_path, ks_instance_from_json as load_ks_instance
@@ -172,11 +172,11 @@ def test_criterion_6_repeatability_and_extracontextuality():
             c = pool[int(rng.integers(0, 3))]
             seq.extend([c, c])  # forced immediate repetition
         initial = random_context(n, rng).projectors[0]
-        records = simulate_sequence(initial, seq, seed)
-        for k in range(1, len(records)):
-            if records[k].context_label == records[k - 1].context_label:
+        outcomes = repeat_simulation(initial, seq, seed, 1)[0]
+        for k in range(1, len(outcomes)):
+            if seq[k].label == seq[k - 1].label:
                 repeat_trials += 1
-                if records[k].outcome_index == records[k - 1].outcome_index:
+                if outcomes[k] == outcomes[k - 1]:
                     repeat_hits += 1
     repeat_exact = repeat_trials > 0 and repeat_hits == repeat_trials
 
@@ -189,10 +189,10 @@ def test_criterion_6_repeatability_and_extracontextuality():
     transfer_hits = 0
     for seed in range(100):
         initial = random_context(3, rng).projectors[0]
-        records = simulate_sequence(initial, [c1, c2], seed)
-        if records[0].outcome_index == 0:  # landed on the shared ray in C1
+        outcomes = repeat_simulation(initial, [c1, c2], seed, 1)[0]
+        if outcomes[0] == 0:  # landed on the shared ray in C1
             transfer_trials += 1
-            if records[1].outcome_index == 0:  # certainty carried into C2
+            if outcomes[1] == 0:  # certainty carried into C2
                 transfer_hits += 1
     transfer_exact = transfer_trials > 0 and transfer_hits == transfer_trials
 
@@ -206,9 +206,7 @@ def test_criterion_6_repeatability_and_extracontextuality():
 def test_criterion_7_born_frequencies():
     fc = fourier_context(3)
     e1 = Projector.from_vector([1, 0, 0])
-    counts = np.zeros(3, dtype=int)
-    for seed in range(30000):
-        counts[simulate_sequence(e1, [fc], seed)[0].outcome_index] += 1
+    counts = np.bincount(repeat_simulation(e1, [fc], 0, 30000)[:, 0], minlength=3)
     freqs = counts / 30000
     worst = float(np.max(np.abs(freqs - 1 / 3)))
     report(7, "Born frequencies", worst < 0.01,

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import qcontexts
+from helpers import simulate_reference
 from qcontexts import cli
 from qcontexts.cli import main
-from qcontexts.core import make_generator, simulate_sequence
+from qcontexts.core import make_generator
 from qcontexts.gleason import born_case_check
 from qcontexts.jsonio import (
     contexts_from_json,
@@ -343,15 +344,15 @@ class TestSimulate:
         initial = born_case_check(density_from_json(load_json_file(initial_path)))
         contexts = contexts_from_json(load_json_file(contexts_path))
         # runs 2-4 continue at keys 0, 1 and 2
-        runs = [simulate_sequence(initial, contexts, key)
+        runs = [simulate_reference(initial, contexts, key)
                 for key in (2**64 - 2, 2**64 - 1, 0, 1, 2)]
         assert payload["sequence"] == [
-            {"context_label": r.context_label, "outcome_index": r.outcome_index}
-            for r in runs[0]]
+            {"context_label": c.label, "outcome_index": o}
+            for c, o in zip(contexts, runs[0])]
         for step, c in enumerate(contexts):
             counts = [0] * c.dim
-            for records in runs:
-                counts[records[step].outcome_index] += 1
+            for outcomes in runs:
+                counts[outcomes[step]] += 1
             assert payload["frequencies"][step]["counts"] == counts
 
 

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fourier_basis, fourier_context, standard_basis, standard_context
+from helpers import (
+    fourier_basis,
+    fourier_context,
+    simulate_reference,
+    standard_basis,
+    standard_context,
+)
 from qcontexts.core import (
     ContextTransform,
     DensityOperator,
@@ -17,7 +23,6 @@ from qcontexts.core import (
     make_context,
     make_generator,
     repeat_simulation,
-    simulate_sequence,
 )
 from qcontexts.core import _philox_uniforms
 from qcontexts.errors import DimensionMismatch, NotOrthonormal
@@ -296,37 +301,34 @@ class TestApplyTransform:
 class TestSimulateSequence:
     def test_certain_branch_repeats(self):
         c = standard_context(3)
-        records = simulate_sequence(c.projectors[1], [c, c, c], seed=0)
-        assert [r.outcome_index for r in records] == [1, 1, 1]
+        runs = repeat_simulation(c.projectors[1], [c, c, c], seed=0, repeats=1)
+        assert runs[0].tolist() == [1, 1, 1]
 
     def test_repeatability_after_context_change(self):
         # second outcome always equals the first, for every seed
         c1 = standard_context(3, "C1")
         c2 = fourier_context(3, "C2")
-        for seed in range(100):
-            records = simulate_sequence(c1.projectors[0], [c2, c2], seed)
-            assert records[0].outcome_index == records[1].outcome_index
+        for outcomes in repeat_simulation(c1.projectors[0], [c2, c2], seed=0, repeats=100):
+            assert outcomes[0] == outcomes[1]
 
     def test_deterministic_under_seed(self):
         c = fourier_context(3)
         p = standard_context(3).projectors[0]
-        a = simulate_sequence(p, [c, c, c], seed=123)
-        b = simulate_sequence(p, [c, c, c], seed=123)
-        assert [r.outcome_index for r in a] == [r.outcome_index for r in b]
+        a = repeat_simulation(p, [c, c, c], seed=123, repeats=1)
+        b = repeat_simulation(p, [c, c, c], seed=123, repeats=1)
+        assert a[0].tolist() == b[0].tolist()
 
     def test_different_seeds_vary(self):
         c = fourier_context(3)
         p = standard_context(3).projectors[0]
-        first = {simulate_sequence(p, [c], seed)[0].outcome_index
-                 for seed in range(50)}
+        first = set(repeat_simulation(p, [c], seed=0, repeats=50)[:, 0].tolist())
         assert len(first) == 3  # all outcomes occur across seeds
 
     def test_repeat_simulation_uses_consecutive_seeds(self):
         c = fourier_context(3)
         p = standard_context(3).projectors[0]
         runs = repeat_simulation(p, [c], seed=10, repeats=5)
-        singles = [simulate_sequence(p, [c], seed=10 + k)[0].outcome_index
-                   for k in range(5)]
+        singles = [simulate_reference(p, [c], seed=10 + k)[0] for k in range(5)]
         assert runs[:, 0].tolist() == singles
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -337,21 +339,8 @@ class TestSimulateSequence:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            simulate_sequence(standard_context(3).projectors[0],
-                              [standard_context(4)], seed=0)
-
-
-def _per_run_outcomes(initial, contexts, seed):
-    """Per-run reference: one generator, one Born evaluation and one
-    searchsorted per step."""
-    rng = make_generator(seed)
-    state, outcomes = DensityOperator.from_projector(initial), []
-    for c in contexts:
-        cdf = np.cumsum(context_distribution(state, c))
-        u = rng.random() * cdf[-1]
-        outcomes.append(min(int(np.searchsorted(cdf, u, side="right")), c.dim - 1))
-        state = DensityOperator.from_projector(c.projectors[outcomes[-1]])
-    return outcomes
+            repeat_simulation(standard_context(3).projectors[0],
+                              [standard_context(4)], seed=0, repeats=1)
 
 
 class TestBatchSimulation:
@@ -379,8 +368,7 @@ class TestBatchSimulation:
         assert runs.shape == (repeats, len(contexts))
         for k in range(repeats):
             key = (seed + k) % 2**64
-            single = [r.outcome_index for r in simulate_sequence(initial, contexts, key)]
-            assert runs[k].tolist() == single == _per_run_outcomes(initial, contexts, key)
+            assert runs[k].tolist() == simulate_reference(initial, contexts, key)
 
 
 class TestMakeGenerator:

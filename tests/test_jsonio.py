@@ -5,6 +5,7 @@ from helpers import fourier_context, standard_context
 from qcontexts.core import make_generator
 from qcontexts.errors import MalformedDocument, NotOrthonormal
 from qcontexts.jsonio import (
+    _complex_array,
     context_from_json,
     context_to_json,
     contexts_from_json,
@@ -12,10 +13,7 @@ from qcontexts.jsonio import (
     density_to_json,
     frame_samples_from_json,
     grouped_samples_from_json,
-    json_to_matrix,
-    json_to_vector,
     matrix_to_json,
-    pair_to_complex,
     permutation_from_json,
     ray_map_from_json,
     ray_map_to_json,
@@ -28,23 +26,23 @@ from qcontexts.uhlhorn import fit_transform
 
 class TestScalars:
     def test_pair_round_trip(self):
-        assert pair_to_complex([1.5, -2.0]) == complex(1.5, -2.0)
+        assert _complex_array([[[1.5, -2.0]]], (1, 1))[0, 0] == complex(1.5, -2.0)
 
     def test_bare_number_shorthand(self):
-        assert pair_to_complex(3) == complex(3.0, 0.0)
-        assert pair_to_complex(-0.25) == complex(-0.25, 0.0)
+        assert _complex_array([[3, -0.25]], (1, 2)).tolist() == [
+            [complex(3.0, 0.0), complex(-0.25, 0.0)]]
 
     def test_garbage_rejected(self):
         with pytest.raises(MalformedDocument):
-            pair_to_complex("nope")
+            _complex_array([["nope"]], (1, 1))
         with pytest.raises(MalformedDocument):
-            pair_to_complex([1, 2, 3])
+            _complex_array([[[1, 2, 3]]], (1, 1))
 
     def test_vector_and_matrix_round_trip(self):
         v = np.array([1 + 2j, -0.5j, 3.0])
-        assert np.array_equal(json_to_vector(vector_to_json(v)), v)
+        assert np.array_equal(_complex_array([vector_to_json(v)], (3,)), v)
         m = np.array([[1 + 1j, 0], [2, -1j]])
-        assert np.array_equal(json_to_matrix(matrix_to_json(m)), m)
+        assert np.array_equal(_complex_array(matrix_to_json(m), (2, 2)), m)
 
 
 class TestContextIO:

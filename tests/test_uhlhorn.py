@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import standard_basis, standard_context
+from helpers import ray_map, standard_basis, standard_context
 from qcontexts.core import ContextTransform, Projector, make_context, make_generator
 from qcontexts.errors import (
     DimensionMismatch,
@@ -47,18 +47,18 @@ class TestRayMap:
     def test_dimension_two_rejected(self):
         pairs = ((proj([1, 0]), proj([1, 0])), (proj([0, 1]), proj([0, 1])))
         with pytest.raises(DimensionTooSmall):
-            RayMap(dim=2, pairs=pairs)
+            ray_map(2, pairs)
 
     def test_duplicate_sources_rejected(self):
         p, q = proj([1, 0, 0]), proj([0, 1, 0])
         with pytest.raises(ValueError):
-            RayMap(dim=3, pairs=((p, p), (p, q)))
+            ray_map(3, ((p, p), (p, q)))
 
     def test_covering_context_must_be_inside_sources(self):
         c = standard_context(3)
         pairs = tuple((p, p) for p in c.projectors[:2])
         with pytest.raises(ValueError):
-            RayMap(dim=3, pairs=pairs, covering_contexts=(c,))
+            ray_map(3, pairs, covering_contexts=(c,))
 
     def test_same_ray_is_decided_at_the_given_tolerance(self):
         # a source 1e-7 from source 12 is the same ray at 1e-6, another at 1e-9
@@ -66,17 +66,17 @@ class TestRayMap:
         rng = make_generator(6)
         near = proj(m.source_vectors[12] + 1e-7 * random_state_vector(3, rng))
         pairs = m.pairs + ((near, proj(random_state_vector(3, rng))),)
-        assert len(RayMap(dim=3, pairs=pairs).pairs) == 14
+        assert len(ray_map(3, pairs).pairs) == 14
         with pytest.raises(ValueError, match="sources 12 and 13 coincide"):
-            RayMap(dim=3, pairs=pairs, tol=Tolerance(1e-6))
+            ray_map(3, pairs, tol=Tolerance(1e-6))
 
     def test_covering_context_is_located_at_the_given_tolerance(self):
         c = standard_context(3)
         turned = np.array([[1, 1e-7, 0], [-1e-7, 1, 0], [0, 0, 1]], dtype=complex)
         pairs = tuple((proj(turned @ v), proj(turned @ v)) for v in standard_basis(3))
         with pytest.raises(ValueError, match="missing from the sources"):
-            RayMap(dim=3, pairs=pairs, covering_contexts=(c,))
-        m = RayMap(dim=3, pairs=pairs, covering_contexts=(c,), tol=Tolerance(1e-6))
+            ray_map(3, pairs, covering_contexts=(c,))
+        m = ray_map(3, pairs, covering_contexts=(c,), tol=Tolerance(1e-6))
         assert m.covering_contexts == (c,)
 
     def test_immutable_with_cached_stacks(self):
@@ -105,9 +105,21 @@ class TestRayMap:
             for mat, pair in zip(stack, m.pairs):
                 assert np.array_equal(mat, pair[side].matrix)
 
+    def test_degenerate_rows_name_the_lowest_pair(self):
+        # a zero target in pair 2 and an overflowing source in pair 4
+        m, _ = random_ray_map(3, make_generator(7))
+        sources, targets = m.source_vectors.copy(), m.target_vectors.copy()
+        targets[2] = 0
+        sources[4] = [1e308, 1e308, 0]
+        with pytest.raises(ValueError, match="^pair 2: cannot project onto the zero vector"):
+            RayMap(3, sources, targets)
+        targets[2] = 2 * m.target_vectors[2]
+        with pytest.raises(ValueError, match="^pair 4: .* norm overflows$"):
+            RayMap(3, sources, targets)
+
     def test_mismatched_pair_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
-            RayMap(dim=3, pairs=((proj([1, 0, 0, 0]), proj([1, 0, 0, 0])),))
+            ray_map(3, ((proj([1, 0, 0, 0]), proj([1, 0, 0, 0])),))
 
 
 class TestOrthogonalityPreservation:
@@ -116,7 +128,7 @@ class TestOrthogonalityPreservation:
         u = ContextTransform.from_matrix(random_unitary(4, rng))
         rays = [random_state_vector(4, rng) for _ in range(30)]
         pairs = tuple((proj(r), proj(u.act_vector(r))) for r in rays)
-        m = RayMap(dim=4, pairs=pairs)
+        m = ray_map(4, pairs)
         assert check_orthogonality_preserving(m).ok
 
     def test_conjugation_induced_map_preserves(self):
@@ -124,7 +136,7 @@ class TestOrthogonalityPreservation:
         conj = ContextTransform.from_matrix(np.eye(3), antiunitary=True)
         rays = [random_state_vector(3, rng) for _ in range(20)]
         pairs = tuple((proj(r), proj(conj.act_vector(r))) for r in rays)
-        m = RayMap(dim=3, pairs=pairs)
+        m = ray_map(3, pairs)
         assert check_orthogonality_preserving(m).ok
 
     def test_constructed_violation_is_caught(self):
@@ -135,7 +147,7 @@ class TestOrthogonalityPreservation:
             (proj(e[1]), proj((e[0] + e[1]) / np.sqrt(2))),
             (proj(e[2]), proj(e[2])),
         )
-        m = RayMap(dim=3, pairs=pairs)
+        m = ray_map(3, pairs)
         check = check_orthogonality_preserving(m)
         assert not check.ok and not check
         assert check.violating_pair == (0, 1)
@@ -149,7 +161,7 @@ class TestOrthogonalityPreservation:
                 u = ContextTransform.from_matrix(random_unitary(n, rng))
                 rays = [random_state_vector(n, rng) for _ in range(6)]
                 pairs = tuple((proj(r), proj(u.act_vector(r))) for r in rays)
-                assert check_orthogonality_preserving(RayMap(dim=n, pairs=pairs)).ok
+                assert check_orthogonality_preserving(ray_map(n, pairs)).ok
 
 
 class TestBargmannInvariant:
@@ -216,7 +228,7 @@ class TestClassifyTransform:
         rays = [e[0], e[1], e[2], (e[0] + e[1]) / np.sqrt(2),
                 (e[1] + e[2]) / np.sqrt(2), (e[0] - e[2]) / np.sqrt(2)]
         pairs = tuple((proj(r), proj(r)) for r in rays)
-        c = classify_transform(RayMap(dim=3, pairs=pairs))
+        c = classify_transform(ray_map(3, pairs))
         assert c.verdict is Verdict.INCONCLUSIVE
         assert c.witness_triple is None
 
@@ -228,7 +240,7 @@ class TestClassifyTransform:
             (proj(e[2]), proj(e[2])),
         )
         with pytest.raises(HypothesisViolated):
-            classify_transform(RayMap(dim=3, pairs=pairs))
+            classify_transform(ray_map(3, pairs))
 
     def test_branches_never_confused(self):
         rng = make_generator(62)
@@ -274,7 +286,7 @@ class TestFitTransform:
         c = standard_context(3)
         ident = ContextTransform.from_matrix(np.eye(3))
         pairs = tuple((p, p) for p in c.projectors)
-        m = RayMap(dim=3, pairs=pairs, covering_contexts=(c,))
+        m = ray_map(3, pairs, covering_contexts=(c,))
         with pytest.raises(MissingGadget):
             fit_transform(m)
 
@@ -283,7 +295,7 @@ class TestFitTransform:
         u = ContextTransform.from_matrix(random_unitary(3, rng))
         rays = gadget_sources(standard_context(3))
         pairs = tuple((proj(r), proj(u.act_vector(r))) for r in rays)
-        m = RayMap(dim=3, pairs=pairs)  # gadget rays present but undeclared
+        m = ray_map(3, pairs)  # gadget rays present but undeclared
         with pytest.raises(MissingGadget):
             fit_transform(m)
 
@@ -296,7 +308,7 @@ class TestFitTransform:
         # exchanging the last two targets breaks operator consistency
         pairs[n - 1] = (pairs[n - 1][0], m.pairs[n - 2][1])
         pairs[n - 2] = (pairs[n - 2][0], m.pairs[n - 1][1])
-        tampered = RayMap(dim=3, pairs=tuple(pairs),
+        tampered = ray_map(3, tuple(pairs),
                           covering_contexts=m.covering_contexts)
         with pytest.raises((HypothesisViolated, MissingGadget)):
             fit_transform(tampered)
@@ -313,7 +325,7 @@ class TestFitTransform:
         nudge = np.array([1e-5, 0, 0])
         tampered_target = proj(last_target.vector + nudge)
         pairs[-1] = (pairs[-1][0], tampered_target)
-        tampered = RayMap(dim=3, pairs=tuple(pairs),
+        tampered = ray_map(3, tuple(pairs),
                           covering_contexts=m.covering_contexts)
         loose = Tolerance(abs_eps=1e-4)
         assert classify_transform(tampered, loose).verdict is Verdict.UNITARY
@@ -333,11 +345,11 @@ class TestFitTransform:
             for k, (s, t) in enumerate(m.pairs)
         )
         contexts = tuple(
-            make_context([phases[2 * m_._find_source(p)] * p.vector
+            make_context([phases[2 * m_._find_source(p.vector)] * p.vector
                           for p in c.projectors], c.label)
             for m_, c in ((m, c) for c in m.covering_contexts)
         )
-        rephased = RayMap(dim=3, pairs=pairs, covering_contexts=contexts)
+        rephased = ray_map(3, pairs, covering_contexts=contexts)
         fit_b = fit_transform(rephased)
         assert phase_aligned_distance(fit_a.transform.matrix,
                                       fit_b.transform.matrix) <= 1e-8
@@ -412,13 +424,13 @@ def ref_classify(m: RayMap, tol=DEFAULT_TOL) -> TransformClassification:
 def _swap_last_targets(m: RayMap) -> RayMap:
     pairs = list(m.pairs)
     pairs[-1], pairs[-2] = (pairs[-1][0], m.pairs[-2][1]), (pairs[-2][0], m.pairs[-1][1])
-    return RayMap(dim=m.dim, pairs=tuple(pairs), covering_contexts=m.covering_contexts)
+    return ray_map(m.dim, tuple(pairs), covering_contexts=m.covering_contexts)
 
 
 def _nudge_last_target(m: RayMap) -> RayMap:
     pairs = list(m.pairs)
     pairs[-1] = (pairs[-1][0], proj(pairs[-1][1].vector + np.array([1e-5, 0, 0])))
-    return RayMap(dim=m.dim, pairs=tuple(pairs), covering_contexts=m.covering_contexts)
+    return ray_map(m.dim, tuple(pairs), covering_contexts=m.covering_contexts)
 
 
 def _block_map(*antiunitary: bool) -> RayMap:
@@ -437,12 +449,12 @@ def _block_map(*antiunitary: bool) -> RayMap:
             v[2 * block:2 * block + 2] = w
             t[2 * block:2 * block + 2] = u @ (w.conj() if anti else w)
             pairs.append((proj(v), proj(t)))
-    return RayMap(dim=dim, pairs=tuple(pairs))
+    return ray_map(dim, tuple(pairs))
 
 
 def _shuffled(m: RayMap, seed: int) -> RayMap:
     order = make_generator(seed).permutation(len(m.pairs))
-    return RayMap(dim=m.dim, pairs=tuple(m.pairs[i] for i in order),
+    return ray_map(m.dim, tuple(m.pairs[i] for i in order),
                   covering_contexts=m.covering_contexts)
 
 
@@ -450,19 +462,19 @@ def _small_map(k: int) -> RayMap:
     rng = make_generator(81 + k)
     u = random_unitary(3, rng)
     rays = [random_state_vector(3, rng) for _ in range(k)]
-    return RayMap(dim=3, pairs=tuple((proj(r), proj(u @ r)) for r in rays))
+    return ray_map(3, tuple((proj(r), proj(u @ r)) for r in rays))
 
 
 def _real_map() -> RayMap:
     e = standard_basis(3)
     rays = [e[0], e[1], e[2], (e[0] + e[1]) / np.sqrt(2),
             (e[1] + e[2]) / np.sqrt(2), (e[0] - e[2]) / np.sqrt(2)]
-    return RayMap(dim=3, pairs=tuple((proj(r), proj(r)) for r in rays))
+    return ray_map(3, tuple((proj(r), proj(r)) for r in rays))
 
 
 def _violating_map() -> RayMap:
     e = standard_basis(3)
-    return RayMap(dim=3, pairs=(
+    return ray_map(3, (
         (proj(e[0]), proj(e[0])),
         (proj(e[1]), proj((e[0] + e[1]) / np.sqrt(2))),
         (proj(e[2]), proj(e[2])),
@@ -555,7 +567,7 @@ class TestKernelsMatchReference:
             for label, ps in variants.items():
                 expected = ref_bijectivity_error(ps)
                 try:
-                    RayMap(dim=3, pairs=tuple(ps))
+                    ray_map(3, tuple(ps))
                     got = None
                 except ValueError as exc:
                     got = str(exc)

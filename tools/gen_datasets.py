@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from qcontexts.core import ContextTransform, Projector, make_context, make_generator
+from qcontexts.core import (ContextTransform, DensityOperator, Projector, make_context,
+                            make_generator)
 from qcontexts.gleason import FrameSample
 from qcontexts.jsonio import (
     context_to_json,
@@ -21,7 +22,6 @@ from qcontexts.jsonio import (
     ray_map_to_json,
     vector_to_json,
 )
-from qcontexts.core import DensityOperator
 from qcontexts.sampling import random_state_vector, random_unitary
 from qcontexts.uhlhorn import induced_ray_map
 
