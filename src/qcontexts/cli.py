@@ -65,6 +65,9 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
+# runs sampled per repeat_simulation call, so memory stays flat in --repeats
+_SIMULATE_CHUNK = 2**16
+
 
 class RunConfig(NamedTuple):
     """Reproducibility knobs shared by every subcommand."""
@@ -161,7 +164,7 @@ def cmd_uhlhorn(args, config: RunConfig) -> int:
         _emit(payload, config)
         return EXIT_NEGATIVE
 
-    fit = fit_transform(ray_map, config.tol, classification=classification)
+    fit = fit_transform(ray_map, classification, config.tol)
     payload.update({
         "antiunitary": fit.transform.antiunitary,
         "matrix": matrix_to_json(fit.transform.matrix),
@@ -228,17 +231,22 @@ def cmd_simulate(args, config: RunConfig) -> int:
         raise QContextsError(
             "initial state must be a rank-1 projector (pure state)")
     contexts = contexts_from_json(load_json_file(args.contexts), config.tol)
-    runs = repeat_simulation(initial, contexts, config.seed, args.repeats)
-    counts = [np.bincount(runs[:, step], minlength=c.dim)
-              for step, c in enumerate(contexts)]
+    counts = [np.zeros(c.dim, dtype=np.int64) for c in contexts]
+    # run k keeps its key seed + k in any chunk; a count below 1 still
+    # reaches repeat_simulation, which rejects it
+    for start in range(0, max(args.repeats, 1), _SIMULATE_CHUNK):
+        runs = repeat_simulation(initial, contexts, (config.seed + start) % 2**64,
+                                 min(_SIMULATE_CHUNK, args.repeats - start))
+        if start == 0:
+            sequence = [{"context_label": c.label, "outcome_index": int(o)}
+                        for c, o in zip(contexts, runs[0])]
+        for step, c in enumerate(contexts):
+            counts[step] += np.bincount(runs[:, step], minlength=c.dim)
     payload = {
         "command": "simulate",
         "seed": config.seed,
         "repeats": args.repeats,
-        "sequence": [
-            {"context_label": c.label, "outcome_index": int(o)}
-            for c, o in zip(contexts, runs[0])
-        ],
+        "sequence": sequence,
         "frequencies": [
             {
                 "context_label": contexts[step].label,

@@ -154,5 +154,6 @@ def search_assignment(inst: KSInstance) -> AssignmentResult:
     if pos < n:
         return AssignmentResult("UNSAT", None, nodes, certificate)
     assignment = tuple(values)
-    assert verify_assignment(inst, assignment)
+    if not verify_assignment(inst, assignment):  # kept under python -O
+        raise AssertionError("the search's assignment fails verification")
     return AssignmentResult("SAT", assignment, nodes, certificate)

@@ -8,23 +8,23 @@ orthogonality hypothesis on all listed pairs, decide the branch through
 Bargmann triple products, then fit the operator constructively from a
 phase-fixing gadget and verify the fit on every listed pair.
 
-For k rays in dimension n the whole certification costs O(k^2 n^3 + k^3)
-time and O(k n^2 + k^2) memory. A RayMap holds its source and target
-unit vectors once, as (k, n) arrays normalized by linalg.row_norms, and
-derives everything from them, its Projector pairs only when asked for:
-bijectivity is the blocked same-ray screen that ks documents use
-(O(k^2 n) for the Gram screen), the pair checks run one row at a time
-on cached (k, n, n) projector stacks, the C(k, 3) Bargmann triples are
-streamed from the two Gram matrices, never held at once, and the fit
-residual is one stacked U S U^dag. Every kernel reproduces the per-pair
-arithmetic exactly, so verdicts, witnesses and reported norms do not
-depend on the chunking.
+For k rays in dimension n a certification costs O(k^2 n^3 + k^3) time
+and O(k n^2 + k^2) memory and runs each stage once. A RayMap holds its
+source and target unit vectors once, as (k, n) arrays normalized by
+linalg.row_norms, and derives everything from them, its Projector pairs
+only when asked for: bijectivity is the blocked same-ray screen of ks
+documents (O(k^2 n)), the pair checks run row by row on cached (k, n, n)
+projector stacks and keep the latest (map, tol) verdict, the C(k, 3)
+Bargmann triples are streamed from the two Gram matrices, and the fit
+takes the classification and checks one stacked U S U^dag. Every kernel
+reproduces the per-pair arithmetic exactly, so verdicts, witnesses and
+reported norms do not depend on the chunking.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -180,7 +180,7 @@ def check_orthogonality_preserving(m: RayMap,
     Runs one row i at a time: the products of P_i with every later
     projector are one stacked matmul over the map's cached (k, n, n)
     matrices, and the first violating pair in lexicographic order is
-    reported. Cost: O(k^2 n^3) time, O(k n^2) memory.
+    reported. Cost: O(k^2 n^3) time, O(k n^2) memory; a repeat is free.
 
     The max-norm is taken of the product matrices, not from the Gram
     shortcut |<v_i|v_j>| max|v_i| max|v_j|, which is equal in exact
@@ -189,6 +189,11 @@ def check_orthogonality_preserving(m: RayMap,
     73% on orthogonal ones, where both are rounding noise near 1e-16.
     The decision and the reported norms would move with it.
     """
+    return _orthogonality(m, tol)  # positional, so one (map, tol) is one cache key
+
+
+@lru_cache(maxsize=1)
+def _orthogonality(m: RayMap, tol: Tolerance) -> OrthogonalityCheck:
     src, tgt = m.source_matrices, m.target_matrices
     eps = tol.abs_eps
     for i in range(len(src) - 1):
@@ -222,10 +227,10 @@ def classify_transform(m: RayMap,
     evidence, the first non-unitary one.
 
     The triples (i, j, l), i < j < l, are streamed in lexicographic
-    chunks of i, each a suffix of the (j, l) pairs of one triu_indices
-    table, with the same products g_ij g_jl g_li as a full scan. Cost:
-    O(k^3 + k^2 n) time, O(k^2 + k n^2) memory (the orthogonality
-    check run first included).
+    chunks of i, each a suffix of one g_jl table over the triu_indices
+    pairs, with the same products g_ij g_jl g_li as a full scan. Cost:
+    O(k^3 + k^2 n) time, O(k^2 + k n^2) memory; the orthogonality check
+    on the input is free right after the caller's own.
     """
     if not check_orthogonality_preserving(m, tol):
         raise HypothesisViolated("map does not preserve orthogonality both ways")
@@ -234,14 +239,15 @@ def classify_transform(m: RayMap,
     gs = m.source_vectors.conj() @ m.source_vectors.T  # Gram matrices <v_i|v_j>
     gt = m.target_vectors.conj() @ m.target_vectors.T
     rows, cols = np.triu_indices(k, 1)
+    gs_jl, gt_jl = gs[rows, cols], gt[rows, cols]
     first_nonreal = first_nonunitary = None
     all_anti = True
     start = 0
     for i in range(k - 2):
         start += k - 1 - i  # skip the pairs (j, l) with j == i
         j, l = rows[start:], cols[start:]
-        vs = gs[i, j] * gs[j, l] * gs[l, i]
-        vt = gt[i, j] * gt[j, l] * gt[l, i]
+        vs = gs[i, j] * gs_jl[start:] * gs[l, i]
+        vt = gt[i, j] * gt_jl[start:] * gt[l, i]
         nonreal = np.abs(vs.imag) > eps
         nonunitary = nonreal & ~(np.abs(vt - vs) <= eps)
         nonanti = nonreal & ~(np.abs(vt - vs.conj()) <= eps)
@@ -332,23 +338,21 @@ def _locate_gadget(m: RayMap, context: Context, source_reps: np.ndarray,
     return basis_idx, superpositions
 
 
-def fit_transform(m: RayMap, tol: Tolerance = DEFAULT_TOL, *,
-                  classification: TransformClassification | None = None) -> FitResult:
+def fit_transform(m: RayMap, classification: TransformClassification,
+                  tol: Tolerance = DEFAULT_TOL) -> FitResult:
     """Fit the single operator inducing the map and verify it everywhere.
 
-    The branch comes from classify_transform; an Inconclusive branch
-    (all-real data, where the branches coincide) falls back to the
-    unitary fit and is flagged. The operator is built column by column
-    from the fiduciary basis images, with each column's phase pinned by
-    the balanced-superposition images; its global phase is normalized
-    so the first nonzero entry of the first column is real positive.
-    The residual is the max-norm of T_i - U S_i U^dag (S_i conjugated on
-    the anti-unitary branch) over the whole stack at once.
-    A caller that already holds classify_transform(m, tol) passes it as
-    classification, so the triples are not scanned again.
+    The branch is the verdict of classification, which the caller gets
+    from classify_transform(m, tol); no triple is scanned here. An
+    Inconclusive branch (all-real data, where the branches coincide)
+    falls back to the unitary fit and is flagged; on nonreal data the
+    wrong branch ends in FitFailed. The operator is built column by
+    column from the fiduciary basis images, with each column's phase
+    pinned by the balanced-superposition images; its global phase is
+    normalized so the first nonzero entry of the first column is real
+    positive. The residual is the max-norm of T_i - U S_i U^dag (S_i
+    conjugated on the anti-unitary branch) over the whole stack at once.
     """
-    if classification is None:
-        classification = classify_transform(m, tol)
     verdict = classification.verdict
     if verdict is Verdict.NEITHER:
         raise HypothesisViolated(
@@ -361,8 +365,7 @@ def fit_transform(m: RayMap, tol: Tolerance = DEFAULT_TOL, *,
     source_reps = m.source_vectors.conj() if anti else m.source_vectors
     target_reps = m.target_vectors
 
-    if not m.covering_contexts:
-        raise MissingGadget("ray map lists no covering context")
+    last_error = MissingGadget("ray map lists no covering context")
     for context in m.covering_contexts:
         try:
             basis_idx, superpositions = _locate_gadget(m, context, source_reps, tol)
@@ -373,13 +376,10 @@ def fit_transform(m: RayMap, tol: Tolerance = DEFAULT_TOL, *,
         raise last_error
 
     n = m.dim
-    e = source_reps[basis_idx]
-    f = target_reps[basis_idx]
+    e, f = source_reps[basis_idx], target_reps[basis_idx]
     phases = [1.0 + 0.0j]
-    for k in range(1, n):
-        plus_idx, _ = superpositions[k - 1]
-        s = source_reps[plus_idx]
-        g = target_reps[plus_idx]
+    for k, (plus_idx, _) in enumerate(superpositions, 1):
+        s, g = source_reps[plus_idx], target_reps[plus_idx]
         zeta = np.vdot(e[k], s) / np.vdot(e[0], s)
         ratio = np.vdot(f[k], g) / np.vdot(f[0], g)
         phi = ratio / zeta

@@ -102,11 +102,12 @@ def test_criterion_3_ray_map_certification():
             for _ in range(50):
                 m, hidden = random_ray_map(n, rng, antiunitary=anti)
                 assert check_orthogonality_preserving(m).ok
-                verdict = classify_transform(m).verdict
+                classification = classify_transform(m)
+                verdict = classification.verdict
                 expected = Verdict.ANTIUNITARY if anti else Verdict.UNITARY
                 assert verdict is expected, f"misclassified: {verdict} != {expected}"
                 classified += 1
-                fit = fit_transform(m)
+                fit = fit_transform(m, classification)
                 worst_residual = max(worst_residual, fit.residual)
                 worst_recovery = max(worst_recovery, phase_aligned_distance(
                     fit.transform.matrix, hidden.matrix))

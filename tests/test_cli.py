@@ -49,6 +49,13 @@ def ds(name: str) -> str:
     return str(dataset_path(name))
 
 
+def run_optimized(*args: str) -> subprocess.CompletedProcess:
+    """`python -O *args` with the package on the path: assert statements are stripped."""
+    src = str(Path(qcontexts.__file__).parents[1])
+    return subprocess.run([sys.executable, "-O", *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 class TestBorn:
     def test_mixed_state_uniform(self, capsys):
         code, out, _ = run(capsys, "born", ds("density_mixed_dim3.json"),
@@ -159,23 +166,6 @@ class TestUhlhorn:
         assert payload["orthogonality_preserving"] is False
         assert "violating_pair" in payload
 
-    def test_accepted_map_is_classified_once(self, capsys, monkeypatch):
-        import qcontexts.cli as cli
-        import qcontexts.uhlhorn as uhlhorn
-
-        calls = []
-        classify = uhlhorn.classify_transform
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return classify(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "classify_transform", counted)
-        monkeypatch.setattr(uhlhorn, "classify_transform", counted)
-        code, _, _ = run(capsys, "uhlhorn", ds("raymap_unitary_dim3.json"))
-        assert code == 0
-        assert len(calls) == 1
-
     def test_same_ray_is_decided_at_the_run_tolerance(self, capsys, tmp_path):
         # a 14th source 1e-7 from source 12, with another target
         m, _ = random_ray_map(3, make_generator(5))
@@ -250,6 +240,20 @@ class TestKS:
         code, out, err = _run_with_documents(capsys, tmp_path, "ks", doc)
         assert (code, out) == (2, "")
         assert err == "error: MalformedDocument: vectors 0 and 18 are the same ray\n"
+
+    def test_failed_verification_exits_two_under_python_O(self, tmp_path):
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps({"dim": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                    "bases": [[0, 1, 2]]}))
+        proc = run_optimized("-c", f"""
+import sys
+from qcontexts import cli, partition
+assert False, "-O strips this"
+partition.verify_assignment = lambda inst, assignment: False
+sys.exit(cli.main(["ks", {str(path)!r}]))
+""")
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == "error: AssertionError: the search's assignment fails verification\n"
 
 
 class TestPermPath:
@@ -355,27 +359,56 @@ class TestSimulate:
                 counts[outcomes[step]] += 1
             assert payload["frequencies"][step]["counts"] == counts
 
+    @pytest.mark.parametrize("seed", [3, 2**64 - 10])
+    def test_chunked_repeats_give_the_same_output(self, capsys, monkeypatch, seed):
+        # 30 runs in chunks of 7; from 2^64 - 10 the keys wrap inside the second chunk
+        args = ["simulate", ds("density_e1_dim3.json"), ds("contexts_fourier_seq_dim3.json"),
+                "--repeats", "30", "--seed", str(seed)]
+        whole = run(capsys, *args)
+        chunks = []
+        sample = cli.repeat_simulation
+
+        def recorded(initial, contexts, seed, repeats):
+            chunks.append((seed, repeats))
+            return sample(initial, contexts, seed, repeats)
+
+        monkeypatch.setattr(cli, "repeat_simulation", recorded)
+        monkeypatch.setattr(cli, "_SIMULATE_CHUNK", 7)
+        assert run(capsys, *args) == whole
+        assert chunks == [((seed + start) % 2**64, min(7, 30 - start))
+                          for start in range(0, 30, 7)]
+
+
+# the nine cases of tools/gen_golden.py: file under tests/golden, CLI arguments
+GOLDEN_CASES = [
+    ("born_mixed_fourier.json",
+     ["born", ds("density_mixed_dim3.json"), ds("context_fourier_dim3.json")]),
+    ("gleason_demo.json", ["gleason-fit", ds("gleason_demo_dim3.json")]),
+    ("uhlhorn_unitary.json", ["uhlhorn", ds("raymap_unitary_dim3.json")]),
+    ("uhlhorn_antiunitary.json", ["uhlhorn", ds("raymap_antiunitary_dim3.json")]),
+    ("ks_dim4.json", ["ks", ds("ks_dim4_18vectors.json")]),
+    ("ks_dim3_closure.json", ["ks", ds("ks_dim3_33rays_closure.json")]),
+    ("perm_transposition.json", ["perm-path", ds("perm_transposition_n3.json")]),
+    ("perm_4cycle.json", ["perm-path", ds("perm_4cycle_n4.json")]),
+    ("simulate_fourier_100.json",
+     ["simulate", ds("density_e1_dim3.json"),
+      ds("contexts_fourier_seq_dim3.json"), "--repeats", "100", "--seed", "0"]),
+]
+
 
 class TestDeterminismAndGolden:
-    @pytest.mark.parametrize("name,argv", [
-        ("born_mixed_fourier.json",
-         ["born", ds("density_mixed_dim3.json"), ds("context_fourier_dim3.json")]),
-        ("gleason_demo.json", ["gleason-fit", ds("gleason_demo_dim3.json")]),
-        ("uhlhorn_unitary.json", ["uhlhorn", ds("raymap_unitary_dim3.json")]),
-        ("uhlhorn_antiunitary.json", ["uhlhorn", ds("raymap_antiunitary_dim3.json")]),
-        ("ks_dim4.json", ["ks", ds("ks_dim4_18vectors.json")]),
-        ("ks_dim3_closure.json", ["ks", ds("ks_dim3_33rays_closure.json")]),
-        ("perm_transposition.json", ["perm-path", ds("perm_transposition_n3.json")]),
-        ("perm_4cycle.json", ["perm-path", ds("perm_4cycle_n4.json")]),
-        ("simulate_fourier_100.json",
-         ["simulate", ds("density_e1_dim3.json"),
-          ds("contexts_fourier_seq_dim3.json"), "--repeats", "100", "--seed", "0"]),
-    ])
+    @pytest.mark.parametrize("name,argv", GOLDEN_CASES)
     def test_golden_output(self, capsys, name, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         expected = (GOLDEN / name).read_text(encoding="utf-8")
         assert out == expected
+
+    @pytest.mark.parametrize("name,argv", GOLDEN_CASES)
+    def test_golden_output_under_python_O(self, name, argv):
+        proc = run_optimized("-m", "qcontexts.cli", *argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (GOLDEN / name).read_text(encoding="utf-8")
 
     def test_rerun_is_byte_identical(self, capsys):
         args = ["simulate", ds("density_e1_dim3.json"),

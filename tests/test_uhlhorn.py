@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from helpers import ray_map, standard_basis, standard_context
+from qcontexts import cli, uhlhorn
 from qcontexts.core import ContextTransform, Projector, make_context, make_generator
 from qcontexts.errors import (
     DimensionMismatch,
     DimensionTooSmall,
+    FitFailed,
     HypothesisViolated,
     MissingGadget,
 )
@@ -253,7 +255,8 @@ class TestClassifyTransform:
 
 class TestFitTransform:
     def test_identity_map_recovers_identity(self):
-        fit = fit_transform(identity_map(3))
+        m = identity_map(3)
+        fit = fit_transform(m, classify_transform(m))
         assert not fit.transform.antiunitary
         assert fit.residual <= 1e-12
         assert max_abs(fit.transform.matrix - np.eye(3)) <= 1e-12
@@ -265,7 +268,7 @@ class TestFitTransform:
         basis = random_unitary(4, rng)
         c = make_context([basis[:, k] for k in range(4)], "fid")
         m = induced_ray_map(hidden, c, extras)
-        fit = fit_transform(m)
+        fit = fit_transform(m, classify_transform(m))
         assert fit.verdict is Verdict.UNITARY
         assert fit.residual <= 1e-8
         assert phase_aligned_distance(fit.transform.matrix, hidden.matrix) <= 1e-8
@@ -276,7 +279,7 @@ class TestFitTransform:
         basis = random_unitary(3, rng)
         c = make_context([basis[:, k] for k in range(3)], "fid")
         m = induced_ray_map(conj, c, [random_state_vector(3, rng) for _ in range(5)])
-        fit = fit_transform(m)
+        fit = fit_transform(m, classify_transform(m))
         assert fit.transform.antiunitary
         assert fit.residual <= 1e-8
         assert phase_aligned_distance(fit.transform.matrix, np.eye(3)) <= 1e-8
@@ -288,7 +291,7 @@ class TestFitTransform:
         pairs = tuple((p, p) for p in c.projectors)
         m = ray_map(3, pairs, covering_contexts=(c,))
         with pytest.raises(MissingGadget):
-            fit_transform(m)
+            fit_transform(m, classify_transform(m))
 
     def test_no_covering_context_raises(self):
         rng = make_generator(72)
@@ -297,7 +300,7 @@ class TestFitTransform:
         pairs = tuple((proj(r), proj(u.act_vector(r))) for r in rays)
         m = ray_map(3, pairs)  # gadget rays present but undeclared
         with pytest.raises(MissingGadget):
-            fit_transform(m)
+            fit_transform(m, classify_transform(m))
 
     def test_neither_verdict_raises_hypothesis_violated(self):
         # compose a unitary on one triple with a conjugation on another by
@@ -311,14 +314,11 @@ class TestFitTransform:
         tampered = ray_map(3, tuple(pairs),
                           covering_contexts=m.covering_contexts)
         with pytest.raises((HypothesisViolated, MissingGadget)):
-            fit_transform(tampered)
+            fit_transform(tampered, classify_transform(tampered))
 
     def test_loose_tolerance_inconsistency_raises_fit_failed(self):
         # a target nudged by ~1e-5 slips past a 1e-4 classification tolerance
         # but no single operator can reproduce it to 1e-8: FitFailed
-        from qcontexts.errors import FitFailed
-        from qcontexts.linalg import Tolerance
-
         m, _ = random_ray_map(3, make_generator(76))
         pairs = list(m.pairs)
         last_target = pairs[-1][1]
@@ -328,16 +328,17 @@ class TestFitTransform:
         tampered = ray_map(3, tuple(pairs),
                           covering_contexts=m.covering_contexts)
         loose = Tolerance(abs_eps=1e-4)
-        assert classify_transform(tampered, loose).verdict is Verdict.UNITARY
+        classification = classify_transform(tampered, loose)
+        assert classification.verdict is Verdict.UNITARY
         with pytest.raises(FitFailed):
-            fit_transform(tampered, loose)
+            fit_transform(tampered, classification, loose)
 
     def test_global_phase_quotient(self):
         # rephasing every stored representative must not change the fitted
         # operator beyond a global phase
         rng = make_generator(74)
         m, hidden = random_ray_map(3, rng)
-        fit_a = fit_transform(m)
+        fit_a = fit_transform(m, classify_transform(m))
         phases = np.exp(2j * np.pi * rng.random(2 * len(m.pairs)))
         pairs = tuple(
             (Projector.from_vector(phases[2 * k] * s.vector),
@@ -350,14 +351,14 @@ class TestFitTransform:
             for m_, c in ((m, c) for c in m.covering_contexts)
         )
         rephased = ray_map(3, pairs, covering_contexts=contexts)
-        fit_b = fit_transform(rephased)
+        fit_b = fit_transform(rephased, classify_transform(rephased))
         assert phase_aligned_distance(fit_a.transform.matrix,
                                       fit_b.transform.matrix) <= 1e-8
 
     def test_phase_normalization_deterministic(self):
         m, _ = random_ray_map(4, make_generator(75))
-        u1 = fit_transform(m).transform.matrix
-        u2 = fit_transform(m).transform.matrix
+        u1 = fit_transform(m, classify_transform(m)).transform.matrix
+        u2 = fit_transform(m, classify_transform(m)).transform.matrix
         assert max_abs(u1 - u2) == 0.0
         lead = u1[np.flatnonzero(np.abs(u1[:, 0]) > 1e-12)[0], 0]
         assert abs(lead.imag) <= 1e-12 and lead.real > 0
@@ -582,22 +583,78 @@ class TestKernelsMatchReference:
         for dim in (3, 4):
             for anti in (False, True):
                 m, _ = random_ray_map(dim, rng, antiunitary=anti, n_extra=10)
-                fit = fit_transform(m)
+                fit = fit_transform(m, classify_transform(m))
                 assert fit.residual == max(
                     max_abs(t.matrix - fit.transform.act_matrix(s.matrix)) for s, t in m.pairs)
 
 
-class TestOneClassificationPerRun:
+def nudged_identity_map():
+    """The identity map on the dimension-3 gadget with the target of e2
+    moved 1e-6 toward e1: orthogonality fails at 1e-9 and holds at 1e-4."""
+    m = identity_map(3)
+    pairs = list(m.pairs)
+    pairs[1] = (pairs[1][0], proj(pairs[1][1].vector + [1e-6, 0, 0]))
+    return ray_map(3, tuple(pairs), covering_contexts=m.covering_contexts)
+
+
+class TestOneStageEach:
+    """One uhlhorn CLI run executes the orthogonality kernel and the triple
+    scan once each; fit_transform scans nothing."""
+
+    def certify(self, monkeypatch, capsys, tmp_path, m):
+        scans = []
+        classify = uhlhorn.classify_transform
+
+        def counted(*args):
+            scans.append(1)
+            return classify(*args)
+
+        monkeypatch.setattr(cli, "classify_transform", counted)
+        monkeypatch.setattr(uhlhorn, "classify_transform", counted)
+        path = tmp_path / "raymap.json"
+        path.write_text(json.dumps(ray_map_to_json(m)))
+        before = uhlhorn._orthogonality.cache_info()
+        code = cli.main(["uhlhorn", str(path)])
+        after = uhlhorn._orthogonality.cache_info()
+        capsys.readouterr()
+        return code, after.misses - before.misses, after.hits - before.hits, len(scans)
+
     @pytest.mark.parametrize("anti", [False, True])
-    def test_passed_classification_gives_the_same_fit(self, anti):
+    def test_accepted_map(self, monkeypatch, capsys, tmp_path, anti):
         m, _ = random_ray_map(3, make_generator(92), antiunitary=anti)
-        fresh = fit_transform(m)
-        given = fit_transform(m, DEFAULT_TOL, classification=classify_transform(m))
-        assert np.array_equal(given.transform.matrix, fresh.transform.matrix)
-        assert given.transform.antiunitary == fresh.transform.antiunitary
-        assert given.residual == fresh.residual
-        assert (given.verdict, given.ambiguous_branch, given.fiduciary_label) == (
-            fresh.verdict, fresh.ambiguous_branch, fresh.fiduciary_label)
+        # the check inside classify_transform is a cache hit, not a second run
+        assert self.certify(monkeypatch, capsys, tmp_path, m) == (0, 1, 1, 1)
+
+    def test_rejected_map_runs_no_scan(self, monkeypatch, capsys, tmp_path):
+        assert self.certify(monkeypatch, capsys, tmp_path, nudged_identity_map()) == (1, 1, 0, 0)
+
+
+class TestOrthogonalityMemo:
+    def test_each_tolerance_gets_its_own_verdict(self):
+        m, loose = nudged_identity_map(), Tolerance(1e-4)
+        for tol, ok in ((DEFAULT_TOL, False), (loose, True), (DEFAULT_TOL, False)):
+            check = check_orthogonality_preserving(m, tol)
+            assert check.ok is ok
+            assert check == uhlhorn._orthogonality.__wrapped__(m, tol)
+        assert check.violating_pair == (0, 1)
+
+    def test_each_map_gets_its_own_verdict(self):
+        good, bad = identity_map(3), nudged_identity_map()
+        for m, ok in ((good, True), (bad, False), (good, True), (bad, False)):
+            assert check_orthogonality_preserving(m).ok is ok
+        check_orthogonality_preserving(good)
+        with pytest.raises(HypothesisViolated):  # the guard checks its own input
+            classify_transform(bad)
+
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_wrong_branch_fails_the_fit(self, anti):
+        m, _ = random_ray_map(3, make_generator(95), antiunitary=anti)
+        classification = classify_transform(m)
+        assert classification.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
+        wrong = classification._replace(
+            verdict=Verdict.UNITARY if anti else Verdict.ANTIUNITARY)
+        with pytest.raises(FitFailed):
+            fit_transform(m, wrong)
 
 
 def test_large_map_certifies_in_bounded_memory(tmp_path):
