@@ -1,6 +1,9 @@
 """Command-line interface: one subcommand per engine, JSON in and out.
 
-Exit codes are uniform across subcommands: 0 for success or a confirmed
+main() is the one driver: it checks the shared flags --tol and --seed for
+every subcommand before any document is read, calls the subcommand's
+handler, which only builds its payload and exit code, and prints the
+payload once. Exit codes are uniform: 0 for success or a confirmed
 property, 1 for a semantically negative result (a satisfiable instance,
 a failed certification), 2 for malformed input, usage errors and any
 other failure, so that a crash never reads as a negative result. Output
@@ -33,7 +36,6 @@ if "numpy" not in sys.modules and not any(
 
 import argparse
 import json
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,12 +56,12 @@ from .jsonio import (
     permutation_from_json,
     ray_map_from_json,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import Tolerance
 from .partition import search_assignment
 from .topology import orthogonal_obstruction, unitary_path_to_identity
 from .uhlhorn import Verdict, check_orthogonality_preserving, classify_transform, fit_transform
 
-__all__ = ["main", "entry", "RunConfig"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -69,21 +71,11 @@ EXIT_ERROR = 2
 _SIMULATE_CHUNK = 2**16
 
 
-class RunConfig(NamedTuple):
-    """Reproducibility knobs shared by every subcommand."""
-
-    seed: int = 0
-    tol: Tolerance = DEFAULT_TOL
-    output_format: str = "json"
-
-
-def _emit(payload: dict, config: RunConfig) -> None:
-    if config.output_format == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2))
-        sys.stdout.write("\n")
+def _emit(payload: dict, output_format: str) -> None:
+    if output_format == "json":
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        for line in _text_lines(payload):
-            sys.stdout.write(line + "\n")
+        sys.stdout.write("".join(line + "\n" for line in _text_lines(payload)))
 
 
 def _text_lines(payload: dict, prefix: str = "") -> list[str]:
@@ -98,10 +90,10 @@ def _text_lines(payload: dict, prefix: str = "") -> list[str]:
     return lines
 
 
-def cmd_born(args, config: RunConfig) -> int:
-    rho = density_from_json(load_json_file(args.density), config.tol)
-    context = context_from_json(load_json_file(args.context), config.tol)
-    probs = context_distribution(rho, context, config.tol)
+def cmd_born(args, tol: Tolerance) -> tuple[dict, int]:
+    rho = density_from_json(load_json_file(args.density), tol)
+    context = context_from_json(load_json_file(args.context), tol)
+    probs = context_distribution(rho, context, tol)
     payload = {
         "command": "born",
         "dim": context.dim,
@@ -109,14 +101,13 @@ def cmd_born(args, config: RunConfig) -> int:
         "probabilities": [float(x) for x in probs],
         "sum": float(np.sum(probs)),
     }
-    _emit(payload, config)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_gleason_fit(args, config: RunConfig) -> int:
-    samples = frame_samples_from_json(load_json_file(args.samples), config.tol)
-    report = reconstruct_density(samples, config.tol)
-    pure = born_case_check(report.rho, config.tol)
+def cmd_gleason_fit(args, tol: Tolerance) -> tuple[dict, int]:
+    samples = frame_samples_from_json(load_json_file(args.samples), tol)
+    report = reconstruct_density(samples, tol)
+    pure = born_case_check(report.rho, tol)
     payload = {
         "command": "gleason-fit",
         "dim": report.rho.dim,
@@ -130,13 +121,12 @@ def cmd_gleason_fit(args, config: RunConfig) -> int:
         "pure_case": None if pure is None else
             [complex_to_pair(complex(z)) for z in pure.vector],
     }
-    _emit(payload, config)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_uhlhorn(args, config: RunConfig) -> int:
-    ray_map = ray_map_from_json(load_json_file(args.raymap), config.tol)
-    check = check_orthogonality_preserving(ray_map, config.tol)
+def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
+    ray_map = ray_map_from_json(load_json_file(args.raymap), tol)
+    check = check_orthogonality_preserving(ray_map, tol)
     payload: dict = {
         "command": "uhlhorn",
         "dim": ray_map.dim,
@@ -149,10 +139,9 @@ def cmd_uhlhorn(args, config: RunConfig) -> int:
             "source_product_norm": check.source_product_norm,
             "target_product_norm": check.target_product_norm,
         })
-        _emit(payload, config)
-        return EXIT_NEGATIVE
+        return payload, EXIT_NEGATIVE
 
-    classification = classify_transform(ray_map, config.tol)
+    classification = classify_transform(ray_map, tol)
     verdict, triple, source_value, target_value = classification
     payload.update({
         "verdict": verdict.value,
@@ -161,10 +150,9 @@ def cmd_uhlhorn(args, config: RunConfig) -> int:
         "witness_target_value": None if target_value is None else complex_to_pair(target_value),
     })
     if verdict is Verdict.NEITHER:
-        _emit(payload, config)
-        return EXIT_NEGATIVE
+        return payload, EXIT_NEGATIVE
 
-    fit = fit_transform(ray_map, classification, config.tol)
+    fit = fit_transform(ray_map, classification, tol)
     payload.update({
         "antiunitary": fit.transform.antiunitary,
         "matrix": matrix_to_json(fit.transform.matrix),
@@ -172,12 +160,11 @@ def cmd_uhlhorn(args, config: RunConfig) -> int:
         "ambiguous_branch": fit.ambiguous_branch,
         "fiduciary_label": fit.fiduciary_label,
     })
-    _emit(payload, config)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_ks(args, config: RunConfig) -> int:
-    inst = ks_instance_from_json(load_json_file(args.instance), config.tol)
+def cmd_ks(args, tol: Tolerance) -> tuple[dict, int]:
+    inst = ks_instance_from_json(load_json_file(args.instance), tol)
     result = search_assignment(inst)
     payload = {
         "command": "ks",
@@ -193,11 +180,10 @@ def cmd_ks(args, config: RunConfig) -> int:
             "argument": result.certificate.describe(),
         },
     }
-    _emit(payload, config)
-    return EXIT_OK if result.status == "UNSAT" else EXIT_NEGATIVE
+    return payload, EXIT_OK if result.status == "UNSAT" else EXIT_NEGATIVE
 
 
-def cmd_perm_path(args, config: RunConfig) -> int:
+def cmd_perm_path(args, tol: Tolerance) -> tuple[dict, int]:
     sigma = permutation_from_json(load_json_file(args.permutation))
     report = unitary_path_to_identity(sigma, args.steps)
     obstruction = orthogonal_obstruction(sigma)
@@ -218,24 +204,21 @@ def cmd_perm_path(args, config: RunConfig) -> int:
         "samples_included": "all" if args.emit_samples else "endpoints",
         "samples": samples,
     }
-    _emit(payload, config)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_simulate(args, config: RunConfig) -> int:
-    # a bad --seed is an input error, reported before any file is read
-    check_seed(config.seed)
-    rho = density_from_json(load_json_file(args.initial), config.tol)
-    initial = born_case_check(rho, config.tol)
+def cmd_simulate(args, tol: Tolerance) -> tuple[dict, int]:
+    rho = density_from_json(load_json_file(args.initial), tol)
+    initial = born_case_check(rho, tol)
     if initial is None:
         raise QContextsError(
             "initial state must be a rank-1 projector (pure state)")
-    contexts = contexts_from_json(load_json_file(args.contexts), config.tol)
+    contexts = contexts_from_json(load_json_file(args.contexts), tol)
     counts = [np.zeros(c.dim, dtype=np.int64) for c in contexts]
     # run k keeps its key seed + k in any chunk; a count below 1 still
     # reaches repeat_simulation, which rejects it
     for start in range(0, max(args.repeats, 1), _SIMULATE_CHUNK):
-        runs = repeat_simulation(initial, contexts, (config.seed + start) % 2**64,
+        runs = repeat_simulation(initial, contexts, (args.seed + start) % 2**64,
                                  min(_SIMULATE_CHUNK, args.repeats - start))
         if start == 0:
             sequence = [{"context_label": c.label, "outcome_index": int(o)}
@@ -244,7 +227,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
             counts[step] += np.bincount(runs[:, step], minlength=c.dim)
     payload = {
         "command": "simulate",
-        "seed": config.seed,
+        "seed": args.seed,
         "repeats": args.repeats,
         "sequence": sequence,
         "frequencies": [
@@ -256,8 +239,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
             for step in range(len(contexts))
         ],
     }
-    _emit(payload, config)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,12 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        # an out-of-range --tol exits 2 like any other bad input
-        config = RunConfig(seed=args.seed, tol=Tolerance(args.tol), output_format=args.format)
-        return args.handler(args, config)
+        # an out-of-range --tol or --seed exits 2 like any other bad input
+        tol = Tolerance(args.tol)
+        check_seed(args.seed)
+        payload, code = args.handler(args, tol)
+        _emit(payload, args.format)
+        return code
     except Exception as exc:  # any crash: exit 1 would read as a negative result
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

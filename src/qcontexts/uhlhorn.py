@@ -11,14 +11,15 @@ phase-fixing gadget and verify the fit on every listed pair.
 For k rays in dimension n a certification costs O(k^2 n^3 + k^3) time
 and O(k n^2 + k^2) memory and runs each stage once. A RayMap holds its
 source and target unit vectors once, as (k, n) arrays normalized by
-linalg.row_norms, and derives everything from them, its Projector pairs
-only when asked for: bijectivity is the blocked same-ray screen of ks
-documents (O(k^2 n)), the pair checks run row by row on cached (k, n, n)
-projector stacks and keep the latest (map, tol) verdict, the C(k, 3)
-Bargmann triples are streamed from the two Gram matrices, and the fit
-takes the classification and checks one stacked U S U^dag. Every kernel
-reproduces the per-pair arithmetic exactly, so verdicts, witnesses and
-reported norms do not depend on the chunking.
+linalg.row_norms, caches nothing derived from them but its Projector
+pairs, built only when asked for: bijectivity is the blocked same-ray
+screen of ks documents (O(k^2 n)), the pair checks run row by row on
+(k, n, n) projector stacks built for the check and keep the latest
+(map, tol) verdict, the C(k, 3) Bargmann triples are streamed from the
+two Gram matrices, and the fit takes the classification and checks one
+stacked U S U^dag. Every kernel reproduces the per-pair arithmetic
+exactly, so verdicts, witnesses and reported norms do not depend on the
+chunking.
 """
 
 from __future__ import annotations
@@ -114,23 +115,15 @@ class RayMap(Frozen):
 
     @cached_property
     def pairs(self) -> tuple[tuple[Projector, Projector], ...]:
-        """(source, target) projector of every pair, built on first use."""
+        """(source, target) projector of every pair, built on first use;
+        unused in the package, kept for perfbench/traced.py's len(m.pairs)."""
         return tuple((Projector(s), Projector(t))
                      for s, t in zip(self.source_vectors, self.target_vectors))
 
-    @cached_property
-    def source_matrices(self) -> np.ndarray:
-        """(k, n, n) stack of the source projector matrices."""
-        return _projector_stack(self.source_vectors)
-
-    @cached_property
-    def target_matrices(self) -> np.ndarray:
-        """(k, n, n) stack of the target projector matrices."""
-        return _projector_stack(self.target_vectors)
-
     def _find_source(self, v: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL) -> int | None:
-        dist = np.abs(self.source_matrices - np.outer(v, v.conj())).max(axis=(1, 2))
+        stack = _projector_stack(self.source_vectors)
+        dist = np.abs(stack - np.outer(v, v.conj())).max(axis=(1, 2))
         hits = np.flatnonzero(dist <= tol.abs_eps)
         return int(hits[0]) if hits.size else None
 
@@ -178,8 +171,8 @@ def check_orthogonality_preserving(m: RayMap,
     """Test ||P_i P_j|| <= tol  <=>  ||T_i T_j|| <= tol over all listed pairs.
 
     Runs one row i at a time: the products of P_i with every later
-    projector are one stacked matmul over the map's cached (k, n, n)
-    matrices, and the first violating pair in lexicographic order is
+    projector are one stacked matmul over (k, n, n) stacks built from the
+    map's rows, and the first violating pair in lexicographic order is
     reported. Cost: O(k^2 n^3) time, O(k n^2) memory; a repeat is free.
 
     The max-norm is taken of the product matrices, not from the Gram
@@ -194,7 +187,7 @@ def check_orthogonality_preserving(m: RayMap,
 
 @lru_cache(maxsize=1)
 def _orthogonality(m: RayMap, tol: Tolerance) -> OrthogonalityCheck:
-    src, tgt = m.source_matrices, m.target_matrices
+    src, tgt = _projector_stack(m.source_vectors), _projector_stack(m.target_vectors)
     eps = tol.abs_eps
     for i in range(len(src) - 1):
         s = np.abs(np.matmul(src[i], src[i + 1:])).max(axis=(1, 2))
@@ -395,8 +388,8 @@ def fit_transform(m: RayMap, classification: TransformClassification,
         u = u * (abs(lead) / lead)
 
     transform = ContextTransform.from_matrix(u, antiunitary=anti, tol=tol)
-    sources = m.source_matrices.conj() if anti else m.source_matrices
-    residual = max_abs(m.target_matrices - u @ sources @ u.conj().T)
+    residual = max_abs(_projector_stack(target_reps)
+                       - u @ _projector_stack(source_reps) @ u.conj().T)
     if residual > FIT_RESIDUAL_LIMIT:
         raise FitFailed(
             f"fit residual {residual:.3e} exceeds {FIT_RESIDUAL_LIMIT:.0e}; "

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from qcontexts.core import DensityOperator, context_distribution, make_context, make_generator
@@ -88,3 +91,12 @@ def brute_force_valuation_count(n_vectors: int, bases) -> int:
             count += ((vals >> np.uint32(i)) & 1).astype(np.uint8)
         ok &= count == 1
     return int(ok.sum())
+
+
+def golden_cases() -> dict[str, list[str]]:
+    """tools/gen_golden.py's CASES: file under tests/golden -> CLI arguments."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "gen_golden.py"
+    spec = importlib.util.spec_from_file_location("gen_golden", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CASES

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import qcontexts
-from helpers import simulate_reference
+from helpers import golden_cases, simulate_reference
 from qcontexts import cli
 from qcontexts.cli import main
 from qcontexts.core import make_generator
@@ -379,21 +379,23 @@ class TestSimulate:
                           for start in range(0, 30, 7)]
 
 
-# the nine cases of tools/gen_golden.py: file under tests/golden, CLI arguments
-GOLDEN_CASES = [
-    ("born_mixed_fourier.json",
-     ["born", ds("density_mixed_dim3.json"), ds("context_fourier_dim3.json")]),
-    ("gleason_demo.json", ["gleason-fit", ds("gleason_demo_dim3.json")]),
-    ("uhlhorn_unitary.json", ["uhlhorn", ds("raymap_unitary_dim3.json")]),
-    ("uhlhorn_antiunitary.json", ["uhlhorn", ds("raymap_antiunitary_dim3.json")]),
-    ("ks_dim4.json", ["ks", ds("ks_dim4_18vectors.json")]),
-    ("ks_dim3_closure.json", ["ks", ds("ks_dim3_33rays_closure.json")]),
-    ("perm_transposition.json", ["perm-path", ds("perm_transposition_n3.json")]),
-    ("perm_4cycle.json", ["perm-path", ds("perm_4cycle_n4.json")]),
-    ("simulate_fourier_100.json",
-     ["simulate", ds("density_e1_dim3.json"),
-      ds("contexts_fourier_seq_dim3.json"), "--repeats", "100", "--seed", "0"]),
-]
+# the nine cases of tools/gen_golden.py, in its order: file under tests/golden, CLI arguments
+GOLDEN_CASES = list(golden_cases().items())
+# one of them per subcommand
+SUBCOMMAND_ARGV = {argv[0]: argv for _, argv in GOLDEN_CASES}
+
+
+def text_reference(payload: dict, indent: str = "") -> str:
+    """--format text as documented: keys sorted, a dict value as `key:` over its
+    entries indented two spaces, any other value as `key: ` and its compact JSON."""
+    out = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, dict):
+            out.append(f"{indent}{key}:\n" + text_reference(value, indent + "  "))
+        else:
+            out.append(f"{indent}{key}: {json.dumps(value, sort_keys=True)}\n")
+    return "".join(out)
 
 
 class TestDeterminismAndGolden:
@@ -409,6 +411,18 @@ class TestDeterminismAndGolden:
         proc = run_optimized("-m", "qcontexts.cli", *argv)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == (GOLDEN / name).read_text(encoding="utf-8")
+
+    def test_golden_directory_holds_exactly_the_cases(self):
+        assert len(GOLDEN_CASES) == 9
+        assert sorted(SUBCOMMAND_ARGV) == ["born", "gleason-fit", "ks", "perm-path",
+                                           "simulate", "uhlhorn"]
+        assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(dict(GOLDEN_CASES))
+
+    @pytest.mark.parametrize("name,argv", GOLDEN_CASES)
+    def test_text_output_flattens_the_golden(self, capsys, name, argv):
+        code, out, err = run(capsys, *argv, "--format", "text")
+        assert (code, err) == (0, "")
+        assert out == text_reference(json.loads((GOLDEN / name).read_text(encoding="utf-8")))
 
     def test_rerun_is_byte_identical(self, capsys):
         args = ["simulate", ds("density_e1_dim3.json"),
@@ -586,7 +600,7 @@ class TestUsage:
 
     def test_unexpected_exception_exits_two_on_one_line(self, capsys, monkeypatch):
         # exit 1 would read as a negative result, and a traceback is not an error line
-        def broken(args, config):
+        def broken(args, tol):
             raise RuntimeError("handler broke")
 
         monkeypatch.setattr(cli, "cmd_born", broken)
@@ -596,12 +610,19 @@ class TestUsage:
         assert err == "error: RuntimeError: handler broke\n"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_seed_outside_64_bits_exits_two(self, capsys, seed):
-        code, out, err = run(capsys, "simulate", ds("density_e1_dim3.json"),
-                             ds("contexts_fourier_seq_dim3.json"), "--seed", seed)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ValueError:")
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
+    def test_seed_outside_64_bits_exits_two(self, capsys, tmp_path, command, seed):
+        argv = SUBCOMMAND_ARGV[command]
+        error = f"error: ValueError: seed must be a 64-bit unsigned integer, got {seed}\n"
+        assert run(capsys, *argv, "--seed", seed) == (2, "", error)
+        # the seed is checked before any document is read
+        missing = [str(tmp_path / "missing.json") if a.endswith(".json") else a for a in argv]
+        assert run(capsys, *missing, "--seed", seed) == (2, "", error)
+        code, out, err = run(capsys, *missing)
+        assert (code, out) == (2, "") and err.startswith("error: MalformedDocument:")
+        # and after the tolerance
+        code, _, err = run(capsys, *argv, "--seed", seed, "--tol", "1")
+        assert code == 2 and err.startswith("error: ValueError: abs_eps must be in")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

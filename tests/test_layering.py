@@ -2,7 +2,6 @@
 import heap, how records are built, and which module reads documents."""
 
 import gc
-import importlib.util
 import inspect
 import os
 import re
@@ -14,6 +13,7 @@ import pytest
 
 import qcontexts
 import qcontexts.cli
+from helpers import golden_cases
 
 SRC = Path(qcontexts.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,14 +62,7 @@ def test_cli_import_after_numpy_leaves_the_environment_alone():
     assert _probe(probe) == "True"
 
 
-def _golden_cases() -> dict:
-    spec = importlib.util.spec_from_file_location("gen_golden", ROOT / "tools" / "gen_golden.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.CASES
-
-
-@pytest.mark.parametrize("name, argv", sorted(_golden_cases().items()))
+@pytest.mark.parametrize("name, argv", sorted(golden_cases().items()))
 def test_output_does_not_depend_on_blas_threads(name, argv):
     # a program that imports numpy before the CLI keeps the inherited threads,
     # so one and two threads must print the same bytes
@@ -89,7 +82,7 @@ def test_only_jsonio_raises_malformed_document():
 
 RECORDS = {"UnitaryCheck", "FrameValidation", "ReconstructionReport", "ParityCertificate",
            "AssignmentResult", "ObstructionResult", "PathReport", "OrthogonalityCheck",
-           "TransformClassification", "FitResult", "RunConfig"}
+           "TransformClassification", "FitResult"}
 VALUE_TYPES = {"Tolerance", "Projector", "Context", "DensityOperator", "ContextTransform",
                "FrameSample", "KSInstance", "Permutation", "RayMap"}
 

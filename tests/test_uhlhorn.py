@@ -81,16 +81,17 @@ class TestRayMap:
         m = ray_map(3, pairs, covering_contexts=(c,), tol=Tolerance(1e-6))
         assert m.covering_contexts == (c,)
 
-    def test_immutable_with_cached_stacks(self):
+    def test_immutable_and_certified_without_cached_stacks(self):
         m = identity_map(3)
-        stack = m.source_matrices
-        assert m.source_matrices is stack
-        for name in ("dim", "pairs", "covering_contexts", "source_matrices"):
+        fit_transform(m, classify_transform(m))
+        # a full certification leaves the map holding its rows and nothing derived
+        assert sorted(vars(m)) == ["covering_contexts", "dim", "source_vectors",
+                                   "target_vectors"]
+        for name in ("dim", "pairs", "covering_contexts", "source_vectors"):
             with pytest.raises(AttributeError):
                 setattr(m, name, None)
             with pytest.raises(AttributeError):
                 delattr(m, name)
-        assert m.source_matrices is stack
 
     def test_vectors_are_read_only_rows_of_the_pairs(self):
         rng = make_generator(72)
@@ -103,9 +104,11 @@ class TestRayMap:
                 assert np.array_equal(row, pair[side].vector)
             with pytest.raises(ValueError):
                 rows[0, 0] = 0
-        for stack, side in ((m.source_matrices, 0), (m.target_matrices, 1)):
-            for mat, pair in zip(stack, m.pairs):
+            # the stacks the checks build are the pairs' matrices, entry for entry
+            for mat, pair in zip(uhlhorn._projector_stack(rows), m.pairs):
                 assert np.array_equal(mat, pair[side].matrix)
+        assert not [name for name, value in vars(m).items()
+                    if isinstance(value, np.ndarray) and value.ndim == 3]
 
     def test_degenerate_rows_name_the_lowest_pair(self):
         # a zero target in pair 2 and an overflowing source in pair 4
