@@ -302,7 +302,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # an out-of-range --tol or --seed exits 2 like any other bad input
-        tol = Tolerance(args.tol)
+        try:
+            tol = Tolerance(args.tol)
+        except ValueError as exc:  # name the flag, not Tolerance's field
+            raise ValueError(str(exc).replace("abs_eps", "--tol", 1)) from None
         check_seed(args.seed)
         payload, code = args.handler(args, tol)
         _emit(payload, args.format)

@@ -222,11 +222,6 @@ class ContextTransform(Frozen):
         v = as_vector(v)
         return self.matrix @ (v.conj() if self.antiunitary else v)
 
-    def act_matrix(self, p: np.ndarray) -> np.ndarray:
-        p = as_matrix(p)
-        q = p.conj() if self.antiunitary else p
-        return self.matrix @ q @ self.matrix.conj().T
-
 
 def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Context:
     """Build a context from an orthonormal basis.

@@ -20,7 +20,6 @@ __all__ = [
     "PathReport",
     "ObstructionResult",
     "permutation_matrix",
-    "permutation_log_generator",
     "unitary_path_to_identity",
     "orthogonal_obstruction",
 ]
@@ -112,12 +111,6 @@ def _eigensystem(sigma: Permutation) -> tuple[np.ndarray, np.ndarray]:
                 vecs[site, col] = np.exp(-2j * np.pi * m * j / length) / np.sqrt(length)
             col += 1
     return phases, vecs
-
-
-def permutation_log_generator(sigma: Permutation) -> np.ndarray:
-    """Self-adjoint H with exp(iH) equal to the permutation matrix."""
-    phases, vecs = _eigensystem(sigma)
-    return (vecs * phases) @ vecs.conj().T
 
 
 def unitary_path_to_identity(sigma: Permutation, steps: int) -> PathReport:

@@ -4,9 +4,9 @@ A bijective map on rank-1 projectors that preserves orthogonality in
 both directions is realized by a single unitary or anti-unitary
 operator (for dimension >= 3). A program only ever sees finitely many
 rays, so certification here works on a finite witness set: check the
-orthogonality hypothesis on all listed pairs, decide the branch through
-Bargmann triple products, then fit the operator constructively from a
-phase-fixing gadget and verify the fit on every listed pair.
+orthogonality hypothesis on all listed pairs, fit one phase per ray
+between the Gram matrices to decide the branch, then fit the operator
+from a phase-fixing gadget and verify it on every listed pair.
 
 For k rays in dimension n a certification costs O(k^2 n^3 + k^3) time
 and O(k n^2 + k^2) memory and runs each stage once. A RayMap holds its
@@ -15,11 +15,10 @@ linalg.row_norms, caches nothing derived from them but its Projector
 pairs, built only when asked for: bijectivity is the blocked same-ray
 screen of ks documents (O(k^2 n)), the pair checks run row by row on
 (k, n, n) projector stacks built for the check and keep the latest
-(map, tol) verdict, the C(k, 3) Bargmann triples are streamed from the
-two Gram matrices, and the fit takes the classification and checks one
-stacked U S U^dag. Every kernel reproduces the per-pair arithmetic
-exactly, so verdicts, witnesses and reported norms do not depend on the
-chunking.
+(map, tol) verdict, the branch is two O(k^2) gauge fits plus a row-wise
+witness search (O(k^3) only if it finds nothing), and the fit checks
+one stacked U S U^dag. Pair checks and triples reproduce the per-pair
+arithmetic exactly, so no result depends on the chunking.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "bargmann_invariant",
     "classify_transform",
     "fit_transform",
-    "phase_aligned_distance",
     "gadget_sources",
     "induced_ray_map",
     "FIT_RESIDUAL_LIMIT",
@@ -208,65 +206,74 @@ def bargmann_invariant(p1: Projector, p2: Projector, p3: Projector) -> complex:
     return complex(np.trace(p1.matrix @ p2.matrix @ p3.matrix))
 
 
+def _gauge_residual(g: np.ndarray, gt: np.ndarray) -> float:
+    """max |gt[i, j] - conj(c_i) c_j g[i, j]| once a unit phase c_j per ray
+    is fixed along a maximum spanning forest of |g| (Prim, O(k^2)). Each
+    tree edge on the path closing a non-tree entry is at least as strong
+    as that entry, so every entry's rounding stays near path length x ulp."""
+    k, weight = len(g), np.abs(g)
+    c, free = np.ones(k, dtype=np.complex128), np.arange(k) > 0
+    best, parent = weight[0].copy(), np.zeros(k, dtype=np.intp)  # strongest link to the tree
+    for _ in range(k - 1):
+        j = int(np.argmax(np.where(free, best, -1.0)))
+        p = parent[j]
+        z = gt[p, j] * g[p, j].conjugate()
+        c[j] = c[p] * (z / abs(z) if z else 1.0)
+        free[j] = False
+        closer = free & (weight[j] > best)
+        best[closer], parent[closer] = weight[j, closer], j
+    return max_abs(gt - c.conj()[:, None] * c * g)
+
+
+def _first_triple(gs: np.ndarray, gt: np.ndarray, eps: float, misfits=()) -> tuple:
+    """(triple, source value, target value) of the first triple i < j < l
+    whose source invariant g_ij g_jl g_li is nonreal and whose target
+    invariant fits no branch in misfits (True is the anti-unitary one),
+    or () if none. One row i at a time, O(k^2) each, up to the first hit."""
+    k = len(gs)
+    for i in range(k - 2):
+        r = slice(i + 1, k)
+        vs = gs[i, r, None] * gs[r, r] * gs[r, i]
+        vt = gt[i, r, None] * gt[r, r] * gt[r, i]
+        hit = np.abs(vs.imag) > eps
+        for anti in misfits:
+            hit &= ~(np.abs(vt - (vs.conj() if anti else vs)) <= eps)
+        idx = np.flatnonzero(np.triu(hit, 1))
+        if idx.size:
+            j, l = divmod(int(idx[0]), k - 1 - i)
+            return (i, i + 1 + j, i + 1 + l), complex(vs.flat[idx[0]]), complex(vt.flat[idx[0]])
+    return ()
+
+
 def classify_transform(m: RayMap,
                        tol: Tolerance = DEFAULT_TOL) -> TransformClassification:
-    """Decide the unitary/anti-unitary branch through Bargmann triples.
+    """Decide the unitary/anti-unitary branch from two phase-gauge fits.
 
-    Triples whose source invariant is real within tol carry no branch
-    information and are skipped; if none remains, the data cannot
-    distinguish the branches (Inconclusive). The witness is the first
-    nonreal triple in lexicographic order for a branch verdict; for
-    Neither it is the first triple fitting neither branch or, on mixed
-    evidence, the first non-unitary one.
-
-    The triples (i, j, l), i < j < l, are streamed in lexicographic
-    chunks of i, each a suffix of one g_jl table over the triu_indices
-    pairs, with the same products g_ij g_jl g_li as a full scan. Cost:
-    O(k^3 + k^2 n) time, O(k^2 + k n^2) memory; the orthogonality check
-    on the input is free right after the caller's own.
+    One operator induces the map exactly when G_t = D^dag G_s D for a
+    diagonal phase matrix D, with G_s conjugated on the anti-unitary
+    branch (Chefles, Jozsa & Winter 2004), so every cycle invariant must
+    match, not only the Bargmann triangles. Both branches fit only if all
+    cycle invariants are real (Inconclusive); if neither fits: Neither.
+    The witness is the first triple in lexicographic order with a nonreal
+    source invariant: any for a branch verdict; for Neither one fitting
+    neither branch, else a non-unitary one; None if there is none. Cost:
+    O(k^2 n) for the fits plus O(k^2) per row of triples up to the
+    witness; the orthogonality check is free right after the caller's.
     """
     if not check_orthogonality_preserving(m, tol):
         raise HypothesisViolated("map does not preserve orthogonality both ways")
-    k = len(m.source_vectors)
     eps = tol.abs_eps
     gs = m.source_vectors.conj() @ m.source_vectors.T  # Gram matrices <v_i|v_j>
     gt = m.target_vectors.conj() @ m.target_vectors.T
-    rows, cols = np.triu_indices(k, 1)
-    gs_jl, gt_jl = gs[rows, cols], gt[rows, cols]
-    first_nonreal = first_nonunitary = None
-    all_anti = True
-    start = 0
-    for i in range(k - 2):
-        start += k - 1 - i  # skip the pairs (j, l) with j == i
-        j, l = rows[start:], cols[start:]
-        vs = gs[i, j] * gs_jl[start:] * gs[l, i]
-        vt = gt[i, j] * gt_jl[start:] * gt[l, i]
-        nonreal = np.abs(vs.imag) > eps
-        nonunitary = nonreal & ~(np.abs(vt - vs) <= eps)
-        nonanti = nonreal & ~(np.abs(vt - vs.conj()) <= eps)
-
-        def first(mask):
-            idx = np.flatnonzero(mask)
-            if not idx.size:
-                return None
-            a = idx[0]
-            return (i, int(j[a]), int(l[a])), complex(vs[a]), complex(vt[a])
-
-        first_nonreal = first_nonreal or first(nonreal)
-        first_nonunitary = first_nonunitary or first(nonunitary)
-        all_anti = all_anti and not nonanti.any()
-        neither = first(nonunitary & nonanti)
-        if neither is not None:  # the earliest one: nothing later changes the verdict
-            return TransformClassification(Verdict.NEITHER, *neither)
-
-    if first_nonreal is None:
+    unitary = _gauge_residual(gs, gt) <= eps
+    anti = _gauge_residual(gs.conj(), gt) <= eps
+    if unitary and anti:
         return TransformClassification(Verdict.INCONCLUSIVE)
-    if first_nonunitary is None:
-        return TransformClassification(Verdict.UNITARY, *first_nonreal)
-    if all_anti:
-        return TransformClassification(Verdict.ANTIUNITARY, *first_nonreal)
-    # mixed evidence: witness a non-unitary triple
-    return TransformClassification(Verdict.NEITHER, *first_nonunitary)
+    if unitary or anti:
+        verdict = Verdict.UNITARY if unitary else Verdict.ANTIUNITARY
+        return TransformClassification(verdict, *_first_triple(gs, gt, eps))
+    return TransformClassification(Verdict.NEITHER, *(_first_triple(gs, gt, eps, (False, True))
+                                                       or _first_triple(gs, gt, eps, (False,))))
 
 
 def gadget_sources(context: Context) -> list[np.ndarray]:
@@ -396,10 +403,3 @@ def fit_transform(m: RayMap, classification: TransformClassification,
             "no single operator reproduces the listed rays")
     return FitResult(transform=transform, residual=residual, verdict=verdict,
                      ambiguous_branch=ambiguous, fiduciary_label=context.label)
-
-
-def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over phases of ||A - e^{i phi} B||_max, phase chosen in Frobenius."""
-    z = np.trace(b.conj().T @ a)
-    phase = z / abs(z) if abs(z) > 0 else 1.0
-    return max_abs(a - phase * b)

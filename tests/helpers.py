@@ -7,8 +7,15 @@ from pathlib import Path
 
 import numpy as np
 
-from qcontexts.core import DensityOperator, context_distribution, make_context, make_generator
-from qcontexts.linalg import DEFAULT_TOL
+from qcontexts.core import (
+    ContextTransform,
+    DensityOperator,
+    context_distribution,
+    make_context,
+    make_generator,
+)
+from qcontexts.linalg import DEFAULT_TOL, max_abs
+from qcontexts.topology import Permutation, _eigensystem
 from qcontexts.uhlhorn import RayMap
 
 
@@ -47,6 +54,26 @@ def ray_map(dim: int, pairs, covering_contexts=(), tol=DEFAULT_TOL) -> RayMap:
     sources = np.array([s.vector for s, _ in pairs])
     targets = np.array([t.vector for _, t in pairs])
     return RayMap(dim, sources, targets, covering_contexts, tol)
+
+
+def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """min over phases of ||A - e^{i phi} B||_max, phase chosen in Frobenius."""
+    z = np.trace(b.conj().T @ a)
+    phase = z / abs(z) if abs(z) > 0 else 1.0
+    return max_abs(a - phase * b)
+
+
+def act_matrix(transform: ContextTransform, p: np.ndarray) -> np.ndarray:
+    """U P U^dag, with P conjugated first when the transform is anti-unitary."""
+    q = p.conj() if transform.antiunitary else p
+    return transform.matrix @ q @ transform.matrix.conj().T
+
+
+def permutation_log_generator(sigma: Permutation) -> np.ndarray:
+    """Self-adjoint H with exp(iH) equal to the permutation matrix, built
+    from the eigensystem that topology's unitary paths use."""
+    phases, vecs = _eigensystem(sigma)
+    return (vecs * phases) @ vecs.conj().T
 
 
 def simulate_reference(initial, contexts, seed: int) -> list[int]:

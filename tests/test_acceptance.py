@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import fourier_context, standard_basis
+from helpers import fourier_context, phase_aligned_distance, standard_basis
 from qcontexts.cli import main as cli_main
 from qcontexts.core import (
     Projector,
@@ -36,7 +36,6 @@ from qcontexts.uhlhorn import (
     check_orthogonality_preserving,
     classify_transform,
     fit_transform,
-    phase_aligned_distance,
 )
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -186,7 +186,7 @@ class TestUhlhorn:
     def test_tolerance_below_float_resolution_exits_two(self, capsys):
         code, out, err = run(capsys, "uhlhorn", ds("raymap_unitary_dim3.json"), "--tol", "0")
         assert (code, out) == (2, "")
-        assert err == "error: ValueError: abs_eps must be in [1e-12, 1e-3), got 0.0\n"
+        assert err == "error: ValueError: --tol must be in [1e-12, 1e-3), got 0.0\n"
 
     def test_corrupted_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "corrupt.json"
@@ -622,7 +622,7 @@ class TestUsage:
         assert (code, out) == (2, "") and err.startswith("error: MalformedDocument:")
         # and after the tolerance
         code, _, err = run(capsys, *argv, "--seed", seed, "--tol", "1")
-        assert code == 2 and err.startswith("error: ValueError: abs_eps must be in")
+        assert code == 2 and err.startswith("error: ValueError: --tol must be in")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,14 +3,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import series_expm
+from helpers import permutation_log_generator, series_expm
 from qcontexts.core import make_generator
 from qcontexts.linalg import is_unitary, max_abs
 from qcontexts.topology import (
     ObstructionResult,
     Permutation,
     orthogonal_obstruction,
-    permutation_log_generator,
     permutation_matrix,
     unitary_path_to_identity,
 )

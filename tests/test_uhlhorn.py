@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import ray_map, standard_basis, standard_context
+from helpers import act_matrix, phase_aligned_distance, ray_map, standard_basis, standard_context
 from qcontexts import cli, uhlhorn
 from qcontexts.core import ContextTransform, Projector, make_context, make_generator
 from qcontexts.errors import (
@@ -32,7 +33,6 @@ from qcontexts.uhlhorn import (
     fit_transform,
     gadget_sources,
     induced_ray_map,
-    phase_aligned_distance,
 )
 
 
@@ -369,8 +369,9 @@ class TestFitTransform:
 
 # ------------------------------------------------------------------
 # Reference implementations: the per-pair loops and the fully
-# materialised triple scan the stacked and streamed kernels replaced.
-# The kernels must reproduce them bit for bit.
+# materialised triple scan the stacked kernels and the gauge fits replaced.
+# Checks and witnesses must reproduce them bit for bit, and verdicts must
+# agree wherever the triangles decide (TestGaugeVerdicts has the rest).
 
 def ref_bijectivity_error(pairs, tol=DEFAULT_TOL) -> str | None:
     for i, j in combinations(range(len(pairs)), 2):
@@ -580,6 +581,16 @@ class TestKernelsMatchReference:
             assert ref_bijectivity_error(variants["short-norm-copies"]) == (
                 "sources 0 and 1 coincide; map must be bijective")
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_seeded_maps_match_the_triangle_reference(self, n, anti):
+        for seed in range(20):
+            m, _ = random_ray_map(n, make_generator(seed), antiunitary=anti)
+            swapped = _swap_last_targets(m)
+            assert classify_transform(swapped).verdict is Verdict.NEITHER
+            for case in (m, swapped):
+                assert classify_transform(case) == ref_classify(case)
+
     def test_fit_residual_bit_identical(self):
         # the stacked residual against the per-pair act_matrix loop it replaced
         rng = make_generator(94)
@@ -588,7 +599,40 @@ class TestKernelsMatchReference:
                 m, _ = random_ray_map(dim, rng, antiunitary=anti, n_extra=10)
                 fit = fit_transform(m, classify_transform(m))
                 assert fit.residual == max(
-                    max_abs(t.matrix - fit.transform.act_matrix(s.matrix)) for s, t in m.pairs)
+                    max_abs(t.matrix - act_matrix(fit.transform, s.matrix)) for s, t in m.pairs)
+
+
+def _four_cycle_map(anti: bool) -> RayMap:
+    """Rays e0, (1,1,1)/sqrt3, e1, (1, i, -1-i)/2 under a unitary or its
+    conjugate. The chords e0-e1 and 1-3 vanish, so every Bargmann triangle
+    is 0, while the 4-cycle invariant is i/12."""
+    e = standard_basis(3)
+    rays = [e[0], np.ones(3) / np.sqrt(3), e[1], np.array([1, 1j, -1 - 1j]) / 2]
+    u = random_unitary(3, make_generator(96))
+    return ray_map(3, tuple((proj(r), proj(u @ (r.conj() if anti else r))) for r in rays))
+
+
+class TestGaugeVerdicts:
+    """Maps the phase-gauge fits decide where the triangle reference cannot."""
+
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_nonreal_four_cycle_decides_the_branch(self, anti):
+        m = _four_cycle_map(anti)
+        gs = m.source_vectors.conj() @ m.source_vectors.T
+        assert gs[0, 1] * gs[1, 2] * gs[2, 3] * gs[3, 0] == pytest.approx(1j / 12, abs=1e-15)
+        assert ref_classify(m) == TransformClassification(Verdict.INCONCLUSIVE)
+        branch = Verdict.ANTIUNITARY if anti else Verdict.UNITARY
+        assert classify_transform(m) == TransformClassification(branch)  # no witness
+
+    def test_changed_overlap_modulus_is_neither(self):
+        # orthogonality holds both ways, but |<e0|s3>| goes from 1/sqrt2 to cos 0.3
+        e = standard_basis(3)
+        sources = [e[0], e[1], e[2], (e[0] + e[1]) / np.sqrt(2)]
+        targets = [e[0], e[1], e[2], np.cos(0.3) * e[0] + np.sin(0.3) * e[1]]
+        m = ray_map(3, tuple((proj(s), proj(t)) for s, t in zip(sources, targets)))
+        assert check_orthogonality_preserving(m).ok
+        assert ref_classify(m) == TransformClassification(Verdict.INCONCLUSIVE)
+        assert classify_transform(m) == TransformClassification(Verdict.NEITHER)
 
 
 def nudged_identity_map():
@@ -683,3 +727,18 @@ def test_large_map_certifies_in_bounded_memory(tmp_path):
     payload = json.loads(out)
     assert payload["verdict"] == "Antiunitary" and payload["antiunitary"] is True
     assert usage.ru_maxrss / 1024 < 150  # KiB on Linux
+
+
+def test_classification_memory_grows_as_k_squared():
+    """Peak allocation of classify_transform at k=200 and k=400. O(k^2)
+    memory gives a ratio of 4; the slack of 1.25 covers fixed overheads
+    and still rejects the 8 of an O(k^3) table."""
+    peaks = []
+    for k in (200, 400):
+        m, _ = random_ray_map(3, make_generator(97), antiunitary=True, n_extra=k - 7)
+        check_orthogonality_preserving(m)  # memoised, so the peak is the classification's
+        tracemalloc.start()
+        assert classify_transform(m).verdict is Verdict.ANTIUNITARY
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 4 * 1.25
