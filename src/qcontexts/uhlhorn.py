@@ -8,23 +8,21 @@ orthogonality hypothesis on all listed pairs, fit one phase per ray
 between the Gram matrices to decide the branch, then fit the operator
 from a phase-fixing gadget and verify it on every listed pair.
 
-For k rays in dimension n a certification costs O(k^2 n^3 + k^3) time
-and O(k n^2 + k^2) memory and runs each stage once. A RayMap holds its
-source and target unit vectors once, as (k, n) arrays normalized by
-linalg.row_norms, caches nothing derived from them but its Projector
-pairs, built only when asked for: bijectivity is the blocked same-ray
-screen of ks documents (O(k^2 n)), the pair checks run row by row on
-(k, n, n) projector stacks built for the check and keep the latest
-(map, tol) verdict, the branch is two O(k^2) gauge fits plus a row-wise
-witness search (O(k^3) only if it finds nothing), and the fit checks
-one stacked U S U^dag. Pair checks and triples reproduce the per-pair
-arithmetic exactly, so no result depends on the chunking.
+For k rays in dimension n a certification costs O(k^2 n + k^3) time
+and O(k n^2 + k^2) memory. A RayMap holds its source and target unit
+vectors once, as (k, n) arrays normalized by linalg.row_norms, and
+caches nothing derived from them but its Projector pairs, built only
+when asked for. Bijectivity is the blocked same-ray screen of ks
+documents and the pair checks a Gram screen, O(k^2 n) each; the branch
+is two O(k^2) gauge fits plus a row-wise witness search (O(k^3) only if
+it finds nothing); the fit checks one stacked U S U^dag. Pair checks and
+witnesses reproduce the per-pair arithmetic bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -168,35 +166,37 @@ def check_orthogonality_preserving(m: RayMap,
                                    tol: Tolerance = DEFAULT_TOL) -> OrthogonalityCheck:
     """Test ||P_i P_j|| <= tol  <=>  ||T_i T_j|| <= tol over all listed pairs.
 
-    Runs one row i at a time: the products of P_i with every later
-    projector are one stacked matmul over (k, n, n) stacks built from the
-    map's rows, and the first violating pair in lexicographic order is
-    reported. Cost: O(k^2 n^3) time, O(k n^2) memory; a repeat is free.
-
-    The max-norm is taken of the product matrices, not from the Gram
-    shortcut |<v_i|v_j>| max|v_i| max|v_j|, which is equal in exact
-    arithmetic but not in floating point: on a 210-ray map the two
-    differed by up to 8e-15 relative on overlapping pairs and by up to
-    73% on orthogonal ones, where both are rounding noise near 1e-16.
-    The decision and the reported norms would move with it.
+    The product max_abs(P_i @ P_j) decides and is reported, but it is only
+    taken, in lexicographic order, on pairs a Gram screen leaves open. The
+    estimate |<v_i|v_j>| max|v_i| max|v_j| equals it in exact arithmetic;
+    for unit rows and u = 2^-53 the two differ by under (5.7n + 10.5) u.
+    Each sums 2n real products per real part whose moduli add up to at
+    most 1 (Cauchy-Schwarz), so it is within 2 sqrt2 n u in any order, with
+    or without FMA; the entries of P_i and P_j add 2 sqrt5 u, the moduli,
+    row maxima and their products 5u, norms a few u off 1 and underflow
+    far less. Outside the band 16 (n + 2) u around tol, twice that, the
+    estimate decides as the product does, so only pairs with an estimate
+    in the band or estimates deciding differently on the two sides are
+    left open, and verdict, pair and norms are those of the product test.
+    Cost: O(k^2 n) time and O(k^2) memory, plus O(n^3) per open pair.
     """
-    return _orthogonality(m, tol)  # positional, so one (map, tol) is one cache key
-
-
-@lru_cache(maxsize=1)
-def _orthogonality(m: RayMap, tol: Tolerance) -> OrthogonalityCheck:
-    src, tgt = _projector_stack(m.source_vectors), _projector_stack(m.target_vectors)
-    eps = tol.abs_eps
-    for i in range(len(src) - 1):
-        s = np.abs(np.matmul(src[i], src[i + 1:])).max(axis=(1, 2))
-        t = np.abs(np.matmul(tgt[i], tgt[i + 1:])).max(axis=(1, 2))
-        bad = np.flatnonzero((s <= eps) != (t <= eps))
-        if bad.size:
-            b = bad[0]
-            return OrthogonalityCheck(ok=False, violating_pair=(i, i + 1 + int(b)),
-                                      source_product_norm=float(s[b]),
-                                      target_product_norm=float(t[b]))
+    eps, band = tol.abs_eps, 16 * (m.dim + 2) * 2.0 ** -53
+    sides = (m.source_vectors, m.target_vectors)
+    peaks = [np.abs(v).max(axis=1) for v in sides]
+    est = [np.abs(v.conj() @ v.T) * p[:, None] * p for v, p in zip(sides, peaks)]
+    near = [np.abs(e - eps) <= band for e in est]
+    undecided = ((est[0] <= eps) != (est[1] <= eps)) | near[0] | near[1]
+    for i, j in zip(*np.nonzero(np.triu(undecided, 1))):  # row-major: lexicographic
+        s, t = (_product_norm(v, i, j) for v in sides)
+        if (s <= eps) != (t <= eps):
+            return OrthogonalityCheck(ok=False, violating_pair=(int(i), int(j)),
+                                      source_product_norm=s, target_product_norm=t)
     return OrthogonalityCheck(ok=True)
+
+
+def _product_norm(v: np.ndarray, i: int, j: int) -> float:
+    """max_abs(P_i @ P_j) for the projectors onto rows i and j of v."""
+    return max_abs(np.matmul(*_projector_stack(v[[i, j]])))
 
 
 def bargmann_invariant(p1: Projector, p2: Projector, p3: Projector) -> complex:
@@ -257,8 +257,8 @@ def classify_transform(m: RayMap,
     The witness is the first triple in lexicographic order with a nonreal
     source invariant: any for a branch verdict; for Neither one fitting
     neither branch, else a non-unitary one; None if there is none. Cost:
-    O(k^2 n) for the fits plus O(k^2) per row of triples up to the
-    witness; the orthogonality check is free right after the caller's.
+    O(k^2 n) for the orthogonality check on its own input and the fits,
+    plus O(k^2) per row of triples up to the witness.
     """
     if not check_orthogonality_preserving(m, tol):
         raise HypothesisViolated("map does not preserve orthogonality both ways")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,16 @@ from qcontexts.core import (
 from qcontexts.linalg import DEFAULT_TOL, max_abs
 from qcontexts.topology import Permutation, _eigensystem
 from qcontexts.uhlhorn import RayMap
+
+
+def peak_allocation(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw numpy and Python allocate
+    during the call); the arguments are built before tracing starts."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def standard_basis(n: int) -> list[np.ndarray]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import mub_bases_dim3, standard_context
+from helpers import mub_bases_dim3, peak_allocation, standard_context
 from qcontexts.core import DensityOperator, Projector, context_distribution, make_generator
 from qcontexts.errors import (
     DimensionMismatch,
@@ -220,6 +220,18 @@ class TestReconstructDensity:
         report = reconstruct_density(samples)
         assert np.linalg.norm(report.rho.matrix - rho) <= 1e-8
         assert not any("matrix" in p.__dict__ for p in projs)
+
+    def test_memory_grows_linearly_in_samples(self):
+        """Peak allocation at 400 and 800 samples in dimension 4: the O(k n^2)
+        design gives a ratio of 2; the slack of 1.25 covers fixed overheads
+        and still rejects a (k, k) table."""
+        rng = make_generator(32)
+        rho = random_density(4, rng).matrix
+        projs = [p for c in range(200) for p in random_context(4, rng, f"c{c}").projectors]
+        samples = [FrameSample(p, float(np.vdot(p.vector, rho @ p.vector).real))
+                   for p in projs]
+        peaks = [peak_allocation(reconstruct_density, samples[:k])[1] for k in (400, 800)]
+        assert peaks[1] / peaks[0] <= 2 * 1.25
 
 
 class TestBornCaseCheck:

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from helpers import brute_force_valuation_count
+from helpers import brute_force_valuation_count, peak_allocation
 from qcontexts import linalg
 from qcontexts.core import make_generator
 from qcontexts.errors import BasisNotOrthogonal, MalformedDocument
@@ -488,3 +488,21 @@ class TestParityCertificate:
         values = result.assignment
         for basis in inst.bases:
             assert sum(values[i] for i in basis) == 1
+
+
+def test_loader_memory_grows_linearly_in_vectors():
+    """Peak allocation of ks_instance_from_json on 1200 and 2400 vectors in
+    disjoint real bases of dimension 3. O(M n) arrays plus the fixed blocks
+    of the orthogonality and same-ray screens give a ratio of at most 2;
+    the slack of 1.25 rejects the 4 of an (M, M) table."""
+    rng = make_generator(33)
+    vectors = [column for _ in range(800)
+               for column in np.linalg.qr(rng.standard_normal((3, 3)))[0].T.tolist()]
+    peaks = []
+    for m in (1200, 2400):
+        doc = {"dim": 3, "vectors": vectors[:m],
+               "bases": [[i, i + 1, i + 2] for i in range(0, m, 3)]}
+        instance, peak = peak_allocation(ks_instance_from_json, doc)
+        assert instance.n_vectors == m
+        peaks.append(peak)
+    assert peaks[1] / peaks[0] <= 2 * 1.25

@@ -2,14 +2,20 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import act_matrix, phase_aligned_distance, ray_map, standard_basis, standard_context
+from helpers import (
+    act_matrix,
+    peak_allocation,
+    phase_aligned_distance,
+    ray_map,
+    standard_basis,
+    standard_context,
+)
 from qcontexts import cli, uhlhorn
 from qcontexts.core import ContextTransform, Projector, make_context, make_generator
 from qcontexts.errors import (
@@ -83,6 +89,7 @@ class TestRayMap:
 
     def test_immutable_and_certified_without_cached_stacks(self):
         m = identity_map(3)
+        assert check_orthogonality_preserving(m)
         fit_transform(m, classify_transform(m))
         # a full certification leaves the map holding its rows and nothing derived
         assert sorted(vars(m)) == ["covering_contexts", "dim", "source_vectors",
@@ -369,9 +376,10 @@ class TestFitTransform:
 
 # ------------------------------------------------------------------
 # Reference implementations: the per-pair loops and the fully
-# materialised triple scan the stacked kernels and the gauge fits replaced.
-# Checks and witnesses must reproduce them bit for bit, and verdicts must
-# agree wherever the triangles decide (TestGaugeVerdicts has the rest).
+# materialised triple scan that the Gram screen, the stacked kernels and
+# the gauge fits replaced. Checks and witnesses must reproduce them bit for
+# bit, and verdicts must agree wherever the triangles decide
+# (TestGaugeVerdicts has the rest).
 
 def ref_bijectivity_error(pairs, tol=DEFAULT_TOL) -> str | None:
     for i, j in combinations(range(len(pairs)), 2):
@@ -510,7 +518,7 @@ def reference_cases():
         ("mixed-evidence", _block_map(False, True), DEFAULT_TOL),
         ("neither-past-first-chunk", _swap_last_targets(_block_map(False, True)), DEFAULT_TOL),
         # the first non-unitary triple fits the anti-unitary branch; a triple
-        # fitting neither branch comes chunks later and is the witness
+        # fitting neither branch comes rows later and is the witness
         ("neither-after-mixed", _swap_last_targets(_block_map(True, False, False)),
          DEFAULT_TOL),
         ("all-real", _real_map(), DEFAULT_TOL),
@@ -537,7 +545,7 @@ class TestKernelsMatchReference:
         outcomes = [_outcome(classify_transform, m, tol) for _, m, tol in reference_cases()]
         verdicts = {getattr(c, "verdict", "raised") for c in outcomes}
         assert verdicts == {"raised", *Verdict}
-        # some witnesses lie past the first chunk of the streamed scan
+        # some witnesses lie past row 0 of the triple scan
         assert any(c.witness_triple[0] > 0 for c in outcomes
                    if getattr(c, "witness_triple", None))
 
@@ -589,6 +597,7 @@ class TestKernelsMatchReference:
             swapped = _swap_last_targets(m)
             assert classify_transform(swapped).verdict is Verdict.NEITHER
             for case in (m, swapped):
+                assert check_orthogonality_preserving(case) == ref_check(case)
                 assert classify_transform(case) == ref_classify(case)
 
     def test_fit_residual_bit_identical(self):
@@ -600,6 +609,66 @@ class TestKernelsMatchReference:
                 fit = fit_transform(m, classify_transform(m))
                 assert fit.residual == max(
                     max_abs(t.matrix - act_matrix(fit.transform, s.matrix)) for s, t in m.pairs)
+
+
+def _edge_rays(n: int, value: float, rng=None) -> list[np.ndarray]:
+    """Rays a, b in dimension n with max|P_a P_b| = value. Without rng,
+    a = e0 and b = d e0 + c e1, with d stepped by ulps until the product
+    ref_check takes is value to the last bit; the Gram estimate then
+    agrees with it bit for bit. With rng, the same rays turned by a
+    random unitary, placed at value in exact arithmetic: the product and
+    the estimate each carry their own rounding, a few 1e-16."""
+    w = np.eye(n) if rng is None else random_unitary(n, rng)
+    a = w[:, 0]
+
+    def ray(d):
+        return d * a + np.sqrt(1 - d * d) * w[:, 1]
+
+    d = value
+    for _ in range(4):  # max|b| moves with d only slightly
+        d = value / (np.abs(a).max() * np.abs(ray(d)).max())
+    for _ in range(64 if rng is None else 0):
+        (pa, _), (pb, _) = RayMap(n, [a, ray(d)], [a, ray(d)]).pairs
+        got = max_abs(pa.matrix @ pb.matrix)
+        if got == value:
+            break
+        d = np.nextafter(d, np.inf if got < value else 0.0)
+    return [a, ray(d)]
+
+
+def _edge_maps(eps: float, n: int) -> list[RayMap]:
+    """Two-pair maps with one side's pair at eps, eps +- 1 ulp, +- half the
+    check's band and +- twice the band, the other side's pair clearly
+    orthogonal (e0, e1) or clearly not (e0, (e0 + e1)/sqrt2)."""
+    band = 16 * (n + 2) * 2.0 ** -53  # the band of check_orthogonality_preserving
+    ulp = np.spacing(eps)
+    rng = make_generator(98 + n)
+    e = standard_basis(n)
+    decisive = ([e[0], e[1]], [e[0], (e[0] + e[1]) / np.sqrt(2)])
+    maps = []
+    for offset in (0.0, ulp, -ulp, band / 2, -band / 2, 2 * band, -2 * band):
+        for turn in (None,) + (rng,) * 8:
+            edge = _edge_rays(n, eps + offset, turn)
+            for other in decisive:
+                maps += [RayMap(n, edge, other), RayMap(n, other, edge)]
+    return maps
+
+
+class TestToleranceEdges:
+    """Pairs placed at the tolerance and around the Gram screen's band: the
+    check must decide and report each as the product test does."""
+
+    @pytest.mark.parametrize("n", [3, 4, 16])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-4])
+    def test_edge_table_matches_reference(self, eps, n):
+        tol = Tolerance(eps)
+        results = []
+        for m in _edge_maps(eps, n):
+            results.append(ref_check(m, tol))
+            assert check_orthogonality_preserving(m, tol) == results[-1]
+        assert {r.ok for r in results} == {True, False}
+        # exact ties: a product of exactly eps counts as orthogonal
+        assert any(eps in (r.source_product_norm, r.target_product_norm) for r in results)
 
 
 def _four_cycle_map(anti: bool) -> RayMap:
@@ -645,50 +714,60 @@ def nudged_identity_map():
 
 
 class TestOneStageEach:
-    """One uhlhorn CLI run executes the orthogonality kernel and the triple
-    scan once each; fit_transform scans nothing."""
+    """One uhlhorn CLI run classifies once, fit_transform scans nothing, and
+    projector products are taken only on pairs the Gram screen leaves open."""
 
     def certify(self, monkeypatch, capsys, tmp_path, m):
-        scans = []
-        classify = uhlhorn.classify_transform
+        scans, products = [], []
+        classify, product_norm = uhlhorn.classify_transform, uhlhorn._product_norm
 
         def counted(*args):
             scans.append(1)
             return classify(*args)
 
+        def counted_product(v, i, j):
+            products.append((int(i), int(j)))
+            return product_norm(v, i, j)
+
         monkeypatch.setattr(cli, "classify_transform", counted)
         monkeypatch.setattr(uhlhorn, "classify_transform", counted)
+        monkeypatch.setattr(uhlhorn, "_product_norm", counted_product)
         path = tmp_path / "raymap.json"
         path.write_text(json.dumps(ray_map_to_json(m)))
-        before = uhlhorn._orthogonality.cache_info()
         code = cli.main(["uhlhorn", str(path)])
-        after = uhlhorn._orthogonality.cache_info()
         capsys.readouterr()
-        return code, after.misses - before.misses, after.hits - before.hits, len(scans)
+        return code, len(scans), sorted(set(products))
 
     @pytest.mark.parametrize("anti", [False, True])
     def test_accepted_map(self, monkeypatch, capsys, tmp_path, anti):
         m, _ = random_ray_map(3, make_generator(92), antiunitary=anti)
-        # the check inside classify_transform is a cache hit, not a second run
-        assert self.certify(monkeypatch, capsys, tmp_path, m) == (0, 1, 1, 1)
+        # every pair's estimates lie outside the band and agree on both sides
+        assert self.certify(monkeypatch, capsys, tmp_path, m) == (0, 1, [])
 
     def test_rejected_map_runs_no_scan(self, monkeypatch, capsys, tmp_path):
-        assert self.certify(monkeypatch, capsys, tmp_path, nudged_identity_map()) == (1, 1, 0, 0)
+        # the violating pair is the one product taken, on each side
+        assert self.certify(monkeypatch, capsys, tmp_path, nudged_identity_map()) == (
+            1, 0, [(0, 1)])
 
 
 class TestOrthogonalityMemo:
+    """Repeated checks on other tolerances and maps decide each from scratch,
+    as the product test does; a wrong branch still fails the fit."""
+
     def test_each_tolerance_gets_its_own_verdict(self):
         m, loose = nudged_identity_map(), Tolerance(1e-4)
         for tol, ok in ((DEFAULT_TOL, False), (loose, True), (DEFAULT_TOL, False)):
             check = check_orthogonality_preserving(m, tol)
             assert check.ok is ok
-            assert check == uhlhorn._orthogonality.__wrapped__(m, tol)
+            assert check == ref_check(m, tol)
         assert check.violating_pair == (0, 1)
 
     def test_each_map_gets_its_own_verdict(self):
         good, bad = identity_map(3), nudged_identity_map()
         for m, ok in ((good, True), (bad, False), (good, True), (bad, False)):
-            assert check_orthogonality_preserving(m).ok is ok
+            check = check_orthogonality_preserving(m)
+            assert check.ok is ok
+            assert check == ref_check(m)
         check_orthogonality_preserving(good)
         with pytest.raises(HypothesisViolated):  # the guard checks its own input
             classify_transform(bad)
@@ -706,7 +785,7 @@ class TestOrthogonalityMemo:
 
 def test_large_map_certifies_in_bounded_memory(tmp_path):
     """400 rays: C(400, 3) = 10.6M triples, which the materialised scan held
-    at once (about 1.1 GiB); streamed, the whole CLI run stays small."""
+    at once (about 1.1 GiB); the whole CLI run stays small."""
     rng = make_generator(93)
     hidden = ContextTransform.from_matrix(random_unitary(3, rng), antiunitary=True)
     basis = random_unitary(3, rng)
@@ -729,16 +808,29 @@ def test_large_map_certifies_in_bounded_memory(tmp_path):
     assert usage.ru_maxrss / 1024 < 150  # KiB on Linux
 
 
+def _sweep_map(k: int) -> RayMap:
+    return random_ray_map(3, make_generator(97), antiunitary=True, n_extra=k - 7)[0]
+
+
 def test_classification_memory_grows_as_k_squared():
     """Peak allocation of classify_transform at k=200 and k=400. O(k^2)
     memory gives a ratio of 4; the slack of 1.25 covers fixed overheads
     and still rejects the 8 of an O(k^3) table."""
     peaks = []
     for k in (200, 400):
-        m, _ = random_ray_map(3, make_generator(97), antiunitary=True, n_extra=k - 7)
-        check_orthogonality_preserving(m)  # memoised, so the peak is the classification's
-        tracemalloc.start()
-        assert classify_transform(m).verdict is Verdict.ANTIUNITARY
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
+        classification, peak = peak_allocation(classify_transform, _sweep_map(k))
+        assert classification.verdict is Verdict.ANTIUNITARY
+        peaks.append(peak)
+    assert peaks[1] / peaks[0] <= 4 * 1.25
+
+
+def test_orthogonality_check_memory_grows_as_k_squared():
+    """Peak allocation of check_orthogonality_preserving at k=200 and
+    k=400: the (k, k) estimate tables give a ratio of 4; the slack of 1.25
+    rejects the 8 of an O(k^3) table."""
+    peaks = []
+    for k in (200, 400):
+        check, peak = peak_allocation(check_orthogonality_preserving, _sweep_map(k))
+        assert check.ok
+        peaks.append(peak)
     assert peaks[1] / peaks[0] <= 4 * 1.25
