@@ -58,7 +58,7 @@ from .jsonio import (
 )
 from .linalg import Tolerance
 from .partition import search_assignment
-from .topology import orthogonal_obstruction, unitary_path_to_identity
+from .topology import orthogonal_obstruction, path_samples, unitary_path_to_identity
 from .uhlhorn import Verdict, check_orthogonality_preserving, classify_transform, fit_transform
 
 __all__ = ["main", "entry"]
@@ -187,10 +187,7 @@ def cmd_perm_path(args, tol: Tolerance) -> tuple[dict, int]:
     sigma = permutation_from_json(load_json_file(args.permutation))
     report = unitary_path_to_identity(sigma, args.steps)
     obstruction = orthogonal_obstruction(sigma)
-    if args.emit_samples:
-        samples = [matrix_to_json(report.samples[k]) for k in range(report.steps)]
-    else:
-        samples = [matrix_to_json(report.samples[0]), matrix_to_json(report.samples[-1])]
+    samples = path_samples(sigma, report.times if args.emit_samples else report.times[[0, -1]])
     payload = {
         "command": "perm-path",
         "n": sigma.n,
@@ -202,7 +199,7 @@ def cmd_perm_path(args, tol: Tolerance) -> tuple[dict, int]:
         "det_sign": obstruction.det_sign,
         "connected_in_orthogonal_group": obstruction.connected_in_orthogonal_group,
         "samples_included": "all" if args.emit_samples else "endpoints",
-        "samples": samples,
+        "samples": [matrix_to_json(u) for u in samples],
     }
     return payload, EXIT_OK
 

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .core import Context, DensityOperator, Projector, make_context
 from .errors import BasisNotOrthogonal, MalformedDocument
 from .gleason import FrameSample
@@ -351,7 +352,7 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
             raise MalformedDocument(f"basis {b} repeats a vector index")
         bases.append(idx)
     i, j = np.triu_indices(dim, 1)  # the pairs of a basis in combinations order
-    step = max(1, (1 << 15) // (dim * dim))  # bases per batched Gram: 2^15 entries, 512 KiB
+    step = max(1, linalg._BLOCK_ENTRIES // (dim * dim))  # bases per batched Gram
     for a in range(0, len(bases), step):
         block = vectors[np.array(bases[a:a + step])]
         overlaps = np.abs(block.conj() @ block.transpose(0, 2, 1))[:, i, j]

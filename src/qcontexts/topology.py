@@ -4,7 +4,8 @@ Every permutation matrix is reachable from the identity along a
 continuous path of unitaries U(t) = exp(itH); inside the real
 orthogonal group the determinant splits the group into two components,
 so odd permutations are unreachable there. Both facts are exhibited
-per permutation: an explicit sampled path, and the determinant sign.
+per permutation: an explicit sampled path, checked in one pass that keeps
+no sample, and the determinant sign.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import FrozenValue, is_unitary, max_abs
+from . import linalg
+from .linalg import FrozenValue, max_abs
 
 __all__ = [
     "Permutation",
@@ -21,6 +23,7 @@ __all__ = [
     "ObstructionResult",
     "permutation_matrix",
     "unitary_path_to_identity",
+    "path_samples",
     "orthogonal_obstruction",
 ]
 
@@ -68,11 +71,10 @@ class ObstructionResult(NamedTuple):
 
 
 class PathReport(NamedTuple):
-    """Sampled unitary path from the identity to a permutation matrix."""
+    """Checks of a sampled unitary path from the identity to a permutation matrix."""
 
     steps: int
     times: np.ndarray           # t_k = k/(steps-1)
-    samples: np.ndarray         # (steps, n, n) unitaries U(t_k)
     max_unitarity_deviation: float
     endpoint_errors: tuple[float, float]  # (||U(0)-I||, ||U(1)-P||)
     max_step_distance: float    # max consecutive ||U(t_{k+1})-U(t_k)||_max
@@ -80,10 +82,7 @@ class PathReport(NamedTuple):
 
 def permutation_matrix(sigma: Permutation) -> np.ndarray:
     """Matrix with entry (sigma(i), i) = 1; unitary with det = sign."""
-    m = np.zeros((sigma.n, sigma.n), dtype=np.complex128)
-    for i, j in enumerate(sigma.images):
-        m[j, i] = 1.0
-    return m
+    return np.eye(sigma.n, dtype=np.complex128)[:, list(sigma.images)]
 
 
 def _eigensystem(sigma: Permutation) -> tuple[np.ndarray, np.ndarray]:
@@ -102,15 +101,21 @@ def _eigensystem(sigma: Permutation) -> tuple[np.ndarray, np.ndarray]:
         length = len(cycle)
         for m in range(length):
             # branch chosen on integers: m/length <= 1/2 keeps theta in [0, pi]
-            if 2 * m <= length:
-                theta = 2.0 * np.pi * m / length
-            else:
-                theta = 2.0 * np.pi * (m - length) / length
-            phases[col] = theta
+            phases[col] = 2.0 * np.pi * (m if 2 * m <= length else m - length) / length
             for j, site in enumerate(cycle):
                 vecs[site, col] = np.exp(-2j * np.pi * m * j / length) / np.sqrt(length)
             col += 1
     return phases, vecs
+
+
+def _samples(phases: np.ndarray, vecs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The (len(times), n, n) unitaries V diag(exp(i t phases)) V^dag."""
+    return (vecs * np.exp(1j * times[:, None] * phases)[:, None, :]) @ vecs.conj().T
+
+
+def path_samples(sigma: Permutation, times: np.ndarray) -> np.ndarray:
+    """(len(times), n, n) samples U(t) as unitary_path_to_identity builds them."""
+    return _samples(*_eigensystem(sigma), times)
 
 
 def unitary_path_to_identity(sigma: Permutation, steps: int) -> PathReport:
@@ -118,31 +123,28 @@ def unitary_path_to_identity(sigma: Permutation, steps: int) -> PathReport:
 
     Endpoint errors and per-sample unitarity deviations stay at machine
     precision; max_step_distance shrinks proportionally to the step
-    size, which is the finite evidence of continuity.
+    size, which is the finite evidence of continuity. Samples are checked
+    in blocks of linalg._BLOCK_ENTRIES entries; each block's last sample
+    is carried into the next block's step distances.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     phases, vecs = _eigensystem(sigma)
     times = np.linspace(0.0, 1.0, steps)
-    vdag = vecs.conj().T
-    samples = np.empty((steps, sigma.n, sigma.n), dtype=np.complex128)
-    for k, t in enumerate(times):
-        samples[k] = (vecs * np.exp(1j * t * phases)) @ vdag
-
-    target = permutation_matrix(sigma)
-    endpoint_errors = (
-        max_abs(samples[0] - np.eye(sigma.n)),
-        max_abs(samples[-1] - target),
-    )
-    unit_dev = max(is_unitary(samples[k]).deviation for k in range(steps))
-    step_dist = max(
-        (max_abs(samples[k + 1] - samples[k]) for k in range(steps - 1)),
-        default=0.0,
-    )
-    return PathReport(steps=steps, times=times, samples=samples,
-                      max_unitarity_deviation=unit_dev,
-                      endpoint_errors=endpoint_errors,
-                      max_step_distance=step_dist)
+    eye = np.eye(sigma.n)
+    block = max(1, linalg._BLOCK_ENTRIES // max(1, sigma.n * sigma.n))
+    unit_dev = step_dist = 0.0
+    for a in range(0, steps, block):
+        u = _samples(phases, vecs, times[a:a + block])
+        unit_dev = max(unit_dev, max_abs(u.conj().transpose(0, 2, 1) @ u - eye))
+        if a:
+            u = np.concatenate((last, u))
+        else:
+            start_error = max_abs(u[0] - eye)
+        step_dist = max(step_dist, max_abs(u[1:] - u[:-1]))
+        last = u[-1:]
+    end_error = max_abs(last[0] - permutation_matrix(sigma))
+    return PathReport(steps, times, unit_dev, (start_error, end_error), step_dist)
 
 
 def orthogonal_obstruction(sigma: Permutation) -> ObstructionResult:

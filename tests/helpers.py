@@ -15,8 +15,8 @@ from qcontexts.core import (
     make_context,
     make_generator,
 )
-from qcontexts.linalg import DEFAULT_TOL, max_abs
-from qcontexts.topology import Permutation, _eigensystem
+from qcontexts.linalg import DEFAULT_TOL, is_unitary, max_abs
+from qcontexts.topology import Permutation, _eigensystem, permutation_matrix
 from qcontexts.uhlhorn import RayMap
 
 
@@ -85,6 +85,23 @@ def permutation_log_generator(sigma: Permutation) -> np.ndarray:
     from the eigensystem that topology's unitary paths use."""
     phases, vecs = _eigensystem(sigma)
     return (vecs * phases) @ vecs.conj().T
+
+
+def ref_path(sigma: Permutation, steps: int):
+    """The three-pass path check as it stood before the streamed pass, kept as
+    the reference for its numbers: (samples, max_unitarity_deviation,
+    endpoint_errors, max_step_distance), with every (steps, n, n) sample held."""
+    phases, vecs = _eigensystem(sigma)
+    times = np.linspace(0.0, 1.0, steps)
+    vdag = vecs.conj().T
+    samples = np.empty((steps, sigma.n, sigma.n), dtype=np.complex128)
+    for k, t in enumerate(times):
+        samples[k] = (vecs * np.exp(1j * t * phases)) @ vdag
+    endpoint_errors = (max_abs(samples[0] - np.eye(sigma.n)),
+                       max_abs(samples[-1] - permutation_matrix(sigma)))
+    unit_dev = max(is_unitary(samples[k]).deviation for k in range(steps))
+    step_dist = max(max_abs(samples[k + 1] - samples[k]) for k in range(steps - 1))
+    return samples, unit_dev, endpoint_errors, step_dist
 
 
 def simulate_reference(initial, contexts, seed: int) -> list[int]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import qcontexts
-from helpers import golden_cases, simulate_reference
+from helpers import golden_cases, peak_allocation, simulate_reference
 from qcontexts import cli
 from qcontexts.cli import main
 from qcontexts.core import make_generator
@@ -286,6 +286,21 @@ class TestPermPath:
         assert payload["samples_included"] == "all"
         assert len(payload["samples"]) == 11
 
+    @pytest.mark.parametrize("n, endpoint", [(0, []), (1, [[[1.0, 0.0]]])])
+    def test_trivial_permutations(self, capsys, tmp_path, n, endpoint):
+        # n = 0 builds blocks of 0 x 0 samples: all errors are zero
+        path = tmp_path / "trivial.json"
+        path.write_text(json.dumps({"n": n, "images": list(range(n))}))
+        expected = {
+            "command": "perm-path", "n": n, "images": list(range(n)), "steps": 101,
+            "endpoint_errors": [0.0, 0.0], "max_unitarity_deviation": 0.0,
+            "max_step_distance": 0.0, "det_sign": 1, "connected_in_orthogonal_group": True,
+            "samples_included": "endpoints", "samples": [endpoint, endpoint],
+        }
+        code, out, _ = run(capsys, "perm-path", str(path))
+        assert code == 0
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
     def test_malformed_images_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 3, "images": [0, 0, 2]}))
@@ -377,6 +392,20 @@ class TestSimulate:
         assert run(capsys, *args) == whole
         assert chunks == [((seed + start) % 2**64, min(7, 30 - start))
                           for start in range(0, 30, 7)]
+
+    def test_memory_does_not_grow_with_repeats(self, capsys):
+        """Peak allocation of simulate on the bundled Fourier sequence at 2^17
+        and 2^18 repeats: one chunk of 2^16 runs at a time gives a ratio near
+        1; the slack of 1.25 rejects the 2 of holding every run."""
+        peaks = []
+        for repeats in (2**17, 2**18):
+            code, peak = peak_allocation(cli.main, [
+                "simulate", ds("density_e1_dim3.json"), ds("contexts_fourier_seq_dim3.json"),
+                "--repeats", str(repeats)])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["repeats"] == repeats
+            peaks.append(peak)
+        assert peaks[1] / peaks[0] <= 1.25
 
 
 # the nine cases of tools/gen_golden.py, in its order: file under tests/golden, CLI arguments

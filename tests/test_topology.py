@@ -3,13 +3,15 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import permutation_log_generator, series_expm
+from helpers import peak_allocation, permutation_log_generator, ref_path, series_expm
+from qcontexts import linalg
 from qcontexts.core import make_generator
 from qcontexts.linalg import is_unitary, max_abs
 from qcontexts.topology import (
     ObstructionResult,
     Permutation,
     orthogonal_obstruction,
+    path_samples,
     permutation_matrix,
     unitary_path_to_identity,
 )
@@ -94,8 +96,9 @@ class TestUnitaryPath:
 
     def test_transposition_midpoint_value(self):
         # oracle: exp(i pi K / 2) on the swap block has entries (1 +- i)/2
-        report = unitary_path_to_identity(Permutation(3, (1, 0, 2)), steps=101)
-        mid = report.samples[50]
+        sigma = Permutation(3, (1, 0, 2))
+        report = unitary_path_to_identity(sigma, steps=101)
+        mid = path_samples(sigma, report.times)[50]
         expected = np.array([
             [0.5 + 0.5j, 0.5 - 0.5j, 0],
             [0.5 - 0.5j, 0.5 + 0.5j, 0],
@@ -140,6 +143,44 @@ class TestUnitaryPath:
     def test_times_grid(self):
         report = unitary_path_to_identity(Permutation.identity(3), steps=5)
         assert np.allclose(report.times, [0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _seeded_permutation(n: int) -> Permutation:
+    return Permutation(n, tuple(int(x) for x in make_generator(n).permutation(n)))
+
+
+REF_PATH_CASES = [sigma for n in range(5) for sigma in all_permutations(n)] + \
+    [_seeded_permutation(n) for n in (16, 64)]
+
+
+@pytest.mark.parametrize("steps", [2, 3, 101, 257])
+def test_streamed_path_matches_the_three_pass_reference(steps):
+    """Bit for bit against ref_path. Blocks hold 128 samples at n=16 and 8
+    at n=64, so 257 steps end in a partial block. At n=200 a block holds one
+    sample, so every step distance is carried across blocks; the reference
+    stores 640 KiB a sample there, so it runs at 2 and 3 steps only: children
+    that later tests spawn inherit this process's resident peak."""
+    assert linalg._BLOCK_ENTRIES // 200**2 == 0
+    cases = REF_PATH_CASES + ([_seeded_permutation(200)] if steps <= 3 else [])
+    for sigma in cases:
+        samples, unit_dev, endpoint_errors, step_dist = ref_path(sigma, steps)
+        report = unitary_path_to_identity(sigma, steps)
+        assert report.max_unitarity_deviation == unit_dev, sigma
+        assert report.endpoint_errors == endpoint_errors, sigma
+        assert report.max_step_distance == step_dist, sigma
+        for k in range(0, steps, 8):
+            rebuilt = path_samples(sigma, report.times[k:k + 8])
+            assert rebuilt.tobytes() == samples[k:k + 8].tobytes(), (sigma, k)
+
+
+def test_path_memory_does_not_grow_with_steps():
+    """Peak allocation of unitary_path_to_identity on the 4-cycle at 20000 and
+    40000 steps. One block of samples plus the O(steps) time grid gives a
+    ratio near 1; the slack of 1.25 rejects the 2 of a stored (steps, n, n) path."""
+    sigma = Permutation(4, (1, 2, 3, 0))
+    peaks = [peak_allocation(unitary_path_to_identity, sigma, steps)[1]
+             for steps in (20000, 40000)]
+    assert peaks[1] / peaks[0] <= 1.25
 
 
 class TestOrthogonalObstruction:

@@ -784,15 +784,14 @@ class TestOrthogonalityMemo:
 
 
 def test_large_map_certifies_in_bounded_memory(tmp_path):
-    """400 rays: C(400, 3) = 10.6M triples, which the materialised scan held
-    at once (about 1.1 GiB); the whole CLI run stays small."""
+    """A 400-ray map: the whole uhlhorn CLI run stays under 150 MiB."""
     rng = make_generator(93)
     hidden = ContextTransform.from_matrix(random_unitary(3, rng), antiunitary=True)
     basis = random_unitary(3, rng)
     context = make_context([basis[:, k] for k in range(3)], "fiduciary")
     extras = [random_state_vector(3, rng) for _ in range(400 - 7)]
     m = induced_ray_map(hidden, context, extras)
-    assert len(m.pairs) == 400
+    assert len(m.source_vectors) == 400
     path = tmp_path / "raymap_400.json"
     path.write_text(json.dumps(ray_map_to_json(m)))
     import qcontexts
