@@ -72,8 +72,9 @@ _SIMULATE_CHUNK = 2**16
 
 
 def _emit(payload: dict, output_format: str) -> None:
-    if output_format == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    if output_format == "json":  # written chunk by chunk: no full string is held
+        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
     else:
         sys.stdout.write("".join(line + "\n" for line in _text_lines(payload)))
 
@@ -187,7 +188,8 @@ def cmd_perm_path(args, tol: Tolerance) -> tuple[dict, int]:
     sigma = permutation_from_json(load_json_file(args.permutation))
     report = unitary_path_to_identity(sigma, args.steps)
     obstruction = orthogonal_obstruction(sigma)
-    samples = path_samples(sigma, report.times if args.emit_samples else report.times[[0, -1]])
+    samples = (path_samples(sigma, np.linspace(0.0, 1.0, report.steps)) if args.emit_samples
+               else report.endpoints)
     payload = {
         "command": "perm-path",
         "n": sigma.n,

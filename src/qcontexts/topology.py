@@ -5,7 +5,7 @@ continuous path of unitaries U(t) = exp(itH); inside the real
 orthogonal group the determinant splits the group into two components,
 so odd permutations are unreachable there. Both facts are exhibited
 per permutation: an explicit sampled path, checked in one pass that keeps
-no sample, and the determinant sign.
+only its endpoints, and the determinant sign.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class PathReport(NamedTuple):
     """Checks of a sampled unitary path from the identity to a permutation matrix."""
 
     steps: int
-    times: np.ndarray           # t_k = k/(steps-1)
+    endpoints: np.ndarray       # (2, n, n): the samples U(0) and U(1) that were checked
     max_unitarity_deviation: float
     endpoint_errors: tuple[float, float]  # (||U(0)-I||, ||U(1)-P||)
     max_step_distance: float    # max consecutive ||U(t_{k+1})-U(t_k)||_max
@@ -91,21 +91,19 @@ def _eigensystem(sigma: Permutation) -> tuple[np.ndarray, np.ndarray]:
     A cycle of length L contributes eigenvalues exp(2 pi i m / L) with
     Fourier eigenvectors supported on the cycle. Returns (phases, V)
     with phases in (-pi, pi] (eigenvalue -1 maps to +pi) and V unitary,
-    so P = V diag(exp(i phases)) V^dag exactly.
+    so P = V diag(exp(i phases)) V^dag exactly. One array expression builds
+    every column, each entry bit for bit the scalar exp(-2j pi m j / L) / sqrt(L).
     """
-    n = sigma.n
-    phases = np.zeros(n)
-    vecs = np.zeros((n, n), dtype=np.complex128)
-    col = 0
-    for cycle in sigma.cycles():
-        length = len(cycle)
-        for m in range(length):
-            # branch chosen on integers: m/length <= 1/2 keeps theta in [0, pi]
-            phases[col] = 2.0 * np.pi * (m if 2 * m <= length else m - length) / length
-            for j, site in enumerate(cycle):
-                vecs[site, col] = np.exp(-2j * np.pi * m * j / length) / np.sqrt(length)
-            col += 1
-    return phases, vecs
+    cycles = sigma.cycles()
+    lengths = [len(cycle) for cycle in cycles]
+    length = np.repeat(lengths, lengths)  # the cycle length of each column
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    m = np.arange(sigma.n) - start  # a column's Fourier index, a row's place in its cycle
+    # branch chosen on integers: m/length <= 1/2 keeps theta in [0, pi]
+    phases = 2.0 * np.pi * np.where(2 * m <= length, m, m - length) / length
+    theta = (-2.0 * np.pi * m) * m[:, None] / length
+    vecs = np.where(start[:, None] == start, np.exp(1j * theta) / np.sqrt(length), 0.0)
+    return phases, vecs[np.argsort([site for cycle in cycles for site in cycle])]
 
 
 def _samples(phases: np.ndarray, vecs: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -125,7 +123,8 @@ def unitary_path_to_identity(sigma: Permutation, steps: int) -> PathReport:
     precision; max_step_distance shrinks proportionally to the step
     size, which is the finite evidence of continuity. Samples are checked
     in blocks of linalg._BLOCK_ENTRIES entries; each block's last sample
-    is carried into the next block's step distances.
+    is carried into the next block's step distances, and only U(0) and
+    U(1) are kept, as the report's endpoints.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
@@ -140,11 +139,12 @@ def unitary_path_to_identity(sigma: Permutation, steps: int) -> PathReport:
         if a:
             u = np.concatenate((last, u))
         else:
-            start_error = max_abs(u[0] - eye)
+            first = u[:1].copy()
         step_dist = max(step_dist, max_abs(u[1:] - u[:-1]))
         last = u[-1:]
-    end_error = max_abs(last[0] - permutation_matrix(sigma))
-    return PathReport(steps, times, unit_dev, (start_error, end_error), step_dist)
+    ends = np.concatenate((first, last))
+    errors = (max_abs(ends[0] - eye), max_abs(ends[1] - permutation_matrix(sigma)))
+    return PathReport(steps, ends, unit_dev, errors, step_dist)
 
 
 def orthogonal_obstruction(sigma: Permutation) -> ObstructionResult:

@@ -28,6 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import linalg
 from .core import Context, ContextTransform, Projector
 from .errors import (
     DimensionMismatch,
@@ -210,7 +211,8 @@ def _gauge_residual(g: np.ndarray, gt: np.ndarray) -> float:
     """max |gt[i, j] - conj(c_i) c_j g[i, j]| once a unit phase c_j per ray
     is fixed along a maximum spanning forest of |g| (Prim, O(k^2)). Each
     tree edge on the path closing a non-tree entry is at least as strong
-    as that entry, so every entry's rounding stays near path length x ulp."""
+    as that entry, so every entry's rounding stays near path length x ulp.
+    The max runs over row blocks of linalg._BLOCK_ENTRIES complex entries."""
     k, weight = len(g), np.abs(g)
     c, free = np.ones(k, dtype=np.complex128), np.arange(k) > 0
     best, parent = weight[0].copy(), np.zeros(k, dtype=np.intp)  # strongest link to the tree
@@ -222,7 +224,9 @@ def _gauge_residual(g: np.ndarray, gt: np.ndarray) -> float:
         free[j] = False
         closer = free & (weight[j] > best)
         best[closer], parent[closer] = weight[j, closer], j
-    return max_abs(gt - c.conj()[:, None] * c * g)
+    rows = max(1, linalg._BLOCK_ENTRIES // k)
+    return max(max_abs(gt[a:a + rows] - c[a:a + rows, None].conj() * c * g[a:a + rows])
+               for a in range(0, k, rows))
 
 
 def _first_triple(gs: np.ndarray, gt: np.ndarray, eps: float, misfits=()) -> tuple:

@@ -87,6 +87,24 @@ def permutation_log_generator(sigma: Permutation) -> np.ndarray:
     return (vecs * phases) @ vecs.conj().T
 
 
+def ref_eigensystem(sigma: Permutation) -> tuple[np.ndarray, np.ndarray]:
+    """topology._eigensystem as the nested loop it replaced, kept as the
+    reference for its bits: one scalar phase and one scalar Fourier entry
+    exp(-2 pi i m j / L) / sqrt(L) at a time, cycle by cycle."""
+    n = sigma.n
+    phases = np.zeros(n)
+    vecs = np.zeros((n, n), dtype=np.complex128)
+    col = 0
+    for cycle in sigma.cycles():
+        length = len(cycle)
+        for m in range(length):
+            phases[col] = 2.0 * np.pi * (m if 2 * m <= length else m - length) / length
+            for j, site in enumerate(cycle):
+                vecs[site, col] = np.exp(-2j * np.pi * m * j / length) / np.sqrt(length)
+            col += 1
+    return phases, vecs
+
+
 def ref_path(sigma: Permutation, steps: int):
     """The three-pass path check as it stood before the streamed pass, kept as
     the reference for its numbers: (samples, max_unitarity_deviation,

@@ -19,14 +19,16 @@ from qcontexts.cli import main
 from qcontexts.core import make_generator
 from qcontexts.gleason import born_case_check
 from qcontexts.jsonio import (
+    context_to_json,
     contexts_from_json,
     dataset_path,
     density_from_json,
+    density_to_json,
     load_json_file,
     ray_map_to_json,
     vector_to_json,
 )
-from qcontexts.sampling import random_ray_map, random_state_vector
+from qcontexts.sampling import random_context, random_density, random_ray_map, random_state_vector
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMAS = Path(__file__).parents[1] / "src" / "qcontexts" / "schemas"
@@ -82,6 +84,22 @@ class TestBorn:
         code, _, err = run(capsys, "born", ds("density_mixed_dim3.json"), str(bad))
         assert code == 2
         assert "DimensionMismatch" in err
+
+    def test_memory_grows_as_n_squared(self, capsys, tmp_path):
+        """Peak allocation of born through cli.main on a random density and
+        context at n=64 and n=128. The O(n^2) documents and matrices give a
+        ratio of at most 4; the slack of 1.25 rejects the 8 of an (n, n, n) table."""
+        rng = make_generator(41)
+        peaks = []
+        for n in (64, 128):
+            density, context = tmp_path / f"density_{n}.json", tmp_path / f"context_{n}.json"
+            density.write_text(json.dumps(density_to_json(random_density(n, rng))))
+            context.write_text(json.dumps(context_to_json(random_context(n, rng))))
+            code, peak = peak_allocation(cli.main, ["born", str(density), str(context)])
+            assert code == 0
+            assert len(json.loads(capsys.readouterr().out)["probabilities"]) == n
+            peaks.append(peak)
+        assert peaks[1] / peaks[0] <= 4 * 1.25
 
 
 class TestGleasonFit:

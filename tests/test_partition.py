@@ -490,19 +490,36 @@ class TestParityCertificate:
             assert sum(values[i] for i in basis) == 1
 
 
+def _disjoint_bases_documents(sizes):
+    """One ks document per size m: m vectors in m/3 disjoint real bases of dimension 3."""
+    rng = make_generator(33)
+    vectors = [column for _ in range(max(sizes) // 3)
+               for column in np.linalg.qr(rng.standard_normal((3, 3)))[0].T.tolist()]
+    return [{"dim": 3, "vectors": vectors[:m],
+             "bases": [[i, i + 1, i + 2] for i in range(0, m, 3)]} for m in sizes]
+
+
 def test_loader_memory_grows_linearly_in_vectors():
     """Peak allocation of ks_instance_from_json on 1200 and 2400 vectors in
     disjoint real bases of dimension 3. O(M n) arrays plus the fixed blocks
     of the orthogonality and same-ray screens give a ratio of at most 2;
     the slack of 1.25 rejects the 4 of an (M, M) table."""
-    rng = make_generator(33)
-    vectors = [column for _ in range(800)
-               for column in np.linalg.qr(rng.standard_normal((3, 3)))[0].T.tolist()]
     peaks = []
-    for m in (1200, 2400):
-        doc = {"dim": 3, "vectors": vectors[:m],
-               "bases": [[i, i + 1, i + 2] for i in range(0, m, 3)]}
+    for m, doc in zip((1200, 2400), _disjoint_bases_documents((1200, 2400))):
         instance, peak = peak_allocation(ks_instance_from_json, doc)
         assert instance.n_vectors == m
+        peaks.append(peak)
+    assert peaks[1] / peaks[0] <= 2 * 1.25
+
+
+def test_search_memory_grows_linearly_in_vectors():
+    """Peak allocation of search_assignment on the loaded instances of 1200
+    and 2400 vectors in disjoint bases: one decision per basis, so the
+    membership lists, the trail and the decision stack are all O(M), and
+    the ratio is at most 2; the slack of 1.25 rejects the 4 of an (M, M) table."""
+    peaks = []
+    for doc in _disjoint_bases_documents((1200, 2400)):
+        result, peak = peak_allocation(search_assignment, ks_instance_from_json(doc))
+        assert result.status == "SAT" and result.nodes_explored == len(doc["bases"])
         peaks.append(peak)
     assert peaks[1] / peaks[0] <= 2 * 1.25

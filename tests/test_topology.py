@@ -3,13 +3,20 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import peak_allocation, permutation_log_generator, ref_path, series_expm
+from helpers import (
+    peak_allocation,
+    permutation_log_generator,
+    ref_eigensystem,
+    ref_path,
+    series_expm,
+)
 from qcontexts import linalg
 from qcontexts.core import make_generator
 from qcontexts.linalg import is_unitary, max_abs
 from qcontexts.topology import (
     ObstructionResult,
     Permutation,
+    _eigensystem,
     orthogonal_obstruction,
     path_samples,
     permutation_matrix,
@@ -97,8 +104,7 @@ class TestUnitaryPath:
     def test_transposition_midpoint_value(self):
         # oracle: exp(i pi K / 2) on the swap block has entries (1 +- i)/2
         sigma = Permutation(3, (1, 0, 2))
-        report = unitary_path_to_identity(sigma, steps=101)
-        mid = path_samples(sigma, report.times)[50]
+        mid = path_samples(sigma, np.linspace(0.0, 1.0, 101))[50]
         expected = np.array([
             [0.5 + 0.5j, 0.5 - 0.5j, 0],
             [0.5 - 0.5j, 0.5 + 0.5j, 0],
@@ -140,9 +146,11 @@ class TestUnitaryPath:
         with pytest.raises(ValueError):
             unitary_path_to_identity(Permutation.identity(3), steps=1)
 
-    def test_times_grid(self):
-        report = unitary_path_to_identity(Permutation.identity(3), steps=5)
-        assert np.allclose(report.times, [0, 0.25, 0.5, 0.75, 1.0])
+    def test_endpoints_are_the_samples_at_0_and_1(self):
+        sigma = Permutation(3, (1, 2, 0))
+        report = unitary_path_to_identity(sigma, steps=5)
+        assert report.endpoints.shape == (2, 3, 3)
+        assert report.endpoints.tobytes() == path_samples(sigma, np.array([0.0, 1.0])).tobytes()
 
 
 def _seeded_permutation(n: int) -> Permutation:
@@ -158,8 +166,7 @@ def test_streamed_path_matches_the_three_pass_reference(steps):
     """Bit for bit against ref_path. Blocks hold 128 samples at n=16 and 8
     at n=64, so 257 steps end in a partial block. At n=200 a block holds one
     sample, so every step distance is carried across blocks; the reference
-    stores 640 KiB a sample there, so it runs at 2 and 3 steps only: children
-    that later tests spawn inherit this process's resident peak."""
+    stores 640 KiB a sample there, so it runs at 2 and 3 steps only."""
     assert linalg._BLOCK_ENTRIES // 200**2 == 0
     cases = REF_PATH_CASES + ([_seeded_permutation(200)] if steps <= 3 else [])
     for sigma in cases:
@@ -168,9 +175,37 @@ def test_streamed_path_matches_the_three_pass_reference(steps):
         assert report.max_unitarity_deviation == unit_dev, sigma
         assert report.endpoint_errors == endpoint_errors, sigma
         assert report.max_step_distance == step_dist, sigma
+        assert report.endpoints.tobytes() == samples[[0, -1]].tobytes(), sigma
+        times = np.linspace(0.0, 1.0, steps)
         for k in range(0, steps, 8):
-            rebuilt = path_samples(sigma, report.times[k:k + 8])
+            rebuilt = path_samples(sigma, times[k:k + 8])
             assert rebuilt.tobytes() == samples[k:k + 8].tobytes(), (sigma, k)
+
+
+def _cycles_permutation(lengths) -> Permutation:
+    """Consecutive cycles of the given lengths, each i -> i + 1 within its cycle."""
+    images, start = [], 0
+    for length in lengths:
+        images += [start + (i + 1) % length for i in range(length)]
+        start += length
+    return Permutation(start, tuple(images))
+
+
+EIGENSYSTEM_CASES = (
+    [_seeded_permutation(n) for n in list(range(1, 13)) + [50, 200, 300]]
+    + [Permutation.identity(n) for n in (1, 12)]
+    + [_cycles_permutation([2] * 6), _cycles_permutation([2] * 25)]  # theta = pi
+    + [_cycles_permutation([n]) for n in (2, 3, 12, 50, 200, 300)]
+    + [_cycles_permutation([1, 2, 3, 4, 1, 7, 2])])
+
+
+@pytest.mark.parametrize("sigma", EIGENSYSTEM_CASES, ids=lambda s: f"n{s.n}")
+def test_eigensystem_matches_the_nested_loop_bit_for_bit(sigma):
+    """The array expression gives the loop's phases and Fourier columns,
+    signed zeros included (compared as int64 words)."""
+    for got, want in zip(_eigensystem(sigma), ref_eigensystem(sigma)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_path_memory_does_not_grow_with_steps():

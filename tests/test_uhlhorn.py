@@ -16,7 +16,7 @@ from helpers import (
     standard_basis,
     standard_context,
 )
-from qcontexts import cli, uhlhorn
+from qcontexts import cli, linalg, uhlhorn
 from qcontexts.core import ContextTransform, Projector, make_context, make_generator
 from qcontexts.errors import (
     DimensionMismatch,
@@ -783,6 +783,19 @@ class TestOrthogonalityMemo:
             fit_transform(m, wrong)
 
 
+# Runs the CLI as `python -m qcontexts.cli` does, then writes the process's own
+# resident peak to stderr. VmHWM starts afresh at exec, while the ru_maxrss
+# that wait4 reports keeps the high-water mark of the pytest process it forked from.
+_PEAK_WRAPPER = """
+import runpy, sys
+try:
+    runpy.run_module("qcontexts.cli", run_name="__main__")
+finally:
+    with open("/proc/self/status") as status:
+        sys.stderr.write("".join(line for line in status if line.startswith("VmHWM:")))
+"""
+
+
 def test_large_map_certifies_in_bounded_memory(tmp_path):
     """A 400-ray map: the whole uhlhorn CLI run stays under 150 MiB."""
     rng = make_generator(93)
@@ -796,19 +809,33 @@ def test_large_map_certifies_in_bounded_memory(tmp_path):
     path.write_text(json.dumps(ray_map_to_json(m)))
     import qcontexts
     env = dict(os.environ, PYTHONPATH=str(Path(qcontexts.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "qcontexts.cli", "uhlhorn", str(path)],
-                            stdout=subprocess.PIPE, env=env)
-    out = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    payload = json.loads(out)
+    proc = subprocess.run([sys.executable, "-c", _PEAK_WRAPPER, "uhlhorn", str(path)],
+                          capture_output=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
     assert payload["verdict"] == "Antiunitary" and payload["antiunitary"] is True
-    assert usage.ru_maxrss / 1024 < 150  # KiB on Linux
+    name, kib, unit = proc.stderr.decode().split()
+    assert (name, unit) == ("VmHWM:", "kB")
+    assert int(kib) / 1024 < 150
 
 
 def _sweep_map(k: int) -> RayMap:
     return random_ray_map(3, make_generator(97), antiunitary=True, n_extra=k - 7)[0]
+
+
+@pytest.mark.parametrize("anti", [False, True])
+def test_gauge_residual_is_the_same_in_any_row_blocks(monkeypatch, anti):
+    """At k=60 the default block holds every row, so the residual is the
+    whole-matrix max; blocks of 1, 7 and 59 rows give the same bits, on the
+    fitting branch and on the other one."""
+    m = _sweep_map(60)
+    gs = m.source_vectors.conj() @ m.source_vectors.T
+    gt = m.target_vectors.conj() @ m.target_vectors.T
+    g = gs.conj() if anti else gs
+    whole = uhlhorn._gauge_residual(g, gt)
+    for rows in (1, 7, 59):
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 60 * rows)
+        assert uhlhorn._gauge_residual(g, gt) == whole
 
 
 def test_classification_memory_grows_as_k_squared():
