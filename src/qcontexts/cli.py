@@ -188,8 +188,7 @@ def cmd_perm_path(args, tol: Tolerance) -> tuple[dict, int]:
     sigma = permutation_from_json(load_json_file(args.permutation))
     report = unitary_path_to_identity(sigma, args.steps)
     obstruction = orthogonal_obstruction(sigma)
-    samples = (path_samples(sigma, np.linspace(0.0, 1.0, report.steps)) if args.emit_samples
-               else report.endpoints)
+    samples = path_samples(sigma, args.steps) if args.emit_samples else report.endpoints
     payload = {
         "command": "perm-path",
         "n": sigma.n,

@@ -369,17 +369,19 @@ def _sample_outcomes(initial: Projector, contexts: Sequence[Context],
     """Outcome indices (runs, steps), run k drawing uniforms[k, t] at step t.
 
     Before step t every run holds the initial state (t = 0) or one of
-    context t-1's basis vectors s, so the step's table holds one CDF per
-    such s, the cumsum of context_distribution of |s><s|, and each run
-    reads its state's row. The outcome is searchsorted(cdf, u * cdf[-1],
-    side="right") clamped to dim - 1; on a non-decreasing CDF that is the
-    count of the first dim - 1 entries <= u * cdf[-1].
+    context t-1's basis vectors s; each s that some run holds gets one
+    table row, the cumsum of context_distribution of |s><s|. The outcome
+    is searchsorted(cdf, u * cdf[-1], side="right") clamped to dim - 1;
+    on a non-decreasing CDF that is the count of the first dim - 1
+    entries <= u * cdf[-1].
     """
     outcomes = np.empty(uniforms.shape, dtype=np.intp)
     states, prev = initial.vector[None], np.zeros(len(uniforms), dtype=np.intp)
     for t, c in enumerate(contexts):
-        table = np.array([np.cumsum(context_distribution(
-            DensityOperator(np.outer(s, s.conj())), c)) for s in states])
+        table = np.empty((len(states), c.dim))
+        for s in np.flatnonzero(np.bincount(prev, minlength=len(states))):
+            rho = DensityOperator(np.outer(states[s], states[s].conj()))
+            table[s] = np.cumsum(context_distribution(rho, c))
         rows = table[prev]
         u = uniforms[:, t] * rows[:, -1]
         prev = outcomes[:, t] = (rows[:, :-1] <= u[:, None]).sum(axis=1)
@@ -400,7 +402,7 @@ def repeat_simulation(initial: Projector, contexts: Sequence[Context],
     are sampled in one pass: their Philox draws come from one vectorised
     evaluation of the counter-based generator, bit-identical to
     make_generator's stream for each run's key, and each step builds one
-    CDF per state that a run can hold.
+    CDF per state that some run holds.
     """
     seed = check_seed(seed)
     if repeats < 1:

@@ -111,9 +111,9 @@ def _samples(phases: np.ndarray, vecs: np.ndarray, times: np.ndarray) -> np.ndar
     return (vecs * np.exp(1j * times[:, None] * phases)[:, None, :]) @ vecs.conj().T
 
 
-def path_samples(sigma: Permutation, times: np.ndarray) -> np.ndarray:
-    """(len(times), n, n) samples U(t) as unitary_path_to_identity builds them."""
-    return _samples(*_eigensystem(sigma), times)
+def path_samples(sigma: Permutation, steps: int) -> np.ndarray:
+    """The (steps, n, n) samples U(t_k) that unitary_path_to_identity checks."""
+    return _samples(*_eigensystem(sigma), np.linspace(0.0, 1.0, steps))
 
 
 def unitary_path_to_identity(sigma: Permutation, steps: int) -> PathReport:
@@ -129,7 +129,7 @@ def unitary_path_to_identity(sigma: Permutation, steps: int) -> PathReport:
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     phases, vecs = _eigensystem(sigma)
-    times = np.linspace(0.0, 1.0, steps)
+    times = np.linspace(0.0, 1.0, steps)  # t_k = k/(steps-1), as path_samples
     eye = np.eye(sigma.n)
     block = max(1, linalg._BLOCK_ENTRIES // max(1, sigma.n * sigma.n))
     unit_dev = step_dist = 0.0

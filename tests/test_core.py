@@ -24,6 +24,7 @@ from qcontexts.core import (
     make_generator,
     repeat_simulation,
 )
+from qcontexts import core
 from qcontexts.core import _philox_uniforms
 from qcontexts.errors import DimensionMismatch, NotOrthonormal
 from qcontexts.linalg import max_abs
@@ -369,6 +370,19 @@ class TestBatchSimulation:
         for k in range(repeats):
             key = (seed + k) % 2**64
             assert runs[k].tolist() == simulate_reference(initial, contexts, key)
+
+
+    def test_a_step_builds_rows_only_for_held_states(self, monkeypatch):
+        """One run at dim 8 holds one state before each step, so each of the
+        five steps evaluates one distribution, not one per basis vector."""
+        calls = []
+        evaluate = core.context_distribution
+        monkeypatch.setattr(core, "context_distribution",
+                            lambda rho, c: calls.append(c) or evaluate(rho, c))
+        rng = make_generator(5)
+        contexts = [random_context(8, rng, f"c{k}") for k in range(5)]
+        repeat_simulation(random_projector(8, rng), contexts, seed=3, repeats=1)
+        assert len(calls) == len(contexts)
 
 
 class TestMakeGenerator:
