@@ -44,7 +44,7 @@ from .core import check_seed, context_distribution, repeat_simulation
 from .errors import QContextsError
 from .gleason import born_case_check, reconstruct_density
 from .jsonio import (
-    complex_to_pair,
+    complex_to_json,
     contexts_from_json,
     context_from_json,
     density_from_json,
@@ -52,7 +52,6 @@ from .jsonio import (
     frame_samples_from_json,
     ks_instance_from_json,
     load_json_file,
-    matrix_to_json,
     permutation_from_json,
     ray_map_from_json,
 )
@@ -119,8 +118,7 @@ def cmd_gleason_fit(args, tol: Tolerance) -> tuple[dict, int]:
         "design_rank": report.design_rank,
         "condition_number": report.condition_number,
         "psd_correction": report.psd_correction,
-        "pure_case": None if pure is None else
-            [complex_to_pair(complex(z)) for z in pure.vector],
+        "pure_case": None if pure is None else complex_to_json(pure.vector),
     }
     return payload, EXIT_OK
 
@@ -147,8 +145,8 @@ def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
     payload.update({
         "verdict": verdict.value,
         "witness_triple": None if triple is None else list(triple),
-        "witness_source_value": None if source_value is None else complex_to_pair(source_value),
-        "witness_target_value": None if target_value is None else complex_to_pair(target_value),
+        "witness_source_value": None if source_value is None else complex_to_json(source_value),
+        "witness_target_value": None if target_value is None else complex_to_json(target_value),
     })
     if verdict is Verdict.NEITHER:
         return payload, EXIT_NEGATIVE
@@ -156,7 +154,7 @@ def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
     fit = fit_transform(ray_map, classification, tol)
     payload.update({
         "antiunitary": fit.transform.antiunitary,
-        "matrix": matrix_to_json(fit.transform.matrix),
+        "matrix": complex_to_json(fit.transform.matrix),
         "residual": fit.residual,
         "ambiguous_branch": fit.ambiguous_branch,
         "fiduciary_label": fit.fiduciary_label,
@@ -200,7 +198,7 @@ def cmd_perm_path(args, tol: Tolerance) -> tuple[dict, int]:
         "det_sign": obstruction.det_sign,
         "connected_in_orthogonal_group": obstruction.connected_in_orthogonal_group,
         "samples_included": "all" if args.emit_samples else "endpoints",
-        "samples": [matrix_to_json(u) for u in samples],
+        "samples": complex_to_json(samples),
     }
     return payload, EXIT_OK
 

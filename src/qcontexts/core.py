@@ -183,14 +183,6 @@ class DensityOperator(Frozen):
             raise ValueError(f"density matrix has trace {tr}, expected 1")
         return cls(_readonly(mat))
 
-    @classmethod
-    def from_projector(cls, p: Projector) -> "DensityOperator":
-        return cls(p.matrix)
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(_readonly(np.eye(dim, dtype=np.complex128) / dim))
-
 
 class ContextTransform(Frozen):
     """Unitary context change, optionally composed with conjugation.

@@ -4,8 +4,9 @@ This is the only module that reads documents. Every scalar field is
 read by one rule:
 
 - a number is a JSON int or float, never a bool or a string, and finite;
-- a complex entry is a number or an [re, im] pair of numbers (complex
-  scalars serialize as [re, im]; a bare number is shorthand for [x, 0]);
+- a complex entry is a number or an [re, im] pair of numbers (a bare
+  number is shorthand for [x, 0]); complex_to_json writes any complex
+  scalar or array as [re, im] pairs, nested as its axes, in one pass;
 - an integer field (dim, n, permutation images, basis indices) is a
   JSON int, never a bool;
 - a label is a JSON string.
@@ -38,9 +39,7 @@ from .topology import Permutation
 from .uhlhorn import RayMap
 
 __all__ = [
-    "complex_to_pair",
-    "vector_to_json",
-    "matrix_to_json",
+    "complex_to_json",
     "load_json_file",
     "context_to_json",
     "context_from_json",
@@ -56,16 +55,9 @@ __all__ = [
 ]
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_pair(complex(z)) for z in np.asarray(v)]
-
-
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_to_pair(complex(z)) for z in row] for row in np.asarray(m)]
+def complex_to_json(a) -> list:
+    """A complex scalar or array as nested lists ending in [re, im] pairs of floats."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def load_json_file(path) -> dict:
@@ -151,7 +143,7 @@ def context_to_json(c: Context) -> dict:
     return {
         "dim": c.dim,
         "label": c.label,
-        "vectors": [vector_to_json(v) for v in c.basis.T],
+        "vectors": complex_to_json(c.basis.T),
     }
 
 
@@ -177,7 +169,7 @@ def contexts_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> list[Context]
 
 
 def density_to_json(rho: DensityOperator) -> dict:
-    return {"dim": rho.dim, "matrix": matrix_to_json(rho.matrix)}
+    return {"dim": rho.dim, "matrix": complex_to_json(rho.matrix)}
 
 
 def density_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> DensityOperator:
@@ -200,14 +192,10 @@ def density_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> DensityOperato
 def ray_map_to_json(m: RayMap) -> dict:
     return {
         "dim": m.dim,
-        "pairs": [
-            {"source": vector_to_json(s), "target": vector_to_json(t)}
-            for s, t in zip(m.source_vectors, m.target_vectors)
-        ],
-        "covering_contexts": [
-            {"label": c.label, "vectors": [vector_to_json(v) for v in c.basis.T]}
-            for c in m.covering_contexts
-        ],
+        "pairs": [{"source": s, "target": t} for s, t in
+                  zip(complex_to_json(m.source_vectors), complex_to_json(m.target_vectors))],
+        "covering_contexts": [{"label": c.label, "vectors": complex_to_json(c.basis.T)}
+                              for c in m.covering_contexts],
     }
 
 

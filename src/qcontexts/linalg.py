@@ -18,6 +18,7 @@ __all__ = [
     "as_vector",
     "max_abs",
     "row_norms",
+    "projector_stack",
     "first_repeated_ray",
     "is_unitary",
     "UnitaryCheck",
@@ -109,13 +110,20 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(squares[..., 0, 0])
 
 
+def projector_stack(v: np.ndarray) -> np.ndarray:
+    """(k, n, n) stack of |v><v| over the rows of v, entry for entry np.outer."""
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
 _BLOCK_ENTRIES = 1 << 15  # complex entries per block: 512 KiB, about 1 MiB with its temporaries
 
 
 def first_repeated_ray(vectors: np.ndarray, eps: float) -> tuple[int, int] | None:
     """First pair (i, j), i < j in lexicographic order, of rows of the (k, n)
     array whose projector matrices differ by at most eps in every entry:
-    the rule for "the same ray" in ray maps and KS documents.
+    the rule for "the same ray" in ray maps and KS documents. Every pair
+    (0, j) comes first, so a vector stacked above a list finds its lowest
+    match there, if any, even where rows of the list coincide.
 
     Such a pair has |<u, v>|^2 >= s^2 - (n eps)^2 / 2, with s the smallest
     squared row norm, a gap the Gram entry cannot resolve in floating
@@ -140,9 +148,8 @@ def first_repeated_ray(vectors: np.ndarray, eps: float) -> tuple[int, int] | Non
         upper = c > r
         i, j = a + r[upper], a + c[upper]
         for s in range(0, len(i), pairs):
-            u, v = vectors[i[s:s + pairs]], vectors[j[s:s + pairs]]
-            diff = (u[:, :, None] * u.conj()[:, None, :]
-                    - v[:, :, None] * v.conj()[:, None, :])
+            diff = (projector_stack(vectors[i[s:s + pairs]])
+                    - projector_stack(vectors[j[s:s + pairs]]))
             hits = np.flatnonzero(np.abs(diff).max(axis=(1, 2)) <= eps)
             if hits.size:
                 return int(i[s + hits[0]]), int(j[s + hits[0]])

@@ -12,11 +12,12 @@ For k rays in dimension n a certification costs O(k^2 n + k^3) time
 and O(k n^2 + k^2) memory. A RayMap holds its source and target unit
 vectors once, as (k, n) arrays normalized by linalg.row_norms, and
 caches nothing derived from them but its Projector pairs, built only
-when asked for. Bijectivity is the blocked same-ray screen of ks
-documents and the pair checks a Gram screen, O(k^2 n) each; the branch
-is two O(k^2) gauge fits plus a row-wise witness search (O(k^3) only if
-it finds nothing); the fit checks one stacked U S U^dag. Pair checks and
-witnesses reproduce the per-pair arithmetic bit for bit.
+when asked for. Bijectivity and the covering contexts' rays are decided
+by the blocked same-ray screen of ks documents and the pair checks by a
+Gram screen, O(k^2 n) each; the branch is two O(k^2) gauge fits along
+one spanning forest plus a row-wise witness search in row blocks (O(k^3)
+time only if it finds nothing); the fit checks one stacked U S U^dag.
+Pair checks and witnesses reproduce the per-pair arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ FIT_RESIDUAL_LIMIT = 1e-8
 _GADGET_PATTERN_TOL = 1e-6
 
 
-def _projector_stack(v: np.ndarray) -> np.ndarray:
-    """(k, n, n) stack of |v><v| over the rows, entry for entry the same as np.outer."""
-    return v[:, :, None] * v.conj()[:, None, :]
-
-
 class RayMap(Frozen):
     """Finite bijective ray correspondence with covering contexts.
 
@@ -75,8 +71,8 @@ class RayMap(Frozen):
     their norms, as the read-only arrays source_vectors and
     target_vectors. covering_contexts are contexts whose projectors all
     occur among the sources, candidates for the fiduciary basis of the
-    constructive fit. Bijectivity and covering are decided at tol, by
-    linalg.first_repeated_ray and _find_source.
+    constructive fit. Bijectivity and covering are both decided at tol,
+    by linalg.first_repeated_ray.
     """
 
     def __init__(self, dim: int, sources, targets,
@@ -119,10 +115,9 @@ class RayMap(Frozen):
 
     def _find_source(self, v: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL) -> int | None:
-        stack = _projector_stack(self.source_vectors)
-        dist = np.abs(stack - np.outer(v, v.conj())).max(axis=(1, 2))
-        hits = np.flatnonzero(dist <= tol.abs_eps)
-        return int(hits[0]) if hits.size else None
+        """Lowest source on the ray of v at tol, or None; O(k^2 n) if none."""
+        hit = first_repeated_ray(np.vstack([v, self.source_vectors]), tol.abs_eps)
+        return hit[1] - 1 if hit is not None and hit[0] == 0 else None
 
 
 class OrthogonalityCheck(NamedTuple):
@@ -197,7 +192,7 @@ def check_orthogonality_preserving(m: RayMap,
 
 def _product_norm(v: np.ndarray, i: int, j: int) -> float:
     """max_abs(P_i @ P_j) for the projectors onto rows i and j of v."""
-    return max_abs(np.matmul(*_projector_stack(v[[i, j]])))
+    return max_abs(np.matmul(*linalg.projector_stack(v[[i, j]])))
 
 
 def bargmann_invariant(p1: Projector, p2: Projector, p3: Projector) -> complex:
@@ -207,45 +202,51 @@ def bargmann_invariant(p1: Projector, p2: Projector, p3: Projector) -> complex:
     return complex(np.trace(p1.matrix @ p2.matrix @ p3.matrix))
 
 
-def _gauge_residual(g: np.ndarray, gt: np.ndarray) -> float:
-    """max |gt[i, j] - conj(c_i) c_j g[i, j]| once a unit phase c_j per ray
-    is fixed along a maximum spanning forest of |g| (Prim, O(k^2)). Each
-    tree edge on the path closing a non-tree entry is at least as strong
-    as that entry, so every entry's rounding stays near path length x ulp.
-    The max runs over row blocks of linalg._BLOCK_ENTRIES complex entries."""
-    k, weight = len(g), np.abs(g)
-    c, free = np.ones(k, dtype=np.complex128), np.arange(k) > 0
+def _gauge_residuals(gs: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
+    """max |gt[i, j] - conj(c_i) c_j g[i, j]| for g = gs (unitary branch)
+    and g = conj(gs) (anti-unitary), once a unit phase c_j per ray and
+    branch is fixed along one maximum spanning forest of |gs| (Prim,
+    O(k^2)); |conj(gs)| is |gs| bit for bit, so both branches share it.
+    Each tree edge on the path closing a non-tree entry is at least as
+    strong as that entry, so every entry's rounding stays near path length
+    x ulp. The max runs over row blocks of linalg._BLOCK_ENTRIES entries."""
+    k, weight = len(gs), np.abs(gs)
+    c, free = np.ones((2, k), dtype=np.complex128), np.arange(k) > 0
     best, parent = weight[0].copy(), np.zeros(k, dtype=np.intp)  # strongest link to the tree
     for _ in range(k - 1):
         j = int(np.argmax(np.where(free, best, -1.0)))
         p = parent[j]
-        z = gt[p, j] * g[p, j].conjugate()
-        c[j] = c[p] * (z / abs(z) if z else 1.0)
+        for b, z in enumerate((gt[p, j] * gs[p, j].conjugate(), gt[p, j] * gs[p, j])):
+            c[b, j] = c[b, p] * (z / abs(z) if z else 1.0)
         free[j] = False
         closer = free & (weight[j] > best)
         best[closer], parent[closer] = weight[j, closer], j
     rows = max(1, linalg._BLOCK_ENTRIES // k)
-    return max(max_abs(gt[a:a + rows] - c[a:a + rows, None].conj() * c * g[a:a + rows])
-               for a in range(0, k, rows))
+    blocks = [slice(a, a + rows) for a in range(0, k, rows)]
+    return tuple(max(max_abs(gt[r] - c[b, r, None].conj() * c[b] * (gs[r].conj() if b else gs[r]))
+                     for r in blocks) for b in (0, 1))
 
 
 def _first_triple(gs: np.ndarray, gt: np.ndarray, eps: float, misfits=()) -> tuple:
     """(triple, source value, target value) of the first triple i < j < l
     whose source invariant g_ij g_jl g_li is nonreal and whose target
     invariant fits no branch in misfits (True is the anti-unitary one),
-    or () if none. One row i at a time, O(k^2) each, up to the first hit."""
+    or () if none. One row i at a time, O(k^2) each, up to the first hit,
+    in blocks of rows j of about linalg._BLOCK_ENTRIES entries."""
     k = len(gs)
     for i in range(k - 2):
-        r = slice(i + 1, k)
-        vs = gs[i, r, None] * gs[r, r] * gs[r, i]
-        vt = gt[i, r, None] * gt[r, r] * gt[r, i]
-        hit = np.abs(vs.imag) > eps
-        for anti in misfits:
-            hit &= ~(np.abs(vt - (vs.conj() if anti else vs)) <= eps)
-        idx = np.flatnonzero(np.triu(hit, 1))
-        if idx.size:
-            j, l = divmod(int(idx[0]), k - 1 - i)
-            return (i, i + 1 + j, i + 1 + l), complex(vs.flat[idx[0]]), complex(vt.flat[idx[0]])
+        r, rows = slice(i + 1, k), max(1, linalg._BLOCK_ENTRIES // (k - 1 - i))
+        for a in range(i + 1, k - 1, rows):
+            b = slice(a, a + rows)
+            vs = gs[i, b, None] * gs[b, r] * gs[r, i]
+            vt = gt[i, b, None] * gt[b, r] * gt[r, i]
+            hit = np.abs(vs.imag) > eps
+            for anti in misfits:
+                hit &= ~(np.abs(vt - (vs.conj() if anti else vs)) <= eps)
+            idx = np.flatnonzero(np.triu(hit, a - i))
+            if idx.size:
+                j, l = divmod(int(idx[0]), k - 1 - i)
+                return (i, a + j, i + 1 + l), complex(vs.flat[idx[0]]), complex(vt.flat[idx[0]])
     return ()
 
 
@@ -269,8 +270,7 @@ def classify_transform(m: RayMap,
     eps = tol.abs_eps
     gs = m.source_vectors.conj() @ m.source_vectors.T  # Gram matrices <v_i|v_j>
     gt = m.target_vectors.conj() @ m.target_vectors.T
-    unitary = _gauge_residual(gs, gt) <= eps
-    anti = _gauge_residual(gs.conj(), gt) <= eps
+    unitary, anti = (residual <= eps for residual in _gauge_residuals(gs, gt))
     if unitary and anti:
         return TransformClassification(Verdict.INCONCLUSIVE)
     if unitary or anti:
@@ -399,8 +399,8 @@ def fit_transform(m: RayMap, classification: TransformClassification,
         u = u * (abs(lead) / lead)
 
     transform = ContextTransform.from_matrix(u, antiunitary=anti, tol=tol)
-    residual = max_abs(_projector_stack(target_reps)
-                       - u @ _projector_stack(source_reps) @ u.conj().T)
+    residual = max_abs(linalg.projector_stack(target_reps)
+                       - u @ linalg.projector_stack(source_reps) @ u.conj().T)
     if residual > FIT_RESIDUAL_LIMIT:
         raise FitFailed(
             f"fit residual {residual:.3e} exceeds {FIT_RESIDUAL_LIMIT:.0e}; "

@@ -11,6 +11,7 @@ import numpy as np
 from qcontexts.core import (
     ContextTransform,
     DensityOperator,
+    Projector,
     context_distribution,
     make_context,
     make_generator,
@@ -28,6 +29,18 @@ def peak_allocation(fn, *args):
         return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def pure_density(p: Projector) -> DensityOperator:
+    """The density operator of the pure state on p's ray."""
+    return DensityOperator(p.matrix)
+
+
+def maximally_mixed(dim: int) -> DensityOperator:
+    """The density operator I / dim."""
+    matrix = np.eye(dim, dtype=np.complex128) / dim
+    matrix.flags.writeable = False
+    return DensityOperator(matrix)
 
 
 def standard_basis(n: int) -> list[np.ndarray]:
@@ -105,6 +118,26 @@ def ref_eigensystem(sigma: Permutation) -> tuple[np.ndarray, np.ndarray]:
     return phases, vecs
 
 
+def ref_gauge_residual(g: np.ndarray, gt: np.ndarray) -> float:
+    """One branch's gauge residual as it stood before both branches shared
+    one spanning forest, kept as the reference for its bits: a unit phase
+    c_j per ray fixed along a maximum spanning forest of |g| (Prim), then
+    max |gt[i, j] - conj(c_i) c_j g[i, j]| over the whole matrix. Pass
+    g = gs for the unitary branch and g = conj(gs) for the anti-unitary one."""
+    k, weight = len(g), np.abs(g)
+    c, free = np.ones(k, dtype=np.complex128), np.arange(k) > 0
+    best, parent = weight[0].copy(), np.zeros(k, dtype=np.intp)
+    for _ in range(k - 1):
+        j = int(np.argmax(np.where(free, best, -1.0)))
+        p = parent[j]
+        z = gt[p, j] * g[p, j].conjugate()
+        c[j] = c[p] * (z / abs(z) if z else 1.0)
+        free[j] = False
+        closer = free & (weight[j] > best)
+        best[closer], parent[closer] = weight[j, closer], j
+    return max_abs(gt - c[:, None].conj() * c * g)
+
+
 def ref_path(sigma: Permutation, steps: int):
     """The three-pass path check as it stood before the streamed pass, kept as
     the reference for its numbers: (samples, max_unitarity_deviation,
@@ -129,7 +162,7 @@ def simulate_reference(initial, contexts, seed: int) -> list[int]:
     uniforms = make_generator(seed).random(len(contexts))
     state, outcomes = initial, []
     for c, u in zip(contexts, uniforms):
-        cdf = np.cumsum(context_distribution(DensityOperator.from_projector(state), c))
+        cdf = np.cumsum(context_distribution(pure_density(state), c))
         outcomes.append(min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), c.dim - 1))
         state = c.projectors[outcomes[-1]]
     return outcomes

@@ -19,6 +19,7 @@ from qcontexts.cli import main
 from qcontexts.core import make_generator
 from qcontexts.gleason import born_case_check
 from qcontexts.jsonio import (
+    complex_to_json,
     context_to_json,
     contexts_from_json,
     dataset_path,
@@ -26,7 +27,6 @@ from qcontexts.jsonio import (
     density_to_json,
     load_json_file,
     ray_map_to_json,
-    vector_to_json,
 )
 from qcontexts.sampling import random_context, random_density, random_ray_map, random_state_vector
 
@@ -190,8 +190,8 @@ class TestUhlhorn:
         rng = make_generator(6)
         doc = ray_map_to_json(m)
         doc["pairs"].append({
-            "source": vector_to_json(m.source_vectors[12] + 1e-7 * random_state_vector(3, rng)),
-            "target": vector_to_json(random_state_vector(3, rng))})
+            "source": complex_to_json(m.source_vectors[12] + 1e-7 * random_state_vector(3, rng)),
+            "target": complex_to_json(random_state_vector(3, rng))})
         path = _paths(tmp_path, [doc])[0]
         code, out, err = run(capsys, "uhlhorn", path, "--tol", "1e-6")
         assert (code, out) == (2, "")

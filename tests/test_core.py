@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from helpers import (
     fourier_basis,
     fourier_context,
+    maximally_mixed,
+    pure_density,
     simulate_reference,
     standard_basis,
     standard_context,
 )
 from qcontexts.core import (
     ContextTransform,
-    DensityOperator,
     Projector,
     apply_transform,
     are_exclusive,
@@ -99,7 +100,7 @@ class TestDataModel:
     def test_value_types_are_immutable_and_compared_by_identity(self):
         c = standard_context(3)
         p = c.projectors[0]
-        values = ((p, "vector"), (c, "label"), (DensityOperator.maximally_mixed(3), "matrix"),
+        values = ((p, "vector"), (c, "label"), (maximally_mixed(3), "matrix"),
                   (ContextTransform.from_matrix(np.eye(3)), "antiunitary"))
         for obj, name in values:
             before = getattr(obj, name)
@@ -121,21 +122,21 @@ class TestDataModel:
 class TestBornProbability:
     def test_same_projector_gives_one(self):
         q = random_projector(3, make_generator(5))
-        rho = DensityOperator.from_projector(q)
+        rho = pure_density(q)
         assert born_probability(rho, q) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_projector_gives_zero(self):
         c = standard_context(3)
-        rho = DensityOperator.from_projector(c.projectors[0])
+        rho = pure_density(c.projectors[0])
         assert born_probability(rho, c.projectors[1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_gives_one_third(self):
-        rho = DensityOperator.maximally_mixed(3)
+        rho = maximally_mixed(3)
         p = random_projector(3, make_generator(9))
         assert born_probability(rho, p) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        rho = DensityOperator.maximally_mixed(3)
+        rho = maximally_mixed(3)
         with pytest.raises(DimensionMismatch):
             born_probability(rho, random_projector(4, make_generator(1)))
 
@@ -147,7 +148,7 @@ class TestBornProbability:
         n = int(rng.integers(2, 6))
         q = random_projector(n, rng)
         p = random_projector(n, rng)
-        got = born_probability(DensityOperator.from_projector(q), p)
+        got = born_probability(pure_density(q), p)
         expected = abs(np.vdot(q.vector, p.vector)) ** 2
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -155,12 +156,12 @@ class TestBornProbability:
 class TestContextDistribution:
     def test_pure_state_in_own_context(self):
         c = standard_context(3)
-        rho = DensityOperator.from_projector(c.projectors[0])
+        rho = pure_density(c.projectors[0])
         assert np.allclose(context_distribution(rho, c), [1, 0, 0], atol=1e-12)
 
     def test_maximally_mixed_uniform(self):
         c = fourier_context(3)
-        d = context_distribution(DensityOperator.maximally_mixed(3), c)
+        d = context_distribution(maximally_mixed(3), c)
         assert np.allclose(d, 1 / 3, atol=1e-12)
 
     def test_matches_per_projector_formula(self):

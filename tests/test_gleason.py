@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import mub_bases_dim3, peak_allocation, standard_context
+from helpers import (
+    maximally_mixed,
+    mub_bases_dim3,
+    peak_allocation,
+    pure_density,
+    standard_context,
+)
 from qcontexts.core import DensityOperator, Projector, context_distribution, make_generator
 from qcontexts.errors import (
     DimensionMismatch,
@@ -237,12 +243,12 @@ class TestReconstructDensity:
 class TestBornCaseCheck:
     def test_pure_state_returns_projector(self):
         p = random_projector(3, make_generator(2))
-        got = born_case_check(DensityOperator.from_projector(p))
+        got = born_case_check(pure_density(p))
         assert got is not None
         assert got.distance(p) <= 1e-9
 
     def test_maximally_mixed_returns_none(self):
-        assert born_case_check(DensityOperator.maximally_mixed(3)) is None
+        assert born_case_check(maximally_mixed(3)) is None
 
     def test_slightly_mixed_returns_none(self):
         # top eigenvalue 0.999 + 0.001/3 = 0.999333..., short of 1 by ~6.7e-4
@@ -257,7 +263,7 @@ class TestBornCaseCheck:
         # once the top eigenvalue reaches 1 the probabilities are squared overlaps
         rng = make_generator(17)
         p = random_projector(3, rng)
-        q = born_case_check(DensityOperator.from_projector(p))
+        q = born_case_check(pure_density(p))
         other = random_projector(3, rng)
         lhs = float(np.trace(q.matrix @ other.matrix).real)
         assert lhs == pytest.approx(abs(np.vdot(p.vector, other.vector)) ** 2,

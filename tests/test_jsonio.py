@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qcontexts.core import make_generator
 from qcontexts.errors import MalformedDocument, NotOrthonormal
 from qcontexts.jsonio import (
     _complex_array,
+    complex_to_json,
     context_from_json,
     context_to_json,
     contexts_from_json,
@@ -13,11 +16,9 @@ from qcontexts.jsonio import (
     density_to_json,
     frame_samples_from_json,
     grouped_samples_from_json,
-    matrix_to_json,
     permutation_from_json,
     ray_map_from_json,
     ray_map_to_json,
-    vector_to_json,
 )
 from qcontexts.linalg import max_abs
 from qcontexts.sampling import random_density, random_ray_map
@@ -40,9 +41,35 @@ class TestScalars:
 
     def test_vector_and_matrix_round_trip(self):
         v = np.array([1 + 2j, -0.5j, 3.0])
-        assert np.array_equal(_complex_array([vector_to_json(v)], (3,)), v)
+        assert np.array_equal(_complex_array([complex_to_json(v)], (3,)), v)
         m = np.array([[1 + 1j, 0], [2, -1j]])
-        assert np.array_equal(_complex_array(matrix_to_json(m), (2, 2)), m)
+        assert np.array_equal(_complex_array(complex_to_json(m), (2, 2)), m)
+
+
+def ref_complex_json(a) -> list:
+    """The per-entry writer complex_to_json replaced: [float(re), float(im)]
+    of complex(z) for each entry, nested as the array's axes."""
+    a = np.asarray(a)
+    if a.ndim == 0:
+        z = complex(a)
+        return [float(z.real), float(z.imag)]
+    return [ref_complex_json(x) for x in a]
+
+
+class TestComplexWriter:
+    def test_bytes_match_the_per_entry_writer(self):
+        rng = make_generator(8)
+        stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        signed = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                           -1.5 + 1e-300j, complex(2.0, -0.0)])
+        values = [complex(-0.0, 1.0), np.complex128(complex(0.25, -0.0)), np.array(-3j),
+                  signed, stack[0, 0], stack[0], stack, stack.transpose(0, 2, 1),
+                  np.zeros((2, 0), dtype=np.complex128)]
+        for a in values:
+            assert (json.dumps(complex_to_json(a), indent=2)
+                    == json.dumps(ref_complex_json(a), indent=2))
+        assert json.dumps(complex_to_json(signed)).count("-0.0") == 5
+        assert complex_to_json(np.array(-3j)) == [0.0, -3.0]
 
 
 class TestContextIO:
@@ -139,7 +166,7 @@ class TestFrameSampleIO:
         c = standard_context(3)
         doc = {"contexts": [{
             "label": "g",
-            "vectors": [vector_to_json(p.vector) for p in c.projectors],
+            "vectors": [complex_to_json(p.vector) for p in c.projectors],
             "values": [0.2, 0.3, 0.5],
         }]}
         groups = grouped_samples_from_json(doc)

@@ -18,6 +18,7 @@ from qcontexts.core import DensityOperator, make_generator
 from qcontexts.errors import MalformedDocument
 from qcontexts.jsonio import (
     _complex_array,
+    complex_to_json,
     context_from_json,
     context_to_json,
     contexts_from_json,
@@ -29,7 +30,6 @@ from qcontexts.jsonio import (
     permutation_from_json,
     ray_map_from_json,
     ray_map_to_json,
-    vector_to_json,
 )
 from qcontexts.linalg import row_norms
 from qcontexts.sampling import random_context, random_density, random_ray_map, random_unitary
@@ -137,12 +137,12 @@ class TestBitIdenticalToReference:
         rho = random_density(n, rng)
         vectors = [random_unitary(n, rng)[:, 0] * rng.uniform(0.1, 10) for _ in range(40)]
         check_document("gleason_", {"dim": n, "samples": [
-            {"vector": vector_to_json(v),
+            {"vector": complex_to_json(v),
              "value": float(np.vdot(v, rho.matrix @ v).real / np.vdot(v, v).real)}
             for v in vectors]})
         columns = [u[:, k] * rng.uniform(0.5, 2) for u in
                    (random_unitary(n, rng) for _ in range(5)) for k in range(n)]
-        check_document("ks_", {"dim": n, "vectors": [vector_to_json(v) for v in columns],
+        check_document("ks_", {"dim": n, "vectors": [complex_to_json(v) for v in columns],
                                "bases": [list(range(b * n, b * n + n)) for b in range(5)]})
 
     def test_documents_that_mix_pairs_and_bare_numbers(self):

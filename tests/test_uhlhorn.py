@@ -14,6 +14,7 @@ from helpers import (
     peak_allocation,
     phase_aligned_distance,
     ray_map,
+    ref_gauge_residual,
     standard_basis,
     standard_context,
 )
@@ -113,7 +114,7 @@ class TestRayMap:
             with pytest.raises(ValueError):
                 rows[0, 0] = 0
             # the stacks the checks build are the pairs' matrices, entry for entry
-            for mat, pair in zip(uhlhorn._projector_stack(rows), m.pairs):
+            for mat, pair in zip(linalg.projector_stack(rows), m.pairs):
                 assert np.array_equal(mat, pair[side].matrix)
         assert not [name for name, value in vars(m).items()
                     if isinstance(value, np.ndarray) and value.ndim == 3]
@@ -435,6 +436,15 @@ def ref_classify(m: RayMap, tol=DEFAULT_TOL) -> TransformClassification:
     return TransformClassification(Verdict.NEITHER, *witness(bad))
 
 
+def ref_find_source(m: RayMap, v: np.ndarray, tol=DEFAULT_TOL) -> int | None:
+    """RayMap._find_source as the stack rule it replaced: the lowest source
+    whose projector differs from |v><v| by at most tol in every entry."""
+    dist = np.abs(linalg.projector_stack(m.source_vectors)
+                  - np.outer(v, v.conj())).max(axis=(1, 2))
+    hits = np.flatnonzero(dist <= tol.abs_eps)
+    return int(hits[0]) if hits.size else None
+
+
 def _swap_last_targets(m: RayMap) -> RayMap:
     pairs = list(m.pairs)
     pairs[-1], pairs[-2] = (pairs[-1][0], m.pairs[-2][1]), (pairs[-2][0], m.pairs[-1][1])
@@ -600,6 +610,45 @@ class TestKernelsMatchReference:
             for case in (m, swapped):
                 assert check_orthogonality_preserving(case) == ref_check(case)
                 assert classify_transform(case) == ref_classify(case)
+
+    def test_find_source_matches_the_stack_rule(self):
+        """Sources as given, rephased and short of unit norm; rays near a
+        source at their distance to it and 1 ulp to either side; a missing
+        ray; all at 1e-9 and at a looser 1e-6, where sources 3 and 9 are the
+        same ray, so a match among the sources alone must not count."""
+        rng = make_generator(99)
+        m, _ = random_ray_map(3, rng, n_extra=10)
+        sources = m.source_vectors.copy()
+        sources[9] = sources[3] + 1e-7 * random_state_vector(3, rng)
+        m = RayMap(3, sources, m.target_vectors)
+        loose = Tolerance(1e-6)
+        assert linalg.first_repeated_ray(m.source_vectors, loose.abs_eps) == (3, 9)
+        missing = random_state_vector(3, rng)
+        probes = [(missing, DEFAULT_TOL), (missing, loose)]
+        edges = []
+        for j in (0, 3, 9, 12):
+            s = m.source_vectors[j]
+            for v in (s, np.exp(0.7j) * s, (1 - 5e-10) * s, (1 - 2e-9) * s):
+                probes += [(v, DEFAULT_TOL), (v, loose)]
+            near = s + 1e-7 * random_state_vector(3, rng)
+            near /= np.linalg.norm(near)
+            d = max_abs(np.outer(near, near.conj()) - np.outer(s, s.conj()))
+            edges.append([(near, Tolerance(e)) for e in (np.nextafter(d, 0), d,
+                                                         np.nextafter(d, 1))])
+            probes += edges[-1]
+        for v, tol in probes:
+            assert m._find_source(v, tol) == ref_find_source(m, v, tol)
+        assert ref_find_source(m, missing, loose) is None
+        assert ref_find_source(m, m.source_vectors[9], loose) == 3
+        assert [ref_find_source(m, *probe) for probe in edges[0]] == [None, 0, 0]
+
+    def test_classification_is_the_same_in_any_row_blocks(self, monkeypatch):
+        # blocks of 1, 7 and 59 entries split every fit and witness row
+        cases = reference_cases()
+        expected = [_outcome(classify_transform, m, tol) for _, m, tol in cases]
+        for entries in (1, 7, 59):
+            monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
+            assert [_outcome(classify_transform, m, tol) for _, m, tol in cases] == expected
 
     def test_fit_residual_bit_identical(self):
         # the stacked residual against the per-pair act_matrix loop it replaced
@@ -797,14 +846,18 @@ finally:
 """
 
 
-def test_large_map_certifies_in_bounded_memory(tmp_path):
-    """A 400-ray map: the whole uhlhorn CLI run stays under 150 MiB."""
+def _large_map(k: int) -> RayMap:
+    """A seeded anti-unitary map of k rays in dimension 3 with one covering context."""
     rng = make_generator(93)
     hidden = ContextTransform.from_matrix(random_unitary(3, rng), antiunitary=True)
     basis = random_unitary(3, rng)
-    context = make_context([basis[:, k] for k in range(3)], "fiduciary")
-    extras = [random_state_vector(3, rng) for _ in range(400 - 7)]
-    m = induced_ray_map(hidden, context, extras)
+    context = make_context([basis[:, j] for j in range(3)], "fiduciary")
+    return induced_ray_map(hidden, context, [random_state_vector(3, rng) for _ in range(k - 7)])
+
+
+def test_large_map_certifies_in_bounded_memory(tmp_path):
+    """A 400-ray map: the whole uhlhorn CLI run stays under 150 MiB."""
+    m = _large_map(400)
     assert len(m.source_vectors) == 400
     path = tmp_path / "raymap_400.json"
     path.write_text(json.dumps(ray_map_to_json(m)))
@@ -824,19 +877,45 @@ def _sweep_map(k: int) -> RayMap:
     return random_ray_map(3, make_generator(97), antiunitary=True, n_extra=k - 7)[0]
 
 
+def _grams(m: RayMap) -> tuple[np.ndarray, np.ndarray]:
+    return (m.source_vectors.conj() @ m.source_vectors.T,
+            m.target_vectors.conj() @ m.target_vectors.T)
+
+
 @pytest.mark.parametrize("anti", [False, True])
 def test_gauge_residual_is_the_same_in_any_row_blocks(monkeypatch, anti):
-    """At k=60 the default block holds every row, so the residual is the
-    whole-matrix max; blocks of 1, 7 and 59 rows give the same bits, on the
-    fitting branch and on the other one."""
-    m = _sweep_map(60)
-    gs = m.source_vectors.conj() @ m.source_vectors.T
-    gt = m.target_vectors.conj() @ m.target_vectors.T
-    g = gs.conj() if anti else gs
-    whole = uhlhorn._gauge_residual(g, gt)
+    """Both residuals of the shared forest equal the per-branch reference
+    bit for bit, on a unitary and an anti-unitary map, so on the fitting
+    branch and on the other one: at the default block, which holds all 60
+    rows, and at blocks of 1, 7 and 59 rows."""
+    m = random_ray_map(3, make_generator(97), antiunitary=anti, n_extra=60 - 7)[0]
+    gs, gt = _grams(m)
+    expected = (ref_gauge_residual(gs, gt), ref_gauge_residual(gs.conj(), gt))
+    assert (expected[0] <= 1e-9, expected[1] <= 1e-9) == (not anti, anti)
+    assert uhlhorn._gauge_residuals(gs, gt) == expected
     for rows in (1, 7, 59):
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 60 * rows)
-        assert uhlhorn._gauge_residual(g, gt) == whole
+        assert uhlhorn._gauge_residuals(gs, gt) == expected
+
+
+def test_witness_is_the_same_in_any_row_blocks(monkeypatch):
+    """With the overlaps g[0, j], j = 1..39, set to 0, no triple (0, j, l)
+    with j < 40 is nonreal, and with one target overlap turned by i the
+    first triple fitting neither branch is (0, 45, 50). The entries g[j, 0]
+    stay, so a block that kept the triples (0, j, l) with l <= j would stop
+    at (0, 40, 1). At k=60 the default block holds row 0's whole table;
+    blocks of 1, 7 and 59 rows find the same triples and values, bit for bit."""
+    gs, gt = _grams(_sweep_map(60))
+    gs[0, 1:40] = gt[0, 1:40] = 0
+    gt[45, 50] *= 1j
+    gt[50, 45] = gt[45, 50].conjugate()
+    scans = [uhlhorn._first_triple(gs, gt, 1e-9, misfits)
+             for misfits in ((), (False,), (False, True))]
+    assert [scan[0] for scan in scans] == [(0, 40, 41), (0, 40, 41), (0, 45, 50)]
+    for rows in (1, 7, 59):
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 59 * rows)
+        assert [uhlhorn._first_triple(gs, gt, 1e-9, misfits)
+                for misfits in ((), (False,), (False, True))] == scans
 
 
 def test_classification_memory_grows_as_k_squared():
@@ -849,6 +928,15 @@ def test_classification_memory_grows_as_k_squared():
         assert classification.verdict is Verdict.ANTIUNITARY
         peaks.append(peak)
     assert peaks[1] / peaks[0] <= 4 * 1.25
+
+
+def test_classification_peak_at_1200_rays():
+    """The two (k, k) complex Gram matrices (44 MiB at k=1200) and the
+    forest's weights (11 MiB) set classify_transform's peak; the residual
+    blocks and the witness rows add about 1 MiB each on top."""
+    classification, peak = peak_allocation(classify_transform, _large_map(1200))
+    assert classification.verdict is Verdict.ANTIUNITARY
+    assert peak / 2**20 < 64
 
 
 def test_orthogonality_check_memory_grows_as_k_squared():

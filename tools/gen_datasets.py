@@ -16,12 +16,7 @@ import numpy as np
 from qcontexts.core import (ContextTransform, DensityOperator, Projector, make_context,
                             make_generator)
 from qcontexts.gleason import FrameSample
-from qcontexts.jsonio import (
-    context_to_json,
-    density_to_json,
-    ray_map_to_json,
-    vector_to_json,
-)
+from qcontexts.jsonio import complex_to_json, context_to_json, density_to_json, ray_map_to_json
 from qcontexts.sampling import random_state_vector, random_unitary
 from qcontexts.uhlhorn import induced_ray_map
 
@@ -65,10 +60,9 @@ def gen_contexts_and_densities() -> None:
         "contexts": [context_to_json(make_context(fourier_basis(3), "fourier"))],
     })
     write("density_mixed_dim3.json",
-          density_to_json(DensityOperator.maximally_mixed(3)))
+          density_to_json(DensityOperator(np.eye(3, dtype=np.complex128) / 3)))
     e1 = Projector.from_vector([1, 0, 0])
-    write("density_e1_dim3.json",
-          density_to_json(DensityOperator.from_projector(e1)))
+    write("density_e1_dim3.json", density_to_json(DensityOperator(e1.matrix)))
 
 
 def gen_gleason_demo() -> None:
@@ -79,7 +73,7 @@ def gen_gleason_demo() -> None:
         for v in basis:
             p = Projector.from_vector(v)
             value = float(np.trace(rho @ p.matrix).real)
-            samples.append({"vector": vector_to_json(p.vector), "value": value})
+            samples.append({"vector": complex_to_json(p.vector), "value": value})
             FrameSample(p, value)  # sanity: constructible
     write("gleason_demo_dim3.json", {"dim": 3, "samples": samples})
 
