@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .core import check_seed, context_distribution, repeat_simulation
-from .errors import QContextsError
+from .errors import FitFailed, QContextsError
 from .gleason import born_case_check, reconstruct_density
 from .jsonio import (
     complex_to_json,
@@ -151,7 +151,10 @@ def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
     if verdict is Verdict.NEITHER:
         return payload, EXIT_NEGATIVE
 
-    fit = fit_transform(ray_map, classification, tol)
+    try:
+        fit = fit_transform(ray_map, classification, tol)
+    except FitFailed as exc:  # a failed certification, not bad input
+        return {**payload, "residual": exc.residual}, EXIT_NEGATIVE
     payload.update({
         "antiunitary": fit.transform.antiunitary,
         "matrix": complex_to_json(fit.transform.matrix),

@@ -45,7 +45,12 @@ class MissingGadget(QContextsError):
 
 
 class FitFailed(QContextsError):
-    """No single operator reproduces the ray map within tolerance."""
+    """No single operator reproduces the ray map within tolerance; carries the residual."""
+
+    def __init__(self, residual: float, limit: float):
+        self.residual = residual
+        super().__init__(f"fit residual {residual:.3e} exceeds {limit:.0e}; "
+                         "no single operator reproduces the listed rays")
 
 
 class MalformedDocument(QContextsError):

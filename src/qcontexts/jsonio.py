@@ -340,13 +340,12 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
             raise MalformedDocument(f"basis {b} repeats a vector index")
         bases.append(idx)
     i, j = np.triu_indices(dim, 1)  # the pairs of a basis in combinations order
-    step = max(1, linalg._BLOCK_ENTRIES // (dim * dim))  # bases per batched Gram
-    for a in range(0, len(bases), step):
-        block = vectors[np.array(bases[a:a + step])]
+    for s in linalg.row_blocks(len(bases), dim * dim):  # bases per batched Gram
+        block = vectors[np.array(bases[s])]
         overlaps = np.abs(block.conj() @ block.transpose(0, 2, 1))[:, i, j]
         hits = np.argwhere(overlaps > zero)  # in (basis, pair) order
         if hits.size:
-            b, p = hits[0]
+            (b, p), a = hits[0], s.start
             basis = bases[a + b]
             raise BasisNotOrthogonal(a + int(b), basis[i[p]], basis[j[p]], float(overlaps[b, p]))
 

@@ -19,6 +19,7 @@ __all__ = [
     "max_abs",
     "row_norms",
     "projector_stack",
+    "row_blocks",
     "first_repeated_ray",
     "is_unitary",
     "UnitaryCheck",
@@ -118,6 +119,13 @@ def projector_stack(v: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 15  # complex entries per block: 512 KiB, about 1 MiB with its temporaries
 
 
+def row_blocks(stop: int, width: int, start: int = 0) -> list[slice]:
+    """Slices [a, a + rows) for a = start, start + rows, ... < stop, with
+    rows = max(1, _BLOCK_ENTRIES // width) for rows of width entries."""
+    rows = max(1, _BLOCK_ENTRIES // max(1, width))
+    return [slice(a, a + rows) for a in range(start, stop, rows)]
+
+
 def first_repeated_ray(vectors: np.ndarray, eps: float) -> tuple[int, int] | None:
     """First pair (i, j), i < j in lexicographic order, of rows of the (k, n)
     array whose projector matrices differ by at most eps in every entry:
@@ -137,22 +145,19 @@ def first_repeated_ray(vectors: np.ndarray, eps: float) -> tuple[int, int] | Non
         return None
     smallest = float(np.min(np.sum(np.abs(vectors) ** 2, axis=1)))
     floor = smallest ** 2 - (n * eps) ** 2 / 2 - 1e-10  # the margin covers Gram rounding
-    rows = max(1, _BLOCK_ENTRIES // k)
-    pairs = max(1, _BLOCK_ENTRIES // (n * n))
-    for a in range(0, k - 1, rows):
-        gram = vectors[a:a + rows].conj() @ vectors[a:].T
+    for b in row_blocks(k - 1, k):
+        gram = vectors[b].conj() @ vectors[b.start:].T
         parts = gram.view(np.float64)  # |<u, v>|^2 from squared real and imaginary parts
         np.square(parts, out=parts)
         near = parts[:, 0::2] + parts[:, 1::2] >= floor
         r, c = np.divmod(np.flatnonzero(near), near.shape[1])
         upper = c > r
-        i, j = a + r[upper], a + c[upper]
-        for s in range(0, len(i), pairs):
-            diff = (projector_stack(vectors[i[s:s + pairs]])
-                    - projector_stack(vectors[j[s:s + pairs]]))
+        i, j = b.start + r[upper], b.start + c[upper]
+        for s in row_blocks(len(i), n * n):
+            diff = projector_stack(vectors[i[s]]) - projector_stack(vectors[j[s]])
             hits = np.flatnonzero(np.abs(diff).max(axis=(1, 2)) <= eps)
             if hits.size:
-                return int(i[s + hits[0]]), int(j[s + hits[0]])
+                return int(i[s][hits[0]]), int(j[s][hits[0]])
     return None
 
 

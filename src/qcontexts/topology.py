@@ -122,7 +122,7 @@ def unitary_path_to_identity(sigma: Permutation, steps: int) -> PathReport:
     Endpoint errors and per-sample unitarity deviations stay at machine
     precision; max_step_distance shrinks proportionally to the step
     size, which is the finite evidence of continuity. Samples are checked
-    in blocks of linalg._BLOCK_ENTRIES entries; each block's last sample
+    in blocks of linalg.row_blocks; each block's last sample
     is carried into the next block's step distances, and only U(0) and
     U(1) are kept, as the report's endpoints.
     """
@@ -131,12 +131,11 @@ def unitary_path_to_identity(sigma: Permutation, steps: int) -> PathReport:
     phases, vecs = _eigensystem(sigma)
     times = np.linspace(0.0, 1.0, steps)  # t_k = k/(steps-1), as path_samples
     eye = np.eye(sigma.n)
-    block = max(1, linalg._BLOCK_ENTRIES // max(1, sigma.n * sigma.n))
     unit_dev = step_dist = 0.0
-    for a in range(0, steps, block):
-        u = _samples(phases, vecs, times[a:a + block])
+    for b in linalg.row_blocks(steps, sigma.n * sigma.n):
+        u = _samples(phases, vecs, times[b])
         unit_dev = max(unit_dev, max_abs(u.conj().transpose(0, 2, 1) @ u - eye))
-        if a:
+        if b.start:
             u = np.concatenate((last, u))
         else:
             first = u[:1].copy()

@@ -12,8 +12,8 @@ For k rays in dimension n a certification costs O(k^2 n + k^3) time
 and O(k n^2 + k^2) memory. A RayMap holds its source and target unit
 vectors once, as (k, n) arrays normalized by linalg.row_norms, and
 caches nothing derived from them but its Projector pairs, built only
-when asked for. Bijectivity and the covering contexts' rays are decided
-by the blocked same-ray screen of ks documents and the pair checks by a
+when asked for. Bijectivity and covering rays are decided once, when the
+map is built, by the same-ray screen of ks documents, pair checks by a
 Gram screen, O(k^2 n) each; the branch is two O(k^2) gauge fits along
 one spanning forest plus a row-wise witness search in row blocks (O(k^3)
 time only if it finds nothing); the fit checks one stacked U S U^dag.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -71,8 +70,9 @@ class RayMap(Frozen):
     their norms, as the read-only arrays source_vectors and
     target_vectors. covering_contexts are contexts whose projectors all
     occur among the sources, candidates for the fiduciary basis of the
-    constructive fit. Bijectivity and covering are both decided at tol,
-    by linalg.first_repeated_ray.
+    constructive fit, and covering_rays the sources on their basis rays,
+    one tuple per context. Bijectivity and covering are both decided at
+    tol, by linalg.first_repeated_ray, once, here.
     """
 
     def __init__(self, dim: int, sources, targets,
@@ -91,20 +91,23 @@ class RayMap(Frozen):
                 f"ray maps are certified only for dimension >= 3, got {dim}")
         unit = rows / norms[:, :, None]
         unit.flags.writeable = False
-        self.__dict__.update(dim=dim, covering_contexts=covering_contexts,
-                             source_vectors=unit[0], target_vectors=unit[1])
         # the first repeated pair in lexicographic order; sources first on a tie
         repeated = [(hit, which) for which, v in zip(("sources", "targets"), unit)
                     if (hit := first_repeated_ray(v, tol.abs_eps)) is not None]
         if repeated:
             (i, j), which = min(repeated)
             raise ValueError(f"{which} {i} and {j} coincide; map must be bijective")
-        for c in self.covering_contexts:
-            if c.dim != self.dim:
+        covering_rays = []
+        for c in covering_contexts:
+            if c.dim != dim:
                 raise DimensionMismatch(f"covering context '{c.label}' has dimension {c.dim}")
-            if any(self._find_source(v, tol) is None for v in c.basis.T):
+            covering_rays.append(tuple(_find_source(unit[0], v, tol) for v in c.basis.T))
+            if None in covering_rays[-1]:
                 raise ValueError(f"covering context '{c.label}' has a projector "
                                  "missing from the sources")
+        self.__dict__.update(dim=dim, covering_contexts=covering_contexts,
+                             covering_rays=tuple(covering_rays),
+                             source_vectors=unit[0], target_vectors=unit[1])
 
     @cached_property
     def pairs(self) -> tuple[tuple[Projector, Projector], ...]:
@@ -113,11 +116,11 @@ class RayMap(Frozen):
         return tuple((Projector(s), Projector(t))
                      for s, t in zip(self.source_vectors, self.target_vectors))
 
-    def _find_source(self, v: np.ndarray,
-                     tol: Tolerance = DEFAULT_TOL) -> int | None:
-        """Lowest source on the ray of v at tol, or None; O(k^2 n) if none."""
-        hit = first_repeated_ray(np.vstack([v, self.source_vectors]), tol.abs_eps)
-        return hit[1] - 1 if hit is not None and hit[0] == 0 else None
+
+def _find_source(sources: np.ndarray, v: np.ndarray, tol: Tolerance) -> int | None:
+    """Lowest row of sources on the ray of v at tol, or None; O(k^2 n) if none."""
+    hit = first_repeated_ray(np.vstack([v, sources]), tol.abs_eps)
+    return hit[1] - 1 if hit is not None and hit[0] == 0 else None
 
 
 class OrthogonalityCheck(NamedTuple):
@@ -209,7 +212,7 @@ def _gauge_residuals(gs: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
     O(k^2)); |conj(gs)| is |gs| bit for bit, so both branches share it.
     Each tree edge on the path closing a non-tree entry is at least as
     strong as that entry, so every entry's rounding stays near path length
-    x ulp. The max runs over row blocks of linalg._BLOCK_ENTRIES entries."""
+    x ulp. The max runs over the row blocks of linalg.row_blocks."""
     k, weight = len(gs), np.abs(gs)
     c, free = np.ones((2, k), dtype=np.complex128), np.arange(k) > 0
     best, parent = weight[0].copy(), np.zeros(k, dtype=np.intp)  # strongest link to the tree
@@ -221,10 +224,8 @@ def _gauge_residuals(gs: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
         free[j] = False
         closer = free & (weight[j] > best)
         best[closer], parent[closer] = weight[j, closer], j
-    rows = max(1, linalg._BLOCK_ENTRIES // k)
-    blocks = [slice(a, a + rows) for a in range(0, k, rows)]
     return tuple(max(max_abs(gt[r] - c[b, r, None].conj() * c[b] * (gs[r].conj() if b else gs[r]))
-                     for r in blocks) for b in (0, 1))
+                     for r in linalg.row_blocks(k, k)) for b in (0, 1))
 
 
 def _first_triple(gs: np.ndarray, gt: np.ndarray, eps: float, misfits=()) -> tuple:
@@ -232,21 +233,21 @@ def _first_triple(gs: np.ndarray, gt: np.ndarray, eps: float, misfits=()) -> tup
     whose source invariant g_ij g_jl g_li is nonreal and whose target
     invariant fits no branch in misfits (True is the anti-unitary one),
     or () if none. One row i at a time, O(k^2) each, up to the first hit,
-    in blocks of rows j of about linalg._BLOCK_ENTRIES entries."""
+    in the blocks of rows j of linalg.row_blocks."""
     k = len(gs)
     for i in range(k - 2):
-        r, rows = slice(i + 1, k), max(1, linalg._BLOCK_ENTRIES // (k - 1 - i))
-        for a in range(i + 1, k - 1, rows):
-            b = slice(a, a + rows)
+        r = slice(i + 1, k)
+        for b in linalg.row_blocks(k - 1, k - 1 - i, start=i + 1):
             vs = gs[i, b, None] * gs[b, r] * gs[r, i]
             vt = gt[i, b, None] * gt[b, r] * gt[r, i]
             hit = np.abs(vs.imag) > eps
             for anti in misfits:
                 hit &= ~(np.abs(vt - (vs.conj() if anti else vs)) <= eps)
-            idx = np.flatnonzero(np.triu(hit, a - i))
+            idx = np.flatnonzero(np.triu(hit, b.start - i))
             if idx.size:
                 j, l = divmod(int(idx[0]), k - 1 - i)
-                return (i, a + j, i + 1 + l), complex(vs.flat[idx[0]]), complex(vt.flat[idx[0]])
+                return ((i, b.start + j, i + 1 + l), complex(vs.flat[idx[0]]),
+                        complex(vt.flat[idx[0]]))
     return ()
 
 
@@ -300,46 +301,33 @@ def induced_ray_map(transform: ContextTransform, context: Context,
                   covering_contexts=(context,), tol=tol)
 
 
-def _locate_gadget(m: RayMap, context: Context, source_reps: np.ndarray,
-                   tol: Tolerance):
-    """Find basis indices and, per k, the pair of balanced superposition rays.
+def _superpositions(rays: list[int], source_reps: np.ndarray, label: str) -> list[int]:
+    """Per k = 2..n, the source that pins the phase of fiduciary column k.
 
-    Superposition rays are recognized by their overlap pattern with the
-    fiduciary basis (all weight on rays 1 and k, half each), which is
-    invariant under any rephasing of the stored representatives. The
-    two rays of a pair are oriented so their relative-phase ratio is
-    +i, making the fit deterministic.
+    Candidates are recognized by their overlap pattern with the basis rays
+    (all weight on rays 1 and k, half each), invariant under rephasing.
+    The first candidate pair a < b in combinations order whose phase ratio
+    z_b / z_a, z = <e_k|s> / <e_1|s>, is +i or -i decides; its +i-first
+    ray, a or b, is returned.
     """
-    basis_idx = [m._find_source(v, tol) for v in context.basis.T]
-    if None in basis_idx:
-        raise MissingGadget("fiduciary projector missing from sources")
-    # overlaps[idx, j] = <e_j|s_idx> for every source row at once
-    overlaps = source_reps @ source_reps[basis_idx].conj().T
+    overlaps = source_reps @ source_reps[rays].conj().T  # [idx, j] = <e_j|s_idx>
     weights = np.abs(overlaps)
-    weights[basis_idx] = np.inf  # basis rays are never superpositions
-    n = context.dim
-    superpositions: list[tuple[int, int]] = []
+    weights[rays] = np.inf  # basis rays are never superpositions
+    n, plus = len(rays), []
     for k in range(1, n):
         pattern = np.zeros(n)
         pattern[0] = pattern[k] = 1.0 / np.sqrt(2.0)
-        matches = np.abs(weights - pattern).max(axis=1) <= _GADGET_PATTERN_TOL
-        candidates = [(int(idx), overlaps[idx, k] / overlaps[idx, 0])
-                      for idx in np.flatnonzero(matches)]
-        pair = None
-        for (ia, za), (ib, zb) in combinations(candidates, 2):
-            ratio = zb / za
-            if abs(ratio - 1j) <= _GADGET_PATTERN_TOL:
-                pair = (ia, ib)
-                break
-            if abs(ratio + 1j) <= _GADGET_PATTERN_TOL:
-                pair = (ib, ia)
-                break
-        if pair is None:
-            raise MissingGadget(
-                f"no balanced superposition pair for basis rays (1, {k + 1}) "
-                f"of context '{context.label}'")
-        superpositions.append(pair)
-    return basis_idx, superpositions
+        idx = np.flatnonzero(np.abs(weights - pattern).max(axis=1) <= _GADGET_PATTERN_TOL)
+        z = overlaps[idx, k] / overlaps[idx, 0]
+        ratio = z / z[:, None]  # [a, b] = z_b / z_a
+        turned = np.abs(ratio - 1j) <= _GADGET_PATTERN_TOL
+        pairs = np.flatnonzero(np.triu(turned | (np.abs(ratio + 1j) <= _GADGET_PATTERN_TOL), 1))
+        if not pairs.size:
+            raise MissingGadget(f"no balanced superposition pair for basis rays (1, {k + 1}) "
+                                f"of context '{label}'")
+        a, b = divmod(int(pairs[0]), len(idx))
+        plus.append(int(idx[a] if turned[a, b] else idx[b]))
+    return plus
 
 
 def fit_transform(m: RayMap, classification: TransformClassification,
@@ -347,7 +335,9 @@ def fit_transform(m: RayMap, classification: TransformClassification,
     """Fit the single operator inducing the map and verify it everywhere.
 
     The branch is the verdict of classification, which the caller gets
-    from classify_transform(m, tol); no triple is scanned here. An
+    from classify_transform(m, tol); no triple is scanned here. The
+    fiduciary basis is the first covering context with a full gadget, at
+    its m.covering_rays, so tol reaches only the unitarity check. An
     Inconclusive branch (all-real data, where the branches coincide)
     falls back to the unitary fit and is flagged; on nonreal data the
     wrong branch ends in FitFailed. The operator is built column by
@@ -370,9 +360,9 @@ def fit_transform(m: RayMap, classification: TransformClassification,
     target_reps = m.target_vectors
 
     last_error = MissingGadget("ray map lists no covering context")
-    for context in m.covering_contexts:
+    for context, rays in zip(m.covering_contexts, map(list, m.covering_rays)):
         try:
-            basis_idx, superpositions = _locate_gadget(m, context, source_reps, tol)
+            superpositions = _superpositions(rays, source_reps, context.label)
             break
         except MissingGadget as exc:
             last_error = exc
@@ -380,9 +370,9 @@ def fit_transform(m: RayMap, classification: TransformClassification,
         raise last_error
 
     n = m.dim
-    e, f = source_reps[basis_idx], target_reps[basis_idx]
+    e, f = source_reps[rays], target_reps[rays]
     phases = [1.0 + 0.0j]
-    for k, (plus_idx, _) in enumerate(superpositions, 1):
+    for k, plus_idx in enumerate(superpositions, 1):
         s, g = source_reps[plus_idx], target_reps[plus_idx]
         zeta = np.vdot(e[k], s) / np.vdot(e[0], s)
         ratio = np.vdot(f[k], g) / np.vdot(f[0], g)
@@ -402,8 +392,6 @@ def fit_transform(m: RayMap, classification: TransformClassification,
     residual = max_abs(linalg.projector_stack(target_reps)
                        - u @ linalg.projector_stack(source_reps) @ u.conj().T)
     if residual > FIT_RESIDUAL_LIMIT:
-        raise FitFailed(
-            f"fit residual {residual:.3e} exceeds {FIT_RESIDUAL_LIMIT:.0e}; "
-            "no single operator reproduces the listed rays")
+        raise FitFailed(residual, FIT_RESIDUAL_LIMIT)
     return FitResult(transform=transform, residual=residual, verdict=verdict,
                      ambiguous_branch=ambiguous, fiduciary_label=context.label)

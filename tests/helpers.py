@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from qcontexts.core import (
     make_context,
     make_generator,
 )
-from qcontexts.linalg import DEFAULT_TOL, is_unitary, max_abs
+from qcontexts.errors import MissingGadget
+from qcontexts.linalg import DEFAULT_TOL, is_unitary, max_abs, projector_stack
 from qcontexts.topology import Permutation, _eigensystem, permutation_matrix
 from qcontexts.uhlhorn import RayMap
 
@@ -91,6 +93,85 @@ def act_matrix(transform: ContextTransform, p: np.ndarray) -> np.ndarray:
     """U P U^dag, with P conjugated first when the transform is anti-unitary."""
     q = p.conj() if transform.antiunitary else p
     return transform.matrix @ q @ transform.matrix.conj().T
+
+
+def ref_find_source(m: RayMap, v: np.ndarray, tol=DEFAULT_TOL) -> int | None:
+    """A covering ray's source as the stack rule that first_repeated_ray
+    replaced: the lowest source whose projector differs from |v><v| by at
+    most tol in every entry."""
+    dist = np.abs(projector_stack(m.source_vectors) - np.outer(v, v.conj())).max(axis=(1, 2))
+    hits = np.flatnonzero(dist <= tol.abs_eps)
+    return int(hits[0]) if hits.size else None
+
+
+def ref_locate_gadget(m: RayMap, context, source_reps: np.ndarray, tol=DEFAULT_TOL):
+    """The fiduciary gadget as the pair loop that uhlhorn._superpositions
+    replaced, kept as the reference for its picks: basis indices found at
+    tol by ref_find_source and, per column k, the first candidate pair in
+    combinations order whose phase ratio is +i or -i, oriented to +i."""
+    basis_idx = [ref_find_source(m, v, tol) for v in context.basis.T]
+    if None in basis_idx:
+        raise MissingGadget("fiduciary projector missing from sources")
+    overlaps = source_reps @ source_reps[basis_idx].conj().T
+    weights = np.abs(overlaps)
+    weights[basis_idx] = np.inf
+    n = context.dim
+    superpositions = []
+    for k in range(1, n):
+        pattern = np.zeros(n)
+        pattern[0] = pattern[k] = 1.0 / np.sqrt(2.0)
+        matches = np.abs(weights - pattern).max(axis=1) <= 1e-6
+        candidates = [(int(idx), overlaps[idx, k] / overlaps[idx, 0])
+                      for idx in np.flatnonzero(matches)]
+        pair = None
+        for (ia, za), (ib, zb) in combinations(candidates, 2):
+            ratio = zb / za
+            if abs(ratio - 1j) <= 1e-6:
+                pair = (ia, ib)
+                break
+            if abs(ratio + 1j) <= 1e-6:
+                pair = (ib, ia)
+                break
+        if pair is None:
+            raise MissingGadget(
+                f"no balanced superposition pair for basis rays (1, {k + 1}) "
+                f"of context '{context.label}'")
+        superpositions.append(pair)
+    return basis_idx, superpositions
+
+
+def ref_fit(m: RayMap, antiunitary: bool, tol=DEFAULT_TOL) -> tuple[np.ndarray, float, str]:
+    """(matrix, residual, fiduciary label) of the operator fit as it stood
+    while the gadget was located at fit time, by ref_locate_gadget: one
+    column per fiduciary basis image, each phase pinned by the +i-first
+    superposition ray, the global phase fixed by the first column."""
+    source_reps = m.source_vectors.conj() if antiunitary else m.source_vectors
+    target_reps = m.target_vectors
+    last_error = MissingGadget("ray map lists no covering context")
+    for context in m.covering_contexts:
+        try:
+            basis_idx, superpositions = ref_locate_gadget(m, context, source_reps, tol)
+            break
+        except MissingGadget as exc:
+            last_error = exc
+    else:
+        raise last_error
+    e, f = source_reps[basis_idx], target_reps[basis_idx]
+    phases = [1.0 + 0.0j]
+    for k, (plus_idx, _) in enumerate(superpositions, 1):
+        s, g = source_reps[plus_idx], target_reps[plus_idx]
+        phi = (np.vdot(f[k], g) / np.vdot(f[0], g)) / (np.vdot(e[k], s) / np.vdot(e[0], s))
+        phases.append(phi / abs(phi))
+    u = np.zeros((m.dim, m.dim), dtype=np.complex128)
+    for k in range(m.dim):
+        u += phases[k] * np.outer(f[k], e[k].conj())
+    nonzero = np.flatnonzero(np.abs(u[:, 0]) > 1e-12)
+    if nonzero.size:
+        lead = u[nonzero[0], 0]
+        u = u * (abs(lead) / lead)
+    residual = max_abs(projector_stack(target_reps)
+                       - u @ projector_stack(source_reps) @ u.conj().T)
+    return u, residual, context.label
 
 
 def permutation_log_generator(sigma: Permutation) -> np.ndarray:

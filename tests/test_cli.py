@@ -201,6 +201,23 @@ class TestUhlhorn:
         assert code == 1
         assert json.loads(out)["verdict"] == "Neither"
 
+    def test_failed_fit_exits_one_with_its_residual(self, capsys, tmp_path):
+        # the last target nudged by 1e-5 along e1 passes classification at
+        # --tol 1e-4, but no operator fits it: a failed certification
+        m, _ = random_ray_map(3, make_generator(76))
+        doc = ray_map_to_json(m)
+        doc["pairs"][-1]["target"] = complex_to_json(m.target_vectors[-1] + [1e-5, 0, 0])
+        path = _paths(tmp_path, [doc])[0]
+        code, out, err = run(capsys, "uhlhorn", path, "--tol", "1e-4")
+        payload = json.loads(out)
+        validate(payload, "uhlhorn")
+        assert (code, err, payload["verdict"]) == (1, "", "Unitary")
+        assert payload["residual"] > 1e-8 and "matrix" not in payload
+        code, out, _ = run(capsys, "uhlhorn", path)
+        payload = json.loads(out)
+        validate(payload, "uhlhorn")
+        assert (code, payload["verdict"], payload["witness_triple"]) == (1, "Neither", [0, 3, 12])
+
     def test_tolerance_below_float_resolution_exits_two(self, capsys):
         code, out, err = run(capsys, "uhlhorn", ds("raymap_unitary_dim3.json"), "--tol", "0")
         assert (code, out) == (2, "")

@@ -14,11 +14,14 @@ from helpers import (
     peak_allocation,
     phase_aligned_distance,
     ray_map,
+    ref_find_source,
+    ref_fit,
     ref_gauge_residual,
+    ref_locate_gadget,
     standard_basis,
     standard_context,
 )
-from qcontexts import cli, linalg, uhlhorn
+from qcontexts import cli, jsonio, linalg, uhlhorn
 from qcontexts.core import ContextTransform, Projector, make_context, make_generator
 from qcontexts.errors import (
     DimensionMismatch,
@@ -91,12 +94,15 @@ class TestRayMap:
 
     def test_immutable_and_certified_without_cached_stacks(self):
         m = identity_map(3)
+        fields = ["covering_contexts", "covering_rays", "dim", "source_vectors",
+                  "target_vectors"]
+        assert sorted(vars(m)) == fields
+        assert m.covering_rays == ((0, 1, 2),)
         assert check_orthogonality_preserving(m)
         fit_transform(m, classify_transform(m))
-        # a full certification leaves the map holding its rows and nothing derived
-        assert sorted(vars(m)) == ["covering_contexts", "dim", "source_vectors",
-                                   "target_vectors"]
-        for name in ("dim", "pairs", "covering_contexts", "source_vectors"):
+        # a full certification leaves the map holding what it was built with
+        assert sorted(vars(m)) == fields
+        for name in ("dim", "pairs", "covering_contexts", "covering_rays", "source_vectors"):
             with pytest.raises(AttributeError):
                 setattr(m, name, None)
             with pytest.raises(AttributeError):
@@ -358,9 +364,8 @@ class TestFitTransform:
             for k, (s, t) in enumerate(m.pairs)
         )
         contexts = tuple(
-            make_context([phases[2 * m_._find_source(p.vector)] * p.vector
-                          for p in c.projectors], c.label)
-            for m_, c in ((m, c) for c in m.covering_contexts)
+            make_context([phases[2 * j] * v for j, v in zip(rays, c.basis.T)], c.label)
+            for c, rays in zip(m.covering_contexts, m.covering_rays)
         )
         rephased = ray_map(3, pairs, covering_contexts=contexts)
         fit_b = fit_transform(rephased, classify_transform(rephased))
@@ -434,15 +439,6 @@ def ref_classify(m: RayMap, tol=DEFAULT_TOL) -> TransformClassification:
     if not np.any(bad):
         bad = nonreal & ~unitary_ok
     return TransformClassification(Verdict.NEITHER, *witness(bad))
-
-
-def ref_find_source(m: RayMap, v: np.ndarray, tol=DEFAULT_TOL) -> int | None:
-    """RayMap._find_source as the stack rule it replaced: the lowest source
-    whose projector differs from |v><v| by at most tol in every entry."""
-    dist = np.abs(linalg.projector_stack(m.source_vectors)
-                  - np.outer(v, v.conj())).max(axis=(1, 2))
-    hits = np.flatnonzero(dist <= tol.abs_eps)
-    return int(hits[0]) if hits.size else None
 
 
 def _swap_last_targets(m: RayMap) -> RayMap:
@@ -637,7 +633,7 @@ class TestKernelsMatchReference:
                                                          np.nextafter(d, 1))])
             probes += edges[-1]
         for v, tol in probes:
-            assert m._find_source(v, tol) == ref_find_source(m, v, tol)
+            assert uhlhorn._find_source(m.source_vectors, v, tol) == ref_find_source(m, v, tol)
         assert ref_find_source(m, missing, loose) is None
         assert ref_find_source(m, m.source_vectors[9], loose) == 3
         assert [ref_find_source(m, *probe) for probe in edges[0]] == [None, 0, 0]
@@ -659,6 +655,67 @@ class TestKernelsMatchReference:
                 fit = fit_transform(m, classify_transform(m))
                 assert fit.residual == max(
                     max_abs(t.matrix - act_matrix(fit.transform, s.matrix)) for s, t in m.pairs)
+
+
+def _gadget_map(n: int, anti: bool, seed: int) -> RayMap:
+    """A map on a fiduciary basis with one to three candidate pairs at +-i
+    per column, up to two candidates without a partner and up to three
+    random rays, all in shuffled order after a leading pair of column 1
+    whose ratio is -i, with every source, target and fiduciary basis vector
+    rephased. On odd seeds a covering context without a gadget comes first."""
+    rng = make_generator(seed)
+    hidden = ContextTransform.from_matrix(random_unitary(n, rng), antiunitary=anti)
+    e = list(random_unitary(n, rng).T)
+    lead = 2 * np.pi * rng.random()
+    first = [(e[0] + np.exp(1j * t) * e[1]) / np.sqrt(2.0) for t in (lead + np.pi / 2, lead)]
+    rest = e + [random_state_vector(n, rng) for _ in range(int(rng.integers(0, 4)))]
+    for k in range(1, n):
+        starts = 2 * np.pi * rng.random(int(rng.integers(1, 4)))
+        lone = 2 * np.pi * rng.random(int(rng.integers(0, 3)))
+        rest += [(e[0] + np.exp(1j * t) * e[k]) / np.sqrt(2.0)
+                 for t in np.concatenate([starts, starts + np.pi / 2, lone])]
+    contexts = (make_context([np.exp(2j * np.pi * rng.random()) * v for v in e], "fid"),)
+    if seed % 2:
+        plain = list(random_unitary(n, rng).T)
+        rest += plain
+        contexts = (make_context(plain, "plain"),) + contexts
+    rays = first + [rest[i] for i in rng.permutation(len(rest))]
+    phases = np.exp(2j * np.pi * rng.random((2, len(rays))))
+    return RayMap(n, [p * r for p, r in zip(phases[0], rays)],
+                  [p * hidden.act_vector(r) for p, r in zip(phases[1], rays)], contexts)
+
+
+class TestGadgetPick:
+    """_superpositions picks, column by column, the ray that the pair loop it
+    replaced (helpers.ref_locate_gadget) oriented first, and the fit on the
+    map's covering rays is that loop's fit (helpers.ref_fit), bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_matches_the_pair_loop(self, n, anti):
+        for seed in range(12):
+            m = _gadget_map(n, anti, seed)
+            source_reps = m.source_vectors.conj() if anti else m.source_vectors
+            for c, rays in zip(m.covering_contexts, m.covering_rays):
+                try:
+                    basis_idx, pairs = ref_locate_gadget(m, c, source_reps)
+                except MissingGadget as exc:
+                    assert c.label == "plain"
+                    with pytest.raises(MissingGadget, match=re.escape(str(exc))):
+                        uhlhorn._superpositions(list(rays), source_reps, c.label)
+                    continue
+                assert list(rays) == basis_idx
+                # the leading pair decides column 1: -i as listed, +i once conjugated
+                assert pairs[0] == ((0, 1) if anti else (1, 0))
+                assert uhlhorn._superpositions(list(rays), source_reps, c.label) == [
+                    plus for plus, _ in pairs]
+            classification = classify_transform(m)
+            assert classification.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
+            fit = fit_transform(m, classification)
+            matrix, residual, label = ref_fit(m, anti)
+            assert np.array_equal(fit.transform.matrix, matrix)
+            assert (fit.residual, fit.fiduciary_label) == (residual, label)
+            assert label == "fid" and residual <= 1e-8
 
 
 def _edge_rays(n: int, value: float, rng=None) -> list[np.ndarray]:
@@ -798,6 +855,23 @@ class TestOneStageEach:
         # the violating pair is the one product taken, on each side
         assert self.certify(monkeypatch, capsys, tmp_path, nudged_identity_map()) == (
             1, 0, [(0, 1)])
+
+    @pytest.mark.parametrize("name", ["raymap_unitary_dim3.json",
+                                      "raymap_antiunitary_dim3.json"])
+    def test_bundled_map_screens_each_ray_once(self, monkeypatch, capsys, name):
+        """Two bijectivity screens, then one per basis ray of the one
+        covering context, n + 2 = 5 in all; the fit screens nothing."""
+        screens, screen = [], linalg.first_repeated_ray
+
+        def counted(vectors, eps):
+            screens.append(len(vectors))
+            return screen(vectors, eps)
+
+        for module in (linalg, jsonio, uhlhorn):
+            monkeypatch.setattr(module, "first_repeated_ray", counted)
+        assert cli.main(["uhlhorn", str(jsonio.dataset_path(name))]) == 0
+        capsys.readouterr()
+        assert len(screens) == 5
 
 
 class TestOrthogonalityMemo:
