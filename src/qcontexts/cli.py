@@ -140,7 +140,7 @@ def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
         })
         return payload, EXIT_NEGATIVE
 
-    classification = classify_transform(ray_map, tol)
+    classification = classify_transform(ray_map, check, tol)
     verdict, triple, source_value, target_value = classification
     payload.update({
         "verdict": verdict.value,

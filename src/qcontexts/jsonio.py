@@ -83,6 +83,19 @@ def _require_int(doc: dict, key: str) -> int:
     return _int(_require(doc, key), f"field '{key}'")
 
 
+def _objects(doc: dict, key: str, item: str, fields: tuple[str, ...]) -> list[tuple]:
+    """The required fields of every entry of doc[key], a non-empty list of
+    objects: the list is checked first, then every entry's type, then the
+    fields, entry by entry."""
+    entries = _require(doc, key)
+    if not isinstance(entries, list) or not entries:
+        raise MalformedDocument(f"'{key}' must be a non-empty list")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise MalformedDocument(f"{item} {k} must be an object")
+    return [tuple(_require(entry, field) for field in fields) for entry in entries]
+
+
 def _int(value, what: str) -> int:
     """An integer: a JSON int, never a bool, float, string or list."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -203,15 +216,8 @@ def ray_map_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> RayMap:
     """Covering contexts may be inline objects, bare vector lists, or
     labels resolved against an optional top-level "contexts" table."""
     dim = _require_int(doc, "dim")
-    raw_pairs = _require(doc, "pairs")
-    if not isinstance(raw_pairs, list) or not raw_pairs:
-        raise MalformedDocument("'pairs' must be a non-empty list")
-    rows = []
-    for k, entry in enumerate(raw_pairs):
-        if not isinstance(entry, dict):
-            raise MalformedDocument(f"pair {k} must be an object")
-        rows += (_require(entry, "source"), _require(entry, "target"))
-    vectors = _complex_array(rows, (len(raw_pairs), 2, dim))
+    pairs = _objects(doc, "pairs", "pair", ("source", "target"))
+    vectors = _complex_array([row for pair in pairs for row in pair], (len(pairs), 2, dim))
 
     table = doc.get("contexts", {})
     covering = doc.get("covering_contexts", [])
@@ -245,15 +251,7 @@ def frame_samples_from_json(doc: dict,
         return [FrameSample(projector=c.projectors[i], value=values[i])
                 for c, values in groups for i in range(c.dim)]
     dim = _require_int(doc, "dim")
-    raw = _require(doc, "samples")
-    if not isinstance(raw, list) or not raw:
-        raise MalformedDocument("'samples' must be a non-empty list")
-    rows, values = [], []
-    for k, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise MalformedDocument(f"sample {k} must be an object")
-        rows.append(_require(entry, "vector"))
-        values.append(_require(entry, "value"))
+    rows, values = zip(*_objects(doc, "samples", "sample", ("vector", "value")))
     v = _complex_array(rows, (len(rows), dim))
     values = [_number(x, f"the value of sample {k}") for k, x in enumerate(values)]
     norms = row_norms(v)
@@ -266,20 +264,13 @@ def frame_samples_from_json(doc: dict,
 
 def grouped_samples_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL
                               ) -> list[tuple[Context, list[float]]]:
-    entries = _require(doc, "contexts")
-    if not isinstance(entries, list) or not entries:
-        raise MalformedDocument("'contexts' must be a non-empty list")
+    entries = _objects(doc, "contexts", "context group", ("vectors", "values"))
     groups = []
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise MalformedDocument(f"context group {k} must be an object")
-        vectors = _require(entry, "vectors")
+    for k, (vectors, values) in enumerate(entries):
         if not isinstance(vectors, list):
             raise MalformedDocument(f"context group {k}: 'vectors' must be a list")
-        entry_ctx = {"dim": len(vectors), "label": entry.get("label", f"group-{k}"),
-                     "vectors": vectors}
-        context = context_from_json(entry_ctx, tol)
-        values = _require(entry, "values")
+        label = doc["contexts"][k].get("label", f"group-{k}")
+        context = context_from_json({"dim": len(vectors), "label": label, "vectors": vectors}, tol)
         if not isinstance(values, list) or len(values) != context.dim:
             raise MalformedDocument(
                 f"context group {k} needs exactly {context.dim} values")

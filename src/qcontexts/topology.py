@@ -111,9 +111,15 @@ def _samples(phases: np.ndarray, vecs: np.ndarray, times: np.ndarray) -> np.ndar
     return (vecs * np.exp(1j * times[:, None] * phases)[:, None, :]) @ vecs.conj().T
 
 
+def _times(b: slice, steps: int) -> np.ndarray:
+    """t_k = k/(steps-1) for k in b alone: np.linspace(0, 1, steps)[b] bit for bit."""
+    k = np.arange(b.start, min(b.stop, steps), dtype=float)
+    return np.where((k == steps - 1) & (steps > 1), 1.0, k * (1.0 / max(steps - 1, 1)))
+
+
 def path_samples(sigma: Permutation, steps: int) -> np.ndarray:
     """The (steps, n, n) samples U(t_k) that unitary_path_to_identity checks."""
-    return _samples(*_eigensystem(sigma), np.linspace(0.0, 1.0, steps))
+    return _samples(*_eigensystem(sigma), _times(slice(0, steps), steps))
 
 
 def unitary_path_to_identity(sigma: Permutation, steps: int) -> PathReport:
@@ -122,18 +128,17 @@ def unitary_path_to_identity(sigma: Permutation, steps: int) -> PathReport:
     Endpoint errors and per-sample unitarity deviations stay at machine
     precision; max_step_distance shrinks proportionally to the step
     size, which is the finite evidence of continuity. Samples are checked
-    in blocks of linalg.row_blocks; each block's last sample
-    is carried into the next block's step distances, and only U(0) and
-    U(1) are kept, as the report's endpoints.
+    in blocks of linalg.row_blocks, with times built per block; each
+    block's last sample is carried into the next block's step distances,
+    and only U(0) and U(1) are kept: memory does not grow with steps.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     phases, vecs = _eigensystem(sigma)
-    times = np.linspace(0.0, 1.0, steps)  # t_k = k/(steps-1), as path_samples
     eye = np.eye(sigma.n)
     unit_dev = step_dist = 0.0
     for b in linalg.row_blocks(steps, sigma.n * sigma.n):
-        u = _samples(phases, vecs, times[b])
+        u = _samples(phases, vecs, _times(b, steps))
         unit_dev = max(unit_dev, max_abs(u.conj().transpose(0, 2, 1) @ u - eye))
         if b.start:
             u = np.concatenate((last, u))

@@ -13,11 +13,13 @@ and O(k n^2 + k^2) memory. A RayMap holds its source and target unit
 vectors once, as (k, n) arrays normalized by linalg.row_norms, and
 caches nothing derived from them but its Projector pairs, built only
 when asked for. Bijectivity and covering rays are decided once, when the
-map is built, by the same-ray screen of ks documents, pair checks by a
-Gram screen, O(k^2 n) each; the branch is two O(k^2) gauge fits along
-one spanning forest plus a row-wise witness search in row blocks (O(k^3)
-time only if it finds nothing); the fit checks one stacked U S U^dag.
-Pair checks and witnesses reproduce the per-pair arithmetic bit for bit.
+map is built, by the same-ray screen of ks documents, and orthogonality
+once per certification, by a Gram screen, O(k^2 n) each: the stages run
+check, classify(m, check), fit(m, classification). The branch is two
+O(k^2) gauge fits along one spanning forest plus a row-wise witness
+search in row blocks (O(k^3) time only if it finds nothing); the fit
+checks one stacked U S U^dag. Pair checks and witnesses reproduce the
+per-pair arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ def _first_triple(gs: np.ndarray, gt: np.ndarray, eps: float, misfits=()) -> tup
     return ()
 
 
-def classify_transform(m: RayMap,
+def classify_transform(m: RayMap, check: OrthogonalityCheck,
                        tol: Tolerance = DEFAULT_TOL) -> TransformClassification:
     """Decide the unitary/anti-unitary branch from two phase-gauge fits.
 
@@ -262,11 +264,12 @@ def classify_transform(m: RayMap,
     cycle invariants are real (Inconclusive); if neither fits: Neither.
     The witness is the first triple in lexicographic order with a nonreal
     source invariant: any for a branch verdict; for Neither one fitting
-    neither branch, else a non-unitary one; None if there is none. Cost:
-    O(k^2 n) for the orthogonality check on its own input and the fits,
-    plus O(k^2) per row of triples up to the witness.
+    neither branch, else a non-unitary one; None if there is none. check
+    is the caller's check_orthogonality_preserving(m, tol); a failed one
+    raises HypothesisViolated. Cost: O(k^2 n) for the Gram matrices and
+    the fits, plus O(k^2) per row of triples up to the witness.
     """
-    if not check_orthogonality_preserving(m, tol):
+    if not check:
         raise HypothesisViolated("map does not preserve orthogonality both ways")
     eps = tol.abs_eps
     gs = m.source_vectors.conj() @ m.source_vectors.T  # Gram matrices <v_i|v_j>
@@ -335,7 +338,7 @@ def fit_transform(m: RayMap, classification: TransformClassification,
     """Fit the single operator inducing the map and verify it everywhere.
 
     The branch is the verdict of classification, which the caller gets
-    from classify_transform(m, tol); no triple is scanned here. The
+    from classify_transform(m, check, tol); no triple is scanned here. The
     fiduciary basis is the first covering context with a full gadget, at
     its m.covering_rays, so tol reaches only the unitarity check. An
     Inconclusive branch (all-real data, where the branches coincide)

@@ -100,8 +100,9 @@ def test_criterion_3_ray_map_certification():
         for anti in (False, True):
             for _ in range(50):
                 m, hidden = random_ray_map(n, rng, antiunitary=anti)
-                assert check_orthogonality_preserving(m).ok
-                classification = classify_transform(m)
+                check = check_orthogonality_preserving(m)
+                assert check.ok
+                classification = classify_transform(m, check)
                 verdict = classification.verdict
                 expected = Verdict.ANTIUNITARY if anti else Verdict.UNITARY
                 assert verdict is expected, f"misclassified: {verdict} != {expected}"

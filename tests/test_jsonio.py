@@ -22,7 +22,7 @@ from qcontexts.jsonio import (
 )
 from qcontexts.linalg import max_abs
 from qcontexts.sampling import random_density, random_ray_map
-from qcontexts.uhlhorn import classify_transform, fit_transform
+from qcontexts.uhlhorn import check_orthogonality_preserving, classify_transform, fit_transform
 
 
 class TestScalars:
@@ -118,7 +118,7 @@ class TestRayMapIO:
         back = ray_map_from_json(ray_map_to_json(m))
         assert back.dim == 3
         assert len(back.pairs) == len(m.pairs)
-        fit = fit_transform(back, classify_transform(back))
+        fit = fit_transform(back, classify_transform(back, check_orthogonality_preserving(back)))
         assert fit.residual <= 1e-8
 
     def test_covering_context_as_label_table(self):

@@ -437,6 +437,18 @@ def multi_fault_documents():
     doc["vectors"][0] = [0, 0, 0.001, 1]
     doc["bases"][5][0] = 99
     yield "ks", doc
+    doc = _load("raymap_unitary_dim3.json")  # pair 0 without a source, pair 2 not an object
+    del doc["pairs"][0]["source"]
+    doc["pairs"][2] = 5
+    yield "raymap", doc
+    doc = _load("gleason_demo_dim3.json")  # sample 0 without a value, sample 3 not an object
+    del doc["samples"][0]["value"]
+    doc["samples"][3] = None
+    yield "samples", doc
+    doc = _grouped()  # group 0 without values and with a bad leaf
+    del doc["contexts"][0]["values"]
+    doc["contexts"][0]["vectors"][0][0] = "x"
+    yield "grouped", doc
 
 
 # the line each multi-fault document prints, after the one the element-wise readers printed
@@ -457,6 +469,12 @@ MULTI = [
     ('ks', 'MalformedDocument: a complex entry must be a finite number, got False'),
     # was 'BasisNotOrthogonal: basis 0: vectors 0 and 1 are not orthogonal (|<v0|v1>| = 1.000e-03)'
     ('ks', 'MalformedDocument: basis 5 has a vector index out of range'),
+    # was "MalformedDocument: missing required field 'source'"
+    ('raymap', 'MalformedDocument: pair 2 must be an object'),
+    # was "MalformedDocument: missing required field 'value'"
+    ('samples', 'MalformedDocument: sample 3 must be an object'),
+    # was "MalformedDocument: a complex entry must be a finite number, got 'x'"
+    ('grouped', "MalformedDocument: missing required field 'values'"),
 ]
 
 

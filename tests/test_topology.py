@@ -17,6 +17,7 @@ from qcontexts.topology import (
     ObstructionResult,
     Permutation,
     _eigensystem,
+    _times,
     orthogonal_obstruction,
     path_samples,
     permutation_matrix,
@@ -205,14 +206,28 @@ def test_eigensystem_matches_the_nested_loop_bit_for_bit(sigma):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("width", [1, 9, 16])
+def test_block_times_are_the_linspace_grid_bit_for_bit(width):
+    """Each block builds its own times; joined, they are np.linspace(0, 1,
+    steps) to the last bit, the final 1.0 included, for every step count up
+    to 599 and for 4099 and 200001 (the widths of 1 stop at 599)."""
+    counts = list(range(2, 600)) + ([4099, 200001] if width > 1 else [])
+    for steps in counts:
+        blocks = [_times(slice(a, a + width), steps) for a in range(0, steps, width)]
+        assert np.concatenate(blocks).tobytes() == np.linspace(0.0, 1.0, steps).tobytes(), steps
+    for steps in (0, 1):
+        assert _times(slice(0, steps), steps).tobytes() == np.linspace(0.0, 1.0, steps).tobytes()
+
+
 def test_path_memory_does_not_grow_with_steps():
     """Peak allocation of unitary_path_to_identity on the 4-cycle at 20000 and
-    40000 steps. One block of samples plus the O(steps) time grid gives a
-    ratio near 1; the slack of 1.25 rejects the 2 of a stored (steps, n, n) path."""
+    400000 steps. Each block builds its own samples and times, so the peak is
+    one block's whatever the step count; the slack of 1.05 rejects any
+    per-step array held across blocks."""
     sigma = Permutation(4, (1, 2, 3, 0))
     peaks = [peak_allocation(unitary_path_to_identity, sigma, steps)[1]
-             for steps in (20000, 40000)]
-    assert peaks[1] / peaks[0] <= 1.25
+             for steps in (20000, 400000)]
+    assert peaks[1] / peaks[0] <= 1.05
 
 
 class TestOrthogonalObstruction:

@@ -98,8 +98,9 @@ class TestRayMap:
                   "target_vectors"]
         assert sorted(vars(m)) == fields
         assert m.covering_rays == ((0, 1, 2),)
-        assert check_orthogonality_preserving(m)
-        fit_transform(m, classify_transform(m))
+        check = check_orthogonality_preserving(m)
+        assert check
+        fit_transform(m, classify_transform(m, check))
         # a full certification leaves the map holding what it was built with
         assert sorted(vars(m)) == fields
         for name in ("dim", "pairs", "covering_contexts", "covering_rays", "source_vectors"):
@@ -229,7 +230,7 @@ class TestBargmannInvariant:
 class TestClassifyTransform:
     def test_unitary_induced(self):
         m, _ = random_ray_map(3, make_generator(60), antiunitary=False)
-        c = classify_transform(m)
+        c = classify_transform(m, check_orthogonality_preserving(m))
         assert c.verdict is Verdict.UNITARY
         assert c.witness_triple is not None
         assert abs(c.witness_source_value.imag) > 1e-9
@@ -238,7 +239,7 @@ class TestClassifyTransform:
 
     def test_antiunitary_induced(self):
         m, _ = random_ray_map(3, make_generator(61), antiunitary=True)
-        c = classify_transform(m)
+        c = classify_transform(m, check_orthogonality_preserving(m))
         assert c.verdict is Verdict.ANTIUNITARY
         assert c.witness_target_value == pytest.approx(
             np.conj(c.witness_source_value), abs=1e-9)
@@ -248,7 +249,8 @@ class TestClassifyTransform:
         rays = [e[0], e[1], e[2], (e[0] + e[1]) / np.sqrt(2),
                 (e[1] + e[2]) / np.sqrt(2), (e[0] - e[2]) / np.sqrt(2)]
         pairs = tuple((proj(r), proj(r)) for r in rays)
-        c = classify_transform(ray_map(3, pairs))
+        m = ray_map(3, pairs)
+        c = classify_transform(m, check_orthogonality_preserving(m))
         assert c.verdict is Verdict.INCONCLUSIVE
         assert c.witness_triple is None
 
@@ -259,22 +261,25 @@ class TestClassifyTransform:
             (proj(e[1]), proj((e[0] + e[1]) / np.sqrt(2))),
             (proj(e[2]), proj(e[2])),
         )
-        with pytest.raises(HypothesisViolated):
-            classify_transform(ray_map(3, pairs))
+        m = ray_map(3, pairs)
+        check = check_orthogonality_preserving(m)
+        assert not check
+        with pytest.raises(HypothesisViolated, match="does not preserve orthogonality"):
+            classify_transform(m, check)
 
     def test_branches_never_confused(self):
         rng = make_generator(62)
         for anti in (False, True):
             for _ in range(10):
                 m, _ = random_ray_map(3, rng, antiunitary=anti)
-                verdict = classify_transform(m).verdict
+                verdict = classify_transform(m, check_orthogonality_preserving(m)).verdict
                 assert verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
 
 
 class TestFitTransform:
     def test_identity_map_recovers_identity(self):
         m = identity_map(3)
-        fit = fit_transform(m, classify_transform(m))
+        fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
         assert not fit.transform.antiunitary
         assert fit.residual <= 1e-12
         assert max_abs(fit.transform.matrix - np.eye(3)) <= 1e-12
@@ -286,7 +291,7 @@ class TestFitTransform:
         basis = random_unitary(4, rng)
         c = make_context([basis[:, k] for k in range(4)], "fid")
         m = induced_ray_map(hidden, c, extras)
-        fit = fit_transform(m, classify_transform(m))
+        fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
         assert fit.verdict is Verdict.UNITARY
         assert fit.residual <= 1e-8
         assert phase_aligned_distance(fit.transform.matrix, hidden.matrix) <= 1e-8
@@ -297,7 +302,7 @@ class TestFitTransform:
         basis = random_unitary(3, rng)
         c = make_context([basis[:, k] for k in range(3)], "fid")
         m = induced_ray_map(conj, c, [random_state_vector(3, rng) for _ in range(5)])
-        fit = fit_transform(m, classify_transform(m))
+        fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
         assert fit.transform.antiunitary
         assert fit.residual <= 1e-8
         assert phase_aligned_distance(fit.transform.matrix, np.eye(3)) <= 1e-8
@@ -309,7 +314,7 @@ class TestFitTransform:
         pairs = tuple((p, p) for p in c.projectors)
         m = ray_map(3, pairs, covering_contexts=(c,))
         with pytest.raises(MissingGadget):
-            fit_transform(m, classify_transform(m))
+            fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
 
     def test_no_covering_context_raises(self):
         rng = make_generator(72)
@@ -318,7 +323,7 @@ class TestFitTransform:
         pairs = tuple((proj(r), proj(u.act_vector(r))) for r in rays)
         m = ray_map(3, pairs)  # gadget rays present but undeclared
         with pytest.raises(MissingGadget):
-            fit_transform(m, classify_transform(m))
+            fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
 
     def test_neither_verdict_raises_hypothesis_violated(self):
         # compose a unitary on one triple with a conjugation on another by
@@ -332,7 +337,8 @@ class TestFitTransform:
         tampered = ray_map(3, tuple(pairs),
                           covering_contexts=m.covering_contexts)
         with pytest.raises((HypothesisViolated, MissingGadget)):
-            fit_transform(tampered, classify_transform(tampered))
+            check = check_orthogonality_preserving(tampered)
+            fit_transform(tampered, classify_transform(tampered, check))
 
     def test_loose_tolerance_inconsistency_raises_fit_failed(self):
         # a target nudged by ~1e-5 slips past a 1e-4 classification tolerance
@@ -346,7 +352,8 @@ class TestFitTransform:
         tampered = ray_map(3, tuple(pairs),
                           covering_contexts=m.covering_contexts)
         loose = Tolerance(abs_eps=1e-4)
-        classification = classify_transform(tampered, loose)
+        classification = classify_transform(
+            tampered, check_orthogonality_preserving(tampered, loose), loose)
         assert classification.verdict is Verdict.UNITARY
         with pytest.raises(FitFailed):
             fit_transform(tampered, classification, loose)
@@ -356,7 +363,7 @@ class TestFitTransform:
         # operator beyond a global phase
         rng = make_generator(74)
         m, hidden = random_ray_map(3, rng)
-        fit_a = fit_transform(m, classify_transform(m))
+        fit_a = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
         phases = np.exp(2j * np.pi * rng.random(2 * len(m.pairs)))
         pairs = tuple(
             (Projector.from_vector(phases[2 * k] * s.vector),
@@ -368,14 +375,15 @@ class TestFitTransform:
             for c, rays in zip(m.covering_contexts, m.covering_rays)
         )
         rephased = ray_map(3, pairs, covering_contexts=contexts)
-        fit_b = fit_transform(rephased, classify_transform(rephased))
+        fit_b = fit_transform(
+            rephased, classify_transform(rephased, check_orthogonality_preserving(rephased)))
         assert phase_aligned_distance(fit_a.transform.matrix,
                                       fit_b.transform.matrix) <= 1e-8
 
     def test_phase_normalization_deterministic(self):
         m, _ = random_ray_map(4, make_generator(75))
-        u1 = fit_transform(m, classify_transform(m)).transform.matrix
-        u2 = fit_transform(m, classify_transform(m)).transform.matrix
+        u1, u2 = (fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
+                  .transform.matrix for _ in range(2))
         assert max_abs(u1 - u2) == 0.0
         lead = u1[np.flatnonzero(np.abs(u1[:, 0]) > 1e-12)[0], 0]
         assert abs(lead.imag) <= 1e-12 and lead.real > 0
@@ -545,11 +553,13 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("name,m,tol", reference_cases(),
                              ids=[c[0] for c in reference_cases()])
     def test_check_and_classification_bit_identical(self, name, m, tol):
-        assert check_orthogonality_preserving(m, tol) == ref_check(m, tol)
-        assert _outcome(classify_transform, m, tol) == _outcome(ref_classify, m, tol)
+        check = check_orthogonality_preserving(m, tol)
+        assert check == ref_check(m, tol)
+        assert _outcome(classify_transform, m, check, tol) == _outcome(ref_classify, m, tol)
 
     def test_cases_cover_every_verdict(self):
-        outcomes = [_outcome(classify_transform, m, tol) for _, m, tol in reference_cases()]
+        outcomes = [_outcome(classify_transform, m, check_orthogonality_preserving(m, tol), tol)
+                    for _, m, tol in reference_cases()]
         verdicts = {getattr(c, "verdict", "raised") for c in outcomes}
         assert verdicts == {"raised", *Verdict}
         # some witnesses lie past row 0 of the triple scan
@@ -557,7 +567,8 @@ class TestKernelsMatchReference:
                    if getattr(c, "witness_triple", None))
 
     def test_mixed_evidence_witnesses_first_non_unitary_triple(self):
-        c = classify_transform(_block_map(False, True))
+        m = _block_map(False, True)
+        c = classify_transform(m, check_orthogonality_preserving(m))
         assert c.verdict is Verdict.NEITHER
         # a block-1 triple: anti-unitary only
         assert min(c.witness_triple) >= 4
@@ -601,11 +612,12 @@ class TestKernelsMatchReference:
     def test_seeded_maps_match_the_triangle_reference(self, n, anti):
         for seed in range(20):
             m, _ = random_ray_map(n, make_generator(seed), antiunitary=anti)
-            swapped = _swap_last_targets(m)
-            assert classify_transform(swapped).verdict is Verdict.NEITHER
-            for case in (m, swapped):
-                assert check_orthogonality_preserving(case) == ref_check(case)
-                assert classify_transform(case) == ref_classify(case)
+            for case in (m, _swap_last_targets(m)):
+                check = check_orthogonality_preserving(case)
+                assert check == ref_check(case)
+                classification = classify_transform(case, check)
+                assert classification == ref_classify(case)
+            assert classification.verdict is Verdict.NEITHER  # the swapped map's
 
     def test_find_source_matches_the_stack_rule(self):
         """Sources as given, rephased and short of unit norm; rays near a
@@ -640,11 +652,12 @@ class TestKernelsMatchReference:
 
     def test_classification_is_the_same_in_any_row_blocks(self, monkeypatch):
         # blocks of 1, 7 and 59 entries split every fit and witness row
-        cases = reference_cases()
-        expected = [_outcome(classify_transform, m, tol) for _, m, tol in cases]
+        cases = [(m, check_orthogonality_preserving(m, tol), tol)
+                 for _, m, tol in reference_cases()]
+        expected = [_outcome(classify_transform, *case) for case in cases]
         for entries in (1, 7, 59):
             monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
-            assert [_outcome(classify_transform, m, tol) for _, m, tol in cases] == expected
+            assert [_outcome(classify_transform, *case) for case in cases] == expected
 
     def test_fit_residual_bit_identical(self):
         # the stacked residual against the per-pair act_matrix loop it replaced
@@ -652,7 +665,7 @@ class TestKernelsMatchReference:
         for dim in (3, 4):
             for anti in (False, True):
                 m, _ = random_ray_map(dim, rng, antiunitary=anti, n_extra=10)
-                fit = fit_transform(m, classify_transform(m))
+                fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
                 assert fit.residual == max(
                     max_abs(t.matrix - act_matrix(fit.transform, s.matrix)) for s, t in m.pairs)
 
@@ -709,7 +722,7 @@ class TestGadgetPick:
                 assert pairs[0] == ((0, 1) if anti else (1, 0))
                 assert uhlhorn._superpositions(list(rays), source_reps, c.label) == [
                     plus for plus, _ in pairs]
-            classification = classify_transform(m)
+            classification = classify_transform(m, check_orthogonality_preserving(m))
             assert classification.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
             fit = fit_transform(m, classification)
             matrix, residual, label = ref_fit(m, anti)
@@ -798,7 +811,8 @@ class TestGaugeVerdicts:
         assert gs[0, 1] * gs[1, 2] * gs[2, 3] * gs[3, 0] == pytest.approx(1j / 12, abs=1e-15)
         assert ref_classify(m) == TransformClassification(Verdict.INCONCLUSIVE)
         branch = Verdict.ANTIUNITARY if anti else Verdict.UNITARY
-        assert classify_transform(m) == TransformClassification(branch)  # no witness
+        check = check_orthogonality_preserving(m)
+        assert classify_transform(m, check) == TransformClassification(branch)  # no witness
 
     def test_changed_overlap_modulus_is_neither(self):
         # orthogonality holds both ways, but |<e0|s3>| goes from 1/sqrt2 to cos 0.3
@@ -806,9 +820,10 @@ class TestGaugeVerdicts:
         sources = [e[0], e[1], e[2], (e[0] + e[1]) / np.sqrt(2)]
         targets = [e[0], e[1], e[2], np.cos(0.3) * e[0] + np.sin(0.3) * e[1]]
         m = ray_map(3, tuple((proj(s), proj(t)) for s, t in zip(sources, targets)))
-        assert check_orthogonality_preserving(m).ok
+        check = check_orthogonality_preserving(m)
+        assert check.ok
         assert ref_classify(m) == TransformClassification(Verdict.INCONCLUSIVE)
-        assert classify_transform(m) == TransformClassification(Verdict.NEITHER)
+        assert classify_transform(m, check) == TransformClassification(Verdict.NEITHER)
 
 
 def nudged_identity_map():
@@ -821,8 +836,9 @@ def nudged_identity_map():
 
 
 class TestOneStageEach:
-    """One uhlhorn CLI run classifies once, fit_transform scans nothing, and
-    projector products are taken only on pairs the Gram screen leaves open."""
+    """One uhlhorn CLI run checks orthogonality once and classifies once,
+    fit_transform scans nothing, and projector products are taken only on
+    pairs the Gram screen leaves open."""
 
     def certify(self, monkeypatch, capsys, tmp_path, m):
         scans, products = [], []
@@ -855,6 +871,27 @@ class TestOneStageEach:
         # the violating pair is the one product taken, on each side
         assert self.certify(monkeypatch, capsys, tmp_path, nudged_identity_map()) == (
             1, 0, [(0, 1)])
+
+    @pytest.mark.parametrize("name", ["raymap_unitary_dim3.json",
+                                      "raymap_antiunitary_dim3.json", None])
+    def test_one_orthogonality_check_per_run(self, monkeypatch, capsys, tmp_path, name):
+        """Each bundled map, and a map that fails the check (name None), is
+        checked once: the handler hands its check to classify_transform,
+        which runs none of its own."""
+        checks, check = [], uhlhorn.check_orthogonality_preserving
+
+        def counted(*args):
+            checks.append(1)
+            return check(*args)
+
+        for module in (cli, uhlhorn):
+            monkeypatch.setattr(module, "check_orthogonality_preserving", counted)
+        path = tmp_path / "raymap.json" if name is None else jsonio.dataset_path(name)
+        if name is None:
+            path.write_text(json.dumps(ray_map_to_json(nudged_identity_map())))
+        assert cli.main(["uhlhorn", str(path)]) == (1 if name is None else 0)
+        capsys.readouterr()
+        assert len(checks) == 1
 
     @pytest.mark.parametrize("name", ["raymap_unitary_dim3.json",
                                       "raymap_antiunitary_dim3.json"])
@@ -892,14 +929,13 @@ class TestOrthogonalityMemo:
             check = check_orthogonality_preserving(m)
             assert check.ok is ok
             assert check == ref_check(m)
-        check_orthogonality_preserving(good)
-        with pytest.raises(HypothesisViolated):  # the guard checks its own input
-            classify_transform(bad)
+        with pytest.raises(HypothesisViolated):  # the guard refuses a failed check
+            classify_transform(bad, check)
 
     @pytest.mark.parametrize("anti", [False, True])
     def test_wrong_branch_fails_the_fit(self, anti):
         m, _ = random_ray_map(3, make_generator(95), antiunitary=anti)
-        classification = classify_transform(m)
+        classification = classify_transform(m, check_orthogonality_preserving(m))
         assert classification.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
         wrong = classification._replace(
             verdict=Verdict.UNITARY if anti else Verdict.ANTIUNITARY)
@@ -998,7 +1034,9 @@ def test_classification_memory_grows_as_k_squared():
     and still rejects the 8 of an O(k^3) table."""
     peaks = []
     for k in (200, 400):
-        classification, peak = peak_allocation(classify_transform, _sweep_map(k))
+        m = _sweep_map(k)
+        classification, peak = peak_allocation(classify_transform, m,
+                                               check_orthogonality_preserving(m))
         assert classification.verdict is Verdict.ANTIUNITARY
         peaks.append(peak)
     assert peaks[1] / peaks[0] <= 4 * 1.25
@@ -1008,7 +1046,9 @@ def test_classification_peak_at_1200_rays():
     """The two (k, k) complex Gram matrices (44 MiB at k=1200) and the
     forest's weights (11 MiB) set classify_transform's peak; the residual
     blocks and the witness rows add about 1 MiB each on top."""
-    classification, peak = peak_allocation(classify_transform, _large_map(1200))
+    m = _large_map(1200)
+    classification, peak = peak_allocation(classify_transform, m,
+                                           check_orthogonality_preserving(m))
     assert classification.verdict is Verdict.ANTIUNITARY
     assert peak / 2**20 < 64
 
