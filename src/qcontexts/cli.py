@@ -125,7 +125,7 @@ def cmd_gleason_fit(args, tol: Tolerance) -> tuple[dict, int]:
 
 def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
     ray_map = ray_map_from_json(load_json_file(args.raymap), tol)
-    check = check_orthogonality_preserving(ray_map, tol)
+    check = check_orthogonality_preserving(ray_map)
     payload: dict = {
         "command": "uhlhorn",
         "dim": ray_map.dim,
@@ -140,7 +140,7 @@ def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
         })
         return payload, EXIT_NEGATIVE
 
-    classification = classify_transform(ray_map, check, tol)
+    classification = classify_transform(ray_map, check)
     verdict, triple, source_value, target_value = classification
     payload.update({
         "verdict": verdict.value,
@@ -152,7 +152,7 @@ def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
         return payload, EXIT_NEGATIVE
 
     try:
-        fit = fit_transform(ray_map, classification, tol)
+        fit = fit_transform(ray_map, classification)
     except FitFailed as exc:  # a failed certification, not bad input
         return {**payload, "residual": exc.residual}, EXIT_NEGATIVE
     payload.update({

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Context, ContextTransform, DensityOperator, Projector, make_context
-from .linalg import DEFAULT_TOL, Tolerance
 from .uhlhorn import RayMap, induced_ray_map
 
 __all__ = [
@@ -38,32 +37,27 @@ def random_state_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_projector(n: int, rng: np.random.Generator,
-                     tol: Tolerance = DEFAULT_TOL) -> Projector:
-    return Projector.from_vector(random_state_vector(n, rng), tol)
+def random_projector(n: int, rng: np.random.Generator) -> Projector:
+    return Projector.from_vector(random_state_vector(n, rng))
 
 
-def random_context(n: int, rng: np.random.Generator, label: str = "",
-                   tol: Tolerance = DEFAULT_TOL) -> Context:
+def random_context(n: int, rng: np.random.Generator, label: str = "") -> Context:
     u = random_unitary(n, rng)
-    return make_context([u[:, k] for k in range(n)], label=label, tol=tol)
+    return make_context([u[:, k] for k in range(n)], label=label)
 
 
-def random_density(n: int, rng: np.random.Generator,
-                   tol: Tolerance = DEFAULT_TOL) -> DensityOperator:
+def random_density(n: int, rng: np.random.Generator) -> DensityOperator:
     """Hilbert-Schmidt-distributed mixed state, G G^dag normalized to unit trace."""
     g = _ginibre(n, rng)
     m = g @ g.conj().T
-    return DensityOperator.from_matrix(m / np.trace(m).real, tol)
+    return DensityOperator.from_matrix(m / np.trace(m).real)
 
 
 def random_ray_map(dim: int, rng: np.random.Generator, antiunitary: bool = False,
-                   n_extra: int = 6,
-                   tol: Tolerance = DEFAULT_TOL) -> tuple[RayMap, ContextTransform]:
+                   n_extra: int = 6) -> tuple[RayMap, ContextTransform]:
     """Random operator-induced map on a gadget set plus extra random rays."""
-    hidden = ContextTransform.from_matrix(random_unitary(dim, rng),
-                                          antiunitary=antiunitary, tol=tol)
-    context = random_context(dim, rng, label="fiduciary", tol=tol)
+    hidden = ContextTransform.from_matrix(random_unitary(dim, rng), antiunitary=antiunitary)
+    context = random_context(dim, rng, label="fiduciary")
     # RayMap rejects a repeated source, so the extra rays need no screening here
     extras = [random_state_vector(dim, rng) for _ in range(n_extra)]
-    return induced_ray_map(hidden, context, extras, tol), hidden
+    return induced_ray_map(hidden, context, extras), hidden

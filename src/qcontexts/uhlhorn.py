@@ -12,10 +12,11 @@ For k rays in dimension n a certification costs O(k^2 n + k^3) time
 and O(k n^2 + k^2) memory. A RayMap holds its source and target unit
 vectors once, as (k, n) arrays normalized by linalg.row_norms, and
 caches nothing derived from them but its Projector pairs, built only
-when asked for. Bijectivity and covering rays are decided once, when the
-map is built, by the same-ray screen of ks documents, and orthogonality
-once per certification, by a Gram screen, O(k^2 n) each: the stages run
-check, classify(m, check), fit(m, classification). The branch is two
+when asked for. The map's tol is the one tolerance of its certification.
+Bijectivity and covering rays are decided at it once, when the map is
+built, by the same-ray screen of ks documents, and orthogonality once per
+certification, by a Gram screen, O(k^2 n) each: the stages run check(m),
+classify(m, check), fit(m, classification). The branch is two
 O(k^2) gauge fits along one spanning forest plus a row-wise witness
 search in row blocks (O(k^3) time only if it finds nothing); the fit
 checks one stacked U S U^dag. Pair checks and witnesses reproduce the
@@ -74,7 +75,8 @@ class RayMap(Frozen):
     occur among the sources, candidates for the fiduciary basis of the
     constructive fit, and covering_rays the sources on their basis rays,
     one tuple per context. Bijectivity and covering are both decided at
-    tol, by linalg.first_repeated_ray, once, here.
+    tol, by linalg.first_repeated_ray, once, here; the read-only tol is the
+    one every stage of a certification then reads.
     """
 
     def __init__(self, dim: int, sources, targets,
@@ -107,7 +109,7 @@ class RayMap(Frozen):
             if None in covering_rays[-1]:
                 raise ValueError(f"covering context '{c.label}' has a projector "
                                  "missing from the sources")
-        self.__dict__.update(dim=dim, covering_contexts=covering_contexts,
+        self.__dict__.update(dim=dim, tol=tol, covering_contexts=covering_contexts,
                              covering_rays=tuple(covering_rays),
                              source_vectors=unit[0], target_vectors=unit[1])
 
@@ -163,9 +165,8 @@ class FitResult(NamedTuple):
     fiduciary_label: str
 
 
-def check_orthogonality_preserving(m: RayMap,
-                                   tol: Tolerance = DEFAULT_TOL) -> OrthogonalityCheck:
-    """Test ||P_i P_j|| <= tol  <=>  ||T_i T_j|| <= tol over all listed pairs.
+def check_orthogonality_preserving(m: RayMap) -> OrthogonalityCheck:
+    """Test ||P_i P_j|| <= m.tol  <=>  ||T_i T_j|| <= m.tol over all listed pairs.
 
     The product max_abs(P_i @ P_j) decides and is reported, but it is only
     taken, in lexicographic order, on pairs a Gram screen leaves open. The
@@ -181,7 +182,7 @@ def check_orthogonality_preserving(m: RayMap,
     left open, and verdict, pair and norms are those of the product test.
     Cost: O(k^2 n) time and O(k^2) memory, plus O(n^3) per open pair.
     """
-    eps, band = tol.abs_eps, 16 * (m.dim + 2) * 2.0 ** -53
+    eps, band = m.tol.abs_eps, 16 * (m.dim + 2) * 2.0 ** -53
     sides = (m.source_vectors, m.target_vectors)
     peaks = [np.abs(v).max(axis=1) for v in sides]
     est = [np.abs(v.conj() @ v.T) * p[:, None] * p for v, p in zip(sides, peaks)]
@@ -253,8 +254,7 @@ def _first_triple(gs: np.ndarray, gt: np.ndarray, eps: float, misfits=()) -> tup
     return ()
 
 
-def classify_transform(m: RayMap, check: OrthogonalityCheck,
-                       tol: Tolerance = DEFAULT_TOL) -> TransformClassification:
+def classify_transform(m: RayMap, check: OrthogonalityCheck) -> TransformClassification:
     """Decide the unitary/anti-unitary branch from two phase-gauge fits.
 
     One operator induces the map exactly when G_t = D^dag G_s D for a
@@ -264,14 +264,15 @@ def classify_transform(m: RayMap, check: OrthogonalityCheck,
     cycle invariants are real (Inconclusive); if neither fits: Neither.
     The witness is the first triple in lexicographic order with a nonreal
     source invariant: any for a branch verdict; for Neither one fitting
-    neither branch, else a non-unitary one; None if there is none. check
-    is the caller's check_orthogonality_preserving(m, tol); a failed one
-    raises HypothesisViolated. Cost: O(k^2 n) for the Gram matrices and
-    the fits, plus O(k^2) per row of triples up to the witness.
+    neither branch, else a non-unitary one; None if there is none. Fits
+    and invariants are compared at m.tol. check is the caller's
+    check_orthogonality_preserving(m); a failed one raises
+    HypothesisViolated. Cost: O(k^2 n) for the Gram matrices and the
+    fits, plus O(k^2) per row of triples up to the witness.
     """
     if not check:
         raise HypothesisViolated("map does not preserve orthogonality both ways")
-    eps = tol.abs_eps
+    eps = m.tol.abs_eps
     gs = m.source_vectors.conj() @ m.source_vectors.T  # Gram matrices <v_i|v_j>
     gt = m.target_vectors.conj() @ m.target_vectors.T
     unitary, anti = (residual <= eps for residual in _gauge_residuals(gs, gt))
@@ -333,14 +334,13 @@ def _superpositions(rays: list[int], source_reps: np.ndarray, label: str) -> lis
     return plus
 
 
-def fit_transform(m: RayMap, classification: TransformClassification,
-                  tol: Tolerance = DEFAULT_TOL) -> FitResult:
+def fit_transform(m: RayMap, classification: TransformClassification) -> FitResult:
     """Fit the single operator inducing the map and verify it everywhere.
 
     The branch is the verdict of classification, which the caller gets
-    from classify_transform(m, check, tol); no triple is scanned here. The
+    from classify_transform(m, check); no triple is scanned here. The
     fiduciary basis is the first covering context with a full gadget, at
-    its m.covering_rays, so tol reaches only the unitarity check. An
+    its m.covering_rays, and the operator is checked unitary at m.tol. An
     Inconclusive branch (all-real data, where the branches coincide)
     falls back to the unitary fit and is flagged; on nonreal data the
     wrong branch ends in FitFailed. The operator is built column by
@@ -391,7 +391,7 @@ def fit_transform(m: RayMap, classification: TransformClassification,
         lead = u[nonzero[0], 0]
         u = u * (abs(lead) / lead)
 
-    transform = ContextTransform.from_matrix(u, antiunitary=anti, tol=tol)
+    transform = ContextTransform.from_matrix(u, antiunitary=anti, tol=m.tol)
     residual = max_abs(linalg.projector_stack(target_reps)
                        - u @ linalg.projector_stack(source_reps) @ u.conj().T)
     if residual > FIT_RESIDUAL_LIMIT:

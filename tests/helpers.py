@@ -104,12 +104,12 @@ def ref_find_source(m: RayMap, v: np.ndarray, tol=DEFAULT_TOL) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def ref_locate_gadget(m: RayMap, context, source_reps: np.ndarray, tol=DEFAULT_TOL):
+def ref_locate_gadget(m: RayMap, context, source_reps: np.ndarray):
     """The fiduciary gadget as the pair loop that uhlhorn._superpositions
     replaced, kept as the reference for its picks: basis indices found at
-    tol by ref_find_source and, per column k, the first candidate pair in
+    m.tol by ref_find_source and, per column k, the first candidate pair in
     combinations order whose phase ratio is +i or -i, oriented to +i."""
-    basis_idx = [ref_find_source(m, v, tol) for v in context.basis.T]
+    basis_idx = [ref_find_source(m, v, m.tol) for v in context.basis.T]
     if None in basis_idx:
         raise MissingGadget("fiduciary projector missing from sources")
     overlaps = source_reps @ source_reps[basis_idx].conj().T
@@ -140,7 +140,7 @@ def ref_locate_gadget(m: RayMap, context, source_reps: np.ndarray, tol=DEFAULT_T
     return basis_idx, superpositions
 
 
-def ref_fit(m: RayMap, antiunitary: bool, tol=DEFAULT_TOL) -> tuple[np.ndarray, float, str]:
+def ref_fit(m: RayMap, antiunitary: bool) -> tuple[np.ndarray, float, str]:
     """(matrix, residual, fiduciary label) of the operator fit as it stood
     while the gadget was located at fit time, by ref_locate_gadget: one
     column per fiduciary basis image, each phase pinned by the +i-first
@@ -150,7 +150,7 @@ def ref_fit(m: RayMap, antiunitary: bool, tol=DEFAULT_TOL) -> tuple[np.ndarray, 
     last_error = MissingGadget("ray map lists no covering context")
     for context in m.covering_contexts:
         try:
-            basis_idx, superpositions = ref_locate_gadget(m, context, source_reps, tol)
+            basis_idx, superpositions = ref_locate_gadget(m, context, source_reps)
             break
         except MissingGadget as exc:
             last_error = exc

@@ -95,15 +95,19 @@ class TestRayMap:
     def test_immutable_and_certified_without_cached_stacks(self):
         m = identity_map(3)
         fields = ["covering_contexts", "covering_rays", "dim", "source_vectors",
-                  "target_vectors"]
+                  "target_vectors", "tol"]
         assert sorted(vars(m)) == fields
         assert m.covering_rays == ((0, 1, 2),)
+        assert m.tol is DEFAULT_TOL
+        loose = Tolerance(1e-4)
+        assert RayMap(3, m.source_vectors, m.target_vectors, tol=loose).tol is loose
         check = check_orthogonality_preserving(m)
         assert check
         fit_transform(m, classify_transform(m, check))
         # a full certification leaves the map holding what it was built with
         assert sorted(vars(m)) == fields
-        for name in ("dim", "pairs", "covering_contexts", "covering_rays", "source_vectors"):
+        for name in ("dim", "pairs", "covering_contexts", "covering_rays", "source_vectors",
+                     "tol"):
             with pytest.raises(AttributeError):
                 setattr(m, name, None)
             with pytest.raises(AttributeError):
@@ -349,14 +353,12 @@ class TestFitTransform:
         nudge = np.array([1e-5, 0, 0])
         tampered_target = proj(last_target.vector + nudge)
         pairs[-1] = (pairs[-1][0], tampered_target)
-        tampered = ray_map(3, tuple(pairs),
-                          covering_contexts=m.covering_contexts)
-        loose = Tolerance(abs_eps=1e-4)
-        classification = classify_transform(
-            tampered, check_orthogonality_preserving(tampered, loose), loose)
+        tampered = ray_map(3, tuple(pairs), covering_contexts=m.covering_contexts,
+                           tol=Tolerance(abs_eps=1e-4))
+        classification = classify_transform(tampered, check_orthogonality_preserving(tampered))
         assert classification.verdict is Verdict.UNITARY
         with pytest.raises(FitFailed):
-            fit_transform(tampered, classification, loose)
+            fit_transform(tampered, classification)
 
     def test_global_phase_quotient(self):
         # rephasing every stored representative must not change the fitted
@@ -405,19 +407,21 @@ def ref_bijectivity_error(pairs, tol=DEFAULT_TOL) -> str | None:
     return None
 
 
-def ref_check(m: RayMap, tol=DEFAULT_TOL) -> OrthogonalityCheck:
+def ref_check(m: RayMap) -> OrthogonalityCheck:
+    eps = m.tol.abs_eps
     for i, j in combinations(range(len(m.pairs)), 2):
         s = max_abs(m.pairs[i][0].matrix @ m.pairs[j][0].matrix)
         t = max_abs(m.pairs[i][1].matrix @ m.pairs[j][1].matrix)
-        if (s <= tol.abs_eps) != (t <= tol.abs_eps):
+        if (s <= eps) != (t <= eps):
             return OrthogonalityCheck(ok=False, violating_pair=(i, j),
                                       source_product_norm=s,
                                       target_product_norm=t)
     return OrthogonalityCheck(ok=True)
 
 
-def ref_classify(m: RayMap, tol=DEFAULT_TOL) -> TransformClassification:
-    if not ref_check(m, tol):
+def ref_classify(m: RayMap) -> TransformClassification:
+    eps = m.tol.abs_eps
+    if not ref_check(m):
         raise HypothesisViolated("map does not preserve orthogonality both ways")
     k = len(m.pairs)
     bs = np.column_stack([s.vector for s, _ in m.pairs])
@@ -429,11 +433,11 @@ def ref_classify(m: RayMap, tol=DEFAULT_TOL) -> TransformClassification:
     i, j, l = triples[:, 0], triples[:, 1], triples[:, 2]
     vs = gs[i, j] * gs[j, l] * gs[l, i]
     vt = gt[i, j] * gt[j, l] * gt[l, i]
-    nonreal = np.abs(vs.imag) > tol.abs_eps
+    nonreal = np.abs(vs.imag) > eps
     if not np.any(nonreal):
         return TransformClassification(Verdict.INCONCLUSIVE)
-    unitary_ok = np.abs(vt - vs) <= tol.abs_eps
-    anti_ok = np.abs(vt - vs.conj()) <= tol.abs_eps
+    unitary_ok = np.abs(vt - vs) <= eps
+    anti_ok = np.abs(vt - vs.conj()) <= eps
 
     def witness(mask):
         idx = int(np.argmax(mask))
@@ -455,10 +459,10 @@ def _swap_last_targets(m: RayMap) -> RayMap:
     return ray_map(m.dim, tuple(pairs), covering_contexts=m.covering_contexts)
 
 
-def _nudge_last_target(m: RayMap) -> RayMap:
+def _nudge_last_target(m: RayMap, tol=DEFAULT_TOL) -> RayMap:
     pairs = list(m.pairs)
     pairs[-1] = (pairs[-1][0], proj(pairs[-1][1].vector + np.array([1e-5, 0, 0])))
-    return ray_map(m.dim, tuple(pairs), covering_contexts=m.covering_contexts)
+    return ray_map(m.dim, tuple(pairs), covering_contexts=m.covering_contexts, tol=tol)
 
 
 def _block_map(*antiunitary: bool) -> RayMap:
@@ -510,35 +514,32 @@ def _violating_map() -> RayMap:
 
 
 def reference_cases():
-    """(name, map, tol) over the shapes the kernels must agree on."""
+    """(name, map) over the shapes the kernels must agree on, each map
+    built at the tolerance its case is decided at."""
     rng = make_generator(90)
-    loose = Tolerance(abs_eps=1e-4)
     cases = []
     for dim in (3, 4):
         for anti in (False, True):
             for rep in range(3):
                 m, _ = random_ray_map(dim, rng, antiunitary=anti, n_extra=6 + 4 * rep)
-                cases.append((f"random-d{dim}-anti{anti}-{rep}", m, DEFAULT_TOL))
-                cases.append((f"shuffled-d{dim}-anti{anti}-{rep}", _shuffled(m, rep),
-                              DEFAULT_TOL))
+                cases.append((f"random-d{dim}-anti{anti}-{rep}", m))
+                cases.append((f"shuffled-d{dim}-anti{anti}-{rep}", _shuffled(m, rep)))
     swapped = _swap_last_targets(random_ray_map(3, make_generator(73))[0])
     cases += [
-        ("swapped-targets", swapped, DEFAULT_TOL),
-        ("swapped-targets-shuffled", _shuffled(swapped, 3), DEFAULT_TOL),
-        ("nudged-target-loose", _nudge_last_target(random_ray_map(3, make_generator(76))[0]),
-         loose),
-        ("nudged-target", _nudge_last_target(random_ray_map(3, make_generator(76))[0]),
-         DEFAULT_TOL),
-        ("violating", _violating_map(), DEFAULT_TOL),
-        ("mixed-evidence", _block_map(False, True), DEFAULT_TOL),
-        ("neither-past-first-chunk", _swap_last_targets(_block_map(False, True)), DEFAULT_TOL),
+        ("swapped-targets", swapped),
+        ("swapped-targets-shuffled", _shuffled(swapped, 3)),
+        ("nudged-target-loose", _nudge_last_target(random_ray_map(3, make_generator(76))[0],
+                                                   Tolerance(abs_eps=1e-4))),
+        ("nudged-target", _nudge_last_target(random_ray_map(3, make_generator(76))[0])),
+        ("violating", _violating_map()),
+        ("mixed-evidence", _block_map(False, True)),
+        ("neither-past-first-chunk", _swap_last_targets(_block_map(False, True))),
         # the first non-unitary triple fits the anti-unitary branch; a triple
         # fitting neither branch comes rows later and is the witness
-        ("neither-after-mixed", _swap_last_targets(_block_map(True, False, False)),
-         DEFAULT_TOL),
-        ("all-real", _real_map(), DEFAULT_TOL),
+        ("neither-after-mixed", _swap_last_targets(_block_map(True, False, False))),
+        ("all-real", _real_map()),
     ]
-    cases += [(f"k{k}", _small_map(k), DEFAULT_TOL) for k in (1, 2, 3)]
+    cases += [(f"k{k}", _small_map(k)) for k in (1, 2, 3)]
     return cases
 
 
@@ -550,16 +551,16 @@ def _outcome(fn, *args):
 
 
 class TestKernelsMatchReference:
-    @pytest.mark.parametrize("name,m,tol", reference_cases(),
+    @pytest.mark.parametrize("name,m", reference_cases(),
                              ids=[c[0] for c in reference_cases()])
-    def test_check_and_classification_bit_identical(self, name, m, tol):
-        check = check_orthogonality_preserving(m, tol)
-        assert check == ref_check(m, tol)
-        assert _outcome(classify_transform, m, check, tol) == _outcome(ref_classify, m, tol)
+    def test_check_and_classification_bit_identical(self, name, m):
+        check = check_orthogonality_preserving(m)
+        assert check == ref_check(m)
+        assert _outcome(classify_transform, m, check) == _outcome(ref_classify, m)
 
     def test_cases_cover_every_verdict(self):
-        outcomes = [_outcome(classify_transform, m, check_orthogonality_preserving(m, tol), tol)
-                    for _, m, tol in reference_cases()]
+        outcomes = [_outcome(classify_transform, m, check_orthogonality_preserving(m))
+                    for _, m in reference_cases()]
         verdicts = {getattr(c, "verdict", "raised") for c in outcomes}
         assert verdicts == {"raised", *Verdict}
         # some witnesses lie past row 0 of the triple scan
@@ -652,8 +653,7 @@ class TestKernelsMatchReference:
 
     def test_classification_is_the_same_in_any_row_blocks(self, monkeypatch):
         # blocks of 1, 7 and 59 entries split every fit and witness row
-        cases = [(m, check_orthogonality_preserving(m, tol), tol)
-                 for _, m, tol in reference_cases()]
+        cases = [(m, check_orthogonality_preserving(m)) for _, m in reference_cases()]
         expected = [_outcome(classify_transform, *case) for case in cases]
         for entries in (1, 7, 59):
             monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
@@ -757,11 +757,11 @@ def _edge_rays(n: int, value: float, rng=None) -> list[np.ndarray]:
 
 
 def _edge_maps(eps: float, n: int) -> list[RayMap]:
-    """Two-pair maps with one side's pair at eps, eps +- 1 ulp, +- half the
-    check's band and +- twice the band, the other side's pair clearly
-    orthogonal (e0, e1) or clearly not (e0, (e0 + e1)/sqrt2)."""
+    """Two-pair maps, built at Tolerance(eps), with one side's pair at eps,
+    eps +- 1 ulp, +- half the check's band and +- twice the band, the other
+    side's pair clearly orthogonal (e0, e1) or clearly not (e0, (e0 + e1)/sqrt2)."""
     band = 16 * (n + 2) * 2.0 ** -53  # the band of check_orthogonality_preserving
-    ulp = np.spacing(eps)
+    ulp, tol = np.spacing(eps), Tolerance(eps)
     rng = make_generator(98 + n)
     e = standard_basis(n)
     decisive = ([e[0], e[1]], [e[0], (e[0] + e[1]) / np.sqrt(2)])
@@ -770,7 +770,7 @@ def _edge_maps(eps: float, n: int) -> list[RayMap]:
         for turn in (None,) + (rng,) * 8:
             edge = _edge_rays(n, eps + offset, turn)
             for other in decisive:
-                maps += [RayMap(n, edge, other), RayMap(n, other, edge)]
+                maps += [RayMap(n, edge, other, tol=tol), RayMap(n, other, edge, tol=tol)]
     return maps
 
 
@@ -781,11 +781,10 @@ class TestToleranceEdges:
     @pytest.mark.parametrize("n", [3, 4, 16])
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-4])
     def test_edge_table_matches_reference(self, eps, n):
-        tol = Tolerance(eps)
         results = []
         for m in _edge_maps(eps, n):
-            results.append(ref_check(m, tol))
-            assert check_orthogonality_preserving(m, tol) == results[-1]
+            results.append(ref_check(m))
+            assert check_orthogonality_preserving(m) == results[-1]
         assert {r.ok for r in results} == {True, False}
         # exact ties: a product of exactly eps counts as orthogonal
         assert any(eps in (r.source_product_norm, r.target_product_norm) for r in results)
@@ -826,13 +825,14 @@ class TestGaugeVerdicts:
         assert classify_transform(m, check) == TransformClassification(Verdict.NEITHER)
 
 
-def nudged_identity_map():
+def nudged_identity_map(tol=DEFAULT_TOL):
     """The identity map on the dimension-3 gadget with the target of e2
-    moved 1e-6 toward e1: orthogonality fails at 1e-9 and holds at 1e-4."""
+    moved 1e-6 toward e1, built at tol: orthogonality fails at 1e-9 and
+    holds at 1e-4."""
     m = identity_map(3)
     pairs = list(m.pairs)
     pairs[1] = (pairs[1][0], proj(pairs[1][1].vector + [1e-6, 0, 0]))
-    return ray_map(3, tuple(pairs), covering_contexts=m.covering_contexts)
+    return ray_map(3, tuple(pairs), covering_contexts=m.covering_contexts, tol=tol)
 
 
 class TestOneStageEach:
@@ -912,16 +912,37 @@ class TestOneStageEach:
 
 
 class TestOrthogonalityMemo:
-    """Repeated checks on other tolerances and maps decide each from scratch,
-    as the product test does; a wrong branch still fails the fit."""
+    """Repeated checks on maps built at other tolerances decide each from
+    scratch, as the product test does; a wrong branch still fails the fit."""
 
     def test_each_tolerance_gets_its_own_verdict(self):
-        m, loose = nudged_identity_map(), Tolerance(1e-4)
-        for tol, ok in ((DEFAULT_TOL, False), (loose, True), (DEFAULT_TOL, False)):
-            check = check_orthogonality_preserving(m, tol)
+        for tol, ok in ((DEFAULT_TOL, False), (Tolerance(1e-4), True), (DEFAULT_TOL, False)):
+            m = nudged_identity_map(tol)
+            check = check_orthogonality_preserving(m)
             assert check.ok is ok
-            assert check == ref_check(m, tol)
+            assert check == ref_check(m)
         assert check.violating_pair == (0, 1)
+
+    def test_one_map_one_tolerance(self, capsys, tmp_path):
+        """Built at 1e-4, the nudged map passes the check and classifies as
+        Unitary at 1e-4, and the fit then finds no operator within the
+        residual limit, as `uhlhorn --tol 1e-4` does on its document; built
+        at the default tolerance, it fails the check at pair (0, 1)."""
+        loose = nudged_identity_map(Tolerance(1e-4))
+        check = check_orthogonality_preserving(loose)
+        assert check.ok
+        classification = classify_transform(loose, check)
+        assert classification.verdict is Verdict.UNITARY
+        with pytest.raises(FitFailed) as failed:
+            fit_transform(loose, classification)
+        assert 1e-7 < failed.value.residual < 1e-5
+        path = tmp_path / "nudged.json"
+        path.write_text(json.dumps(ray_map_to_json(loose)))
+        assert cli.main(["uhlhorn", "--tol", "1e-4", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["verdict"], payload["residual"]) == ("Unitary", failed.value.residual)
+        strict = check_orthogonality_preserving(nudged_identity_map())
+        assert not strict.ok and strict.violating_pair == (0, 1)
 
     def test_each_map_gets_its_own_verdict(self):
         good, bad = identity_map(3), nudged_identity_map()
