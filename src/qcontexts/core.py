@@ -11,7 +11,8 @@ Context its orthonormal basis matrix, a DensityOperator or a
 ContextTransform its matrix; dim is read from that array. Projector
 matrices and a context's projectors are built on first use. The
 Projector constructor, make_context and the from_* classmethods validate
-their input once; nothing re-checks it later.
+their input once; nothing re-checks it later. The ray rules are linalg's:
+unit_rows, same_ray_pairs (extravalence) and product_norm (exclusivity).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotOrthonormal
 from .linalg import (DEFAULT_TOL, Frozen, Tolerance, as_matrix, as_vector, is_unitary,
-                     max_abs, row_norms)
+                     max_abs, product_norm, row_norms, same_ray_pairs, unit_rows)
 
 __all__ = [
     "Projector",
@@ -79,11 +80,8 @@ class Projector(Frozen):
     @classmethod
     def from_vector(cls, v, tol: Tolerance = DEFAULT_TOL) -> "Projector":
         """Build the projector onto the ray of v (v is normalized here)."""
-        vec = as_vector(v)
-        norm = float(row_norms(vec))
-        if not tol.bound() < norm < np.inf:
-            raise ValueError("cannot project onto the zero vector or one whose norm overflows")
-        return cls(vec / norm)
+        return cls(unit_rows(as_vector(v), tol, lambda _: ValueError(
+            "cannot project onto the zero vector or one whose norm overflows")))
 
     def __post_init__(self):
         vec = as_vector(self.vector)
@@ -136,8 +134,7 @@ class Context(Frozen):
 
     def exclusivity_defect(self) -> float:
         """max over i != j of ||P_i P_j||_max."""
-        return max((max_abs(p.matrix @ q.matrix) for p, q in combinations(self.projectors, 2)),
-                   default=0.0)
+        return max((product_norm(u, v) for u, v in combinations(self.basis.T, 2)), default=0.0)
 
     def completeness_defect(self) -> float:
         """||sum_i P_i - I||_max."""
@@ -270,27 +267,23 @@ def are_exclusive(m1: Modality, m2: Modality,
                   tol: Tolerance = DEFAULT_TOL) -> bool:
     """Mutually exclusive iff the projector product vanishes."""
     _check_dims(m1.projector.dim, m2.projector.dim)
-    return max_abs(m1.projector.matrix @ m2.projector.matrix) <= tol.abs_eps
+    return product_norm(m1.projector.vector, m2.projector.vector) <= tol.abs_eps
 
 
 def extravalent(m1: Modality, m2: Modality,
                 tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Connected with certainty iff the two projectors coincide."""
-    _check_dims(m1.projector.dim, m2.projector.dim)
-    return m1.projector.distance(m2.projector) <= tol.abs_eps
+    """Connected with certainty iff the two projectors coincide: one class."""
+    return len(extravalence_classes([m1, m2], tol)) == 1
 
 
 def extravalence_classes(modalities: Sequence[Modality],
                          tol: Tolerance = DEFAULT_TOL) -> list[list[int]]:
-    """Partition modality indices by projector equality.
-
-    Transitive closure of the pairwise tolerance test; well-separated
-    inputs give unambiguous classes, near-coincident chains are a
-    documented caller hazard.
-    """
+    """Partition modality indices by projector equality: the transitive
+    closure of linalg.same_ray_pairs, so near-coincident chains merge."""
     mods = list(modalities)
-    if mods:
-        _check_dims(*(m.projector.dim for m in mods))
+    if not mods:
+        return []
+    _check_dims(*(m.projector.dim for m in mods))
     parent = list(range(len(mods)))
 
     def find(a: int) -> int:
@@ -299,10 +292,8 @@ def extravalence_classes(modalities: Sequence[Modality],
             a = parent[a]
         return a
 
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if extravalent(mods[i], mods[j], tol):
-                parent[find(i)] = find(j)
+    for i, j in same_ray_pairs(np.stack([m.projector.vector for m in mods]), tol.abs_eps):
+        parent[find(i)] = find(j)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(mods)):

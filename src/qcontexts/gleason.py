@@ -43,12 +43,12 @@ EXACT_RECOVERY_LIMIT = 1e-8
 
 
 class FrameSample(FrozenValue):
-    """One sampled frame-function value on a projector."""
+    """One frame-function value on a projector, in [0, 1] within tol.abs_eps."""
 
     _fields = ("projector", "value")
 
-    def __init__(self, projector: Projector, value: float):
-        if not (-1e-12 <= value <= 1.0 + 1e-12):
+    def __init__(self, projector: Projector, value: float, tol: Tolerance = DEFAULT_TOL):
+        if not (-tol.abs_eps <= value <= 1.0 + tol.abs_eps):
             raise ValueOutOfRange(f"frame value {value} outside the unit interval")
         self.__dict__.update(projector=projector, value=value)
 

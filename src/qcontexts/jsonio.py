@@ -14,7 +14,8 @@ read by one rule:
 Each complex field becomes an array in one bulk conversion; the
 element-wise rule runs only to name the first bad entry. Each part of a
 document is read structure first, then its leaves, then its row norms
-(linalg.row_norms), and the first fault of the earliest kind is reported.
+(linalg.unit_rows, the one rule for a unit ray), and the first fault of
+the earliest kind is reported.
 
 All loaders raise MalformedDocument on structural problems so the CLI
 can map them to a uniform exit code.
@@ -33,7 +34,7 @@ from . import linalg
 from .core import Context, DensityOperator, Projector, make_context
 from .errors import BasisNotOrthogonal, MalformedDocument
 from .gleason import FrameSample
-from .linalg import DEFAULT_TOL, Tolerance, first_repeated_ray, row_norms
+from .linalg import DEFAULT_TOL, Tolerance, first_repeated_ray, unit_rows
 from .partition import KSInstance
 from .topology import Permutation
 from .uhlhorn import RayMap
@@ -248,18 +249,15 @@ def frame_samples_from_json(doc: dict,
     context-grouped variant (converted by pairing vectors with values)."""
     if "contexts" in doc and "samples" not in doc:
         groups = grouped_samples_from_json(doc, tol)
-        return [FrameSample(projector=c.projectors[i], value=values[i])
+        return [FrameSample(c.projectors[i], values[i], tol)
                 for c, values in groups for i in range(c.dim)]
     dim = _require_int(doc, "dim")
     rows, values = zip(*_objects(doc, "samples", "sample", ("vector", "value")))
     v = _complex_array(rows, (len(rows), dim))
     values = [_number(x, f"the value of sample {k}") for k, x in enumerate(values)]
-    norms = row_norms(v)
-    bad = np.flatnonzero(~((tol.bound() < norms) & (norms < math.inf)))
-    if bad.size:
-        raise MalformedDocument(f"sample {bad[0]}: cannot project onto the zero vector "
-                                "or one whose norm overflows")
-    return [FrameSample(Projector(row), value) for row, value in zip(v / norms[:, None], values)]
+    unit = unit_rows(v, tol, lambda k: MalformedDocument(
+        f"sample {k}: cannot project onto the zero vector or one whose norm overflows"))
+    return [FrameSample(Projector(row), value, tol) for row, value in zip(unit, values)]
 
 
 def grouped_samples_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL
@@ -312,13 +310,8 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
     if not raw_vectors or not raw_bases:
         raise MalformedDocument("instance needs at least one vector and one basis")
 
-    zero = tol.bound()
-    v = _complex_array(raw_vectors, (len(raw_vectors), dim))
-    norms = row_norms(v)
-    bad = np.flatnonzero(~((zero < norms) & (norms < math.inf)))
-    if bad.size:
-        raise MalformedDocument(f"vector {bad[0]} has a zero or overflowing norm")
-    vectors = v / norms[:, None]
+    vectors = unit_rows(_complex_array(raw_vectors, (len(raw_vectors), dim)), tol,
+                        lambda k: MalformedDocument(f"vector {k} has a zero or overflowing norm"))
 
     bases = []
     for b, basis in enumerate(raw_bases):
@@ -334,7 +327,7 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
     for s in linalg.row_blocks(len(bases), dim * dim):  # bases per batched Gram
         block = vectors[np.array(bases[s])]
         overlaps = np.abs(block.conj() @ block.transpose(0, 2, 1))[:, i, j]
-        hits = np.argwhere(overlaps > zero)  # in (basis, pair) order
+        hits = np.argwhere(overlaps > tol.bound())  # in (basis, pair) order
         if hits.size:
             (b, p), a = hits[0], s.start
             basis = bases[a + b]

@@ -2,12 +2,13 @@
 
 All matrices are numpy arrays of dtype complex128 (64-bit floats per
 component). One `Tolerance` value governs every approximate comparison
-downstream; the defaults are overridable per call.
+downstream; the defaults are overridable per call. The three ray rules
+are decided here once each: unit_rows, same_ray_pairs and product_norm.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,8 +19,11 @@ __all__ = [
     "as_vector",
     "max_abs",
     "row_norms",
+    "unit_rows",
     "projector_stack",
+    "product_norm",
     "row_blocks",
+    "same_ray_pairs",
     "first_repeated_ray",
     "is_unitary",
     "UnitaryCheck",
@@ -111,9 +115,26 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(squares[..., 0, 0])
 
 
+def unit_rows(v: np.ndarray, tol: Tolerance, fault: Callable[[int], Exception]) -> np.ndarray:
+    """v over its norms along the last axis (row_norms), once all lie in
+    (tol.bound(), inf); else fault(r) is raised for the lowest bad row r,
+    leading axes counting as sides of one row and a 1-D v as row 0."""
+    norms = row_norms(v)
+    ok = (tol.bound() < norms) & (norms < np.inf)
+    bad = np.flatnonzero(~ok.all(axis=tuple(range(ok.ndim - 1))))
+    if bad.size:
+        raise fault(int(bad[0]))
+    return v / norms[..., None]
+
+
 def projector_stack(v: np.ndarray) -> np.ndarray:
     """(k, n, n) stack of |v><v| over the rows of v, entry for entry np.outer."""
     return v[:, :, None] * v.conj()[:, None, :]
+
+
+def product_norm(u: np.ndarray, v: np.ndarray) -> float:
+    """||P_u P_v||_max of |u><u| and |v><v|: exclusive rays give at most eps."""
+    return max_abs(np.outer(u, u.conj()) @ np.outer(v, v.conj()))
 
 
 _BLOCK_ENTRIES = 1 << 15  # complex entries per block: 512 KiB, about 1 MiB with its temporaries
@@ -126,12 +147,12 @@ def row_blocks(stop: int, width: int, start: int = 0) -> list[slice]:
     return [slice(a, a + rows) for a in range(start, stop, rows)]
 
 
-def first_repeated_ray(vectors: np.ndarray, eps: float) -> tuple[int, int] | None:
-    """First pair (i, j), i < j in lexicographic order, of rows of the (k, n)
-    array whose projector matrices differ by at most eps in every entry:
-    the rule for "the same ray" in ray maps and KS documents. Every pair
-    (0, j) comes first, so a vector stacked above a list finds its lowest
-    match there, if any, even where rows of the list coincide.
+def same_ray_pairs(vectors: np.ndarray, eps: float, stop: int | None = None):
+    """Every pair (i, j), i < j, in lexicographic order, of rows of the (k, n)
+    array whose projector matrices differ by at most eps in every entry: the
+    rule for "the same ray" in ray maps, KS documents and extravalence. With
+    stop, only pairs i < stop <= j: rows stacked above a list find their
+    partners in it, and the list is not screened against itself.
 
     Such a pair has |<u, v>|^2 >= s^2 - (n eps)^2 / 2, with s the smallest
     squared row norm, a gap the Gram entry cannot resolve in floating
@@ -141,24 +162,26 @@ def first_repeated_ray(vectors: np.ndarray, eps: float) -> tuple[int, int] | Non
     |<u, v>|^2 by more than the gap. Both run in blocks of about 1 MiB.
     """
     k, n = vectors.shape
-    if k < 2:
-        return None
-    smallest = float(np.min(np.sum(np.abs(vectors) ** 2, axis=1)))
+    heads = k - 1 if stop is None else min(stop, k - 1)  # the rows i searched
+    smallest = float(np.min(np.sum(np.abs(vectors) ** 2, axis=1), initial=np.inf))
     floor = smallest ** 2 - (n * eps) ** 2 / 2 - 1e-10  # the margin covers Gram rounding
-    for b in row_blocks(k - 1, k):
-        gram = vectors[b].conj() @ vectors[b.start:].T
+    for b in row_blocks(heads, k):
+        gram = vectors[b.start:min(b.stop, heads)].conj() @ vectors[b.start:].T
         parts = gram.view(np.float64)  # |<u, v>|^2 from squared real and imaginary parts
         np.square(parts, out=parts)
         near = parts[:, 0::2] + parts[:, 1::2] >= floor
         r, c = np.divmod(np.flatnonzero(near), near.shape[1])
-        upper = c > r
+        upper = c > r if stop is None else b.start + c >= stop
         i, j = b.start + r[upper], b.start + c[upper]
         for s in row_blocks(len(i), n * n):
             diff = projector_stack(vectors[i[s]]) - projector_stack(vectors[j[s]])
-            hits = np.flatnonzero(np.abs(diff).max(axis=(1, 2)) <= eps)
-            if hits.size:
-                return int(i[s][hits[0]]), int(j[s][hits[0]])
-    return None
+            for h in np.flatnonzero(np.abs(diff).max(axis=(1, 2)) <= eps):
+                yield int(i[s][h]), int(j[s][h])
+
+
+def first_repeated_ray(vectors: np.ndarray, eps: float) -> tuple[int, int] | None:
+    """The first pair of same_ray_pairs(vectors, eps), or None."""
+    return next(same_ray_pairs(vectors, eps), None)
 
 
 class UnitaryCheck(NamedTuple):

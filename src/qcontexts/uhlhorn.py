@@ -10,12 +10,12 @@ from a phase-fixing gadget and verify it on every listed pair.
 
 For k rays in dimension n a certification costs O(k^2 n + k^3) time
 and O(k n^2 + k^2) memory. A RayMap holds its source and target unit
-vectors once, as (k, n) arrays normalized by linalg.row_norms, and
-caches nothing derived from them but its Projector pairs, built only
-when asked for. The map's tol is the one tolerance of its certification.
-Bijectivity and covering rays are decided at it once, when the map is
-built, by the same-ray screen of ks documents, and orthogonality once per
-certification, by a Gram screen, O(k^2 n) each: the stages run check(m),
+vectors once, as (k, n) arrays made by linalg.unit_rows, and caches no
+more than its Projector pairs, built when asked for. Its tol is the one
+tolerance of its certification: bijectivity and covering rays are decided
+at it once, when the map is built, by linalg.same_ray_pairs, and
+orthogonality once per certification, by a Gram screen that leaves its
+open pairs to linalg.product_norm, O(k^2 n) each: the stages run check(m),
 classify(m, check), fit(m, classification). The branch is two
 O(k^2) gauge fits along one spanning forest plus a row-wise witness
 search in row blocks (O(k^3) time only if it finds nothing); the fit
@@ -40,7 +40,8 @@ from .errors import (
     HypothesisViolated,
     MissingGadget,
 )
-from .linalg import DEFAULT_TOL, Frozen, Tolerance, first_repeated_ray, max_abs, row_norms
+from .linalg import (DEFAULT_TOL, Frozen, Tolerance, first_repeated_ray, max_abs, product_norm,
+                     same_ray_pairs, unit_rows)
 
 __all__ = [
     "RayMap",
@@ -74,9 +75,9 @@ class RayMap(Frozen):
     target_vectors. covering_contexts are contexts whose projectors all
     occur among the sources, candidates for the fiduciary basis of the
     constructive fit, and covering_rays the sources on their basis rays,
-    one tuple per context. Bijectivity and covering are both decided at
-    tol, by linalg.first_repeated_ray, once, here; the read-only tol is the
-    one every stage of a certification then reads.
+    one tuple per context: each basis row's first partner in one
+    linalg.same_ray_pairs pass over [basis rows; sources]. All is decided
+    at tol, once, here; the read-only tol is the one every stage reads.
     """
 
     def __init__(self, dim: int, sources, targets,
@@ -85,15 +86,11 @@ class RayMap(Frozen):
         rows = np.asarray([sources, targets], dtype=np.complex128)
         if rows.ndim != 3 or rows.shape[2] != dim:
             raise DimensionMismatch("ray pair dimension differs from map dimension")
-        norms = row_norms(rows)
-        bad = np.flatnonzero(~((tol.bound() < norms) & (norms < np.inf)).all(axis=0))
-        if bad.size:  # the lowest pair with a zero, overflowing or NaN norm on either side
-            raise ValueError(f"pair {bad[0]}: cannot project onto the zero vector "
-                             "or one whose norm overflows")
+        unit = unit_rows(rows, tol, lambda k: ValueError(
+            f"pair {k}: cannot project onto the zero vector or one whose norm overflows"))
         if dim < 3:
             raise DimensionTooSmall(
                 f"ray maps are certified only for dimension >= 3, got {dim}")
-        unit = rows / norms[:, :, None]
         unit.flags.writeable = False
         # the first repeated pair in lexicographic order; sources first on a tie
         repeated = [(hit, which) for which, v in zip(("sources", "targets"), unit)
@@ -105,10 +102,13 @@ class RayMap(Frozen):
         for c in covering_contexts:
             if c.dim != dim:
                 raise DimensionMismatch(f"covering context '{c.label}' has dimension {c.dim}")
-            covering_rays.append(tuple(_find_source(unit[0], v, tol) for v in c.basis.T))
-            if None in covering_rays[-1]:
+            first = {}  # basis row i -> its first partner j, source j - dim
+            for i, j in same_ray_pairs(np.vstack([c.basis.T, unit[0]]), tol.abs_eps, dim):
+                first.setdefault(i, j - dim)
+            if len(first) < dim:
                 raise ValueError(f"covering context '{c.label}' has a projector "
                                  "missing from the sources")
+            covering_rays.append(tuple(first[i] for i in range(dim)))
         self.__dict__.update(dim=dim, tol=tol, covering_contexts=covering_contexts,
                              covering_rays=tuple(covering_rays),
                              source_vectors=unit[0], target_vectors=unit[1])
@@ -119,12 +119,6 @@ class RayMap(Frozen):
         unused in the package, kept for perfbench/traced.py's len(m.pairs)."""
         return tuple((Projector(s), Projector(t))
                      for s, t in zip(self.source_vectors, self.target_vectors))
-
-
-def _find_source(sources: np.ndarray, v: np.ndarray, tol: Tolerance) -> int | None:
-    """Lowest row of sources on the ray of v at tol, or None; O(k^2 n) if none."""
-    hit = first_repeated_ray(np.vstack([v, sources]), tol.abs_eps)
-    return hit[1] - 1 if hit is not None and hit[0] == 0 else None
 
 
 class OrthogonalityCheck(NamedTuple):
@@ -168,8 +162,8 @@ class FitResult(NamedTuple):
 def check_orthogonality_preserving(m: RayMap) -> OrthogonalityCheck:
     """Test ||P_i P_j|| <= m.tol  <=>  ||T_i T_j|| <= m.tol over all listed pairs.
 
-    The product max_abs(P_i @ P_j) decides and is reported, but it is only
-    taken, in lexicographic order, on pairs a Gram screen leaves open. The
+    The product norm, linalg.product_norm, decides and is reported, but it
+    is only taken, in lexicographic order, on pairs a Gram screen leaves open. The
     estimate |<v_i|v_j>| max|v_i| max|v_j| equals it in exact arithmetic;
     for unit rows and u = 2^-53 the two differ by under (5.7n + 10.5) u.
     Each sums 2n real products per real part whose moduli add up to at
@@ -189,16 +183,11 @@ def check_orthogonality_preserving(m: RayMap) -> OrthogonalityCheck:
     near = [np.abs(e - eps) <= band for e in est]
     undecided = ((est[0] <= eps) != (est[1] <= eps)) | near[0] | near[1]
     for i, j in zip(*np.nonzero(np.triu(undecided, 1))):  # row-major: lexicographic
-        s, t = (_product_norm(v, i, j) for v in sides)
+        s, t = (product_norm(v[i], v[j]) for v in sides)
         if (s <= eps) != (t <= eps):
             return OrthogonalityCheck(ok=False, violating_pair=(int(i), int(j)),
                                       source_product_norm=s, target_product_norm=t)
     return OrthogonalityCheck(ok=True)
-
-
-def _product_norm(v: np.ndarray, i: int, j: int) -> float:
-    """max_abs(P_i @ P_j) for the projectors onto rows i and j of v."""
-    return max_abs(np.matmul(*linalg.projector_stack(v[[i, j]])))
 
 
 def bargmann_invariant(p1: Projector, p2: Projector, p3: Projector) -> complex:

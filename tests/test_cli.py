@@ -124,6 +124,32 @@ class TestGleasonFit:
         assert json.loads(out)["probabilities"] == pytest.approx(
             [0.5, 0.3, 0.2], abs=1e-9)
 
+    @pytest.mark.parametrize("value, flags, code", [
+        (-1e-11, (), 0), (1 + 1e-7, ("--tol", "1e-4"), 0), (-1e-8, (), 2),
+        (1 + 1e-7, (), 2)])
+    def test_frame_values_are_read_at_tol(self, capsys, tmp_path, value, flags, code):
+        """A sample value may leave [0, 1] by --tol, as validate_frame_function
+        and born_probability allow, and no further."""
+        doc = _load("gleason_demo_dim3.json")
+        doc["samples"][0]["value"] = value
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(doc))
+        got, _, err = run(capsys, "gleason-fit", str(path), *flags)
+        assert got == code
+        assert err == ("" if code == 0 else
+                       f"error: ValueOutOfRange: frame value {value} outside the unit interval\n")
+
+    def test_grouped_frame_values_are_read_at_tol(self, capsys, tmp_path):
+        doc = {"contexts": [{"vectors": basis, "values": [1 + 1e-7, -1e-7, 0.0]}
+                            for basis in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                          [[0, 0, 1], [1, 0, 0], [0, 1, 0]])]}
+        path = tmp_path / "grouped.json"
+        path.write_text(json.dumps(doc))
+        assert "ValueOutOfRange" in run(capsys, "gleason-fit", str(path))[2]
+        # accepted at --tol 1e-6, the samples then fail on the design rank
+        assert "NotInformationallyComplete" in run(capsys, "gleason-fit", str(path),
+                                                   "--tol", "1e-6")[2]
+
     def test_single_context_exits_two_with_error_name(self, capsys, tmp_path):
         doc = {"contexts": [{
             "label": "only",

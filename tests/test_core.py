@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from helpers import (
 )
 from qcontexts.core import (
     ContextTransform,
+    Modality,
     Projector,
     apply_transform,
     are_exclusive,
@@ -28,7 +31,7 @@ from qcontexts.core import (
 from qcontexts import core
 from qcontexts.core import _philox_uniforms
 from qcontexts.errors import DimensionMismatch, NotOrthonormal
-from qcontexts.linalg import max_abs
+from qcontexts.linalg import Tolerance, max_abs
 from qcontexts.sampling import random_context, random_density, random_projector, random_unitary
 
 
@@ -264,6 +267,56 @@ class TestExclusivityAndExtravalence:
         flat = sorted(i for g in classes for i in g)
         assert flat == list(range(6))
         assert classes == [[0, 3], [1], [2], [4], [5]]
+
+    def test_classes_equal_the_pairwise_rule(self):
+        """Random rays with rephased copies, chains of copies and near copies
+        1 ulp either side of eps: the classes are the transitive closure of
+        the pairwise rule, Projector.distance <= eps, taken over all pairs."""
+        rng = make_generator(408)
+        for trial in range(12):
+            ps = [random_projector(3 + trial % 3, rng) for _ in range(14)]
+            for i, j in ((0, 4), (4, 9), (2, 13), (6, 7)):
+                ps[j] = Projector(ps[i].vector * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            near = ps[1].vector + 1e-7 * random_projector(len(ps[1].vector), rng).vector
+            ps[11] = Projector.from_vector(near)
+            d = ps[1].distance(ps[11])
+            mods = [Modality("m", k, p) for k, p in enumerate(ps)]
+            for eps in (1e-9, np.nextafter(d, 0), d, np.nextafter(d, 1)):
+                tol = Tolerance(eps)
+                parent = list(range(len(ps)))
+                for i, j in combinations(range(len(ps)), 2):
+                    if ps[i].distance(ps[j]) <= eps:
+                        a, b = parent[i], parent[j]
+                        parent = [a if x == b else x for x in parent]
+                groups = {}
+                for k, root in enumerate(parent):
+                    groups.setdefault(root, []).append(k)
+                expected = sorted(groups.values())
+                assert extravalence_classes(mods, tol) == expected
+                assert ([1, 11] in expected) == (eps >= d)
+            assert [0, 4, 9] in expected and [2, 13] in expected
+
+    def test_exclusivity_is_the_projector_product(self):
+        """are_exclusive and exclusivity_defect take the product of the
+        projector matrices, bit for bit, through linalg.product_norm."""
+        rng = make_generator(409)
+        for n in (3, 4, 6):
+            c = random_context(n, rng, "A")
+            expected = max(max_abs(p.matrix @ q.matrix)
+                           for i, p in enumerate(c.projectors) for q in c.projectors[i + 1:])
+            assert c.exclusivity_defect() == expected
+            d = random_context(n, rng, "B")
+            for m1 in c.modalities():
+                for m2 in d.modalities() + c.modalities():
+                    product = max_abs(m1.projector.matrix @ m2.projector.matrix)
+                    assert are_exclusive(m1, m2) == (product <= 1e-9)
+        # a ray 1e-6 off orthogonal to e1, at its product and 1 ulp below
+        near = Modality("near", 0, Projector.from_vector([1e-6, 1, 0]))
+        e1 = standard_context(3).modality(0)
+        product = max_abs(e1.projector.matrix @ near.projector.matrix)
+        for eps, exclusive in ((np.nextafter(product, 0), False), (product, True)):
+            assert are_exclusive(e1, near, Tolerance(eps)) == exclusive
+        assert make_context([[1.0]]).exclusivity_defect() == 0.0
 
 
 class TestApplyTransform:

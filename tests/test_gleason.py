@@ -22,7 +22,7 @@ from qcontexts.gleason import (
     reconstruct_density,
     validate_frame_function,
 )
-from qcontexts.linalg import max_abs
+from qcontexts.linalg import Tolerance, max_abs
 from qcontexts.sampling import random_context, random_density, random_projector
 
 
@@ -279,6 +279,16 @@ class TestFrameSample:
             FrameSample(p, -0.2)
         FrameSample(p, 1.0)
         FrameSample(p, 0.0)
+
+    def test_value_range_follows_tol(self):
+        """Values may leave [0, 1] by tol.abs_eps and are kept as given."""
+        p = random_projector(3, make_generator(0))
+        assert FrameSample(p, -1e-11).value == -1e-11
+        assert FrameSample(p, 1 + 1e-7, Tolerance(1e-4)).value == 1 + 1e-7
+        for value, tol in ((-1e-8, Tolerance()), (1 + 1e-7, Tolerance()),
+                           (-2e-4, Tolerance(1e-4))):
+            with pytest.raises(ValueOutOfRange):
+                FrameSample(p, value, tol)
 
     def test_immutable_value(self):
         p = random_projector(3, make_generator(0))

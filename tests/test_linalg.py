@@ -3,8 +3,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qcontexts.core import make_generator
-from qcontexts.linalg import Tolerance, first_repeated_ray, is_unitary
+from helpers import fourier_basis, mub_bases_dim3
+from qcontexts.core import Projector, make_generator
+from qcontexts.linalg import (
+    Tolerance,
+    first_repeated_ray,
+    is_unitary,
+    product_norm,
+    same_ray_pairs,
+    unit_rows,
+)
 
 
 def test_tolerance_defaults_and_sanity_bound():
@@ -95,6 +103,115 @@ class TestFirstRepeatedRay:
                     moved *= np.exp(1j * rng.uniform(0, 2 * np.pi)) / np.linalg.norm(moved)
                     v[j] = moved * (1 - 5e-10 * rng.integers(0, 2))
                 assert first_repeated_ray(v, 1e-9) == ref_first_repeated_ray(v, 1e-9)
+
+
+def ref_same_ray_pairs(vectors, eps):
+    """Every pair i < j whose projectors lie within eps by Projector.distance."""
+    projectors = [Projector(v) for v in vectors]
+    return [(i, j) for i, j in combinations(range(len(vectors)), 2)
+            if projectors[i].distance(projectors[j]) <= eps]
+
+
+def _random_rays(rng, k: int, n: int) -> np.ndarray:
+    v = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+class TestSameRayPairs:
+    """same_ray_pairs yields the brute-force pair list of Projector.distance,
+    in lexicographic order, at any block size; first_repeated_ray is its
+    first pair."""
+
+    @pytest.mark.parametrize("block", [None, 1, 40])
+    def test_random_rays_with_copies(self, monkeypatch, block):
+        from qcontexts import linalg
+        if block is not None:
+            monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", block)
+        rng = make_generator(404)
+        for n in (3, 4, 6):
+            v = _random_rays(rng, 24, n)
+            # rephased copies, one short of unit norm, and a chain of three
+            for i, j in ((0, 5), (5, 17), (3, 20), (11, 12)):
+                v[j] = v[i] * np.exp(1j * rng.uniform(0, 2 * np.pi)) * (1 - 5e-10 * (j == 20))
+            expected = ref_same_ray_pairs(v, 1e-9)
+            assert expected == [(0, 5), (0, 17), (3, 20), (5, 17), (11, 12)]
+            assert list(same_ray_pairs(v, 1e-9)) == expected
+            assert first_repeated_ray(v, 1e-9) == expected[0]
+
+    def test_flat_modulus_rays(self):
+        """Fourier rays and the MUB rays off the standard basis have entries
+        of one modulus, so every entry
+        of their projectors has modulus 1/n and distinct rays differ in
+        phases only; rephased copies among them are the only pairs found,
+        at the default and at a loose tolerance."""
+        rays = np.array(fourier_basis(4) + [np.exp(0.3j) * fourier_basis(4)[2]])
+        mub = np.array([v for basis in mub_bases_dim3() for v in basis])
+        mub = np.vstack([mub, -1j * mub[7], mub[4]])
+        for v in (rays, mub):
+            for eps in (1e-9, 1e-4):
+                assert list(same_ray_pairs(v, eps)) == ref_same_ray_pairs(v, eps)
+        assert list(same_ray_pairs(rays, 1e-9)) == [(2, 4)]
+        assert list(same_ray_pairs(mub, 1e-9)) == [(4, 13), (7, 12)]
+
+    def test_tolerance_edge_pairs(self):
+        """A near copy at eps equal to its distance, and 1 ulp either side."""
+        rng = make_generator(405)
+        v = _random_rays(rng, 8, 3)
+        near = v[2] + 1e-7 * _random_rays(rng, 1, 3)[0]
+        v[6] = near / np.linalg.norm(near)
+        d = Projector(v[2]).distance(Projector(v[6]))
+        for eps, expected in ((np.nextafter(d, 0), []), (d, [(2, 6)]),
+                              (np.nextafter(d, 1), [(2, 6)])):
+            assert ref_same_ray_pairs(v, eps) == expected
+            assert list(same_ray_pairs(v, eps)) == expected
+
+    def test_stop_pairs_the_leading_rows_with_the_rest(self, monkeypatch):
+        """With stop, only pairs i < stop <= j: neither pairs among the
+        leading rows nor pairs among the rest."""
+        from qcontexts import linalg
+        v = _random_rays(make_generator(406), 10, 3)
+        v[9], v[7], v[8], v[2] = v[1], v[0], v[0], 1j * v[1]
+        assert list(same_ray_pairs(v, 1e-9)) == [
+            (0, 7), (0, 8), (1, 2), (1, 9), (2, 9), (7, 8)]
+        for block in (None, 12, 1):
+            if block is not None:
+                monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", block)
+            assert list(same_ray_pairs(v, 1e-9, stop=3)) == [(0, 7), (0, 8), (1, 9), (2, 9)]
+            assert list(same_ray_pairs(v, 1e-9, stop=2)) == [(0, 7), (0, 8), (1, 2), (1, 9)]
+            assert list(same_ray_pairs(v, 1e-9, stop=1)) == [(0, 7), (0, 8)]
+            assert list(same_ray_pairs(v, 1e-9, stop=0)) == []
+            assert list(same_ray_pairs(v, 1e-9, stop=10)) == []
+
+
+def test_unit_rows_divide_or_name_the_first_bad_row():
+    """Norms in (tol.bound(), inf) divide; otherwise the lowest bad row is
+    reported, counted over the second-to-last axis with leading axes as sides."""
+    tol = Tolerance()
+    v = np.array([[3, 4j, 0], [0, 0, 2]], dtype=complex)
+    assert np.array_equal(unit_rows(v, tol, ValueError), v / np.linalg.norm(v, axis=1)[:, None])
+    assert np.array_equal(unit_rows(v[0], tol, ValueError), v[0] / 5)
+    big = np.full(3, 1e200, dtype=complex)
+    for bad, row in ((np.zeros(3), 1), (1e-10 * v[1], 1), (big, 1)):
+        with pytest.raises(IndexError, match=f"^{row}$"):
+            unit_rows(np.array([v[0], bad]), tol, IndexError)
+    with pytest.raises(IndexError, match="^0$"):
+        unit_rows(np.zeros(3, dtype=complex), tol, IndexError)
+    sides = np.array([[v[0], v[1], v[0]], [v[0], v[1], np.zeros(3)]])
+    sides[0, 1] = 0  # pair 1 on the first side, pair 2 on the second: pair 1 is reported
+    with pytest.raises(IndexError, match="^1$"):
+        unit_rows(sides, tol, IndexError)
+    assert unit_rows(v, Tolerance(1e-4), ValueError).shape == (2, 3)
+    with pytest.raises(ValueError, match="^0$"):
+        unit_rows(np.array([[1e-5, 0, 0]], dtype=complex), Tolerance(1e-4), ValueError)
+
+
+def test_product_norm_is_the_projector_product():
+    rng = make_generator(407)
+    u, v = _random_rays(rng, 2, 4)
+    p, q = np.outer(u, u.conj()), np.outer(v, v.conj())
+    assert product_norm(u, v) == np.abs(p @ q).max()
+    assert product_norm(u, u) == np.abs(p).max()
+    assert product_norm(np.eye(3)[0], np.eye(3)[1]) == 0.0
 
 
 def test_row_blocks_hold_the_entry_budget(monkeypatch):

@@ -621,7 +621,9 @@ class TestKernelsMatchReference:
             assert classification.verdict is Verdict.NEITHER  # the swapped map's
 
     def test_find_source_matches_the_stack_rule(self):
-        """Sources as given, rephased and short of unit norm; rays near a
+        """RayMap's covering search on one basis row, the first pair of
+        same_ray_pairs over [v; sources] that starts at v, against the stack
+        rule: sources as given, rephased and short of unit norm; rays near a
         source at their distance to it and 1 ulp to either side; a missing
         ray; all at 1e-9 and at a looser 1e-6, where sources 3 and 9 are the
         same ray, so a match among the sources alone must not count."""
@@ -646,7 +648,9 @@ class TestKernelsMatchReference:
                                                          np.nextafter(d, 1))])
             probes += edges[-1]
         for v, tol in probes:
-            assert uhlhorn._find_source(m.source_vectors, v, tol) == ref_find_source(m, v, tol)
+            stacked = np.vstack([v, m.source_vectors])
+            hit = next(linalg.same_ray_pairs(stacked, tol.abs_eps, stop=1), None)
+            assert (None if hit is None else hit[1] - 1) == ref_find_source(m, v, tol)
         assert ref_find_source(m, missing, loose) is None
         assert ref_find_source(m, m.source_vectors[9], loose) == 3
         assert [ref_find_source(m, *probe) for probe in edges[0]] == [None, 0, 0]
@@ -729,6 +733,18 @@ class TestGadgetPick:
             assert np.array_equal(fit.transform.matrix, matrix)
             assert (fit.residual, fit.fiduciary_label) == (residual, label)
             assert label == "fid" and residual <= 1e-8
+
+    def test_covering_rays_match_the_stack_rule(self):
+        """On 400 gadget maps, each covering context's rays, found in one
+        same-ray pass per context, are the lowest sources that the stack
+        rule (helpers.ref_find_source) finds for its basis vectors one by one."""
+        for n in (3, 4, 5, 6):
+            for anti in (False, True):
+                for seed in range(50):
+                    m = _gadget_map(n, anti, seed)
+                    assert len(m.covering_rays) == 1 + seed % 2
+                    for c, rays in zip(m.covering_contexts, m.covering_rays):
+                        assert rays == tuple(ref_find_source(m, v, m.tol) for v in c.basis.T)
 
 
 def _edge_rays(n: int, value: float, rng=None) -> list[np.ndarray]:
@@ -842,24 +858,31 @@ class TestOneStageEach:
 
     def certify(self, monkeypatch, capsys, tmp_path, m):
         scans, products = [], []
-        classify, product_norm = uhlhorn.classify_transform, uhlhorn._product_norm
+        classify, product_norm = uhlhorn.classify_transform, uhlhorn.product_norm
 
         def counted(*args):
             scans.append(1)
             return classify(*args)
 
-        def counted_product(v, i, j):
-            products.append((int(i), int(j)))
-            return product_norm(v, i, j)
+        def counted_product(u, v):
+            products.append((u, v))
+            return product_norm(u, v)
 
         monkeypatch.setattr(cli, "classify_transform", counted)
         monkeypatch.setattr(uhlhorn, "classify_transform", counted)
-        monkeypatch.setattr(uhlhorn, "_product_norm", counted_product)
+        monkeypatch.setattr(uhlhorn, "product_norm", counted_product)
         path = tmp_path / "raymap.json"
         path.write_text(json.dumps(ray_map_to_json(m)))
         code = cli.main(["uhlhorn", str(path)])
         capsys.readouterr()
-        return code, len(scans), sorted(set(products))
+        # each product's rows, named by their index on their side of the map read back
+        read = jsonio.ray_map_from_json(json.loads(path.read_text()))
+        rows = np.vstack([read.source_vectors, read.target_vectors])
+
+        def index(x):
+            return int(np.flatnonzero((rows == x).all(axis=1))[0]) % len(read.source_vectors)
+
+        return code, len(scans), sorted({(index(u), index(v)) for u, v in products})
 
     @pytest.mark.parametrize("anti", [False, True])
     def test_accepted_map(self, monkeypatch, capsys, tmp_path, anti):
@@ -896,19 +919,19 @@ class TestOneStageEach:
     @pytest.mark.parametrize("name", ["raymap_unitary_dim3.json",
                                       "raymap_antiunitary_dim3.json"])
     def test_bundled_map_screens_each_ray_once(self, monkeypatch, capsys, name):
-        """Two bijectivity screens, then one per basis ray of the one
-        covering context, n + 2 = 5 in all; the fit screens nothing."""
-        screens, screen = [], linalg.first_repeated_ray
+        """Two bijectivity screens, then one pass over the basis rows of the
+        one covering context, 3 in all; the fit screens nothing."""
+        screens, screen = [], linalg.same_ray_pairs
 
-        def counted(vectors, eps):
+        def counted(vectors, eps, stop=None):
             screens.append(len(vectors))
-            return screen(vectors, eps)
+            return screen(vectors, eps, stop)
 
-        for module in (linalg, jsonio, uhlhorn):
-            monkeypatch.setattr(module, "first_repeated_ray", counted)
+        for module in (linalg, uhlhorn):
+            monkeypatch.setattr(module, "same_ray_pairs", counted)
         assert cli.main(["uhlhorn", str(jsonio.dataset_path(name))]) == 0
         capsys.readouterr()
-        assert len(screens) == 5
+        assert len(screens) == 3
 
 
 class TestOrthogonalityMemo:
@@ -1002,6 +1025,26 @@ def test_large_map_certifies_in_bounded_memory(tmp_path):
     peak = re.search(r"^VmHWM:\s+(\d+) kB$", proc.stderr.decode(), re.MULTILINE)
     assert peak, proc.stderr  # other stderr lines, such as warnings, are skipped
     assert int(peak.group(1)) / 1024 < 150
+
+
+def test_missing_covering_ray_fails_without_a_scan_of_the_sources(monkeypatch):
+    """A 1200-ray map whose sources lack one basis ray of its covering
+    context: the covering pass screens only the 3 basis rows against the
+    stack below them, not the 1200 sources against each other, and names
+    the context."""
+    m = _large_map(1200)
+    keep = np.arange(1200) != m.covering_rays[0][1]
+    calls, blocks = [], linalg.row_blocks
+
+    def counted(stop, width, start=0):
+        calls.append((stop, width))
+        return blocks(stop, width, start)
+
+    monkeypatch.setattr(linalg, "row_blocks", counted)
+    with pytest.raises(ValueError, match="covering context 'fiduciary' has a projector missing"):
+        RayMap(3, m.source_vectors[keep], m.target_vectors[keep], m.covering_contexts)
+    # two bijectivity screens over 1199 rows, then the covering pass over 3 + 1199
+    assert [call for call in calls if call[1] > 9] == [(1198, 1199), (1198, 1199), (3, 1202)]
 
 
 def _sweep_map(k: int) -> RayMap:
