@@ -141,7 +141,9 @@ def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
         return payload, EXIT_NEGATIVE
 
     classification = classify_transform(ray_map, check)
-    verdict, triple, source_value, target_value = classification
+    verdict, triple = classification.verdict, classification.witness_triple
+    source_value = classification.witness_source_value
+    target_value = classification.witness_target_value
     payload.update({
         "verdict": verdict.value,
         "witness_triple": None if triple is None else list(triple),
@@ -160,7 +162,6 @@ def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
         "matrix": complex_to_json(fit.transform.matrix),
         "residual": fit.residual,
         "ambiguous_branch": fit.ambiguous_branch,
-        "fiduciary_label": fit.fiduciary_label,
     })
     return payload, EXIT_OK
 

@@ -24,8 +24,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotOrthonormal
-from .linalg import (DEFAULT_TOL, Frozen, Tolerance, as_matrix, as_vector, is_unitary,
-                     max_abs, product_norm, row_norms, same_ray_pairs, unit_rows)
+from .linalg import (DEFAULT_TOL, Frozen, Tolerance, as_matrix, as_vector, in_unit_interval,
+                     is_unitary, max_abs, product_norm, row_norms, same_ray_pairs, unit_rows)
 
 __all__ = [
     "Projector",
@@ -242,7 +242,7 @@ def born_probability(rho: DensityOperator, p: Projector,
     """Tr(rho P), clamped to [0, 1] only within tolerance of the ends."""
     _check_dims(rho.dim, p.dim)
     value = float(np.trace(rho.matrix @ p.matrix).real)
-    if value < -tol.abs_eps or value > 1.0 + tol.abs_eps:
+    if not in_unit_interval(value, tol):
         raise ValueError(f"Tr(rho P) = {value} lies outside [0, 1] beyond tolerance")
     return min(1.0, max(0.0, value))
 
@@ -257,8 +257,7 @@ def context_distribution(rho: DensityOperator, c: Context,
     """
     _check_dims(rho.dim, c.dim)
     probs = np.einsum("ij,jk,ki->i", c.basis.conj().T, rho.matrix, c.basis).real
-    lo, hi = float(probs.min()), float(probs.max())
-    if lo < -tol.abs_eps or hi > 1.0 + tol.abs_eps:
+    if not in_unit_interval(probs, tol):
         raise ValueError("context distribution leaves [0, 1] beyond tolerance")
     return np.clip(probs, 0.0, 1.0)
 

@@ -40,10 +40,6 @@ class HypothesisViolated(QContextsError):
     """A theorem hypothesis (e.g. orthogonality preservation) fails."""
 
 
-class MissingGadget(QContextsError):
-    """Ray map lacks the phase-fixing rays needed for constructive fitting."""
-
-
 class FitFailed(QContextsError):
     """No single operator reproduces the ray map within tolerance; carries the residual."""
 

@@ -25,7 +25,7 @@ from .errors import (
     NotInformationallyComplete,
     ValueOutOfRange,
 )
-from .linalg import DEFAULT_TOL, FrozenValue, Tolerance
+from .linalg import DEFAULT_TOL, FrozenValue, Tolerance, in_unit_interval
 
 __all__ = [
     "FrameSample",
@@ -48,7 +48,7 @@ class FrameSample(FrozenValue):
     _fields = ("projector", "value")
 
     def __init__(self, projector: Projector, value: float, tol: Tolerance = DEFAULT_TOL):
-        if not (-tol.abs_eps <= value <= 1.0 + tol.abs_eps):
+        if not in_unit_interval(value, tol):
             raise ValueOutOfRange(f"frame value {value} outside the unit interval")
         self.__dict__.update(projector=projector, value=value)
 
@@ -124,7 +124,7 @@ def validate_frame_function(samples_by_context: Sequence[tuple[Context, Sequence
             raise DimensionMismatch(
                 f"context '{context.label}' has {context.dim} modalities, "
                 f"got {vals.shape[0]} values")
-        if vals.min() < -tol.abs_eps or vals.max() > 1.0 + tol.abs_eps:
+        if not in_unit_interval(vals, tol):
             raise ValueOutOfRange(
                 f"context '{context.label}' carries a value outside [0, 1]")
         deviation = abs(float(vals.sum()) - 1.0)

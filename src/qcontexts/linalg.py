@@ -18,6 +18,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "max_abs",
+    "in_unit_interval",
     "row_norms",
     "unit_rows",
     "projector_stack",
@@ -103,6 +104,12 @@ def max_abs(m) -> float:
     """Entrywise max-norm."""
     a = np.asarray(m)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def in_unit_interval(values, tol: Tolerance) -> bool:
+    """Whether every value lies in [0, 1] within tol.abs_eps; NaN never does."""
+    lo, hi = -tol.abs_eps, 1.0 + tol.abs_eps
+    return all(lo <= x <= hi for x in np.ravel(values))
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:

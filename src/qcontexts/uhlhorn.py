@@ -6,21 +6,21 @@ operator (for dimension >= 3). A program only ever sees finitely many
 rays, so certification here works on a finite witness set: check the
 orthogonality hypothesis on all listed pairs, fit one phase per ray
 between the Gram matrices to decide the branch, then fit the operator
-from a phase-fixing gadget and verify it on every listed pair.
+to the rephased rays by orthogonal Procrustes and verify it on every pair.
 
 For k rays in dimension n a certification costs O(k^2 n + k^3) time
 and O(k n^2 + k^2) memory. A RayMap holds its source and target unit
 vectors once, as (k, n) arrays made by linalg.unit_rows, and caches no
 more than its Projector pairs, built when asked for. Its tol is the one
-tolerance of its certification: bijectivity and covering rays are decided
-at it once, when the map is built, by linalg.same_ray_pairs, and
+tolerance of its certification: bijectivity and covering contexts are
+checked at it once, when the map is built, by linalg.same_ray_pairs, and
 orthogonality once per certification, by a Gram screen that leaves its
 open pairs to linalg.product_norm, O(k^2 n) each: the stages run check(m),
 classify(m, check), fit(m, classification). The branch is two
 O(k^2) gauge fits along one spanning forest plus a row-wise witness
 search in row blocks (O(k^3) time only if it finds nothing); the fit
-checks one stacked U S U^dag. Pair checks and witnesses reproduce the
-per-pair arithmetic bit for bit.
+is one n x n SVD and checks one stacked U S U^dag. Pair checks and
+witnesses reproduce the per-pair arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
     DimensionTooSmall,
     FitFailed,
     HypothesisViolated,
-    MissingGadget,
 )
 from .linalg import (DEFAULT_TOL, Frozen, Tolerance, first_repeated_ray, max_abs, product_norm,
                      same_ray_pairs, unit_rows)
@@ -61,23 +60,17 @@ __all__ = [
 # Residual ceiling for an accepted operator fit.
 FIT_RESIDUAL_LIMIT = 1e-8
 
-# Pattern threshold for recognizing balanced two-ray superpositions.
-# Gadget rays are constructed exactly, so anything this close is one.
-_GADGET_PATTERN_TOL = 1e-6
-
 
 class RayMap(Frozen):
-    """Finite bijective ray correspondence with covering contexts.
+    """Finite bijective ray correspondence with optional covering contexts.
 
     Row i of the (k, dim) arrays sources and targets lies on pair i's
     source and target ray. The map stores only those rows divided by
     their norms, as the read-only arrays source_vectors and
-    target_vectors. covering_contexts are contexts whose projectors all
-    occur among the sources, candidates for the fiduciary basis of the
-    constructive fit, and covering_rays the sources on their basis rays,
-    one tuple per context: each basis row's first partner in one
-    linalg.same_ray_pairs pass over [basis rows; sources]. All is decided
-    at tol, once, here; the read-only tol is the one every stage reads.
+    target_vectors. covering_contexts are contexts declared to lie among
+    the sources, each checked in one linalg.same_ray_pairs pass over
+    [basis rows; sources] and kept as given; the fit does not need them.
+    All is decided at tol, once, here; tol is the one every stage reads.
     """
 
     def __init__(self, dim: int, sources, targets,
@@ -98,19 +91,14 @@ class RayMap(Frozen):
         if repeated:
             (i, j), which = min(repeated)
             raise ValueError(f"{which} {i} and {j} coincide; map must be bijective")
-        covering_rays = []
         for c in covering_contexts:
             if c.dim != dim:
                 raise DimensionMismatch(f"covering context '{c.label}' has dimension {c.dim}")
-            first = {}  # basis row i -> its first partner j, source j - dim
-            for i, j in same_ray_pairs(np.vstack([c.basis.T, unit[0]]), tol.abs_eps, dim):
-                first.setdefault(i, j - dim)
-            if len(first) < dim:
+            pairs = same_ray_pairs(np.vstack([c.basis.T, unit[0]]), tol.abs_eps, dim)
+            if len({i for i, _ in pairs}) < dim:
                 raise ValueError(f"covering context '{c.label}' has a projector "
                                  "missing from the sources")
-            covering_rays.append(tuple(first[i] for i in range(dim)))
         self.__dict__.update(dim=dim, tol=tol, covering_contexts=covering_contexts,
-                             covering_rays=tuple(covering_rays),
                              source_vectors=unit[0], target_vectors=unit[1])
 
     @cached_property
@@ -141,22 +129,25 @@ class Verdict(enum.Enum):
 
 
 class TransformClassification(NamedTuple):
-    """Branch decision with the decisive Bargmann triple, when one exists."""
+    """Branch decision with the decisive Bargmann triple, when one exists,
+    and the branch's gauge: read-only (k,) phases c with <t_i|t_j> =
+    <c_i s_i|c_j s_j> (s conjugated if anti-unitary), the unitary
+    branch's on Inconclusive and None on Neither."""
 
     verdict: Verdict
     witness_triple: tuple[int, int, int] | None = None
     witness_source_value: complex | None = None
     witness_target_value: complex | None = None
+    phases: np.ndarray | None = None
 
 
 class FitResult(NamedTuple):
-    """Constructively fitted operator and its verification residual."""
+    """Fitted operator and its verification residual."""
 
     transform: ContextTransform
     residual: float
     verdict: Verdict
     ambiguous_branch: bool
-    fiduciary_label: str
 
 
 def check_orthogonality_preserving(m: RayMap) -> OrthogonalityCheck:
@@ -197,14 +188,15 @@ def bargmann_invariant(p1: Projector, p2: Projector, p3: Projector) -> complex:
     return complex(np.trace(p1.matrix @ p2.matrix @ p3.matrix))
 
 
-def _gauge_residuals(gs: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
-    """max |gt[i, j] - conj(c_i) c_j g[i, j]| for g = gs (unitary branch)
-    and g = conj(gs) (anti-unitary), once a unit phase c_j per ray and
-    branch is fixed along one maximum spanning forest of |gs| (Prim,
-    O(k^2)); |conj(gs)| is |gs| bit for bit, so both branches share it.
-    Each tree edge on the path closing a non-tree entry is at least as
-    strong as that entry, so every entry's rounding stays near path length
-    x ulp. The max runs over the row blocks of linalg.row_blocks."""
+def _gauge_fits(gs: np.ndarray, gt: np.ndarray) -> tuple[tuple[float, float], np.ndarray]:
+    """(residuals, c) of both branches' gauge fits: c is a read-only (2, k)
+    array of unit phases c_j fixed along one maximum spanning forest of |gs|
+    (Prim, O(k^2)), and the residuals are max |gt[i, j] - conj(c_i) c_j g[i, j]|
+    for g = gs (row 0, unitary branch) and g = conj(gs) (row 1, anti-unitary);
+    |conj(gs)| is |gs| bit for bit, so both branches share the forest. Each
+    tree edge on the path closing a non-tree entry is at least as strong as
+    that entry, so every entry's rounding stays near path length x ulp. The
+    max runs over the row blocks of linalg.row_blocks."""
     k, weight = len(gs), np.abs(gs)
     c, free = np.ones((2, k), dtype=np.complex128), np.arange(k) > 0
     best, parent = weight[0].copy(), np.zeros(k, dtype=np.intp)  # strongest link to the tree
@@ -216,8 +208,11 @@ def _gauge_residuals(gs: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
         free[j] = False
         closer = free & (weight[j] > best)
         best[closer], parent[closer] = weight[j, closer], j
-    return tuple(max(max_abs(gt[r] - c[b, r, None].conj() * c[b] * (gs[r].conj() if b else gs[r]))
-                     for r in linalg.row_blocks(k, k)) for b in (0, 1))
+    residuals = tuple(
+        max(max_abs(gt[r] - c[b, r, None].conj() * c[b] * (gs[r].conj() if b else gs[r]))
+            for r in linalg.row_blocks(k, k)) for b in (0, 1))
+    c.flags.writeable = False
+    return residuals, c
 
 
 def _first_triple(gs: np.ndarray, gt: np.ndarray, eps: float, misfits=()) -> tuple:
@@ -251,10 +246,12 @@ def classify_transform(m: RayMap, check: OrthogonalityCheck) -> TransformClassif
     branch (Chefles, Jozsa & Winter 2004), so every cycle invariant must
     match, not only the Bargmann triangles. Both branches fit only if all
     cycle invariants are real (Inconclusive); if neither fits: Neither.
-    The witness is the first triple in lexicographic order with a nonreal
-    source invariant: any for a branch verdict; for Neither one fitting
-    neither branch, else a non-unitary one; None if there is none. Fits
-    and invariants are compared at m.tol. check is the caller's
+    The decided branch's D is kept as the classification's phases, which
+    fit_transform builds the operator from. The witness is the first
+    triple in lexicographic order with a nonreal source invariant: any
+    for a branch verdict; for Neither one fitting neither branch, else a
+    non-unitary one; None if there is none. Fits and invariants are
+    compared at m.tol. check is the caller's
     check_orthogonality_preserving(m); a failed one raises
     HypothesisViolated. Cost: O(k^2 n) for the Gram matrices and the
     fits, plus O(k^2) per row of triples up to the witness.
@@ -264,19 +261,21 @@ def classify_transform(m: RayMap, check: OrthogonalityCheck) -> TransformClassif
     eps = m.tol.abs_eps
     gs = m.source_vectors.conj() @ m.source_vectors.T  # Gram matrices <v_i|v_j>
     gt = m.target_vectors.conj() @ m.target_vectors.T
-    unitary, anti = (residual <= eps for residual in _gauge_residuals(gs, gt))
+    residuals, phases = _gauge_fits(gs, gt)
+    unitary, anti = (residual <= eps for residual in residuals)
     if unitary and anti:
-        return TransformClassification(Verdict.INCONCLUSIVE)
+        return TransformClassification(Verdict.INCONCLUSIVE, phases=phases[0])
     if unitary or anti:
         verdict = Verdict.UNITARY if unitary else Verdict.ANTIUNITARY
-        return TransformClassification(verdict, *_first_triple(gs, gt, eps))
+        return TransformClassification(verdict, *_first_triple(gs, gt, eps),
+                                       phases=phases[int(anti)])
     return TransformClassification(Verdict.NEITHER, *(_first_triple(gs, gt, eps, (False, True))
                                                        or _first_triple(gs, gt, eps, (False,))))
 
 
 def gadget_sources(context: Context) -> list[np.ndarray]:
-    """Phase-fixing rays for a fiduciary context: the basis rays plus
-    (e1 + ek)/sqrt(2) and (e1 + i ek)/sqrt(2) for k = 2..N."""
+    """A context's basis rays plus (e1 + ek)/sqrt(2) and (e1 + i ek)/sqrt(2)
+    for k = 2..N, rays that fix an inducing operator up to phase."""
     e = list(context.basis.T)
     rays = list(e)
     for k in range(1, context.dim):
@@ -294,86 +293,35 @@ def induced_ray_map(transform: ContextTransform, context: Context,
                   covering_contexts=(context,), tol=tol)
 
 
-def _superpositions(rays: list[int], source_reps: np.ndarray, label: str) -> list[int]:
-    """Per k = 2..n, the source that pins the phase of fiduciary column k.
-
-    Candidates are recognized by their overlap pattern with the basis rays
-    (all weight on rays 1 and k, half each), invariant under rephasing.
-    The first candidate pair a < b in combinations order whose phase ratio
-    z_b / z_a, z = <e_k|s> / <e_1|s>, is +i or -i decides; its +i-first
-    ray, a or b, is returned.
-    """
-    overlaps = source_reps @ source_reps[rays].conj().T  # [idx, j] = <e_j|s_idx>
-    weights = np.abs(overlaps)
-    weights[rays] = np.inf  # basis rays are never superpositions
-    n, plus = len(rays), []
-    for k in range(1, n):
-        pattern = np.zeros(n)
-        pattern[0] = pattern[k] = 1.0 / np.sqrt(2.0)
-        idx = np.flatnonzero(np.abs(weights - pattern).max(axis=1) <= _GADGET_PATTERN_TOL)
-        z = overlaps[idx, k] / overlaps[idx, 0]
-        ratio = z / z[:, None]  # [a, b] = z_b / z_a
-        turned = np.abs(ratio - 1j) <= _GADGET_PATTERN_TOL
-        pairs = np.flatnonzero(np.triu(turned | (np.abs(ratio + 1j) <= _GADGET_PATTERN_TOL), 1))
-        if not pairs.size:
-            raise MissingGadget(f"no balanced superposition pair for basis rays (1, {k + 1}) "
-                                f"of context '{label}'")
-        a, b = divmod(int(pairs[0]), len(idx))
-        plus.append(int(idx[a] if turned[a, b] else idx[b]))
-    return plus
-
-
 def fit_transform(m: RayMap, classification: TransformClassification) -> FitResult:
     """Fit the single operator inducing the map and verify it everywhere.
 
-    The branch is the verdict of classification, which the caller gets
-    from classify_transform(m, check); no triple is scanned here. The
-    fiduciary basis is the first covering context with a full gadget, at
-    its m.covering_rays, and the operator is checked unitary at m.tol. An
-    Inconclusive branch (all-real data, where the branches coincide)
-    falls back to the unitary fit and is flagged; on nonreal data the
-    wrong branch ends in FitFailed. The operator is built column by
-    column from the fiduciary basis images, with each column's phase
-    pinned by the balanced-superposition images; its global phase is
-    normalized so the first nonzero entry of the first column is real
-    positive. The residual is the max-norm of T_i - U S_i U^dag (S_i
-    conjugated on the anti-unitary branch) over the whole stack at once.
+    The branch and the gauge c are classification's verdict and phases,
+    from classify_transform(m, check); nothing is searched here. On that
+    branch the rows c_j s_j (s_j conjugated if anti-unitary) and t_j have
+    equal Gram matrices, so U is the orthogonal Procrustes solution
+    W V^dag of the SVD W S V^dag of sum_j t_j (c_j s_j)^dag (Schonemann
+    1966), checked unitary at m.tol. Inconclusive (all-real data, where
+    the branches coincide) takes the unitary fit and is flagged; on
+    nonreal data the wrong branch ends in FitFailed. Sources that do not
+    span C^n leave U free off their span: it is one of many operators
+    that reproduce every pair. U's global phase makes the first nonzero
+    entry of its first column real positive. The residual is the max-norm
+    of T_i - U S_i U^dag (S_i conjugated if anti-unitary) over the stack.
     """
     verdict = classification.verdict
     if verdict is Verdict.NEITHER:
         raise HypothesisViolated(
             "Bargmann invariants are inconsistent with any single operator")
     anti = verdict is Verdict.ANTIUNITARY
-    ambiguous = verdict is Verdict.INCONCLUSIVE
 
     # Anti-unitary action is conjugation followed by a unitary; fitting in
     # the conjugated source gauge reduces both branches to the unitary case.
     source_reps = m.source_vectors.conj() if anti else m.source_vectors
     target_reps = m.target_vectors
-
-    last_error = MissingGadget("ray map lists no covering context")
-    for context, rays in zip(m.covering_contexts, map(list, m.covering_rays)):
-        try:
-            superpositions = _superpositions(rays, source_reps, context.label)
-            break
-        except MissingGadget as exc:
-            last_error = exc
-    else:
-        raise last_error
-
-    n = m.dim
-    e, f = source_reps[rays], target_reps[rays]
-    phases = [1.0 + 0.0j]
-    for k, plus_idx in enumerate(superpositions, 1):
-        s, g = source_reps[plus_idx], target_reps[plus_idx]
-        zeta = np.vdot(e[k], s) / np.vdot(e[0], s)
-        ratio = np.vdot(f[k], g) / np.vdot(f[0], g)
-        phi = ratio / zeta
-        phases.append(phi / abs(phi))
-
-    u = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        u += phases[k] * np.outer(f[k], e[k].conj())
+    rephased = classification.phases[:, None] * source_reps  # rows c_j s_j
+    w, _, vh = np.linalg.svd(target_reps.T @ rephased.conj())
+    u = w @ vh
 
     nonzero = np.flatnonzero(np.abs(u[:, 0]) > 1e-12)
     if nonzero.size:
@@ -386,4 +334,4 @@ def fit_transform(m: RayMap, classification: TransformClassification) -> FitResu
     if residual > FIT_RESIDUAL_LIMIT:
         raise FitFailed(residual, FIT_RESIDUAL_LIMIT)
     return FitResult(transform=transform, residual=residual, verdict=verdict,
-                     ambiguous_branch=ambiguous, fiduciary_label=context.label)
+                     ambiguous_branch=verdict is Verdict.INCONCLUSIVE)

@@ -17,7 +17,6 @@ from qcontexts.core import (
     make_context,
     make_generator,
 )
-from qcontexts.errors import MissingGadget
 from qcontexts.linalg import DEFAULT_TOL, is_unitary, max_abs, projector_stack
 from qcontexts.topology import Permutation, _eigensystem, permutation_matrix
 from qcontexts.uhlhorn import RayMap
@@ -104,11 +103,15 @@ def ref_find_source(m: RayMap, v: np.ndarray, tol=DEFAULT_TOL) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+class MissingGadget(Exception):
+    """A covering context of the map lacks the rays ref_fit needs."""
+
+
 def ref_locate_gadget(m: RayMap, context, source_reps: np.ndarray):
-    """The fiduciary gadget as the pair loop that uhlhorn._superpositions
-    replaced, kept as the reference for its picks: basis indices found at
-    m.tol by ref_find_source and, per column k, the first candidate pair in
-    combinations order whose phase ratio is +i or -i, oriented to +i."""
+    """The phase-fixing gadget as the operator fit once required it: basis
+    indices found at m.tol by ref_find_source and, per column k, the first
+    candidate pair in combinations order whose phase ratio is +i or -i,
+    oriented to +i."""
     basis_idx = [ref_find_source(m, v, m.tol) for v in context.basis.T]
     if None in basis_idx:
         raise MissingGadget("fiduciary projector missing from sources")
@@ -141,10 +144,12 @@ def ref_locate_gadget(m: RayMap, context, source_reps: np.ndarray):
 
 
 def ref_fit(m: RayMap, antiunitary: bool) -> tuple[np.ndarray, float, str]:
-    """(matrix, residual, fiduciary label) of the operator fit as it stood
-    while the gadget was located at fit time, by ref_locate_gadget: one
-    column per fiduciary basis image, each phase pinned by the +i-first
-    superposition ray, the global phase fixed by the first column."""
+    """(matrix, residual, fiduciary label) of the gadget fit that the
+    Procrustes fit replaced, kept as the reference for its matrices: the
+    gadget located by ref_locate_gadget in the first covering context that
+    has one, one column per fiduciary basis image, each phase pinned by
+    the +i-first superposition ray, the global phase fixed by the first
+    column."""
     source_reps = m.source_vectors.conj() if antiunitary else m.source_vectors
     target_reps = m.target_vectors
     last_error = MissingGadget("ray map lists no covering context")

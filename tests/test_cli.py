@@ -7,13 +7,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import qcontexts
-from helpers import golden_cases, peak_allocation, simulate_reference
+from helpers import golden_cases, peak_allocation, phase_aligned_distance, simulate_reference
 from qcontexts import cli
 from qcontexts.cli import main
 from qcontexts.core import make_generator
@@ -28,7 +29,14 @@ from qcontexts.jsonio import (
     load_json_file,
     ray_map_to_json,
 )
-from qcontexts.sampling import random_context, random_density, random_ray_map, random_state_vector
+from qcontexts.sampling import (
+    random_context,
+    random_density,
+    random_ray_map,
+    random_state_vector,
+    random_unitary,
+)
+from qcontexts.uhlhorn import RayMap
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMAS = Path(__file__).parents[1] / "src" / "qcontexts" / "schemas"
@@ -194,6 +202,22 @@ class TestUhlhorn:
         assert payload["verdict"] == "Antiunitary"
         assert payload["antiunitary"] is True
         assert payload["residual"] <= 1e-8
+
+    def test_map_without_covering_context_certifies(self, capsys, tmp_path):
+        # twelve random rays through a random unitary, and nothing else
+        rng = make_generator(12)
+        u = random_unitary(3, rng)
+        rays = [random_state_vector(3, rng) for _ in range(12)]
+        doc = ray_map_to_json(RayMap(3, rays, [u @ r for r in rays]))
+        assert doc["covering_contexts"] == []
+        code, out, err = _run_with_documents(capsys, tmp_path, "uhlhorn", doc)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        validate(payload, "uhlhorn")
+        assert (payload["verdict"], payload["antiunitary"]) == ("Unitary", False)
+        assert payload["residual"] <= 1e-8
+        matrix = np.array(payload["matrix"]) @ [1, 1j]
+        assert phase_aligned_distance(matrix, u) <= 1e-8
 
     def test_orthogonality_violation_exits_one(self, capsys, tmp_path):
         with open(ds("raymap_unitary_dim3.json"), encoding="utf-8") as fh:

@@ -102,6 +102,13 @@ class TestValidateFrameFunction:
         with pytest.raises(ValueOutOfRange):
             validate_frame_function([(standard_context(3), [1.2, -0.1, -0.1])])
 
+    def test_nan_value_raises(self):
+        # NaN fails every comparison, so it must not pass as inside [0, 1]
+        with pytest.raises(ValueOutOfRange, match="context 'standard' carries a value"):
+            validate_frame_function([(standard_context(3), [np.nan, 0.5, 0.5])])
+        with pytest.raises(ValueOutOfRange):
+            FrameSample(standard_context(3).projectors[0], np.nan)
+
 
 class TestInformationalCompleteness:
     def test_single_context_has_rank_n(self):

@@ -8,6 +8,7 @@ from qcontexts.core import Projector, make_generator
 from qcontexts.linalg import (
     Tolerance,
     first_repeated_ray,
+    in_unit_interval,
     is_unitary,
     product_norm,
     same_ray_pairs,
@@ -23,6 +24,14 @@ def test_tolerance_defaults_and_sanity_bound():
     for bad in (1e-2, -1.0, 0.0, 1e-300, float("nan")):
         with pytest.raises(ValueError):
             Tolerance(abs_eps=bad)
+
+
+def test_unit_interval_within_tolerance_rejects_nan():
+    tol = Tolerance(1e-6)
+    assert in_unit_interval(0.5, tol) and in_unit_interval([-1e-6, 1 + 1e-6], tol)
+    assert in_unit_interval(np.array([[0.0, 1.0]]), tol) and in_unit_interval([], tol)
+    for bad in (-2e-6, 1 + 2e-6, np.nan, [0.5, np.nan], [np.inf, 0.5]):
+        assert not in_unit_interval(bad, tol), bad
 
 
 def test_tolerance_is_an_immutable_value():

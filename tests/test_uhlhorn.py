@@ -17,7 +17,6 @@ from helpers import (
     ref_find_source,
     ref_fit,
     ref_gauge_residual,
-    ref_locate_gadget,
     standard_basis,
     standard_context,
 )
@@ -28,12 +27,12 @@ from qcontexts.errors import (
     DimensionTooSmall,
     FitFailed,
     HypothesisViolated,
-    MissingGadget,
 )
 from qcontexts.jsonio import ray_map_to_json
 from qcontexts.linalg import DEFAULT_TOL, Tolerance, max_abs
 from qcontexts.sampling import random_ray_map, random_state_vector, random_unitary
 from qcontexts.uhlhorn import (
+    FIT_RESIDUAL_LIMIT,
     OrthogonalityCheck,
     RayMap,
     TransformClassification,
@@ -94,10 +93,8 @@ class TestRayMap:
 
     def test_immutable_and_certified_without_cached_stacks(self):
         m = identity_map(3)
-        fields = ["covering_contexts", "covering_rays", "dim", "source_vectors",
-                  "target_vectors", "tol"]
+        fields = ["covering_contexts", "dim", "source_vectors", "target_vectors", "tol"]
         assert sorted(vars(m)) == fields
-        assert m.covering_rays == ((0, 1, 2),)
         assert m.tol is DEFAULT_TOL
         loose = Tolerance(1e-4)
         assert RayMap(3, m.source_vectors, m.target_vectors, tol=loose).tol is loose
@@ -106,8 +103,7 @@ class TestRayMap:
         fit_transform(m, classify_transform(m, check))
         # a full certification leaves the map holding what it was built with
         assert sorted(vars(m)) == fields
-        for name in ("dim", "pairs", "covering_contexts", "covering_rays", "source_vectors",
-                     "tol"):
+        for name in ("dim", "pairs", "covering_contexts", "source_vectors", "tol"):
             with pytest.raises(AttributeError):
                 setattr(m, name, None)
             with pytest.raises(AttributeError):
@@ -311,23 +307,25 @@ class TestFitTransform:
         assert fit.residual <= 1e-8
         assert phase_aligned_distance(fit.transform.matrix, np.eye(3)) <= 1e-8
 
-    def test_missing_gadget_raises(self):
-        # basis rays only, no superpositions
+    def test_basis_only_map_certifies(self):
+        # basis rays only, no superpositions: all overlaps vanish, so the
+        # branches coincide, and the identity reproduces every pair
         c = standard_context(3)
-        ident = ContextTransform.from_matrix(np.eye(3))
         pairs = tuple((p, p) for p in c.projectors)
         m = ray_map(3, pairs, covering_contexts=(c,))
-        with pytest.raises(MissingGadget):
-            fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
+        fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
+        assert fit.verdict is Verdict.INCONCLUSIVE and fit.ambiguous_branch
+        assert fit.residual == 0.0
 
-    def test_no_covering_context_raises(self):
+    def test_undeclared_gadget_certifies(self):
         rng = make_generator(72)
         u = ContextTransform.from_matrix(random_unitary(3, rng))
         rays = gadget_sources(standard_context(3))
         pairs = tuple((proj(r), proj(u.act_vector(r))) for r in rays)
         m = ray_map(3, pairs)  # gadget rays present but undeclared
-        with pytest.raises(MissingGadget):
-            fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
+        fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
+        assert fit.verdict is Verdict.UNITARY and fit.residual <= FIT_RESIDUAL_LIMIT
+        assert phase_aligned_distance(fit.transform.matrix, u.matrix) <= 1e-8
 
     def test_neither_verdict_raises_hypothesis_violated(self):
         # compose a unitary on one triple with a conjugation on another by
@@ -340,9 +338,11 @@ class TestFitTransform:
         pairs[n - 2] = (pairs[n - 2][0], m.pairs[n - 1][1])
         tampered = ray_map(3, tuple(pairs),
                           covering_contexts=m.covering_contexts)
-        with pytest.raises((HypothesisViolated, MissingGadget)):
-            check = check_orthogonality_preserving(tampered)
-            fit_transform(tampered, classify_transform(tampered, check))
+        check = check_orthogonality_preserving(tampered)
+        classification = classify_transform(tampered, check)
+        assert classification.verdict is Verdict.NEITHER and classification.phases is None
+        with pytest.raises(HypothesisViolated):
+            fit_transform(tampered, classification)
 
     def test_loose_tolerance_inconsistency_raises_fit_failed(self):
         # a target nudged by ~1e-5 slips past a 1e-4 classification tolerance
@@ -373,8 +373,8 @@ class TestFitTransform:
             for k, (s, t) in enumerate(m.pairs)
         )
         contexts = tuple(
-            make_context([phases[2 * j] * v for j, v in zip(rays, c.basis.T)], c.label)
-            for c, rays in zip(m.covering_contexts, m.covering_rays)
+            make_context([phases[2 * ref_find_source(m, v)] * v for v in c.basis.T], c.label)
+            for c in m.covering_contexts
         )
         rephased = ray_map(3, pairs, covering_contexts=contexts)
         fit_b = fit_transform(
@@ -543,9 +543,14 @@ def reference_cases():
     return cases
 
 
+def _decided(c: TransformClassification) -> TransformClassification:
+    """c with its verdict and witness fields only, as ref_classify gives them."""
+    return c._replace(phases=None)
+
+
 def _outcome(fn, *args):
     try:
-        return fn(*args)
+        return _decided(fn(*args))
     except HypothesisViolated as exc:
         return ("raised", str(exc))
 
@@ -617,7 +622,7 @@ class TestKernelsMatchReference:
                 check = check_orthogonality_preserving(case)
                 assert check == ref_check(case)
                 classification = classify_transform(case, check)
-                assert classification == ref_classify(case)
+                assert _decided(classification) == ref_classify(case)
             assert classification.verdict is Verdict.NEITHER  # the swapped map's
 
     def test_find_source_matches_the_stack_rule(self):
@@ -702,49 +707,85 @@ def _gadget_map(n: int, anti: bool, seed: int) -> RayMap:
                   [p * hidden.act_vector(r) for p, r in zip(phases[1], rays)], contexts)
 
 
-class TestGadgetPick:
-    """_superpositions picks, column by column, the ray that the pair loop it
-    replaced (helpers.ref_locate_gadget) oriented first, and the fit on the
-    map's covering rays is that loop's fit (helpers.ref_fit), bit for bit."""
+class TestGadgetFit:
+    """On maps that carry the phase-fixing gadget the fit once required,
+    the Procrustes fit gives the gadget fit's operator (helpers.ref_fit)
+    within 1e-13 per entry, on the branch the map was made on."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("anti", [False, True])
-    def test_matches_the_pair_loop(self, n, anti):
+    def test_matches_the_gadget_fit(self, n, anti):
         for seed in range(12):
             m = _gadget_map(n, anti, seed)
-            source_reps = m.source_vectors.conj() if anti else m.source_vectors
-            for c, rays in zip(m.covering_contexts, m.covering_rays):
-                try:
-                    basis_idx, pairs = ref_locate_gadget(m, c, source_reps)
-                except MissingGadget as exc:
-                    assert c.label == "plain"
-                    with pytest.raises(MissingGadget, match=re.escape(str(exc))):
-                        uhlhorn._superpositions(list(rays), source_reps, c.label)
-                    continue
-                assert list(rays) == basis_idx
-                # the leading pair decides column 1: -i as listed, +i once conjugated
-                assert pairs[0] == ((0, 1) if anti else (1, 0))
-                assert uhlhorn._superpositions(list(rays), source_reps, c.label) == [
-                    plus for plus, _ in pairs]
+            fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
+            matrix, residual, label = ref_fit(m, anti)
+            assert fit.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
+            assert max_abs(fit.transform.matrix - matrix) <= 1e-13
+            assert label == "fid" and max(fit.residual, residual) <= FIT_RESIDUAL_LIMIT
+
+
+def _gadget_free_map(n: int, k: int, anti: bool, seed: int):
+    """(map, hidden operator): k random rays in dimension n through a random
+    unitary or anti-unitary, every source and target rephased at random,
+    with no covering context."""
+    rng = make_generator(seed)
+    hidden = ContextTransform.from_matrix(random_unitary(n, rng), antiunitary=anti)
+    rays = [random_state_vector(n, rng) for _ in range(k)]
+    phases = np.exp(2j * np.pi * rng.random((2, k)))
+    return RayMap(n, [p * r for p, r in zip(phases[0], rays)],
+                  [p * hidden.act_vector(r) for p, r in zip(phases[1], rays)]), hidden
+
+
+class TestGadgetFreeFit:
+    """Any operator-induced map certifies: the fit needs only the gauge
+    phases of the branch fit, no covering context and no superposition rays."""
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_recovers_the_hidden_operator(self, n, anti):
+        for k in (n + 1, 2 * n, 40, 300):
+            m, hidden = _gadget_free_map(n, k, anti, seed=100 * n + k)
             classification = classify_transform(m, check_orthogonality_preserving(m))
             assert classification.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
             fit = fit_transform(m, classification)
-            matrix, residual, label = ref_fit(m, anti)
-            assert np.array_equal(fit.transform.matrix, matrix)
-            assert (fit.residual, fit.fiduciary_label) == (residual, label)
-            assert label == "fid" and residual <= 1e-8
+            assert fit.transform.antiunitary is anti and not fit.ambiguous_branch
+            assert fit.residual <= FIT_RESIDUAL_LIMIT
+            assert phase_aligned_distance(fit.transform.matrix, hidden.matrix) <= 1e-8
 
-    def test_covering_rays_match_the_stack_rule(self):
-        """On 400 gadget maps, each covering context's rays, found in one
-        same-ray pass per context, are the lowest sources that the stack
-        rule (helpers.ref_find_source) finds for its basis vectors one by one."""
-        for n in (3, 4, 5, 6):
-            for anti in (False, True):
-                for seed in range(50):
-                    m = _gadget_map(n, anti, seed)
-                    assert len(m.covering_rays) == 1 + seed % 2
-                    for c, rays in zip(m.covering_contexts, m.covering_rays):
-                        assert rays == tuple(ref_find_source(m, v, m.tol) for v in c.basis.T)
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_phases_are_the_decided_gauge(self, anti):
+        """The classification's phases c satisfy <t_i|t_j> = <c_i s_i|c_j s_j>
+        on the decided branch, as a read-only (k,) array."""
+        m, _ = _gadget_free_map(4, 30, anti, seed=7)
+        phases = classify_transform(m, check_orthogonality_preserving(m)).phases
+        assert phases.shape == (30,) and not phases.flags.writeable
+        s = phases[:, None] * (m.source_vectors.conj() if anti else m.source_vectors)
+        t = m.target_vectors
+        assert max_abs(t.conj() @ t.T - s.conj() @ s.T) <= 1e-13
+        assert max_abs(np.abs(phases) - 1) <= 1e-15
+
+    def test_inconclusive_keeps_the_unitary_gauge(self):
+        m = _real_map()
+        classification = classify_transform(m, check_orthogonality_preserving(m))
+        assert classification.verdict is Verdict.INCONCLUSIVE
+        gs, gt = _grams(m)
+        assert np.array_equal(classification.phases, uhlhorn._gauge_fits(gs, gt)[1][0])
+
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_sources_in_a_plane_certify(self, anti):
+        """Twenty rays in span(e1, e2) of C^3 fix the operator on that plane
+        only; the fit is one of many operators, and reproduces every pair."""
+        rng = make_generator(40)
+        hidden = ContextTransform.from_matrix(random_unitary(3, rng), antiunitary=anti)
+        rays = [np.append(random_state_vector(2, rng), 0) for _ in range(20)]
+        m = RayMap(3, rays, [hidden.act_vector(r) for r in rays])
+        assert np.linalg.matrix_rank(m.source_vectors) == 2
+        classification = classify_transform(m, check_orthogonality_preserving(m))
+        assert classification.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
+        fit = fit_transform(m, classification)
+        assert fit.residual <= FIT_RESIDUAL_LIMIT
+        assert fit.residual == max(
+            max_abs(t.matrix - act_matrix(fit.transform, s.matrix)) for s, t in m.pairs)
 
 
 def _edge_rays(n: int, value: float, rng=None) -> list[np.ndarray]:
@@ -827,7 +868,8 @@ class TestGaugeVerdicts:
         assert ref_classify(m) == TransformClassification(Verdict.INCONCLUSIVE)
         branch = Verdict.ANTIUNITARY if anti else Verdict.UNITARY
         check = check_orthogonality_preserving(m)
-        assert classify_transform(m, check) == TransformClassification(branch)  # no witness
+        # no witness
+        assert _decided(classify_transform(m, check)) == TransformClassification(branch)
 
     def test_changed_overlap_modulus_is_neither(self):
         # orthogonality holds both ways, but |<e0|s3>| goes from 1/sqrt2 to cos 0.3
@@ -838,7 +880,7 @@ class TestGaugeVerdicts:
         check = check_orthogonality_preserving(m)
         assert check.ok
         assert ref_classify(m) == TransformClassification(Verdict.INCONCLUSIVE)
-        assert classify_transform(m, check) == TransformClassification(Verdict.NEITHER)
+        assert _decided(classify_transform(m, check)) == TransformClassification(Verdict.NEITHER)
 
 
 def nudged_identity_map(tol=DEFAULT_TOL):
@@ -963,7 +1005,12 @@ class TestOrthogonalityMemo:
         path.write_text(json.dumps(ray_map_to_json(loose)))
         assert cli.main(["uhlhorn", "--tol", "1e-4", str(path)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["verdict"], payload["residual"]) == ("Unitary", failed.value.residual)
+        # the reader renormalizes the nudged target, which moves its last bit
+        read = jsonio.ray_map_from_json(json.loads(path.read_text()), Tolerance(1e-4))
+        with pytest.raises(FitFailed) as read_failed:
+            fit_transform(read, classify_transform(read, check_orthogonality_preserving(read)))
+        assert (payload["verdict"], payload["residual"]) == ("Unitary", read_failed.value.residual)
+        assert payload["residual"] == pytest.approx(failed.value.residual, rel=1e-9)
         strict = check_orthogonality_preserving(nudged_identity_map())
         assert not strict.ok and strict.violating_pair == (0, 1)
 
@@ -1033,7 +1080,7 @@ def test_missing_covering_ray_fails_without_a_scan_of_the_sources(monkeypatch):
     stack below them, not the 1200 sources against each other, and names
     the context."""
     m = _large_map(1200)
-    keep = np.arange(1200) != m.covering_rays[0][1]
+    keep = np.arange(1200) != ref_find_source(m, m.covering_contexts[0].basis[:, 1])
     calls, blocks = [], linalg.row_blocks
 
     def counted(stop, width, start=0):
@@ -1066,10 +1113,10 @@ def test_gauge_residual_is_the_same_in_any_row_blocks(monkeypatch, anti):
     gs, gt = _grams(m)
     expected = (ref_gauge_residual(gs, gt), ref_gauge_residual(gs.conj(), gt))
     assert (expected[0] <= 1e-9, expected[1] <= 1e-9) == (not anti, anti)
-    assert uhlhorn._gauge_residuals(gs, gt) == expected
+    assert uhlhorn._gauge_fits(gs, gt)[0] == expected
     for rows in (1, 7, 59):
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 60 * rows)
-        assert uhlhorn._gauge_residuals(gs, gt) == expected
+        assert uhlhorn._gauge_fits(gs, gt)[0] == expected
 
 
 def test_witness_is_the_same_in_any_row_blocks(monkeypatch):
