@@ -141,14 +141,13 @@ def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
         return payload, EXIT_NEGATIVE
 
     classification = classify_transform(ray_map, check)
-    verdict, triple = classification.verdict, classification.witness_triple
-    source_value = classification.witness_source_value
-    target_value = classification.witness_target_value
+    verdict = classification.verdict
     payload.update({
         "verdict": verdict.value,
-        "witness_triple": None if triple is None else list(triple),
-        "witness_source_value": None if source_value is None else complex_to_json(source_value),
-        "witness_target_value": None if target_value is None else complex_to_json(target_value),
+        "witnesses": {branch.value: {"cycle": list(cycle),
+                                     "source_value": complex_to_json(source),
+                                     "target_value": complex_to_json(target)}
+                      for branch, (cycle, source, target) in classification.witnesses.items()},
     })
     if verdict is Verdict.NEITHER:
         return payload, EXIT_NEGATIVE
@@ -161,7 +160,7 @@ def cmd_uhlhorn(args, tol: Tolerance) -> tuple[dict, int]:
         "antiunitary": fit.transform.antiunitary,
         "matrix": complex_to_json(fit.transform.matrix),
         "residual": fit.residual,
-        "ambiguous_branch": fit.ambiguous_branch,
+        "ambiguous_branch": verdict is Verdict.INCONCLUSIVE,
     })
     return payload, EXIT_OK
 

@@ -147,11 +147,11 @@ def product_norm(u: np.ndarray, v: np.ndarray) -> float:
 _BLOCK_ENTRIES = 1 << 15  # complex entries per block: 512 KiB, about 1 MiB with its temporaries
 
 
-def row_blocks(stop: int, width: int, start: int = 0) -> list[slice]:
-    """Slices [a, a + rows) for a = start, start + rows, ... < stop, with
+def row_blocks(stop: int, width: int) -> list[slice]:
+    """Slices [a, a + rows) for a = 0, rows, ... < stop, with
     rows = max(1, _BLOCK_ENTRIES // width) for rows of width entries."""
     rows = max(1, _BLOCK_ENTRIES // max(1, width))
-    return [slice(a, a + rows) for a in range(start, stop, rows)]
+    return [slice(a, a + rows) for a in range(0, stop, rows)]
 
 
 def same_ray_pairs(vectors: np.ndarray, eps: float, stop: int | None = None):

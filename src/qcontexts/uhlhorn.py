@@ -8,8 +8,8 @@ orthogonality hypothesis on all listed pairs, fit one phase per ray
 between the Gram matrices to decide the branch, then fit the operator
 to the rephased rays by orthogonal Procrustes and verify it on every pair.
 
-For k rays in dimension n a certification costs O(k^2 n + k^3) time
-and O(k n^2 + k^2) memory. A RayMap holds its source and target unit
+For k rays in dimension n a certification costs O(k^2 n) time and
+O(k n^2 + k^2) memory. A RayMap holds its source and target unit
 vectors once, as (k, n) arrays made by linalg.unit_rows, and caches no
 more than its Projector pairs, built when asked for. Its tol is the one
 tolerance of its certification: bijectivity and covering contexts are
@@ -17,16 +17,17 @@ checked at it once, when the map is built, by linalg.same_ray_pairs, and
 orthogonality once per certification, by a Gram screen that leaves its
 open pairs to linalg.product_norm, O(k^2 n) each: the stages run check(m),
 classify(m, check), fit(m, classification). The branch is two
-O(k^2) gauge fits along one spanning forest plus a row-wise witness
-search in row blocks (O(k^3) time only if it finds nothing); the fit
-is one n x n SVD and checks one stacked U S U^dag. Pair checks and
-witnesses reproduce the per-pair arithmetic bit for bit.
+O(k^2) gauge fits along one spanning forest, in row blocks, and each
+rejected branch's witness is read off that forest in the same pass: its
+first misfit entry, closed into a cycle by the forest path between its
+ends. The fit is one n x n SVD and checks one stacked U S U^dag. Pair
+checks reproduce the per-pair arithmetic bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -129,16 +130,15 @@ class Verdict(enum.Enum):
 
 
 class TransformClassification(NamedTuple):
-    """Branch decision with the decisive Bargmann triple, when one exists,
-    and the branch's gauge: read-only (k,) phases c with <t_i|t_j> =
-    <c_i s_i|c_j s_j> (s conjugated if anti-unitary), the unitary
-    branch's on Inconclusive and None on Neither."""
+    """Branch decision; witnesses, which maps each rejected branch's Verdict
+    to a cycle and its Bargmann invariants, as _witness gives them; and the
+    branch's gauge: read-only (k,) phases c with <t_i|t_j> = <c_i s_i|c_j s_j>
+    (s conjugated if anti-unitary), the unitary branch's on Inconclusive
+    and None on Neither."""
 
     verdict: Verdict
-    witness_triple: tuple[int, int, int] | None = None
-    witness_source_value: complex | None = None
-    witness_target_value: complex | None = None
-    phases: np.ndarray | None = None
+    witnesses: dict[Verdict, tuple[tuple[int, ...], complex, complex]]
+    phases: np.ndarray | None
 
 
 class FitResult(NamedTuple):
@@ -146,8 +146,6 @@ class FitResult(NamedTuple):
 
     transform: ContextTransform
     residual: float
-    verdict: Verdict
-    ambiguous_branch: bool
 
 
 def check_orthogonality_preserving(m: RayMap) -> OrthogonalityCheck:
@@ -181,22 +179,47 @@ def check_orthogonality_preserving(m: RayMap) -> OrthogonalityCheck:
     return OrthogonalityCheck(ok=True)
 
 
-def bargmann_invariant(p1: Projector, p2: Projector, p3: Projector) -> complex:
-    """Tr(P1 P2 P3): unitary-conjugation invariant, conjugated by anti-unitaries."""
-    if len({p1.dim, p2.dim, p3.dim}) > 1:
+def bargmann_invariant(*projectors: Projector) -> complex:
+    """Tr(P1 P2 ... Pm) for m >= 2: unitary-conjugation invariant,
+    conjugated by anti-unitaries; |<u|v>|^2 for the pair (P_u, P_v)."""
+    if len(projectors) < 2:
+        raise ValueError("a Bargmann invariant takes at least two projectors")
+    if len({p.dim for p in projectors}) > 1:
         raise DimensionMismatch("projectors live in different dimensions")
-    return complex(np.trace(p1.matrix @ p2.matrix @ p3.matrix))
+    return complex(np.trace(reduce(np.matmul, (p.matrix for p in projectors))))
 
 
-def _gauge_fits(gs: np.ndarray, gt: np.ndarray) -> tuple[tuple[float, float], np.ndarray]:
-    """(residuals, c) of both branches' gauge fits: c is a read-only (2, k)
-    array of unit phases c_j fixed along one maximum spanning forest of |gs|
-    (Prim, O(k^2)), and the residuals are max |gt[i, j] - conj(c_i) c_j g[i, j]|
-    for g = gs (row 0, unitary branch) and g = conj(gs) (row 1, anti-unitary);
-    |conj(gs)| is |gs| bit for bit, so both branches share the forest. Each
-    tree edge on the path closing a non-tree entry is at least as strong as
-    that entry, so every entry's rounding stays near path length x ulp. The
-    max runs over the row blocks of linalg.row_blocks."""
+def _witness(gs, gt, parent, i: int, j: int, anti: bool, eps: float) -> tuple:
+    """(cycle, source value, target value) for the misfit entry (i, j): the
+    pair (i, j) if |gs[i, j]| and |gt[i, j]| differ by more than eps, which
+    no operator allows, else i, the forest path to j, then j. The values
+    are the products Tr(P_i ... P_j) of Gram entries around the cycle, the
+    source's conjugated if anti. Each tree edge on the path is at least as
+    strong as the entry, so they do not vanish, and their rounding stays
+    near cycle length x ulp."""
+    cycle, up = [i, j], [i]
+    if abs(abs(gs[i, j]) - abs(gt[i, j])) <= eps:
+        while up[-1]:  # the root 0 is its own parent
+            up.append(int(parent[up[-1]]))
+        depth, down = {v: d for d, v in enumerate(up)}, [j]
+        while down[-1] not in depth:
+            down.append(int(parent[down[-1]]))
+        cycle = up[:depth[down[-1]]] + down[::-1]
+    edges = (cycle, cycle[1:] + cycle[:1])
+    source, target = np.prod(gs[edges]), np.prod(gt[edges])
+    return tuple(cycle), complex(source.conjugate() if anti else source), complex(target)
+
+
+def _gauge_fits(gs: np.ndarray, gt: np.ndarray, eps: float) -> tuple:
+    """(residuals, c, witnesses) of both branches' gauge fits: c is a
+    read-only (2, k) array of unit phases c_j fixed along one maximum
+    spanning forest of |gs| (Prim, O(k^2)), and the residuals are
+    max |gt[i, j] - conj(c_i) c_j g[i, j]| for g = gs (row 0, unitary
+    branch) and g = conj(gs) (row 1, anti-unitary); |conj(gs)| is |gs| bit
+    for bit, so both branches share the forest. The max runs over the row
+    blocks of linalg.row_blocks, which also find the first entry above eps
+    in row-major order of each branch that has one, sorted to i < j (the
+    residuals are Hermitian up to rounding): its witness is _witness's."""
     k, weight = len(gs), np.abs(gs)
     c, free = np.ones((2, k), dtype=np.complex128), np.arange(k) > 0
     best, parent = weight[0].copy(), np.zeros(k, dtype=np.intp)  # strongest link to the tree
@@ -208,34 +231,16 @@ def _gauge_fits(gs: np.ndarray, gt: np.ndarray) -> tuple[tuple[float, float], np
         free[j] = False
         closer = free & (weight[j] > best)
         best[closer], parent[closer] = weight[j, closer], j
-    residuals = tuple(
-        max(max_abs(gt[r] - c[b, r, None].conj() * c[b] * (gs[r].conj() if b else gs[r]))
-            for r in linalg.row_blocks(k, k)) for b in (0, 1))
+    residuals, witnesses = [0.0, 0.0], {}
+    for r in linalg.row_blocks(k, k):
+        for b, branch in enumerate((Verdict.UNITARY, Verdict.ANTIUNITARY)):
+            a = np.abs(gt[r] - c[b, r, None].conj() * c[b] * (gs[r].conj() if b else gs[r]))
+            residuals[b] = max(residuals[b], float(a.max()))
+            if branch not in witnesses and residuals[b] > eps:  # its first misfit is in r
+                row, col = divmod(int(np.argmax(a > eps)), k)
+                witnesses[branch] = _witness(gs, gt, parent, *sorted((r.start + row, col)), b, eps)
     c.flags.writeable = False
-    return residuals, c
-
-
-def _first_triple(gs: np.ndarray, gt: np.ndarray, eps: float, misfits=()) -> tuple:
-    """(triple, source value, target value) of the first triple i < j < l
-    whose source invariant g_ij g_jl g_li is nonreal and whose target
-    invariant fits no branch in misfits (True is the anti-unitary one),
-    or () if none. One row i at a time, O(k^2) each, up to the first hit,
-    in the blocks of rows j of linalg.row_blocks."""
-    k = len(gs)
-    for i in range(k - 2):
-        r = slice(i + 1, k)
-        for b in linalg.row_blocks(k - 1, k - 1 - i, start=i + 1):
-            vs = gs[i, b, None] * gs[b, r] * gs[r, i]
-            vt = gt[i, b, None] * gt[b, r] * gt[r, i]
-            hit = np.abs(vs.imag) > eps
-            for anti in misfits:
-                hit &= ~(np.abs(vt - (vs.conj() if anti else vs)) <= eps)
-            idx = np.flatnonzero(np.triu(hit, b.start - i))
-            if idx.size:
-                j, l = divmod(int(idx[0]), k - 1 - i)
-                return ((i, b.start + j, i + 1 + l), complex(vs.flat[idx[0]]),
-                        complex(vt.flat[idx[0]]))
-    return ()
+    return tuple(residuals), c, witnesses
 
 
 def classify_transform(m: RayMap, check: OrthogonalityCheck) -> TransformClassification:
@@ -247,30 +252,26 @@ def classify_transform(m: RayMap, check: OrthogonalityCheck) -> TransformClassif
     match, not only the Bargmann triangles. Both branches fit only if all
     cycle invariants are real (Inconclusive); if neither fits: Neither.
     The decided branch's D is kept as the classification's phases, which
-    fit_transform builds the operator from. The witness is the first
-    triple in lexicographic order with a nonreal source invariant: any
-    for a branch verdict; for Neither one fitting neither branch, else a
-    non-unitary one; None if there is none. Fits and invariants are
-    compared at m.tol. check is the caller's
-    check_orthogonality_preserving(m); a failed one raises
-    HypothesisViolated. Cost: O(k^2 n) for the Gram matrices and the
-    fits, plus O(k^2) per row of triples up to the witness.
+    fit_transform builds the operator from. Each rejected branch gets the
+    witness _gauge_fits reads off its first misfit entry: a pair whose
+    overlap modulus moved, or a cycle whose invariants no phase gauge of
+    that branch can match. Fits and moduli are compared at m.tol. check
+    is the caller's check_orthogonality_preserving(m); a failed one
+    raises HypothesisViolated. Cost: O(k^2 n) for the Gram matrices and
+    O(k^2) for the fits and witnesses.
     """
     if not check:
         raise HypothesisViolated("map does not preserve orthogonality both ways")
     eps = m.tol.abs_eps
     gs = m.source_vectors.conj() @ m.source_vectors.T  # Gram matrices <v_i|v_j>
     gt = m.target_vectors.conj() @ m.target_vectors.T
-    residuals, phases = _gauge_fits(gs, gt)
+    residuals, phases, witnesses = _gauge_fits(gs, gt, eps)
     unitary, anti = (residual <= eps for residual in residuals)
-    if unitary and anti:
-        return TransformClassification(Verdict.INCONCLUSIVE, phases=phases[0])
-    if unitary or anti:
-        verdict = Verdict.UNITARY if unitary else Verdict.ANTIUNITARY
-        return TransformClassification(verdict, *_first_triple(gs, gt, eps),
-                                       phases=phases[int(anti)])
-    return TransformClassification(Verdict.NEITHER, *(_first_triple(gs, gt, eps, (False, True))
-                                                       or _first_triple(gs, gt, eps, (False,))))
+    if not (unitary or anti):
+        return TransformClassification(Verdict.NEITHER, witnesses, None)
+    verdict = (Verdict.INCONCLUSIVE if unitary and anti
+               else Verdict.UNITARY if unitary else Verdict.ANTIUNITARY)
+    return TransformClassification(verdict, witnesses, phases[int(not unitary)])
 
 
 def gadget_sources(context: Context) -> list[np.ndarray]:
@@ -333,5 +334,4 @@ def fit_transform(m: RayMap, classification: TransformClassification) -> FitResu
                        - u @ linalg.projector_stack(source_reps) @ u.conj().T)
     if residual > FIT_RESIDUAL_LIMIT:
         raise FitFailed(residual, FIT_RESIDUAL_LIMIT)
-    return FitResult(transform=transform, residual=residual, verdict=verdict,
-                     ambiguous_branch=verdict is Verdict.INCONCLUSIVE)
+    return FitResult(transform=transform, residual=residual)

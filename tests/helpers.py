@@ -19,7 +19,7 @@ from qcontexts.core import (
 )
 from qcontexts.linalg import DEFAULT_TOL, is_unitary, max_abs, projector_stack
 from qcontexts.topology import Permutation, _eigensystem, permutation_matrix
-from qcontexts.uhlhorn import RayMap
+from qcontexts.uhlhorn import RayMap, Verdict, bargmann_invariant
 
 
 def peak_allocation(fn, *args):
@@ -79,6 +79,46 @@ def ray_map(dim: int, pairs, covering_contexts=(), tol=DEFAULT_TOL) -> RayMap:
     sources = np.array([s.vector for s, _ in pairs])
     targets = np.array([t.vector for _, t in pairs])
     return RayMap(dim, sources, targets, covering_contexts, tol)
+
+
+_REJECTED = {Verdict.UNITARY: {Verdict.ANTIUNITARY}, Verdict.ANTIUNITARY: {Verdict.UNITARY},
+             Verdict.NEITHER: {Verdict.UNITARY, Verdict.ANTIUNITARY}, Verdict.INCONCLUSIVE: set()}
+
+
+def check_witness(m: RayMap, verdict: Verdict, witnesses) -> None:
+    """Assert that a classification's witnesses prove its verdict from the
+    map's rows alone. The keys are exactly the branches the verdict
+    rejects. Each cycle has distinct indices; its reported values are the
+    Bargmann invariants S and T of its source and target projectors, S
+    conjugated on the anti-unitary branch; and the misfit of its closing
+    entry (i, j), i = cycle[0] and j = cycle[-1], exceeds m.tol: for a
+    pair ||G_s[i, j]| - |G_t[i, j]||, which no operator allows, else
+    ||G_t[i, j]| - |G_s[i, j]| e^{i(arg T - arg S)}|, which is 0 under any
+    operator of that branch, as it makes T equal S. |G[i, j]| is
+    |<v_i|v_j>| of the projectors' vectors. Both comparisons allow a
+    rounding slack of 64 (L + n) u, with L the cycle's length, n the
+    dimension and u = 2^-53: each invariant is L - 1 products of n x n
+    projector matrices, and each Gram entry a sum of n products."""
+    assert set(witnesses) == _REJECTED[verdict]
+    for branch, (cycle, source_value, target_value) in witnesses.items():
+        assert len(set(cycle)) == len(cycle) >= 2
+        sources = [Projector(m.source_vectors[i]) for i in cycle]
+        targets = [Projector(m.target_vectors[i]) for i in cycle]
+        s, t = bargmann_invariant(*sources), bargmann_invariant(*targets)
+        if branch is Verdict.ANTIUNITARY:
+            s = s.conjugate()
+        slack = 64 * (len(cycle) + m.dim) * 2.0 ** -53
+        assert abs(source_value - s) <= slack and abs(target_value - t) <= slack
+        gs, gt = (abs(np.vdot(p[0].vector, p[-1].vector)) for p in (sources, targets))
+        turn = 1.0 if len(cycle) == 2 else t * s.conjugate() / abs(t * s)
+        assert abs(gt - gs * turn) > m.tol.abs_eps - slack
+
+
+def payload_witnesses(payload: dict) -> dict:
+    """An uhlhorn payload's witnesses in the form of a classification's."""
+    return {Verdict(branch): (tuple(w["cycle"]), complex(*w["source_value"]),
+                              complex(*w["target_value"]))
+            for branch, w in payload["witnesses"].items()}
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import qcontexts
-from helpers import golden_cases, peak_allocation, phase_aligned_distance, simulate_reference
+from helpers import (
+    check_witness,
+    golden_cases,
+    payload_witnesses,
+    peak_allocation,
+    phase_aligned_distance,
+    simulate_reference,
+)
 from qcontexts import cli
 from qcontexts.cli import main
 from qcontexts.core import make_generator
@@ -27,6 +34,7 @@ from qcontexts.jsonio import (
     density_from_json,
     density_to_json,
     load_json_file,
+    ray_map_from_json,
     ray_map_to_json,
 )
 from qcontexts.sampling import (
@@ -36,7 +44,7 @@ from qcontexts.sampling import (
     random_state_vector,
     random_unitary,
 )
-from qcontexts.uhlhorn import RayMap
+from qcontexts.uhlhorn import RayMap, Verdict
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMAS = Path(__file__).parents[1] / "src" / "qcontexts" / "schemas"
@@ -192,7 +200,8 @@ class TestUhlhorn:
         assert payload["antiunitary"] is False
         assert payload["residual"] <= 1e-8
         assert payload["orthogonality_preserving"] is True
-        assert payload["witness_triple"] is not None
+        m = ray_map_from_json(load_json_file(ds("raymap_unitary_dim3.json")))
+        check_witness(m, Verdict.UNITARY, payload_witnesses(payload))
 
     def test_bundled_antiunitary_map(self, capsys):
         code, out, _ = run(capsys, "uhlhorn", ds("raymap_antiunitary_dim3.json"))
@@ -202,6 +211,8 @@ class TestUhlhorn:
         assert payload["verdict"] == "Antiunitary"
         assert payload["antiunitary"] is True
         assert payload["residual"] <= 1e-8
+        m = ray_map_from_json(load_json_file(ds("raymap_antiunitary_dim3.json")))
+        check_witness(m, Verdict.ANTIUNITARY, payload_witnesses(payload))
 
     def test_map_without_covering_context_certifies(self, capsys, tmp_path):
         # twelve random rays through a random unitary, and nothing else
@@ -266,7 +277,11 @@ class TestUhlhorn:
         code, out, _ = run(capsys, "uhlhorn", path)
         payload = json.loads(out)
         validate(payload, "uhlhorn")
-        assert (code, payload["verdict"], payload["witness_triple"]) == (1, "Neither", [0, 3, 12])
+        assert (code, payload["verdict"]) == (1, "Neither")
+        check_witness(ray_map_from_json(doc), Verdict.NEITHER, payload_witnesses(payload))
+        # the nudged ray 12 lies on the unitary branch's cycle
+        assert {branch: w["cycle"] for branch, w in payload["witnesses"].items()} == {
+            "Unitary": [0, 7, 9, 11, 1, 12, 4], "Antiunitary": [0, 7, 3]}
 
     def test_tolerance_below_float_resolution_exits_two(self, capsys):
         code, out, err = run(capsys, "uhlhorn", ds("raymap_unitary_dim3.json"), "--tol", "0")

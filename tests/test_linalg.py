@@ -224,12 +224,11 @@ def test_product_norm_is_the_projector_product():
 
 
 def test_row_blocks_hold_the_entry_budget(monkeypatch):
-    """Blocks of max(1, _BLOCK_ENTRIES // width) rows from start up to stop;
+    """Blocks of max(1, _BLOCK_ENTRIES // width) rows from 0 up to stop;
     the last one may reach past stop, as a slice of the rows clips it."""
     from qcontexts import linalg
     monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 60)
     assert linalg.row_blocks(7, 20) == [slice(0, 3), slice(3, 6), slice(6, 9)]
-    assert linalg.row_blocks(7, 20, start=2) == [slice(2, 5), slice(5, 8)]
     assert linalg.row_blocks(3, 100) == [slice(0, 1), slice(1, 2), slice(2, 3)]
     assert linalg.row_blocks(2, 0) == [slice(0, 60)]
-    assert linalg.row_blocks(0, 5) == [] and linalg.row_blocks(4, 5, start=4) == []
+    assert linalg.row_blocks(0, 5) == []

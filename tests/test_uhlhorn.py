@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import pytest
 
 from helpers import (
     act_matrix,
+    check_witness,
+    payload_witnesses,
     peak_allocation,
     phase_aligned_distance,
     ray_map,
@@ -226,23 +229,31 @@ class TestBargmannInvariant:
         with pytest.raises(DimensionMismatch):
             bargmann_invariant(proj([1, 0, 0]), proj([1, 0, 0, 0]), proj([1, 0, 0]))
 
+    def test_cycles_of_any_length(self):
+        # oracle: a pair gives |<u|v>|^2, a 4-cycle the product of its four overlaps
+        rng = make_generator(5)
+        ps = [proj(random_state_vector(3, rng)) for _ in range(4)]
+        v = [p.vector for p in ps]
+        assert bargmann_invariant(ps[0], ps[1]) == pytest.approx(
+            abs(np.vdot(v[0], v[1])) ** 2, abs=1e-15)
+        oracle = np.prod([np.vdot(v[a], v[(a + 1) % 4]) for a in range(4)])
+        assert bargmann_invariant(*ps) == pytest.approx(oracle, abs=1e-15)
+        with pytest.raises(ValueError, match="at least two projectors"):
+            bargmann_invariant(ps[0])
+
 
 class TestClassifyTransform:
     def test_unitary_induced(self):
         m, _ = random_ray_map(3, make_generator(60), antiunitary=False)
         c = classify_transform(m, check_orthogonality_preserving(m))
         assert c.verdict is Verdict.UNITARY
-        assert c.witness_triple is not None
-        assert abs(c.witness_source_value.imag) > 1e-9
-        assert c.witness_target_value == pytest.approx(c.witness_source_value,
-                                                       abs=1e-9)
+        check_witness(m, c.verdict, c.witnesses)
 
     def test_antiunitary_induced(self):
         m, _ = random_ray_map(3, make_generator(61), antiunitary=True)
         c = classify_transform(m, check_orthogonality_preserving(m))
         assert c.verdict is Verdict.ANTIUNITARY
-        assert c.witness_target_value == pytest.approx(
-            np.conj(c.witness_source_value), abs=1e-9)
+        check_witness(m, c.verdict, c.witnesses)
 
     def test_real_rays_inconclusive(self):
         e = standard_basis(3)
@@ -252,7 +263,7 @@ class TestClassifyTransform:
         m = ray_map(3, pairs)
         c = classify_transform(m, check_orthogonality_preserving(m))
         assert c.verdict is Verdict.INCONCLUSIVE
-        assert c.witness_triple is None
+        assert c.witnesses == {}
 
     def test_hypothesis_violation_raises(self):
         e = standard_basis(3)
@@ -291,8 +302,9 @@ class TestFitTransform:
         basis = random_unitary(4, rng)
         c = make_context([basis[:, k] for k in range(4)], "fid")
         m = induced_ray_map(hidden, c, extras)
-        fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
-        assert fit.verdict is Verdict.UNITARY
+        classification = classify_transform(m, check_orthogonality_preserving(m))
+        fit = fit_transform(m, classification)
+        assert classification.verdict is Verdict.UNITARY
         assert fit.residual <= 1e-8
         assert phase_aligned_distance(fit.transform.matrix, hidden.matrix) <= 1e-8
 
@@ -313,8 +325,9 @@ class TestFitTransform:
         c = standard_context(3)
         pairs = tuple((p, p) for p in c.projectors)
         m = ray_map(3, pairs, covering_contexts=(c,))
-        fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
-        assert fit.verdict is Verdict.INCONCLUSIVE and fit.ambiguous_branch
+        classification = classify_transform(m, check_orthogonality_preserving(m))
+        fit = fit_transform(m, classification)
+        assert classification.verdict is Verdict.INCONCLUSIVE and classification.witnesses == {}
         assert fit.residual == 0.0
 
     def test_undeclared_gadget_certifies(self):
@@ -323,8 +336,9 @@ class TestFitTransform:
         rays = gadget_sources(standard_context(3))
         pairs = tuple((proj(r), proj(u.act_vector(r))) for r in rays)
         m = ray_map(3, pairs)  # gadget rays present but undeclared
-        fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
-        assert fit.verdict is Verdict.UNITARY and fit.residual <= FIT_RESIDUAL_LIMIT
+        classification = classify_transform(m, check_orthogonality_preserving(m))
+        fit = fit_transform(m, classification)
+        assert classification.verdict is Verdict.UNITARY and fit.residual <= FIT_RESIDUAL_LIMIT
         assert phase_aligned_distance(fit.transform.matrix, u.matrix) <= 1e-8
 
     def test_neither_verdict_raises_hypothesis_violated(self):
@@ -394,9 +408,9 @@ class TestFitTransform:
 # ------------------------------------------------------------------
 # Reference implementations: the per-pair loops and the fully
 # materialised triple scan that the Gram screen, the stacked kernels and
-# the gauge fits replaced. Checks and witnesses must reproduce them bit for
-# bit, and verdicts must agree wherever the triangles decide
-# (TestGaugeVerdicts has the rest).
+# the gauge fits replaced. Checks must reproduce them bit for bit, verdicts
+# must agree wherever the triangles decide (TestGaugeVerdicts has the rest),
+# and every witness must pass helpers.check_witness.
 
 def ref_bijectivity_error(pairs, tol=DEFAULT_TOL) -> str | None:
     for i, j in combinations(range(len(pairs)), 2):
@@ -419,7 +433,9 @@ def ref_check(m: RayMap) -> OrthogonalityCheck:
     return OrthogonalityCheck(ok=True)
 
 
-def ref_classify(m: RayMap) -> TransformClassification:
+def ref_classify(m: RayMap) -> Verdict:
+    """The verdict of the Bargmann triangles alone: a branch fits if every
+    nonreal triangle's invariant matches it; Inconclusive if none is nonreal."""
     eps = m.tol.abs_eps
     if not ref_check(m):
         raise HypothesisViolated("map does not preserve orthogonality both ways")
@@ -429,28 +445,18 @@ def ref_classify(m: RayMap) -> TransformClassification:
     gs, gt = bs.conj().T @ bs, bt.conj().T @ bt
     triples = np.array(list(combinations(range(k), 3)), dtype=int)
     if triples.size == 0:
-        return TransformClassification(Verdict.INCONCLUSIVE)
+        return Verdict.INCONCLUSIVE
     i, j, l = triples[:, 0], triples[:, 1], triples[:, 2]
     vs = gs[i, j] * gs[j, l] * gs[l, i]
     vt = gt[i, j] * gt[j, l] * gt[l, i]
     nonreal = np.abs(vs.imag) > eps
     if not np.any(nonreal):
-        return TransformClassification(Verdict.INCONCLUSIVE)
-    unitary_ok = np.abs(vt - vs) <= eps
-    anti_ok = np.abs(vt - vs.conj()) <= eps
-
-    def witness(mask):
-        idx = int(np.argmax(mask))
-        return tuple(int(x) for x in triples[idx]), complex(vs[idx]), complex(vt[idx])
-
-    if np.all(unitary_ok[nonreal]):
-        return TransformClassification(Verdict.UNITARY, *witness(nonreal))
-    if np.all(anti_ok[nonreal]):
-        return TransformClassification(Verdict.ANTIUNITARY, *witness(nonreal))
-    bad = nonreal & ~unitary_ok & ~anti_ok
-    if not np.any(bad):
-        bad = nonreal & ~unitary_ok
-    return TransformClassification(Verdict.NEITHER, *witness(bad))
+        return Verdict.INCONCLUSIVE
+    if np.all(np.abs(vt - vs)[nonreal] <= eps):
+        return Verdict.UNITARY
+    if np.all(np.abs(vt - vs.conj())[nonreal] <= eps):
+        return Verdict.ANTIUNITARY
+    return Verdict.NEITHER
 
 
 def _swap_last_targets(m: RayMap) -> RayMap:
@@ -543,42 +549,44 @@ def reference_cases():
     return cases
 
 
-def _decided(c: TransformClassification) -> TransformClassification:
-    """c with its verdict and witness fields only, as ref_classify gives them."""
-    return c._replace(phases=None)
-
-
 def _outcome(fn, *args):
+    """fn(*args), a classification without its phases, or ("raised", message)."""
     try:
-        return _decided(fn(*args))
+        out = fn(*args)
     except HypothesisViolated as exc:
         return ("raised", str(exc))
+    return out._replace(phases=None) if isinstance(out, TransformClassification) else out
 
 
 class TestKernelsMatchReference:
     @pytest.mark.parametrize("name,m", reference_cases(),
                              ids=[c[0] for c in reference_cases()])
-    def test_check_and_classification_bit_identical(self, name, m):
+    def test_check_bit_identical_and_witnesses_checked(self, name, m):
         check = check_orthogonality_preserving(m)
         assert check == ref_check(m)
-        assert _outcome(classify_transform, m, check) == _outcome(ref_classify, m)
+        got = _outcome(classify_transform, m, check)
+        assert getattr(got, "verdict", got) == _outcome(ref_classify, m)
+        if check:
+            check_witness(m, got.verdict, got.witnesses)
 
     def test_cases_cover_every_verdict(self):
         outcomes = [_outcome(classify_transform, m, check_orthogonality_preserving(m))
                     for _, m in reference_cases()]
         verdicts = {getattr(c, "verdict", "raised") for c in outcomes}
         assert verdicts == {"raised", *Verdict}
-        # some witnesses lie past row 0 of the triple scan
-        assert any(c.witness_triple[0] > 0 for c in outcomes
-                   if getattr(c, "witness_triple", None))
+        cycles = [w[0] for c in outcomes if hasattr(c, "witnesses") for w in c.witnesses.values()]
+        # pairs, triangles and longer cycles, some of them past row 0
+        assert {len(cycle) for cycle in cycles} >= {2, 3, 4, 5}
+        assert any(cycle[0] > 0 for cycle in cycles)
 
-    def test_mixed_evidence_witnesses_first_non_unitary_triple(self):
+    def test_mixed_evidence_witnesses_each_block(self):
         m = _block_map(False, True)
         c = classify_transform(m, check_orthogonality_preserving(m))
         assert c.verdict is Verdict.NEITHER
-        # a block-1 triple: anti-unitary only
-        assert min(c.witness_triple) >= 4
-        assert abs(c.witness_target_value - c.witness_source_value.conjugate()) <= 1e-9
+        check_witness(m, c.verdict, c.witnesses)
+        # the unitary branch misfits in the anti-unitary block 1, the other in block 0
+        assert min(c.witnesses[Verdict.UNITARY][0]) >= 4
+        assert max(c.witnesses[Verdict.ANTIUNITARY][0]) < 4
 
     def test_bijectivity_error_bit_identical(self):
         rng = make_generator(91)
@@ -622,7 +630,8 @@ class TestKernelsMatchReference:
                 check = check_orthogonality_preserving(case)
                 assert check == ref_check(case)
                 classification = classify_transform(case, check)
-                assert _decided(classification) == ref_classify(case)
+                assert classification.verdict is ref_classify(case)
+                check_witness(case, classification.verdict, classification.witnesses)
             assert classification.verdict is Verdict.NEITHER  # the swapped map's
 
     def test_find_source_matches_the_stack_rule(self):
@@ -717,9 +726,10 @@ class TestGadgetFit:
     def test_matches_the_gadget_fit(self, n, anti):
         for seed in range(12):
             m = _gadget_map(n, anti, seed)
-            fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
+            classification = classify_transform(m, check_orthogonality_preserving(m))
+            fit = fit_transform(m, classification)
             matrix, residual, label = ref_fit(m, anti)
-            assert fit.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
+            assert classification.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
             assert max_abs(fit.transform.matrix - matrix) <= 1e-13
             assert label == "fid" and max(fit.residual, residual) <= FIT_RESIDUAL_LIMIT
 
@@ -747,8 +757,9 @@ class TestGadgetFreeFit:
             m, hidden = _gadget_free_map(n, k, anti, seed=100 * n + k)
             classification = classify_transform(m, check_orthogonality_preserving(m))
             assert classification.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
+            check_witness(m, classification.verdict, classification.witnesses)
             fit = fit_transform(m, classification)
-            assert fit.transform.antiunitary is anti and not fit.ambiguous_branch
+            assert fit.transform.antiunitary is anti
             assert fit.residual <= FIT_RESIDUAL_LIMIT
             assert phase_aligned_distance(fit.transform.matrix, hidden.matrix) <= 1e-8
 
@@ -769,7 +780,8 @@ class TestGadgetFreeFit:
         classification = classify_transform(m, check_orthogonality_preserving(m))
         assert classification.verdict is Verdict.INCONCLUSIVE
         gs, gt = _grams(m)
-        assert np.array_equal(classification.phases, uhlhorn._gauge_fits(gs, gt)[1][0])
+        phases = uhlhorn._gauge_fits(gs, gt, m.tol.abs_eps)[1]
+        assert np.array_equal(classification.phases, phases[0])
 
     @pytest.mark.parametrize("anti", [False, True])
     def test_sources_in_a_plane_certify(self, anti):
@@ -833,7 +845,8 @@ def _edge_maps(eps: float, n: int) -> list[RayMap]:
 
 class TestToleranceEdges:
     """Pairs placed at the tolerance and around the Gram screen's band: the
-    check must decide and report each as the product test does."""
+    check must decide and report each as the product test does, and each
+    map that passes it gets witnesses helpers.check_witness accepts."""
 
     @pytest.mark.parametrize("n", [3, 4, 16])
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-4])
@@ -841,7 +854,11 @@ class TestToleranceEdges:
         results = []
         for m in _edge_maps(eps, n):
             results.append(ref_check(m))
-            assert check_orthogonality_preserving(m) == results[-1]
+            check = check_orthogonality_preserving(m)
+            assert check == results[-1]
+            if check:
+                c = classify_transform(m, check)
+                check_witness(m, c.verdict, c.witnesses)
         assert {r.ok for r in results} == {True, False}
         # exact ties: a product of exactly eps counts as orthogonal
         assert any(eps in (r.source_product_norm, r.target_product_norm) for r in results)
@@ -865,11 +882,15 @@ class TestGaugeVerdicts:
         m = _four_cycle_map(anti)
         gs = m.source_vectors.conj() @ m.source_vectors.T
         assert gs[0, 1] * gs[1, 2] * gs[2, 3] * gs[3, 0] == pytest.approx(1j / 12, abs=1e-15)
-        assert ref_classify(m) == TransformClassification(Verdict.INCONCLUSIVE)
+        assert ref_classify(m) is Verdict.INCONCLUSIVE
         branch = Verdict.ANTIUNITARY if anti else Verdict.UNITARY
-        check = check_orthogonality_preserving(m)
-        # no witness
-        assert _decided(classify_transform(m, check)) == TransformClassification(branch)
+        c = classify_transform(m, check_orthogonality_preserving(m))
+        assert c.verdict is branch
+        check_witness(m, branch, c.witnesses)
+        # the witness is the 4-cycle, whose invariant i/12 the other branch conjugates
+        [(cycle, source, target)] = c.witnesses.values()
+        assert sorted(cycle) == [0, 1, 2, 3]
+        assert source == pytest.approx(-target, abs=1e-15) and abs(source) == pytest.approx(1 / 12)
 
     def test_changed_overlap_modulus_is_neither(self):
         # orthogonality holds both ways, but |<e0|s3>| goes from 1/sqrt2 to cos 0.3
@@ -879,8 +900,12 @@ class TestGaugeVerdicts:
         m = ray_map(3, tuple((proj(s), proj(t)) for s, t in zip(sources, targets)))
         check = check_orthogonality_preserving(m)
         assert check.ok
-        assert ref_classify(m) == TransformClassification(Verdict.INCONCLUSIVE)
-        assert _decided(classify_transform(m, check)) == TransformClassification(Verdict.NEITHER)
+        assert ref_classify(m) is Verdict.INCONCLUSIVE
+        c = classify_transform(m, check)
+        assert c.verdict is Verdict.NEITHER
+        check_witness(m, c.verdict, c.witnesses)
+        # on both branches, the pair whose overlap modulus moved
+        assert {cycle for cycle, _, _ in c.witnesses.values()} == {(0, 3)}
 
 
 def nudged_identity_map(tol=DEFAULT_TOL):
@@ -1074,6 +1099,41 @@ def test_large_map_certifies_in_bounded_memory(tmp_path):
     assert int(peak.group(1)) / 1024 < 150
 
 
+def _real_neither_map(k: int) -> RayMap:
+    """k real rays in dimension 3 through a real orthogonal matrix, with
+    target k // 2 then moved by a real nudge of about 1e-3: the branches
+    coincide on real data, and the moved overlaps fit neither."""
+    rng = make_generator(94)
+    sources = rng.standard_normal((k, 3))
+    targets = sources @ np.linalg.qr(rng.standard_normal((3, 3)))[0].T
+    targets[k // 2] += 1e-3 * rng.standard_normal(3)
+    return RayMap(3, sources, targets)
+
+
+def test_large_real_neither_map_is_witnessed_in_quadratic_time(tmp_path):
+    """A 1200-ray real map with one target moved, run as a CLI child:
+    uhlhorn exits 1 with Neither and, for each branch, the pair (0, 600)
+    whose overlap modulus moved, as helpers.check_witness confirms on the
+    map read back, well inside 10 s of wall time; no triangle is nonreal,
+    so a scan of the triangles would run through all C(1200, 3) of them."""
+    path = tmp_path / "raymap_real_1200.json"
+    path.write_text(json.dumps(ray_map_to_json(_real_neither_map(1200))))
+    import qcontexts
+    env = dict(os.environ, PYTHONPATH=str(Path(qcontexts.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "qcontexts.cli", "uhlhorn", str(path)],
+                          capture_output=True, env=env, check=False, timeout=60)
+    wall = time.perf_counter() - start
+    assert proc.returncode == 1, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["verdict"] == "Neither"
+    witnesses = payload_witnesses(payload)
+    check_witness(jsonio.ray_map_from_json(json.loads(path.read_text())), Verdict.NEITHER,
+                  witnesses)
+    assert {cycle for cycle, _, _ in witnesses.values()} == {(0, 600)}
+    assert wall < 10
+
+
 def test_missing_covering_ray_fails_without_a_scan_of_the_sources(monkeypatch):
     """A 1200-ray map whose sources lack one basis ray of its covering
     context: the covering pass screens only the 3 basis rows against the
@@ -1083,9 +1143,9 @@ def test_missing_covering_ray_fails_without_a_scan_of_the_sources(monkeypatch):
     keep = np.arange(1200) != ref_find_source(m, m.covering_contexts[0].basis[:, 1])
     calls, blocks = [], linalg.row_blocks
 
-    def counted(stop, width, start=0):
+    def counted(stop, width):
         calls.append((stop, width))
-        return blocks(stop, width, start)
+        return blocks(stop, width)
 
     monkeypatch.setattr(linalg, "row_blocks", counted)
     with pytest.raises(ValueError, match="covering context 'fiduciary' has a projector missing"):
@@ -1113,30 +1173,27 @@ def test_gauge_residual_is_the_same_in_any_row_blocks(monkeypatch, anti):
     gs, gt = _grams(m)
     expected = (ref_gauge_residual(gs, gt), ref_gauge_residual(gs.conj(), gt))
     assert (expected[0] <= 1e-9, expected[1] <= 1e-9) == (not anti, anti)
-    assert uhlhorn._gauge_fits(gs, gt)[0] == expected
+    assert uhlhorn._gauge_fits(gs, gt, 1e-9)[0] == expected
     for rows in (1, 7, 59):
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 60 * rows)
-        assert uhlhorn._gauge_fits(gs, gt)[0] == expected
+        assert uhlhorn._gauge_fits(gs, gt, 1e-9)[0] == expected
 
 
 def test_witness_is_the_same_in_any_row_blocks(monkeypatch):
-    """With the overlaps g[0, j], j = 1..39, set to 0, no triple (0, j, l)
-    with j < 40 is nonreal, and with one target overlap turned by i the
-    first triple fitting neither branch is (0, 45, 50). The entries g[j, 0]
-    stay, so a block that kept the triples (0, j, l) with l <= j would stop
-    at (0, 40, 1). At k=60 the default block holds row 0's whole table;
-    blocks of 1, 7 and 59 rows find the same triples and values, bit for bit."""
+    """On an anti-unitary map of 60 rays with the target overlap (45, 50)
+    turned by i, off the forest, the unitary branch misfits in row 0 and the
+    anti-unitary one first at (45, 50), closed by the forest path from 45
+    to 50. At k=60 the default block holds every row; blocks of 1, 7 and
+    59 rows find the same witnesses, bit for bit."""
     gs, gt = _grams(_sweep_map(60))
-    gs[0, 1:40] = gt[0, 1:40] = 0
     gt[45, 50] *= 1j
     gt[50, 45] = gt[45, 50].conjugate()
-    scans = [uhlhorn._first_triple(gs, gt, 1e-9, misfits)
-             for misfits in ((), (False,), (False, True))]
-    assert [scan[0] for scan in scans] == [(0, 40, 41), (0, 40, 41), (0, 45, 50)]
+    witnesses = uhlhorn._gauge_fits(gs, gt, 1e-9)[2]
+    unitary, anti = (witnesses[branch][0] for branch in (Verdict.UNITARY, Verdict.ANTIUNITARY))
+    assert unitary[0] == 0 and (anti[0], anti[-1]) == (45, 50) and len(anti) > 2
     for rows in (1, 7, 59):
-        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 59 * rows)
-        assert [uhlhorn._first_triple(gs, gt, 1e-9, misfits)
-                for misfits in ((), (False,), (False, True))] == scans
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 60 * rows)
+        assert uhlhorn._gauge_fits(gs, gt, 1e-9)[2] == witnesses
 
 
 def test_classification_memory_grows_as_k_squared():
@@ -1156,7 +1213,7 @@ def test_classification_memory_grows_as_k_squared():
 def test_classification_peak_at_1200_rays():
     """The two (k, k) complex Gram matrices (44 MiB at k=1200) and the
     forest's weights (11 MiB) set classify_transform's peak; the residual
-    blocks and the witness rows add about 1 MiB each on top."""
+    blocks add about 1 MiB on top, and the witnesses read single entries."""
     m = _large_map(1200)
     classification, peak = peak_allocation(classify_transform, m,
                                            check_orthogonality_preserving(m))
