@@ -10,7 +10,7 @@ Submodules:
     topology  -- permutation paths in the unitary group
     jsonio    -- file formats for the CLI; the only document reader, with one
                  strict rule for every scalar
-    sampling  -- seeded random domain objects, random ray maps included
+    sampling  -- seeded random unitaries, state vectors, contexts, densities
 
 Importing the package loads none of them, and so not numpy: the CLI sets
 its BLAS thread policy before numpy is loaded.

@@ -8,16 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Context, ContextTransform, DensityOperator, Projector, make_context
-from .uhlhorn import RayMap, induced_ray_map
+from .core import Context, DensityOperator, make_context
 
 __all__ = [
     "random_unitary",
     "random_state_vector",
-    "random_projector",
     "random_context",
     "random_density",
-    "random_ray_map",
 ]
 
 
@@ -37,10 +34,6 @@ def random_state_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_projector(n: int, rng: np.random.Generator) -> Projector:
-    return Projector.from_vector(random_state_vector(n, rng))
-
-
 def random_context(n: int, rng: np.random.Generator, label: str = "") -> Context:
     u = random_unitary(n, rng)
     return make_context([u[:, k] for k in range(n)], label=label)
@@ -51,13 +44,3 @@ def random_density(n: int, rng: np.random.Generator) -> DensityOperator:
     g = _ginibre(n, rng)
     m = g @ g.conj().T
     return DensityOperator.from_matrix(m / np.trace(m).real)
-
-
-def random_ray_map(dim: int, rng: np.random.Generator, antiunitary: bool = False,
-                   n_extra: int = 6) -> tuple[RayMap, ContextTransform]:
-    """Random operator-induced map on a gadget set plus extra random rays."""
-    hidden = ContextTransform.from_matrix(random_unitary(dim, rng), antiunitary=antiunitary)
-    context = random_context(dim, rng, label="fiduciary")
-    # RayMap rejects a repeated source, so the extra rays need no screening here
-    extras = [random_state_vector(dim, rng) for _ in range(n_extra)]
-    return induced_ray_map(hidden, context, extras), hidden

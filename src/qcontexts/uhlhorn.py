@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property, reduce
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,6 @@ __all__ = [
     "bargmann_invariant",
     "classify_transform",
     "fit_transform",
-    "gadget_sources",
-    "induced_ray_map",
     "FIT_RESIDUAL_LIMIT",
 ]
 
@@ -272,26 +270,6 @@ def classify_transform(m: RayMap, check: OrthogonalityCheck) -> TransformClassif
     verdict = (Verdict.INCONCLUSIVE if unitary and anti
                else Verdict.UNITARY if unitary else Verdict.ANTIUNITARY)
     return TransformClassification(verdict, witnesses, phases[int(not unitary)])
-
-
-def gadget_sources(context: Context) -> list[np.ndarray]:
-    """A context's basis rays plus (e1 + ek)/sqrt(2) and (e1 + i ek)/sqrt(2)
-    for k = 2..N, rays that fix an inducing operator up to phase."""
-    e = list(context.basis.T)
-    rays = list(e)
-    for k in range(1, context.dim):
-        rays.append((e[0] + e[k]) / np.sqrt(2.0))
-        rays.append((e[0] + 1j * e[k]) / np.sqrt(2.0))
-    return rays
-
-
-def induced_ray_map(transform: ContextTransform, context: Context,
-                    extra_rays: Sequence[np.ndarray] = (),
-                    tol: Tolerance = DEFAULT_TOL) -> RayMap:
-    """Ray map obtained by pushing a gadget set (plus extras) through an operator."""
-    rays = gadget_sources(context) + [np.asarray(r) for r in extra_rays]
-    return RayMap(context.dim, rays, [transform.act_vector(r) for r in rays],
-                  covering_contexts=(context,), tol=tol)
 
 
 def fit_transform(m: RayMap, classification: TransformClassification) -> FitResult:

@@ -18,8 +18,25 @@ from qcontexts.core import (
     make_generator,
 )
 from qcontexts.linalg import DEFAULT_TOL, is_unitary, max_abs, projector_stack
+from qcontexts.sampling import random_context, random_state_vector, random_unitary
 from qcontexts.topology import Permutation, _eigensystem, permutation_matrix
 from qcontexts.uhlhorn import RayMap, Verdict, bargmann_invariant
+
+
+def load_tool(name: str):
+    """tools/<name>.py, loaded by path as a fresh module."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the dataset tool's bases and gadget maps, the one copy of each
+_datasets = load_tool("gen_datasets")
+standard_basis, fourier_basis, mub_bases_dim3 = (
+    _datasets.standard_basis, _datasets.fourier_basis, _datasets.mub_bases_dim3)
+gadget_sources, induced_ray_map = _datasets.gadget_sources, _datasets.induced_ray_map
 
 
 def peak_allocation(fn, *args):
@@ -44,34 +61,31 @@ def maximally_mixed(dim: int) -> DensityOperator:
     return DensityOperator(matrix)
 
 
-def standard_basis(n: int) -> list[np.ndarray]:
-    return [np.eye(n, dtype=np.complex128)[:, k] for k in range(n)]
-
-
-def fourier_basis(n: int) -> list[np.ndarray]:
-    omega = np.exp(2j * np.pi / n)
-    return [np.array([omega ** (j * k) for j in range(n)]) / np.sqrt(n)
-            for k in range(n)]
-
-
-def mub_bases_dim3() -> list[list[np.ndarray]]:
-    """Computational basis plus three mutually unbiased bases in dimension 3."""
-    omega = np.exp(2j * np.pi / 3)
-    bases = [standard_basis(3)]
-    for b in range(3):
-        bases.append([
-            np.array([omega ** ((b * j * j + m * j) % 3) for j in range(3)]) / np.sqrt(3)
-            for m in range(3)
-        ])
-    return bases
-
-
 def standard_context(n: int, label: str = "standard"):
     return make_context(standard_basis(n), label)
 
 
 def fourier_context(n: int, label: str = "fourier"):
     return make_context(fourier_basis(n), label)
+
+
+def random_projector(n: int, rng: np.random.Generator) -> Projector:
+    return Projector.from_vector(random_state_vector(n, rng))
+
+
+def random_ray_map(dim: int, rng: np.random.Generator, antiunitary: bool = False,
+                   n_extra: int = 6) -> tuple[RayMap, ContextTransform]:
+    """Random operator-induced map on a gadget set plus extra random rays."""
+    hidden = ContextTransform.from_matrix(random_unitary(dim, rng), antiunitary=antiunitary)
+    context = random_context(dim, rng, label="fiduciary")
+    # RayMap rejects a repeated source, so the extra rays need no screening here
+    extras = [random_state_vector(dim, rng) for _ in range(n_extra)]
+    return induced_ray_map(hidden, context, extras), hidden
+
+
+def projector_pairs(m: RayMap) -> list[tuple[Projector, Projector]]:
+    """(source, target) projector of every row of m, as RayMap.pairs builds them."""
+    return [(Projector(s), Projector(t)) for s, t in zip(m.source_vectors, m.target_vectors)]
 
 
 def ray_map(dim: int, pairs, covering_contexts=(), tol=DEFAULT_TOL) -> RayMap:
@@ -327,8 +341,4 @@ def brute_force_valuation_count(n_vectors: int, bases) -> int:
 
 def golden_cases() -> dict[str, list[str]]:
     """tools/gen_golden.py's CASES: file under tests/golden -> CLI arguments."""
-    tool = Path(__file__).resolve().parents[1] / "tools" / "gen_golden.py"
-    spec = importlib.util.spec_from_file_location("gen_golden", tool)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.CASES
+    return load_tool("gen_golden").CASES

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import fourier_context, phase_aligned_distance, standard_basis
+from helpers import fourier_context, phase_aligned_distance, random_ray_map, standard_basis
 from qcontexts.cli import main as cli_main
 from qcontexts.core import (
     Projector,
@@ -25,7 +25,7 @@ from qcontexts.partition import (
     parity_certificate,
     search_assignment,
 )
-from qcontexts.sampling import random_context, random_density, random_ray_map
+from qcontexts.sampling import random_context, random_density
 from qcontexts.topology import (
     Permutation,
     orthogonal_obstruction,

@@ -20,6 +20,7 @@ from helpers import (
     payload_witnesses,
     peak_allocation,
     phase_aligned_distance,
+    random_ray_map,
     simulate_reference,
 )
 from qcontexts import cli
@@ -40,7 +41,6 @@ from qcontexts.jsonio import (
 from qcontexts.sampling import (
     random_context,
     random_density,
-    random_ray_map,
     random_state_vector,
     random_unitary,
 )

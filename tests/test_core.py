@@ -10,6 +10,7 @@ from helpers import (
     fourier_context,
     maximally_mixed,
     pure_density,
+    random_projector,
     simulate_reference,
     standard_basis,
     standard_context,
@@ -32,7 +33,7 @@ from qcontexts import core
 from qcontexts.core import _philox_uniforms
 from qcontexts.errors import DimensionMismatch, NotOrthonormal
 from qcontexts.linalg import Tolerance, max_abs
-from qcontexts.sampling import random_context, random_density, random_projector, random_unitary
+from qcontexts.sampling import random_context, random_density, random_unitary
 
 
 class TestMakeContext:

@@ -6,6 +6,7 @@ from helpers import (
     mub_bases_dim3,
     peak_allocation,
     pure_density,
+    random_projector,
     standard_context,
 )
 from qcontexts.core import DensityOperator, Projector, context_distribution, make_generator
@@ -23,7 +24,7 @@ from qcontexts.gleason import (
     validate_frame_function,
 )
 from qcontexts.linalg import Tolerance, max_abs
-from qcontexts.sampling import random_context, random_density, random_projector
+from qcontexts.sampling import random_context, random_density
 
 
 def mub_projectors():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import fourier_context, standard_context
+from helpers import fourier_context, random_ray_map, standard_context
 from qcontexts.core import make_generator
 from qcontexts.errors import MalformedDocument, NotOrthonormal
 from qcontexts.jsonio import (
@@ -21,7 +21,7 @@ from qcontexts.jsonio import (
     ray_map_to_json,
 )
 from qcontexts.linalg import max_abs
-from qcontexts.sampling import random_density, random_ray_map
+from qcontexts.sampling import random_density
 from qcontexts.uhlhorn import check_orthogonality_preserving, classify_transform, fit_transform
 
 
@@ -117,7 +117,7 @@ class TestRayMapIO:
         m, hidden = random_ray_map(3, make_generator(9))
         back = ray_map_from_json(ray_map_to_json(m))
         assert back.dim == 3
-        assert len(back.pairs) == len(m.pairs)
+        assert back.source_vectors.shape == back.target_vectors.shape == m.source_vectors.shape
         fit = fit_transform(back, classify_transform(back, check_orthogonality_preserving(back)))
         assert fit.residual <= 1e-8
 

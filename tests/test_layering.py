@@ -38,6 +38,14 @@ def test_cli_import_leaves_sampling_unloaded():
         == "False"
 
 
+def test_sampling_loads_core_and_no_engine():
+    engines = ("uhlhorn", "jsonio", "gleason", "partition", "topology")
+    probe = ("import sys, qcontexts.sampling as s; "
+             f"print(sorted(m for m in {engines} if 'qcontexts.' + m in sys.modules), s.__all__)")
+    assert _probe(probe) == ("[] ['random_unitary', 'random_state_vector', 'random_context', "
+                             "'random_density']")
+
+
 def test_package_import_leaves_numpy_unloaded():
     assert _probe("import sys, qcontexts; print('numpy' in sys.modules)") == "False"
 

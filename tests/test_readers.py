@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_ray_map
 from qcontexts.cli import main
 from qcontexts.core import DensityOperator, make_generator
 from qcontexts.errors import MalformedDocument
@@ -32,7 +33,7 @@ from qcontexts.jsonio import (
     ray_map_to_json,
 )
 from qcontexts.linalg import row_norms
-from qcontexts.sampling import random_context, random_density, random_ray_map, random_unitary
+from qcontexts.sampling import random_context, random_density, random_unitary
 
 DATASETS = sorted(p.name for p in dataset_path("").glob("*.json"))
 

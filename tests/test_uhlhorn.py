@@ -13,9 +13,13 @@ import pytest
 from helpers import (
     act_matrix,
     check_witness,
+    gadget_sources,
+    induced_ray_map,
     payload_witnesses,
     peak_allocation,
     phase_aligned_distance,
+    projector_pairs,
+    random_ray_map,
     ray_map,
     ref_find_source,
     ref_fit,
@@ -33,7 +37,7 @@ from qcontexts.errors import (
 )
 from qcontexts.jsonio import ray_map_to_json
 from qcontexts.linalg import DEFAULT_TOL, Tolerance, max_abs
-from qcontexts.sampling import random_ray_map, random_state_vector, random_unitary
+from qcontexts.sampling import random_state_vector, random_unitary
 from qcontexts.uhlhorn import (
     FIT_RESIDUAL_LIMIT,
     OrthogonalityCheck,
@@ -44,8 +48,6 @@ from qcontexts.uhlhorn import (
     check_orthogonality_preserving,
     classify_transform,
     fit_transform,
-    gadget_sources,
-    induced_ray_map,
 )
 
 
@@ -80,8 +82,8 @@ class TestRayMap:
         m, _ = random_ray_map(3, make_generator(5))
         rng = make_generator(6)
         near = proj(m.source_vectors[12] + 1e-7 * random_state_vector(3, rng))
-        pairs = m.pairs + ((near, proj(random_state_vector(3, rng))),)
-        assert len(ray_map(3, pairs).pairs) == 14
+        pairs = projector_pairs(m) + [(near, proj(random_state_vector(3, rng)))]
+        assert len(ray_map(3, pairs).source_vectors) == 14
         with pytest.raises(ValueError, match="sources 12 and 13 coincide"):
             ray_map(3, pairs, tol=Tolerance(1e-6))
 
@@ -116,15 +118,16 @@ class TestRayMap:
         rng = make_generator(72)
         hidden = ContextTransform.from_matrix(random_unitary(3, rng))
         m = induced_ray_map(hidden, standard_context(3), [random_state_vector(3, rng)])
+        pairs = projector_pairs(m)  # a Projector accepts only a unit row
         for rows, side in ((m.source_vectors, 0), (m.target_vectors, 1)):
-            assert rows.shape == (len(m.pairs), 3) and rows.dtype == np.complex128
+            assert rows.shape == (8, 3) and rows.dtype == np.complex128
             assert not rows.flags.writeable
-            for row, pair in zip(rows, m.pairs):
+            for row, pair in zip(rows, pairs):
                 assert np.array_equal(row, pair[side].vector)
             with pytest.raises(ValueError):
                 rows[0, 0] = 0
             # the stacks the checks build are the pairs' matrices, entry for entry
-            for mat, pair in zip(linalg.projector_stack(rows), m.pairs):
+            for mat, pair in zip(linalg.projector_stack(rows), pairs):
                 assert np.array_equal(mat, pair[side].matrix)
         assert not [name for name, value in vars(m).items()
                     if isinstance(value, np.ndarray) and value.ndim == 3]
@@ -343,15 +346,9 @@ class TestFitTransform:
 
     def test_neither_verdict_raises_hypothesis_violated(self):
         # compose a unitary on one triple with a conjugation on another by
-        # hand-crafting inconsistent targets: swap two targets of a genuine map
-        m, _ = random_ray_map(3, make_generator(73))
-        pairs = list(m.pairs)
-        n = len(pairs)
-        # exchanging the last two targets breaks operator consistency
-        pairs[n - 1] = (pairs[n - 1][0], m.pairs[n - 2][1])
-        pairs[n - 2] = (pairs[n - 2][0], m.pairs[n - 1][1])
-        tampered = ray_map(3, tuple(pairs),
-                          covering_contexts=m.covering_contexts)
+        # hand-crafting inconsistent targets: exchanging the last two targets
+        # of a genuine map breaks operator consistency
+        tampered = _swap_last_targets(random_ray_map(3, make_generator(73))[0])
         check = check_orthogonality_preserving(tampered)
         classification = classify_transform(tampered, check)
         assert classification.verdict is Verdict.NEITHER and classification.phases is None
@@ -361,14 +358,8 @@ class TestFitTransform:
     def test_loose_tolerance_inconsistency_raises_fit_failed(self):
         # a target nudged by ~1e-5 slips past a 1e-4 classification tolerance
         # but no single operator can reproduce it to 1e-8: FitFailed
-        m, _ = random_ray_map(3, make_generator(76))
-        pairs = list(m.pairs)
-        last_target = pairs[-1][1]
-        nudge = np.array([1e-5, 0, 0])
-        tampered_target = proj(last_target.vector + nudge)
-        pairs[-1] = (pairs[-1][0], tampered_target)
-        tampered = ray_map(3, tuple(pairs), covering_contexts=m.covering_contexts,
-                           tol=Tolerance(abs_eps=1e-4))
+        tampered = _nudge_target(random_ray_map(3, make_generator(76))[0], -1, 1e-5,
+                                 Tolerance(abs_eps=1e-4))
         classification = classify_transform(tampered, check_orthogonality_preserving(tampered))
         assert classification.verdict is Verdict.UNITARY
         with pytest.raises(FitFailed):
@@ -380,17 +371,13 @@ class TestFitTransform:
         rng = make_generator(74)
         m, hidden = random_ray_map(3, rng)
         fit_a = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
-        phases = np.exp(2j * np.pi * rng.random(2 * len(m.pairs)))
-        pairs = tuple(
-            (Projector.from_vector(phases[2 * k] * s.vector),
-             Projector.from_vector(phases[2 * k + 1] * t.vector))
-            for k, (s, t) in enumerate(m.pairs)
-        )
+        phases = np.exp(2j * np.pi * rng.random((len(m.source_vectors), 2)))
         contexts = tuple(
-            make_context([phases[2 * ref_find_source(m, v)] * v for v in c.basis.T], c.label)
+            make_context([phases[ref_find_source(m, v), 0] * v for v in c.basis.T], c.label)
             for c in m.covering_contexts
         )
-        rephased = ray_map(3, pairs, covering_contexts=contexts)
+        rephased = RayMap(3, phases[:, :1] * m.source_vectors, phases[:, 1:] * m.target_vectors,
+                          contexts)
         fit_b = fit_transform(
             rephased, classify_transform(rephased, check_orthogonality_preserving(rephased)))
         assert phase_aligned_distance(fit_a.transform.matrix,
@@ -422,10 +409,10 @@ def ref_bijectivity_error(pairs, tol=DEFAULT_TOL) -> str | None:
 
 
 def ref_check(m: RayMap) -> OrthogonalityCheck:
-    eps = m.tol.abs_eps
-    for i, j in combinations(range(len(m.pairs)), 2):
-        s = max_abs(m.pairs[i][0].matrix @ m.pairs[j][0].matrix)
-        t = max_abs(m.pairs[i][1].matrix @ m.pairs[j][1].matrix)
+    eps, pairs = m.tol.abs_eps, projector_pairs(m)
+    for i, j in combinations(range(len(pairs)), 2):
+        s = max_abs(pairs[i][0].matrix @ pairs[j][0].matrix)
+        t = max_abs(pairs[i][1].matrix @ pairs[j][1].matrix)
         if (s <= eps) != (t <= eps):
             return OrthogonalityCheck(ok=False, violating_pair=(i, j),
                                       source_product_norm=s,
@@ -439,9 +426,8 @@ def ref_classify(m: RayMap) -> Verdict:
     eps = m.tol.abs_eps
     if not ref_check(m):
         raise HypothesisViolated("map does not preserve orthogonality both ways")
-    k = len(m.pairs)
-    bs = np.column_stack([s.vector for s, _ in m.pairs])
-    bt = np.column_stack([t.vector for _, t in m.pairs])
+    k = len(m.source_vectors)
+    bs, bt = (np.ascontiguousarray(rows.T) for rows in (m.source_vectors, m.target_vectors))
     gs, gt = bs.conj().T @ bs, bt.conj().T @ bt
     triples = np.array(list(combinations(range(k), 3)), dtype=int)
     if triples.size == 0:
@@ -460,15 +446,15 @@ def ref_classify(m: RayMap) -> Verdict:
 
 
 def _swap_last_targets(m: RayMap) -> RayMap:
-    pairs = list(m.pairs)
-    pairs[-1], pairs[-2] = (pairs[-1][0], m.pairs[-2][1]), (pairs[-2][0], m.pairs[-1][1])
-    return ray_map(m.dim, tuple(pairs), covering_contexts=m.covering_contexts)
+    order = [*range(len(m.target_vectors) - 2), -1, -2]
+    return RayMap(m.dim, m.source_vectors, m.target_vectors[order], m.covering_contexts)
 
 
-def _nudge_last_target(m: RayMap, tol=DEFAULT_TOL) -> RayMap:
-    pairs = list(m.pairs)
-    pairs[-1] = (pairs[-1][0], proj(pairs[-1][1].vector + np.array([1e-5, 0, 0])))
-    return ray_map(m.dim, tuple(pairs), covering_contexts=m.covering_contexts, tol=tol)
+def _nudge_target(m: RayMap, row: int, shift: float, tol=DEFAULT_TOL) -> RayMap:
+    """m with target row moved by shift along e1 and renormalised, built at tol."""
+    targets = m.target_vectors.copy()
+    targets[row] = proj(targets[row] + [shift, 0, 0]).vector
+    return RayMap(m.dim, m.source_vectors, targets, m.covering_contexts, tol)
 
 
 def _block_map(*antiunitary: bool) -> RayMap:
@@ -491,9 +477,8 @@ def _block_map(*antiunitary: bool) -> RayMap:
 
 
 def _shuffled(m: RayMap, seed: int) -> RayMap:
-    order = make_generator(seed).permutation(len(m.pairs))
-    return ray_map(m.dim, tuple(m.pairs[i] for i in order),
-                  covering_contexts=m.covering_contexts)
+    order = make_generator(seed).permutation(len(m.source_vectors))
+    return RayMap(m.dim, m.source_vectors[order], m.target_vectors[order], m.covering_contexts)
 
 
 def _small_map(k: int) -> RayMap:
@@ -534,9 +519,9 @@ def reference_cases():
     cases += [
         ("swapped-targets", swapped),
         ("swapped-targets-shuffled", _shuffled(swapped, 3)),
-        ("nudged-target-loose", _nudge_last_target(random_ray_map(3, make_generator(76))[0],
-                                                   Tolerance(abs_eps=1e-4))),
-        ("nudged-target", _nudge_last_target(random_ray_map(3, make_generator(76))[0])),
+        ("nudged-target-loose", _nudge_target(random_ray_map(3, make_generator(76))[0], -1, 1e-5,
+                                              Tolerance(abs_eps=1e-4))),
+        ("nudged-target", _nudge_target(random_ray_map(3, make_generator(76))[0], -1, 1e-5)),
         ("violating", _violating_map()),
         ("mixed-evidence", _block_map(False, True)),
         ("neither-past-first-chunk", _swap_last_targets(_block_map(False, True))),
@@ -595,7 +580,7 @@ class TestKernelsMatchReference:
         short = Projector(np.array([1, 1j, -1]) / np.sqrt(3) * (1 - 5e-10))
         for anti in (False, True):
             m, _ = random_ray_map(3, rng, antiunitary=anti, n_extra=8)
-            pairs = list(m.pairs)
+            pairs = projector_pairs(m)
             k = len(pairs)
             variants = {
                 "none": pairs,
@@ -684,8 +669,8 @@ class TestKernelsMatchReference:
             for anti in (False, True):
                 m, _ = random_ray_map(dim, rng, antiunitary=anti, n_extra=10)
                 fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
-                assert fit.residual == max(
-                    max_abs(t.matrix - act_matrix(fit.transform, s.matrix)) for s, t in m.pairs)
+                assert fit.residual == max(max_abs(t.matrix - act_matrix(fit.transform, s.matrix))
+                                           for s, t in projector_pairs(m))
 
 
 def _gadget_map(n: int, anti: bool, seed: int) -> RayMap:
@@ -797,7 +782,7 @@ class TestGadgetFreeFit:
         fit = fit_transform(m, classification)
         assert fit.residual <= FIT_RESIDUAL_LIMIT
         assert fit.residual == max(
-            max_abs(t.matrix - act_matrix(fit.transform, s.matrix)) for s, t in m.pairs)
+            max_abs(t.matrix - act_matrix(fit.transform, s.matrix)) for s, t in projector_pairs(m))
 
 
 def _edge_rays(n: int, value: float, rng=None) -> list[np.ndarray]:
@@ -817,7 +802,7 @@ def _edge_rays(n: int, value: float, rng=None) -> list[np.ndarray]:
     for _ in range(4):  # max|b| moves with d only slightly
         d = value / (np.abs(a).max() * np.abs(ray(d)).max())
     for _ in range(64 if rng is None else 0):
-        (pa, _), (pb, _) = RayMap(n, [a, ray(d)], [a, ray(d)]).pairs
+        (pa, _), (pb, _) = projector_pairs(RayMap(n, [a, ray(d)], [a, ray(d)]))
         got = max_abs(pa.matrix @ pb.matrix)
         if got == value:
             break
@@ -912,10 +897,7 @@ def nudged_identity_map(tol=DEFAULT_TOL):
     """The identity map on the dimension-3 gadget with the target of e2
     moved 1e-6 toward e1, built at tol: orthogonality fails at 1e-9 and
     holds at 1e-4."""
-    m = identity_map(3)
-    pairs = list(m.pairs)
-    pairs[1] = (pairs[1][0], proj(pairs[1][1].vector + [1e-6, 0, 0]))
-    return ray_map(3, tuple(pairs), covering_contexts=m.covering_contexts, tol=tol)
+    return _nudge_target(identity_map(3), 1, 1e-6, tol)
 
 
 class TestOneStageEach:

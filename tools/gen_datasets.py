@@ -2,7 +2,8 @@
 """Regenerate the bundled datasets under src/qcontexts/datasets/.
 
 Everything here is deterministic: fixed seeds, fixed enumeration order.
-Run from the repository root:  python3 tools/gen_datasets.py
+The bases and ray-map builders below are also the test suite's: tests/helpers.py
+loads this file by path. Run from the repository root:  python3 tools/gen_datasets.py
 """
 
 from __future__ import annotations
@@ -10,15 +11,16 @@ from __future__ import annotations
 import json
 from itertools import combinations, product
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from qcontexts.core import (ContextTransform, DensityOperator, Projector, make_context,
+from qcontexts.core import (Context, ContextTransform, DensityOperator, Projector, make_context,
                             make_generator)
 from qcontexts.gleason import FrameSample
 from qcontexts.jsonio import complex_to_json, context_to_json, density_to_json, ray_map_to_json
 from qcontexts.sampling import random_state_vector, random_unitary
-from qcontexts.uhlhorn import induced_ray_map
+from qcontexts.uhlhorn import RayMap
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "qcontexts" / "datasets"
 
@@ -76,6 +78,25 @@ def gen_gleason_demo() -> None:
             samples.append({"vector": complex_to_json(p.vector), "value": value})
             FrameSample(p, value)  # sanity: constructible
     write("gleason_demo_dim3.json", {"dim": 3, "samples": samples})
+
+
+def gadget_sources(context: Context) -> list[np.ndarray]:
+    """A context's basis rays plus (e1 + ek)/sqrt(2) and (e1 + i ek)/sqrt(2)
+    for k = 2..N, rays that fix an inducing operator up to phase."""
+    e = list(context.basis.T)
+    rays = list(e)
+    for k in range(1, context.dim):
+        rays.append((e[0] + e[k]) / np.sqrt(2.0))
+        rays.append((e[0] + 1j * e[k]) / np.sqrt(2.0))
+    return rays
+
+
+def induced_ray_map(transform: ContextTransform, context: Context,
+                    extra_rays: Sequence[np.ndarray] = ()) -> RayMap:
+    """Ray map obtained by pushing a gadget set (plus extras) through an operator."""
+    rays = gadget_sources(context) + [np.asarray(r) for r in extra_rays]
+    return RayMap(context.dim, rays, [transform.act_vector(r) for r in rays],
+                  covering_contexts=(context,))
 
 
 def gen_ray_maps() -> None:
