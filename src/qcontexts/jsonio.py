@@ -208,37 +208,16 @@ def ray_map_to_json(m: RayMap) -> dict:
         "dim": m.dim,
         "pairs": [{"source": s, "target": t} for s, t in
                   zip(complex_to_json(m.source_vectors), complex_to_json(m.target_vectors))],
-        "covering_contexts": [{"label": c.label, "vectors": complex_to_json(c.basis.T)}
-                              for c in m.covering_contexts],
     }
 
 
 def ray_map_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> RayMap:
-    """Covering contexts may be inline objects, bare vector lists, or
-    labels resolved against an optional top-level "contexts" table."""
+    """{"dim", "pairs": [{"source", "target"}]}; other keys are ignored."""
     dim = _require_int(doc, "dim")
     pairs = _objects(doc, "pairs", "pair", ("source", "target"))
     vectors = _complex_array([row for pair in pairs for row in pair], (len(pairs), 2, dim))
-
-    table = doc.get("contexts", {})
-    covering = doc.get("covering_contexts", [])
-    if not isinstance(table, dict) or not isinstance(covering, list):
-        raise MalformedDocument(
-            "'contexts' must be an object and 'covering_contexts' a list")
-    contexts = []
-    for k, entry in enumerate(covering):
-        if isinstance(entry, str):
-            if entry not in table:
-                raise MalformedDocument(
-                    f"covering context '{entry}' not found in the 'contexts' table")
-            entry = {"label": entry, "vectors": table[entry]}
-        elif isinstance(entry, list):
-            entry = {"label": f"covering-{k}", "vectors": entry}
-        elif not isinstance(entry, dict):
-            raise MalformedDocument(f"covering context {k} has unsupported type")
-        contexts.append(context_from_json({"dim": dim, **entry}, tol))
     try:  # RayMap checks the row norms
-        return RayMap(dim, vectors[:, 0], vectors[:, 1], tuple(contexts), tol)
+        return RayMap(dim, vectors[:, 0], vectors[:, 1], tol)
     except ValueError as exc:
         raise MalformedDocument(str(exc)) from exc
 

@@ -154,12 +154,10 @@ def row_blocks(stop: int, width: int) -> list[slice]:
     return [slice(a, a + rows) for a in range(0, stop, rows)]
 
 
-def same_ray_pairs(vectors: np.ndarray, eps: float, stop: int | None = None):
+def same_ray_pairs(vectors: np.ndarray, eps: float):
     """Every pair (i, j), i < j, in lexicographic order, of rows of the (k, n)
     array whose projector matrices differ by at most eps in every entry: the
-    rule for "the same ray" in ray maps, KS documents and extravalence. With
-    stop, only pairs i < stop <= j: rows stacked above a list find their
-    partners in it, and the list is not screened against itself.
+    rule for "the same ray" in ray maps, KS documents and extravalence.
 
     Such a pair has |<u, v>|^2 >= s^2 - (n eps)^2 / 2, with s the smallest
     squared row norm, a gap the Gram entry cannot resolve in floating
@@ -169,16 +167,15 @@ def same_ray_pairs(vectors: np.ndarray, eps: float, stop: int | None = None):
     |<u, v>|^2 by more than the gap. Both run in blocks of about 1 MiB.
     """
     k, n = vectors.shape
-    heads = k - 1 if stop is None else min(stop, k - 1)  # the rows i searched
     smallest = float(np.min(np.sum(np.abs(vectors) ** 2, axis=1), initial=np.inf))
     floor = smallest ** 2 - (n * eps) ** 2 / 2 - 1e-10  # the margin covers Gram rounding
-    for b in row_blocks(heads, k):
-        gram = vectors[b.start:min(b.stop, heads)].conj() @ vectors[b.start:].T
+    for b in row_blocks(k - 1, k):
+        gram = vectors[b.start:min(b.stop, k - 1)].conj() @ vectors[b.start:].T
         parts = gram.view(np.float64)  # |<u, v>|^2 from squared real and imaginary parts
         np.square(parts, out=parts)
         near = parts[:, 0::2] + parts[:, 1::2] >= floor
         r, c = np.divmod(np.flatnonzero(near), near.shape[1])
-        upper = c > r if stop is None else b.start + c >= stop
+        upper = c > r
         i, j = b.start + r[upper], b.start + c[upper]
         for s in row_blocks(len(i), n * n):
             diff = projector_stack(vectors[i[s]]) - projector_stack(vectors[j[s]])

@@ -12,10 +12,10 @@ For k rays in dimension n a certification costs O(k^2 n) time and
 O(k n^2 + k^2) memory. A RayMap holds its source and target unit
 vectors once, as (k, n) arrays made by linalg.unit_rows, and caches no
 more than its Projector pairs, built when asked for. Its tol is the one
-tolerance of its certification: bijectivity and covering contexts are
-checked at it once, when the map is built, by linalg.same_ray_pairs, and
-orthogonality once per certification, by a Gram screen that leaves its
-open pairs to linalg.product_norm, O(k^2 n) each: the stages run check(m),
+tolerance of its certification: bijectivity is checked at it once, when
+the map is built, by linalg.first_repeated_ray, and orthogonality once
+per certification, by a Gram screen that leaves its open pairs to
+linalg.product_norm, O(k^2 n) each: the stages run check(m),
 classify(m, check), fit(m, classification). The branch is two
 O(k^2) gauge fits along one spanning forest, in row blocks, and each
 rejected branch's witness is read off that forest in the same pass: its
@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .core import Context, ContextTransform, Projector
+from .core import ContextTransform, Projector
 from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -41,7 +41,7 @@ from .errors import (
     HypothesisViolated,
 )
 from .linalg import (DEFAULT_TOL, Frozen, Tolerance, first_repeated_ray, max_abs, product_norm,
-                     same_ray_pairs, unit_rows)
+                     unit_rows)
 
 __all__ = [
     "RayMap",
@@ -61,20 +61,16 @@ FIT_RESIDUAL_LIMIT = 1e-8
 
 
 class RayMap(Frozen):
-    """Finite bijective ray correspondence with optional covering contexts.
+    """Finite bijective ray correspondence.
 
     Row i of the (k, dim) arrays sources and targets lies on pair i's
     source and target ray. The map stores only those rows divided by
     their norms, as the read-only arrays source_vectors and
-    target_vectors. covering_contexts are contexts declared to lie among
-    the sources, each checked in one linalg.same_ray_pairs pass over
-    [basis rows; sources] and kept as given; the fit does not need them.
-    All is decided at tol, once, here; tol is the one every stage reads.
+    target_vectors. Bijectivity is decided at tol, once, here; tol is the
+    one every stage reads.
     """
 
-    def __init__(self, dim: int, sources, targets,
-                 covering_contexts: tuple[Context, ...] = (),
-                 tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, dim: int, sources, targets, tol: Tolerance = DEFAULT_TOL):
         rows = np.asarray([sources, targets], dtype=np.complex128)
         if rows.ndim != 3 or rows.shape[2] != dim:
             raise DimensionMismatch("ray pair dimension differs from map dimension")
@@ -90,15 +86,7 @@ class RayMap(Frozen):
         if repeated:
             (i, j), which = min(repeated)
             raise ValueError(f"{which} {i} and {j} coincide; map must be bijective")
-        for c in covering_contexts:
-            if c.dim != dim:
-                raise DimensionMismatch(f"covering context '{c.label}' has dimension {c.dim}")
-            pairs = same_ray_pairs(np.vstack([c.basis.T, unit[0]]), tol.abs_eps, dim)
-            if len({i for i, _ in pairs}) < dim:
-                raise ValueError(f"covering context '{c.label}' has a projector "
-                                 "missing from the sources")
-        self.__dict__.update(dim=dim, tol=tol, covering_contexts=covering_contexts,
-                             source_vectors=unit[0], target_vectors=unit[1])
+        self.__dict__.update(dim=dim, tol=tol, source_vectors=unit[0], target_vectors=unit[1])
 
     @cached_property
     def pairs(self) -> tuple[tuple[Projector, Projector], ...]:

@@ -88,11 +88,11 @@ def projector_pairs(m: RayMap) -> list[tuple[Projector, Projector]]:
     return [(Projector(s), Projector(t)) for s, t in zip(m.source_vectors, m.target_vectors)]
 
 
-def ray_map(dim: int, pairs, covering_contexts=(), tol=DEFAULT_TOL) -> RayMap:
+def ray_map(dim: int, pairs, tol=DEFAULT_TOL) -> RayMap:
     """RayMap over (source, target) projector pairs: their vectors are the rows."""
     sources = np.array([s.vector for s, _ in pairs])
     targets = np.array([t.vector for _, t in pairs])
-    return RayMap(dim, sources, targets, covering_contexts, tol)
+    return RayMap(dim, sources, targets, tol)
 
 
 _REJECTED = {Verdict.UNITARY: {Verdict.ANTIUNITARY}, Verdict.ANTIUNITARY: {Verdict.UNITARY},
@@ -149,26 +149,20 @@ def act_matrix(transform: ContextTransform, p: np.ndarray) -> np.ndarray:
 
 
 def ref_find_source(m: RayMap, v: np.ndarray, tol=DEFAULT_TOL) -> int | None:
-    """A covering ray's source as the stack rule that first_repeated_ray
-    replaced: the lowest source whose projector differs from |v><v| by at
-    most tol in every entry."""
+    """The lowest source whose projector differs from |v><v| by at most tol
+    in every entry, or None."""
     dist = np.abs(projector_stack(m.source_vectors) - np.outer(v, v.conj())).max(axis=(1, 2))
     hits = np.flatnonzero(dist <= tol.abs_eps)
     return int(hits[0]) if hits.size else None
 
 
-class MissingGadget(Exception):
-    """A covering context of the map lacks the rays ref_fit needs."""
-
-
 def ref_locate_gadget(m: RayMap, context, source_reps: np.ndarray):
-    """The phase-fixing gadget as the operator fit once required it: basis
-    indices found at m.tol by ref_find_source and, per column k, the first
-    candidate pair in combinations order whose phase ratio is +i or -i,
-    oriented to +i."""
+    """The phase-fixing gadget on the fiducial context as the operator fit
+    once required it: basis indices found at m.tol by ref_find_source and,
+    per column k, the first candidate pair in combinations order whose
+    phase ratio is +i or -i, oriented to +i."""
     basis_idx = [ref_find_source(m, v, m.tol) for v in context.basis.T]
-    if None in basis_idx:
-        raise MissingGadget("fiduciary projector missing from sources")
+    assert None not in basis_idx, "fiduciary projector missing from sources"
     overlaps = source_reps @ source_reps[basis_idx].conj().T
     weights = np.abs(overlaps)
     weights[basis_idx] = np.inf
@@ -189,32 +183,20 @@ def ref_locate_gadget(m: RayMap, context, source_reps: np.ndarray):
             if abs(ratio + 1j) <= 1e-6:
                 pair = (ib, ia)
                 break
-        if pair is None:
-            raise MissingGadget(
-                f"no balanced superposition pair for basis rays (1, {k + 1}) "
-                f"of context '{context.label}'")
+        assert pair is not None, f"no balanced superposition pair for basis rays (1, {k + 1})"
         superpositions.append(pair)
     return basis_idx, superpositions
 
 
-def ref_fit(m: RayMap, antiunitary: bool) -> tuple[np.ndarray, float, str]:
-    """(matrix, residual, fiduciary label) of the gadget fit that the
-    Procrustes fit replaced, kept as the reference for its matrices: the
-    gadget located by ref_locate_gadget in the first covering context that
-    has one, one column per fiduciary basis image, each phase pinned by
-    the +i-first superposition ray, the global phase fixed by the first
-    column."""
+def ref_fit(m: RayMap, context, antiunitary: bool) -> tuple[np.ndarray, float]:
+    """(matrix, residual) of the gadget fit that the Procrustes fit
+    replaced, kept as the reference for its matrices: the gadget on the
+    fiducial context located by ref_locate_gadget, one column per fiducial
+    basis image, each phase pinned by the +i-first superposition ray, the
+    global phase fixed by the first column."""
     source_reps = m.source_vectors.conj() if antiunitary else m.source_vectors
     target_reps = m.target_vectors
-    last_error = MissingGadget("ray map lists no covering context")
-    for context in m.covering_contexts:
-        try:
-            basis_idx, superpositions = ref_locate_gadget(m, context, source_reps)
-            break
-        except MissingGadget as exc:
-            last_error = exc
-    else:
-        raise last_error
+    basis_idx, superpositions = ref_locate_gadget(m, context, source_reps)
     e, f = source_reps[basis_idx], target_reps[basis_idx]
     phases = [1.0 + 0.0j]
     for k, (plus_idx, _) in enumerate(superpositions, 1):
@@ -230,7 +212,7 @@ def ref_fit(m: RayMap, antiunitary: bool) -> tuple[np.ndarray, float, str]:
         u = u * (abs(lead) / lead)
     residual = max_abs(projector_stack(target_reps)
                        - u @ projector_stack(source_reps) @ u.conj().T)
-    return u, residual, context.label
+    return u, residual
 
 
 def permutation_log_generator(sigma: Permutation) -> np.ndarray:

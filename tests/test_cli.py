@@ -220,7 +220,6 @@ class TestUhlhorn:
         u = random_unitary(3, rng)
         rays = [random_state_vector(3, rng) for _ in range(12)]
         doc = ray_map_to_json(RayMap(3, rays, [u @ r for r in rays]))
-        assert doc["covering_contexts"] == []
         code, out, err = _run_with_documents(capsys, tmp_path, "uhlhorn", doc)
         assert (code, err) == (0, "")
         payload = json.loads(out)
@@ -598,11 +597,6 @@ WRONG_TYPE_CASES = {
         {"label": "c0", "vectors": 5, "values": [1, 0, 0]}]}),
     "born-matrix-row-number": ("born", {"dim": 3, "matrix": [5, [0, 1, 0], [0, 0, 1]]},
                                ds("context_fourier_dim3.json")),
-    "uhlhorn-covering-number": ("uhlhorn", {**_load("raymap_unitary_dim3.json"),
-                                            "covering_contexts": 5}),
-    "uhlhorn-contexts-table-list": ("uhlhorn", {**_load("raymap_unitary_dim3.json"),
-                                                "contexts": ["c0"],
-                                                "covering_contexts": ["c0"]}),
     # the contexts document is the second file argument
     "simulate-context-number": ("simulate", ds("density_e1_dim3.json"), {"contexts": [5]}),
     "gleason-fit-values-lists": ("gleason-fit", {"contexts": [
@@ -627,6 +621,17 @@ WRONG_TYPE_CASES = {
     # an integer beyond the float range is not a finite number
     "ks-vector-entry-huge-int": ("ks", {**_KS_BASIS, "vectors": [[10**400, 0, 0], [0, 1, 0],
                                                                  [0, 0, 1]]}),
+}
+
+
+# keys a ray-map document may carry besides dim and pairs; the reader ignores them
+IGNORED_RAY_MAP_KEYS = {
+    "inline-context": {"covering_contexts": [{"label": "fiduciary",
+                                              "vectors": _KS_BASIS["vectors"]}]},
+    "bare-vectors": {"covering_contexts": [[[1, 1, 1], [1, 1, -2], [1, -1, 0]]]},
+    "unknown-label": {"covering_contexts": ["ghost"]},
+    "number": {"covering_contexts": 5},
+    "label-table-list": {"contexts": ["c0"]},
 }
 
 
@@ -685,6 +690,15 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err.startswith("error: MalformedDocument:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(IGNORED_RAY_MAP_KEYS))
+    def test_ray_map_keys_beyond_the_pairs_are_ignored(self, capsys, tmp_path, case):
+        doc = _load("raymap_unitary_dim3.json")
+        expected = _run_with_documents(capsys, tmp_path, "uhlhorn", doc)
+        assert expected[0] == 0
+        got = _run_with_documents(capsys, tmp_path, "uhlhorn",
+                                  {**doc, **IGNORED_RAY_MAP_KEYS[case]})
+        assert got == expected
 
     def test_sweep_covers_every_bundled_document(self):
         bundled = sorted(p.name for p in dataset_path("").glob("*.json"))

@@ -121,29 +121,6 @@ class TestRayMapIO:
         fit = fit_transform(back, classify_transform(back, check_orthogonality_preserving(back)))
         assert fit.residual <= 1e-8
 
-    def test_covering_context_as_label_table(self):
-        m, _ = random_ray_map(3, make_generator(10))
-        doc = ray_map_to_json(m)
-        inline = doc["covering_contexts"][0]
-        doc["contexts"] = {inline["label"]: inline["vectors"]}
-        doc["covering_contexts"] = [inline["label"]]
-        back = ray_map_from_json(doc)
-        assert back.covering_contexts[0].label == inline["label"]
-
-    def test_covering_context_as_bare_vectors(self):
-        m, _ = random_ray_map(3, make_generator(11))
-        doc = ray_map_to_json(m)
-        doc["covering_contexts"] = [doc["covering_contexts"][0]["vectors"]]
-        back = ray_map_from_json(doc)
-        assert back.covering_contexts[0].label == "covering-0"
-
-    def test_unknown_label_rejected(self):
-        m, _ = random_ray_map(3, make_generator(12))
-        doc = ray_map_to_json(m)
-        doc["covering_contexts"] = ["ghost"]
-        with pytest.raises(MalformedDocument):
-            ray_map_from_json(doc)
-
     def test_missing_pairs_rejected(self):
         with pytest.raises(MalformedDocument):
             ray_map_from_json({"dim": 3, "pairs": []})

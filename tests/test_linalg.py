@@ -174,23 +174,6 @@ class TestSameRayPairs:
             assert ref_same_ray_pairs(v, eps) == expected
             assert list(same_ray_pairs(v, eps)) == expected
 
-    def test_stop_pairs_the_leading_rows_with_the_rest(self, monkeypatch):
-        """With stop, only pairs i < stop <= j: neither pairs among the
-        leading rows nor pairs among the rest."""
-        from qcontexts import linalg
-        v = _random_rays(make_generator(406), 10, 3)
-        v[9], v[7], v[8], v[2] = v[1], v[0], v[0], 1j * v[1]
-        assert list(same_ray_pairs(v, 1e-9)) == [
-            (0, 7), (0, 8), (1, 2), (1, 9), (2, 9), (7, 8)]
-        for block in (None, 12, 1):
-            if block is not None:
-                monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", block)
-            assert list(same_ray_pairs(v, 1e-9, stop=3)) == [(0, 7), (0, 8), (1, 9), (2, 9)]
-            assert list(same_ray_pairs(v, 1e-9, stop=2)) == [(0, 7), (0, 8), (1, 2), (1, 9)]
-            assert list(same_ray_pairs(v, 1e-9, stop=1)) == [(0, 7), (0, 8)]
-            assert list(same_ray_pairs(v, 1e-9, stop=0)) == []
-            assert list(same_ray_pairs(v, 1e-9, stop=10)) == []
-
 
 def test_unit_rows_divide_or_name_the_first_bad_row():
     """Norms in (tol.bound(), inf) divide; otherwise the lowest bad row is

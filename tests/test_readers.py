@@ -110,8 +110,6 @@ def check_document(name: str, doc: dict) -> None:
         for side, rows in (("source", m.source_vectors), ("target", m.target_vectors)):
             ref = ref_unit_rows([p[side] for p in doc["pairs"]], doc["dim"])
             assert same_bits(rows, ref)
-        for entry, context in zip(doc["covering_contexts"], m.covering_contexts):
-            check_context({"dim": doc["dim"], **entry}, context)
     else:
         assert name.startswith("perm_")
         assert permutation_from_json(doc).images == tuple(doc["images"])
@@ -232,8 +230,8 @@ def _set_leaf(rows, value) -> None:
 
 
 def _drop_a_row(reader: str, doc: dict) -> None:
-    if reader == "raymap":
-        doc["covering_contexts"][0]["vectors"].pop()
+    if reader == "raymap":  # a pair's source one entry short
+        doc["pairs"][0]["source"].pop()
     elif reader == "samples":
         doc["dim"] = 4
     else:
@@ -325,7 +323,7 @@ EXPECTED = {
     ('raymap', 'short-row'):
         'MalformedDocument: vector has 2 entries, expected 3',
     ('raymap', 'wrong-row-count'):
-        'MalformedDocument: context needs exactly 3 vectors',
+        'MalformedDocument: vector has 2 entries, expected 3',
     ('raymap', 'zero-row'):
         'MalformedDocument: pair 1: cannot project onto the zero vector or one whose norm overflows',
     ('raymap', 'overflowing-row'):

@@ -21,7 +21,6 @@ from helpers import (
     projector_pairs,
     random_ray_map,
     ray_map,
-    ref_find_source,
     ref_fit,
     ref_gauge_residual,
     standard_basis,
@@ -71,12 +70,6 @@ class TestRayMap:
         with pytest.raises(ValueError):
             ray_map(3, ((p, p), (p, q)))
 
-    def test_covering_context_must_be_inside_sources(self):
-        c = standard_context(3)
-        pairs = tuple((p, p) for p in c.projectors[:2])
-        with pytest.raises(ValueError):
-            ray_map(3, pairs, covering_contexts=(c,))
-
     def test_same_ray_is_decided_at_the_given_tolerance(self):
         # a source 1e-7 from source 12 is the same ray at 1e-6, another at 1e-9
         m, _ = random_ray_map(3, make_generator(5))
@@ -87,18 +80,9 @@ class TestRayMap:
         with pytest.raises(ValueError, match="sources 12 and 13 coincide"):
             ray_map(3, pairs, tol=Tolerance(1e-6))
 
-    def test_covering_context_is_located_at_the_given_tolerance(self):
-        c = standard_context(3)
-        turned = np.array([[1, 1e-7, 0], [-1e-7, 1, 0], [0, 0, 1]], dtype=complex)
-        pairs = tuple((proj(turned @ v), proj(turned @ v)) for v in standard_basis(3))
-        with pytest.raises(ValueError, match="missing from the sources"):
-            ray_map(3, pairs, covering_contexts=(c,))
-        m = ray_map(3, pairs, covering_contexts=(c,), tol=Tolerance(1e-6))
-        assert m.covering_contexts == (c,)
-
     def test_immutable_and_certified_without_cached_stacks(self):
         m = identity_map(3)
-        fields = ["covering_contexts", "dim", "source_vectors", "target_vectors", "tol"]
+        fields = ["dim", "source_vectors", "target_vectors", "tol"]
         assert sorted(vars(m)) == fields
         assert m.tol is DEFAULT_TOL
         loose = Tolerance(1e-4)
@@ -108,7 +92,7 @@ class TestRayMap:
         fit_transform(m, classify_transform(m, check))
         # a full certification leaves the map holding what it was built with
         assert sorted(vars(m)) == fields
-        for name in ("dim", "pairs", "covering_contexts", "source_vectors", "tol"):
+        for name in ("dim", "pairs", "source_vectors", "target_vectors", "tol"):
             with pytest.raises(AttributeError):
                 setattr(m, name, None)
             with pytest.raises(AttributeError):
@@ -327,7 +311,7 @@ class TestFitTransform:
         # branches coincide, and the identity reproduces every pair
         c = standard_context(3)
         pairs = tuple((p, p) for p in c.projectors)
-        m = ray_map(3, pairs, covering_contexts=(c,))
+        m = ray_map(3, pairs)
         classification = classify_transform(m, check_orthogonality_preserving(m))
         fit = fit_transform(m, classification)
         assert classification.verdict is Verdict.INCONCLUSIVE and classification.witnesses == {}
@@ -372,12 +356,7 @@ class TestFitTransform:
         m, hidden = random_ray_map(3, rng)
         fit_a = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
         phases = np.exp(2j * np.pi * rng.random((len(m.source_vectors), 2)))
-        contexts = tuple(
-            make_context([phases[ref_find_source(m, v), 0] * v for v in c.basis.T], c.label)
-            for c in m.covering_contexts
-        )
-        rephased = RayMap(3, phases[:, :1] * m.source_vectors, phases[:, 1:] * m.target_vectors,
-                          contexts)
+        rephased = RayMap(3, phases[:, :1] * m.source_vectors, phases[:, 1:] * m.target_vectors)
         fit_b = fit_transform(
             rephased, classify_transform(rephased, check_orthogonality_preserving(rephased)))
         assert phase_aligned_distance(fit_a.transform.matrix,
@@ -447,14 +426,14 @@ def ref_classify(m: RayMap) -> Verdict:
 
 def _swap_last_targets(m: RayMap) -> RayMap:
     order = [*range(len(m.target_vectors) - 2), -1, -2]
-    return RayMap(m.dim, m.source_vectors, m.target_vectors[order], m.covering_contexts)
+    return RayMap(m.dim, m.source_vectors, m.target_vectors[order])
 
 
 def _nudge_target(m: RayMap, row: int, shift: float, tol=DEFAULT_TOL) -> RayMap:
     """m with target row moved by shift along e1 and renormalised, built at tol."""
     targets = m.target_vectors.copy()
     targets[row] = proj(targets[row] + [shift, 0, 0]).vector
-    return RayMap(m.dim, m.source_vectors, targets, m.covering_contexts, tol)
+    return RayMap(m.dim, m.source_vectors, targets, tol)
 
 
 def _block_map(*antiunitary: bool) -> RayMap:
@@ -478,7 +457,7 @@ def _block_map(*antiunitary: bool) -> RayMap:
 
 def _shuffled(m: RayMap, seed: int) -> RayMap:
     order = make_generator(seed).permutation(len(m.source_vectors))
-    return RayMap(m.dim, m.source_vectors[order], m.target_vectors[order], m.covering_contexts)
+    return RayMap(m.dim, m.source_vectors[order], m.target_vectors[order])
 
 
 def _small_map(k: int) -> RayMap:
@@ -619,41 +598,6 @@ class TestKernelsMatchReference:
                 check_witness(case, classification.verdict, classification.witnesses)
             assert classification.verdict is Verdict.NEITHER  # the swapped map's
 
-    def test_find_source_matches_the_stack_rule(self):
-        """RayMap's covering search on one basis row, the first pair of
-        same_ray_pairs over [v; sources] that starts at v, against the stack
-        rule: sources as given, rephased and short of unit norm; rays near a
-        source at their distance to it and 1 ulp to either side; a missing
-        ray; all at 1e-9 and at a looser 1e-6, where sources 3 and 9 are the
-        same ray, so a match among the sources alone must not count."""
-        rng = make_generator(99)
-        m, _ = random_ray_map(3, rng, n_extra=10)
-        sources = m.source_vectors.copy()
-        sources[9] = sources[3] + 1e-7 * random_state_vector(3, rng)
-        m = RayMap(3, sources, m.target_vectors)
-        loose = Tolerance(1e-6)
-        assert linalg.first_repeated_ray(m.source_vectors, loose.abs_eps) == (3, 9)
-        missing = random_state_vector(3, rng)
-        probes = [(missing, DEFAULT_TOL), (missing, loose)]
-        edges = []
-        for j in (0, 3, 9, 12):
-            s = m.source_vectors[j]
-            for v in (s, np.exp(0.7j) * s, (1 - 5e-10) * s, (1 - 2e-9) * s):
-                probes += [(v, DEFAULT_TOL), (v, loose)]
-            near = s + 1e-7 * random_state_vector(3, rng)
-            near /= np.linalg.norm(near)
-            d = max_abs(np.outer(near, near.conj()) - np.outer(s, s.conj()))
-            edges.append([(near, Tolerance(e)) for e in (np.nextafter(d, 0), d,
-                                                         np.nextafter(d, 1))])
-            probes += edges[-1]
-        for v, tol in probes:
-            stacked = np.vstack([v, m.source_vectors])
-            hit = next(linalg.same_ray_pairs(stacked, tol.abs_eps, stop=1), None)
-            assert (None if hit is None else hit[1] - 1) == ref_find_source(m, v, tol)
-        assert ref_find_source(m, missing, loose) is None
-        assert ref_find_source(m, m.source_vectors[9], loose) == 3
-        assert [ref_find_source(m, *probe) for probe in edges[0]] == [None, 0, 0]
-
     def test_classification_is_the_same_in_any_row_blocks(self, monkeypatch):
         # blocks of 1, 7 and 59 entries split every fit and witness row
         cases = [(m, check_orthogonality_preserving(m)) for _, m in reference_cases()]
@@ -673,12 +617,13 @@ class TestKernelsMatchReference:
                                            for s, t in projector_pairs(m))
 
 
-def _gadget_map(n: int, anti: bool, seed: int) -> RayMap:
-    """A map on a fiduciary basis with one to three candidate pairs at +-i
-    per column, up to two candidates without a partner and up to three
-    random rays, all in shuffled order after a leading pair of column 1
-    whose ratio is -i, with every source, target and fiduciary basis vector
-    rephased. On odd seeds a covering context without a gadget comes first."""
+def _gadget_map(n: int, anti: bool, seed: int):
+    """(map, fiducial context): a map on a fiducial basis with one to three
+    candidate pairs at +-i per column, up to two candidates without a
+    partner and up to three random rays, all in shuffled order after a
+    leading pair of column 1 whose ratio is -i, with every source, target
+    and fiducial basis vector rephased. On odd seeds the sources also hold
+    a basis without a gadget."""
     rng = make_generator(seed)
     hidden = ContextTransform.from_matrix(random_unitary(n, rng), antiunitary=anti)
     e = list(random_unitary(n, rng).T)
@@ -690,15 +635,13 @@ def _gadget_map(n: int, anti: bool, seed: int) -> RayMap:
         lone = 2 * np.pi * rng.random(int(rng.integers(0, 3)))
         rest += [(e[0] + np.exp(1j * t) * e[k]) / np.sqrt(2.0)
                  for t in np.concatenate([starts, starts + np.pi / 2, lone])]
-    contexts = (make_context([np.exp(2j * np.pi * rng.random()) * v for v in e], "fid"),)
+    fiducial = make_context([np.exp(2j * np.pi * rng.random()) * v for v in e], "fid")
     if seed % 2:
-        plain = list(random_unitary(n, rng).T)
-        rest += plain
-        contexts = (make_context(plain, "plain"),) + contexts
+        rest += list(random_unitary(n, rng).T)
     rays = first + [rest[i] for i in rng.permutation(len(rest))]
     phases = np.exp(2j * np.pi * rng.random((2, len(rays))))
     return RayMap(n, [p * r for p, r in zip(phases[0], rays)],
-                  [p * hidden.act_vector(r) for p, r in zip(phases[1], rays)], contexts)
+                  [p * hidden.act_vector(r) for p, r in zip(phases[1], rays)]), fiducial
 
 
 class TestGadgetFit:
@@ -710,19 +653,19 @@ class TestGadgetFit:
     @pytest.mark.parametrize("anti", [False, True])
     def test_matches_the_gadget_fit(self, n, anti):
         for seed in range(12):
-            m = _gadget_map(n, anti, seed)
+            m, fiducial = _gadget_map(n, anti, seed)
             classification = classify_transform(m, check_orthogonality_preserving(m))
             fit = fit_transform(m, classification)
-            matrix, residual, label = ref_fit(m, anti)
+            matrix, residual = ref_fit(m, fiducial, anti)
             assert classification.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
             assert max_abs(fit.transform.matrix - matrix) <= 1e-13
-            assert label == "fid" and max(fit.residual, residual) <= FIT_RESIDUAL_LIMIT
+            assert max(fit.residual, residual) <= FIT_RESIDUAL_LIMIT
 
 
 def _gadget_free_map(n: int, k: int, anti: bool, seed: int):
     """(map, hidden operator): k random rays in dimension n through a random
     unitary or anti-unitary, every source and target rephased at random,
-    with no covering context."""
+    with no gadget."""
     rng = make_generator(seed)
     hidden = ContextTransform.from_matrix(random_unitary(n, rng), antiunitary=anti)
     rays = [random_state_vector(n, rng) for _ in range(k)]
@@ -733,7 +676,7 @@ def _gadget_free_map(n: int, k: int, anti: bool, seed: int):
 
 class TestGadgetFreeFit:
     """Any operator-induced map certifies: the fit needs only the gauge
-    phases of the branch fit, no covering context and no superposition rays."""
+    phases of the branch fit, no fiducial basis and no superposition rays."""
 
     @pytest.mark.parametrize("n", [3, 4, 8])
     @pytest.mark.parametrize("anti", [False, True])
@@ -968,19 +911,17 @@ class TestOneStageEach:
     @pytest.mark.parametrize("name", ["raymap_unitary_dim3.json",
                                       "raymap_antiunitary_dim3.json"])
     def test_bundled_map_screens_each_ray_once(self, monkeypatch, capsys, name):
-        """Two bijectivity screens, then one pass over the basis rows of the
-        one covering context, 3 in all; the fit screens nothing."""
+        """Two bijectivity screens, one per side; the fit screens nothing."""
         screens, screen = [], linalg.same_ray_pairs
 
-        def counted(vectors, eps, stop=None):
+        def counted(vectors, eps):
             screens.append(len(vectors))
-            return screen(vectors, eps, stop)
+            return screen(vectors, eps)
 
-        for module in (linalg, uhlhorn):
-            monkeypatch.setattr(module, "same_ray_pairs", counted)
+        monkeypatch.setattr(linalg, "same_ray_pairs", counted)
         assert cli.main(["uhlhorn", str(jsonio.dataset_path(name))]) == 0
         capsys.readouterr()
-        assert len(screens) == 3
+        assert len(screens) == 2
 
 
 class TestOrthogonalityMemo:
@@ -1055,7 +996,8 @@ finally:
 
 
 def _large_map(k: int) -> RayMap:
-    """A seeded anti-unitary map of k rays in dimension 3 with one covering context."""
+    """A seeded anti-unitary map of k rays in dimension 3: the gadget on a
+    random basis plus k - 7 random rays."""
     rng = make_generator(93)
     hidden = ContextTransform.from_matrix(random_unitary(3, rng), antiunitary=True)
     basis = random_unitary(3, rng)
@@ -1114,26 +1056,6 @@ def test_large_real_neither_map_is_witnessed_in_quadratic_time(tmp_path):
                   witnesses)
     assert {cycle for cycle, _, _ in witnesses.values()} == {(0, 600)}
     assert wall < 10
-
-
-def test_missing_covering_ray_fails_without_a_scan_of_the_sources(monkeypatch):
-    """A 1200-ray map whose sources lack one basis ray of its covering
-    context: the covering pass screens only the 3 basis rows against the
-    stack below them, not the 1200 sources against each other, and names
-    the context."""
-    m = _large_map(1200)
-    keep = np.arange(1200) != ref_find_source(m, m.covering_contexts[0].basis[:, 1])
-    calls, blocks = [], linalg.row_blocks
-
-    def counted(stop, width):
-        calls.append((stop, width))
-        return blocks(stop, width)
-
-    monkeypatch.setattr(linalg, "row_blocks", counted)
-    with pytest.raises(ValueError, match="covering context 'fiduciary' has a projector missing"):
-        RayMap(3, m.source_vectors[keep], m.target_vectors[keep], m.covering_contexts)
-    # two bijectivity screens over 1199 rows, then the covering pass over 3 + 1199
-    assert [call for call in calls if call[1] > 9] == [(1198, 1199), (1198, 1199), (3, 1202)]
 
 
 def _sweep_map(k: int) -> RayMap:

@@ -95,8 +95,7 @@ def induced_ray_map(transform: ContextTransform, context: Context,
                     extra_rays: Sequence[np.ndarray] = ()) -> RayMap:
     """Ray map obtained by pushing a gadget set (plus extras) through an operator."""
     rays = gadget_sources(context) + [np.asarray(r) for r in extra_rays]
-    return RayMap(context.dim, rays, [transform.act_vector(r) for r in rays],
-                  covering_contexts=(context,))
+    return RayMap(context.dim, rays, [transform.act_vector(r) for r in rays])
 
 
 def gen_ray_maps() -> None:
