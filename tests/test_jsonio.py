@@ -12,6 +12,7 @@ from qcontexts.jsonio import (
     context_from_json,
     context_to_json,
     contexts_from_json,
+    dataset_path,
     density_from_json,
     density_to_json,
     frame_samples_from_json,
@@ -120,6 +121,27 @@ class TestRayMapIO:
         assert back.source_vectors.shape == back.target_vectors.shape == m.source_vectors.shape
         fit = fit_transform(back, classify_transform(back, check_orthogonality_preserving(back)))
         assert fit.residual <= 1e-8
+
+    def test_writes_only_dim_and_pairs(self):
+        m, _ = random_ray_map(3, make_generator(10))
+        doc = ray_map_to_json(m)
+        assert list(doc) == ["dim", "pairs"]
+        assert len(doc["pairs"]) == len(m.source_vectors)
+
+    def test_keys_beyond_the_pairs_are_ignored(self):
+        m, _ = random_ray_map(3, make_generator(11))
+        doc = ray_map_to_json(m)
+        plain = ray_map_from_json(doc)
+        extra = ray_map_from_json({**doc, "covering_contexts": ["ghost"], "contexts": 5})
+        assert np.array_equal(extra.source_vectors, plain.source_vectors)
+        assert np.array_equal(extra.target_vectors, plain.target_vectors)
+
+    @pytest.mark.parametrize("name", ["raymap_unitary_dim3.json",
+                                      "raymap_antiunitary_dim3.json"])
+    def test_bundled_map_holds_only_dim_and_pairs(self, name):
+        doc = json.loads(dataset_path(name).read_text())
+        assert list(doc) == ["dim", "pairs"]
+        assert list(ray_map_to_json(ray_map_from_json(doc))) == list(doc)
 
     def test_missing_pairs_rejected(self):
         with pytest.raises(MalformedDocument):

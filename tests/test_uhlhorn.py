@@ -21,6 +21,7 @@ from helpers import (
     projector_pairs,
     random_ray_map,
     ray_map,
+    ref_find_source,
     ref_fit,
     ref_gauge_residual,
     standard_basis,
@@ -598,6 +599,42 @@ class TestKernelsMatchReference:
                 check_witness(case, classification.verdict, classification.witnesses)
             assert classification.verdict is Verdict.NEITHER  # the swapped map's
 
+    def test_find_source_matches_the_stack_rule(self):
+        """The first pair of same_ray_pairs over [v; sources], when it starts
+        at v, names the source that helpers.ref_find_source finds by the
+        stack rule: sources as given, rephased and short of unit norm; rays
+        near a source at their distance to it and 1 ulp to either side; a
+        missing ray; all at 1e-9 and at a looser 1e-6, where sources 3 and 9
+        are the same ray, so a match among the sources alone must not count."""
+        rng = make_generator(99)
+        m, _ = random_ray_map(3, rng, n_extra=10)
+        sources = m.source_vectors.copy()
+        sources[9] = sources[3] + 1e-7 * random_state_vector(3, rng)
+        m = RayMap(3, sources, m.target_vectors)
+        loose = Tolerance(1e-6)
+        assert linalg.first_repeated_ray(m.source_vectors, loose.abs_eps) == (3, 9)
+        missing = random_state_vector(3, rng)
+        probes = [(missing, DEFAULT_TOL), (missing, loose)]
+        edges = []
+        for j in (0, 3, 9, 12):
+            s = m.source_vectors[j]
+            for v in (s, np.exp(0.7j) * s, (1 - 5e-10) * s, (1 - 2e-9) * s):
+                probes += [(v, DEFAULT_TOL), (v, loose)]
+            near = s + 1e-7 * random_state_vector(3, rng)
+            near /= np.linalg.norm(near)
+            d = max_abs(np.outer(near, near.conj()) - np.outer(s, s.conj()))
+            edges.append([(near, Tolerance(e)) for e in (np.nextafter(d, 0), d,
+                                                         np.nextafter(d, 1))])
+            probes += edges[-1]
+        for v, tol in probes:
+            stacked = np.vstack([v, m.source_vectors])
+            # pairs come in lexicographic order, so those that start at v lead
+            hit = next(linalg.same_ray_pairs(stacked, tol.abs_eps), None)
+            assert (None if hit is None or hit[0] else hit[1] - 1) == ref_find_source(m, v, tol)
+        assert ref_find_source(m, missing, loose) is None
+        assert ref_find_source(m, m.source_vectors[9], loose) == 3
+        assert [ref_find_source(m, *probe) for probe in edges[0]] == [None, 0, 0]
+
     def test_classification_is_the_same_in_any_row_blocks(self, monkeypatch):
         # blocks of 1, 7 and 59 entries split every fit and witness row
         cases = [(m, check_orthogonality_preserving(m)) for _, m in reference_cases()]
@@ -1056,6 +1093,22 @@ def test_large_real_neither_map_is_witnessed_in_quadratic_time(tmp_path):
                   witnesses)
     assert {cycle for cycle, _, _ in witnesses.values()} == {(0, 600)}
     assert wall < 10
+
+
+def test_large_map_is_screened_once_per_side(monkeypatch):
+    """Building a 1200-ray map runs two bijectivity screens, one over the
+    1200 sources and one over the 1200 targets, and no other scan of the rows."""
+    m = _large_map(1200)
+    calls, blocks = [], linalg.row_blocks
+
+    def counted(stop, width):
+        calls.append((stop, width))
+        return blocks(stop, width)
+
+    monkeypatch.setattr(linalg, "row_blocks", counted)
+    RayMap(3, m.source_vectors, m.target_vectors)
+    # widths of 9 are the projector blocks that decide each candidate pair
+    assert [call for call in calls if call[1] > 9] == [(1199, 1200), (1199, 1200)]
 
 
 def _sweep_map(k: int) -> RayMap:
