@@ -8,11 +8,11 @@ out everywhere.
 
 Each type stores one representation: a Projector its unit vector, a
 Context its orthonormal basis matrix, a DensityOperator or a
-ContextTransform its matrix; dim is read from that array. Projector
-matrices and a context's projectors are built on first use. The
-Projector constructor, make_context and the from_* classmethods validate
-their input once; nothing re-checks it later. The ray rules are linalg's:
-unit_rows, same_ray_pairs (extravalence) and product_norm (exclusivity).
+ContextTransform its matrix; dim is read from that array, and projector
+matrices are built on first use. Projector(), make_context and the from_*
+classmethods validate their input once; nothing re-checks it later. The
+ray rules are linalg's: unit_rows (the one normalization, which keeps unit
+rows), same_ray_pairs (extravalence) and product_norm (exclusivity).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotOrthonormal
 from .linalg import (DEFAULT_TOL, Frozen, Tolerance, as_matrix, as_vector, in_unit_interval,
-                     is_unitary, max_abs, product_norm, row_norms, same_ray_pairs, unit_rows)
+                     is_unitary, max_abs, product_norm, same_ray_pairs, unit_rows)
 
 __all__ = [
     "Projector",
@@ -97,11 +97,6 @@ class Projector(Frozen):
     def matrix(self) -> np.ndarray:
         """|psi><psi|, built on first use."""
         return _readonly(np.outer(self.vector, self.vector.conj()))
-
-    def distance(self, other: "Projector") -> float:
-        """Max-norm distance between the two projector matrices."""
-        _check_dims(self.dim, other.dim)
-        return max_abs(self.matrix - other.matrix)
 
 
 def _check_dims(*dims: int) -> None:
@@ -213,10 +208,9 @@ class ContextTransform(Frozen):
 
 
 def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Context:
-    """Build a context from an orthonormal basis.
-
-    Raises NotOrthonormal with the first offending pair (i == j flags a
-    non-unit norm).
+    """Build a context from an orthonormal basis, columns made unit rays by
+    linalg.unit_rows. Raises NotOrthonormal with the first offending pair
+    (i == j flags a non-unit norm, so unit_rows finds no bad column).
     """
     vs = [as_vector(v) for v in vectors]
     n = len(vs)
@@ -224,8 +218,7 @@ def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Cont
         raise ValueError("a context needs at least one vector")
     for k, v in enumerate(vs):
         if v.shape[0] != n:
-            raise DimensionMismatch(
-                f"vector {k} has dimension {v.shape[0]}, expected {n}")
+            raise DimensionMismatch(f"vector {k} has dimension {v.shape[0]}, expected {n}")
     raw = np.column_stack(vs)
     # entries that overflow the Gram matrix leave an infinite diagonal entry, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -234,7 +227,7 @@ def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Cont
     if bad.size:  # the first pair in row order, (i, i) before (i, j > i)
         i, j = map(int, bad[0])
         raise NotOrthonormal(i, j, complex(gram[i, j]))
-    return Context(basis=_readonly(raw / row_norms(raw.T)), label=label)
+    return Context(basis=_readonly(unit_rows(raw.T, tol, ValueError).T), label=label)
 
 
 def born_probability(rho: DensityOperator, p: Projector,

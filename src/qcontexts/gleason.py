@@ -38,9 +38,6 @@ __all__ = [
     "born_case_check",
 ]
 
-# Frobenius accuracy promised on exact data, and the PSD-projection budget.
-EXACT_RECOVERY_LIMIT = 1e-8
-
 
 class FrameSample(FrozenValue):
     """One frame-function value on a projector, in [0, 1] within tol.abs_eps."""

@@ -14,8 +14,8 @@ read by one rule:
 Each complex field becomes an array in one bulk conversion; the
 element-wise rule runs only to name the first bad entry. Each part of a
 document is read structure first, then its leaves, then its row norms
-(linalg.unit_rows, the one rule for a unit ray), and the first fault of
-the earliest kind is reported.
+(linalg.unit_rows keeps a row unit to rounding, so what the writers emit
+reads back bit for bit), and the first fault of the earliest kind is reported.
 
 All loaders raise MalformedDocument on structural problems so the CLI
 can map them to a uniform exit code.
@@ -167,6 +167,8 @@ def context_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> Context:
     dim = _require_int(doc, "dim")
     label = _label(doc.get("label", ""), "a context label")
     raw = _require(doc, "vectors")
+    if dim < 1:
+        raise MalformedDocument(f"dimension must be positive, got {dim}")
     if not isinstance(raw, list) or len(raw) != dim:
         raise MalformedDocument(f"context needs exactly {dim} vectors")
     return make_context(_complex_array(raw, (dim, dim)), label=label, tol=tol)
@@ -269,8 +271,8 @@ def permutation_from_json(doc: dict) -> Permutation:
 def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance:
     """Vector-system document {"dim", "vectors", "bases"}.
 
-    Each vector is divided by its own norm. Every basis must list dim
-    distinct vector indices and be pairwise orthogonal (the first
+    Each vector is made a unit ray by linalg.unit_rows. Every basis must
+    list dim distinct vector indices and be pairwise orthogonal (the first
     offending basis and pair is reported), every vector must belong to at
     least one basis, and no two vectors may be the same ray
     (linalg.first_repeated_ray at tol.abs_eps, the rule RayMap applies to

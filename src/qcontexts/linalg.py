@@ -4,6 +4,7 @@ All matrices are numpy arrays of dtype complex128 (64-bit floats per
 component). One `Tolerance` value governs every approximate comparison
 downstream; the defaults are overridable per call. The three ray rules
 are decided here once each: unit_rows, same_ray_pairs and product_norm.
+unit_rows keeps a row already unit to rounding, so it is idempotent.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ __all__ = [
     "as_vector",
     "max_abs",
     "in_unit_interval",
-    "row_norms",
+    "UNIT_NORM_ROUNDING",
     "unit_rows",
     "projector_stack",
     "product_norm",
@@ -112,26 +113,31 @@ def in_unit_interval(values, tol: Tolerance) -> bool:
     return all(lo <= x <= hi for x in np.ravel(values))
 
 
-def row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis of a complex array, bit for bit
-    np.linalg.norm of each row: every row's real and imaginary parts go
-    through the same vector dot product, and overflowing squares give inf."""
-    re, im = v.real, v.imag
-    with np.errstate(over="ignore"):
-        squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
-    return np.sqrt(squares[..., 0, 0])
+# unit_rows keeps a row of n entries whose computed norm lies within
+# n * UNIT_NORM_ROUNDING of 1 (u = 2^-53). A divided row lands within (n + 5) u
+# of 1 to first order: its divisor is (n + 3) u / 2 off (two n-term dot products,
+# their sum, the square root; underflow adds far less), complex-by-real division
+# rounds twice (1 / norm, then the product), and its new norm is (n + 3) u / 2
+# off again. So 8 n u keeps it: a second pass gives the bits of the first.
+UNIT_NORM_ROUNDING = 8 * 2.0 ** -53
 
 
 def unit_rows(v: np.ndarray, tol: Tolerance, fault: Callable[[int], Exception]) -> np.ndarray:
-    """v over its norms along the last axis (row_norms), once all lie in
-    (tol.bound(), inf); else fault(r) is raised for the lowest bad row r,
-    leading axes counting as sides of one row and a 1-D v as row 0."""
-    norms = row_norms(v)
+    """The one rule for a unit ray: each row along the last axis of v as it is
+    when its norm lies within n * UNIT_NORM_ROUNDING of 1, else divided by that
+    norm, in a new array. Norms are bit for bit np.linalg.norm's, inf on
+    overflow; unless all lie in (tol.bound(), inf), fault(r) is raised for the
+    lowest bad row r, leading axes counting as sides of one row, 1-D v as row 0."""
+    re, im = v.real, v.imag
+    with np.errstate(over="ignore"):
+        squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    norms = np.sqrt(squares[..., 0, 0])
     ok = (tol.bound() < norms) & (norms < np.inf)
     bad = np.flatnonzero(~ok.all(axis=tuple(range(ok.ndim - 1))))
     if bad.size:
         raise fault(int(bad[0]))
-    return v / norms[..., None]
+    unit = np.abs(norms - 1.0) <= v.shape[-1] * UNIT_NORM_ROUNDING
+    return np.where(unit[..., None], v, v / norms[..., None])
 
 
 def projector_stack(v: np.ndarray) -> np.ndarray:

@@ -64,8 +64,8 @@ class RayMap(Frozen):
     """Finite bijective ray correspondence.
 
     Row i of the (k, dim) arrays sources and targets lies on pair i's
-    source and target ray. The map stores only those rows divided by
-    their norms, as the read-only arrays source_vectors and
+    source and target ray. The map stores only those rows made unit rays
+    by linalg.unit_rows, as the read-only arrays source_vectors and
     target_vectors. Bijectivity is decided at tol, once, here; tol is the
     one every stage reads.
     """
@@ -144,11 +144,12 @@ def check_orthogonality_preserving(m: RayMap) -> OrthogonalityCheck:
     Each sums 2n real products per real part whose moduli add up to at
     most 1 (Cauchy-Schwarz), so it is within 2 sqrt2 n u in any order, with
     or without FMA; the entries of P_i and P_j add 2 sqrt5 u, the moduli,
-    row maxima and their products 5u, norms a few u off 1 and underflow
-    far less. Outside the band 16 (n + 2) u around tol, twice that, the
-    estimate decides as the product does, so only pairs with an estimate
-    in the band or estimates deciding differently on the two sides are
-    left open, and verdict, pair and norms are those of the product test.
+    row maxima and their products 5u; norms within 8n u of 1 (unit_rows)
+    add only terms of order (n u)^2, and underflow far less. Outside the
+    band 16 (n + 2) u around tol, twice that, the estimate decides as the
+    product does, so only pairs with an estimate in the band or estimates
+    deciding differently on the two sides are left open, and verdict, pair
+    and norms are those of the product test.
     Cost: O(k^2 n) time and O(k^2) memory, plus O(n^3) per open pair.
     """
     eps, band = m.tol.abs_eps, 16 * (m.dim + 2) * 2.0 ** -53

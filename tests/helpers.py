@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -16,6 +17,19 @@ from qcontexts.core import (
     context_distribution,
     make_context,
     make_generator,
+)
+from qcontexts.jsonio import (
+    complex_to_json,
+    context_from_json,
+    context_to_json,
+    contexts_from_json,
+    density_from_json,
+    density_to_json,
+    frame_samples_from_json,
+    ks_instance_from_json,
+    permutation_from_json,
+    ray_map_from_json,
+    ray_map_to_json,
 )
 from qcontexts.linalg import DEFAULT_TOL, is_unitary, max_abs, projector_stack
 from qcontexts.sampling import random_context, random_state_vector, random_unitary
@@ -69,6 +83,11 @@ def fourier_context(n: int, label: str = "fourier"):
     return make_context(fourier_basis(n), label)
 
 
+def projector_distance(p: Projector, q: Projector) -> float:
+    """Max-norm distance between the two projector matrices."""
+    return max_abs(p.matrix - q.matrix)
+
+
 def random_projector(n: int, rng: np.random.Generator) -> Projector:
     return Projector.from_vector(random_state_vector(n, rng))
 
@@ -93,6 +112,44 @@ def ray_map(dim: int, pairs, tol=DEFAULT_TOL) -> RayMap:
     sources = np.array([s.vector for s, _ in pairs])
     targets = np.array([t.vector for _, t in pairs])
     return RayMap(dim, sources, targets, tol)
+
+
+def _context_bits(c) -> tuple:
+    return c.label, c.basis.tobytes()
+
+
+# document kind (a dataset name prefix) -> (reader, a writer of what it read,
+# what was read as labels, integers, floats and array bytes)
+DOCUMENT_KINDS = {
+    "context_": (context_from_json, context_to_json, _context_bits),
+    "contexts_": (contexts_from_json, lambda cs: {"contexts": [context_to_json(c) for c in cs]},
+                  lambda cs: [_context_bits(c) for c in cs]),
+    "density_": (density_from_json, density_to_json, lambda rho: rho.matrix.tobytes()),
+    "gleason_": (frame_samples_from_json,
+                 lambda ss: {"dim": ss[0].projector.dim, "samples": [
+                     {"vector": complex_to_json(s.projector.vector), "value": s.value}
+                     for s in ss]},
+                 lambda ss: [(s.projector.vector.tobytes(), s.value) for s in ss]),
+    "ks_": (ks_instance_from_json,
+            lambda inst: {"dim": inst.dim, "vectors": complex_to_json(inst.vectors),
+                          "bases": [list(b) for b in inst.bases]},
+            lambda inst: (inst.dim, inst.vectors.tobytes(), inst.bases)),
+    "perm_": (permutation_from_json, lambda p: {"n": p.n, "images": list(p.images)},
+              lambda p: (p.n, p.images)),
+    "raymap_": (ray_map_from_json, ray_map_to_json,
+                lambda m: (m.dim, m.source_vectors.tobytes(), m.target_vectors.tobytes())),
+}
+
+
+def reread(name: str, doc: dict) -> tuple | None:
+    """The bits of read(doc) and of read(write(read(doc))), reading doc by
+    its kind and writing through JSON text; None when doc does not read."""
+    read, write, bits = next(v for k, v in DOCUMENT_KINDS.items() if name.startswith(k))
+    try:
+        first = read(doc)
+    except Exception:  # nothing was read, so there is nothing to write
+        return None
+    return bits(first), bits(read(json.loads(json.dumps(write(first)))))
 
 
 _REJECTED = {Verdict.UNITARY: {Verdict.ANTIUNITARY}, Verdict.ANTIUNITARY: {Verdict.UNITARY},

@@ -21,6 +21,7 @@ from helpers import (
     peak_allocation,
     phase_aligned_distance,
     random_ray_map,
+    reread,
     simulate_reference,
 )
 from qcontexts import cli
@@ -882,3 +883,10 @@ def test_mutated_document_keeps_the_exit_code_contract(capsys, tmp_path, case):
         return
     assert code in (0, 1) and err == ""
     _validator(command).validate(json.loads(out))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=mutated_documents())
+def test_mutated_document_that_reads_reads_back_bit_for_bit(case):
+    pair = reread(*case)
+    assert pair is None or pair[0] == pair[1]

@@ -9,6 +9,7 @@ from helpers import (
     fourier_basis,
     fourier_context,
     maximally_mixed,
+    projector_distance,
     pure_density,
     random_projector,
     simulate_reference,
@@ -73,14 +74,21 @@ class TestMakeContext:
 class TestDataModel:
     @pytest.mark.parametrize("n", [3, 8])
     def test_basis_columns_are_the_inputs_normalized_one_by_one(self, n):
-        # oracle: each input column divided by its own norm, to the last bit;
-        # a per-column norm over axis 0 rounds differently
+        # oracle: each input column as it is when its own norm lies within
+        # 8 n u of 1, else divided by that norm, to the last bit; a per-column
+        # norm over axis 0 rounds differently
+        def ref(v):
+            norm = np.linalg.norm(v)
+            return v if abs(norm - 1) <= 8 * n * 2.0**-53 else v / norm
+
         for seed in range(1000):
             u = random_unitary(n, make_generator(seed))
             c = random_context(n, make_generator(seed))
+            stretched = make_context(list((u * (1 + 1e-12)).T))
             for k in range(n):
-                v = u[:, k]
-                assert np.array_equal(c.basis[:, k], v / np.linalg.norm(v))
+                assert np.array_equal(c.basis[:, k], ref(u[:, k]))
+                assert np.array_equal(stretched.basis[:, k], u[:, k] * (1 + 1e-12) /
+                                      np.linalg.norm(u[:, k] * (1 + 1e-12)))
 
     @pytest.mark.parametrize("vector", [
         [1.0, 1.0, 0.0],
@@ -272,7 +280,7 @@ class TestExclusivityAndExtravalence:
     def test_classes_equal_the_pairwise_rule(self):
         """Random rays with rephased copies, chains of copies and near copies
         1 ulp either side of eps: the classes are the transitive closure of
-        the pairwise rule, Projector.distance <= eps, taken over all pairs."""
+        the pairwise rule, projector_distance <= eps, taken over all pairs."""
         rng = make_generator(408)
         for trial in range(12):
             ps = [random_projector(3 + trial % 3, rng) for _ in range(14)]
@@ -280,13 +288,13 @@ class TestExclusivityAndExtravalence:
                 ps[j] = Projector(ps[i].vector * np.exp(1j * rng.uniform(0, 2 * np.pi)))
             near = ps[1].vector + 1e-7 * random_projector(len(ps[1].vector), rng).vector
             ps[11] = Projector.from_vector(near)
-            d = ps[1].distance(ps[11])
+            d = projector_distance(ps[1], ps[11])
             mods = [Modality("m", k, p) for k, p in enumerate(ps)]
             for eps in (1e-9, np.nextafter(d, 0), d, np.nextafter(d, 1)):
                 tol = Tolerance(eps)
                 parent = list(range(len(ps)))
                 for i, j in combinations(range(len(ps)), 2):
-                    if ps[i].distance(ps[j]) <= eps:
+                    if projector_distance(ps[i], ps[j]) <= eps:
                         a, b = parent[i], parent[j]
                         parent = [a if x == b else x for x in parent]
                 groups = {}
@@ -326,7 +334,7 @@ class TestApplyTransform:
         g = ContextTransform.from_matrix(np.eye(3))
         out = apply_transform(c, g)
         for p, q in zip(c.projectors, out.projectors):
-            assert p.distance(q) <= 1e-12
+            assert projector_distance(p, q) <= 1e-12
 
     def test_fourier_unitary_maps_standard_to_fourier(self):
         f = np.column_stack(fourier_basis(3))
@@ -334,7 +342,7 @@ class TestApplyTransform:
         out = apply_transform(standard_context(3), g)
         expected = fourier_context(3)
         for p, q in zip(out.projectors, expected.projectors):
-            assert p.distance(q) <= 1e-9
+            assert projector_distance(p, q) <= 1e-9
 
     def test_random_unitaries_preserve_invariants(self):
         rng = make_generator(77)

@@ -5,6 +5,7 @@ from helpers import (
     maximally_mixed,
     mub_bases_dim3,
     peak_allocation,
+    projector_distance,
     pure_density,
     random_projector,
     standard_context,
@@ -253,7 +254,7 @@ class TestBornCaseCheck:
         p = random_projector(3, make_generator(2))
         got = born_case_check(pure_density(p))
         assert got is not None
-        assert got.distance(p) <= 1e-9
+        assert projector_distance(got, p) <= 1e-9
 
     def test_maximally_mixed_returns_none(self):
         assert born_case_check(maximally_mixed(3)) is None

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import fourier_context, random_ray_map, standard_context
+from helpers import fourier_context, projector_distance, random_ray_map, standard_context
 from qcontexts.core import make_generator
 from qcontexts.errors import MalformedDocument, NotOrthonormal
 from qcontexts.jsonio import (
@@ -22,7 +22,7 @@ from qcontexts.jsonio import (
     ray_map_to_json,
 )
 from qcontexts.linalg import max_abs
-from qcontexts.sampling import random_density
+from qcontexts.sampling import random_context, random_density
 from qcontexts.uhlhorn import check_orthogonality_preserving, classify_transform, fit_transform
 
 
@@ -80,7 +80,7 @@ class TestContextIO:
         back = context_from_json(doc)
         assert back.label == "fourier"
         for p, q in zip(c.projectors, back.projectors):
-            assert p.distance(q) <= 1e-12
+            assert projector_distance(p, q) <= 1e-12
 
     def test_single_or_list(self):
         doc = context_to_json(standard_context(3))
@@ -146,6 +146,33 @@ class TestRayMapIO:
     def test_missing_pairs_rejected(self):
         with pytest.raises(MalformedDocument):
             ray_map_from_json({"dim": 3, "pairs": []})
+
+
+def _through_text(doc: dict) -> dict:
+    return json.loads(json.dumps(doc))
+
+
+class TestWhatIsWrittenReadsBackBitForBit:
+    """Each row a writer emits is unit to rounding, so the reader keeps it."""
+
+    def test_ray_maps(self):
+        for seed in range(50):
+            m, _ = random_ray_map(3, make_generator(seed), n_extra=20)
+            back = ray_map_from_json(_through_text(ray_map_to_json(m)))
+            assert back.source_vectors.tobytes() == m.source_vectors.tobytes()
+            assert back.target_vectors.tobytes() == m.target_vectors.tobytes()
+
+    def test_contexts(self):
+        for seed in range(200):
+            c = random_context(4, make_generator(seed))
+            assert context_from_json(_through_text(context_to_json(c))).basis.tobytes() \
+                == c.basis.tobytes()
+
+    def test_densities(self):
+        for seed in range(200):
+            rho = random_density(3 + seed % 4, make_generator(seed))
+            assert density_from_json(_through_text(density_to_json(rho))).matrix.tobytes() \
+                == rho.matrix.tobytes()
 
 
 class TestFrameSampleIO:

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from helpers import fourier_basis, mub_bases_dim3
+from helpers import fourier_basis, mub_bases_dim3, projector_distance
 from qcontexts.core import Projector, make_generator
 from qcontexts.linalg import (
     Tolerance,
@@ -115,10 +115,10 @@ class TestFirstRepeatedRay:
 
 
 def ref_same_ray_pairs(vectors, eps):
-    """Every pair i < j whose projectors lie within eps by Projector.distance."""
+    """Every pair i < j whose projectors lie within eps by projector_distance."""
     projectors = [Projector(v) for v in vectors]
     return [(i, j) for i, j in combinations(range(len(vectors)), 2)
-            if projectors[i].distance(projectors[j]) <= eps]
+            if projector_distance(projectors[i], projectors[j]) <= eps]
 
 
 def _random_rays(rng, k: int, n: int) -> np.ndarray:
@@ -127,7 +127,7 @@ def _random_rays(rng, k: int, n: int) -> np.ndarray:
 
 
 class TestSameRayPairs:
-    """same_ray_pairs yields the brute-force pair list of Projector.distance,
+    """same_ray_pairs yields the brute-force pair list of projector_distance,
     in lexicographic order, at any block size; first_repeated_ray is its
     first pair."""
 
@@ -168,7 +168,7 @@ class TestSameRayPairs:
         v = _random_rays(rng, 8, 3)
         near = v[2] + 1e-7 * _random_rays(rng, 1, 3)[0]
         v[6] = near / np.linalg.norm(near)
-        d = Projector(v[2]).distance(Projector(v[6]))
+        d = projector_distance(Projector(v[2]), Projector(v[6]))
         for eps, expected in ((np.nextafter(d, 0), []), (d, [(2, 6)]),
                               (np.nextafter(d, 1), [(2, 6)])):
             assert ref_same_ray_pairs(v, eps) == expected
@@ -176,8 +176,9 @@ class TestSameRayPairs:
 
 
 def test_unit_rows_divide_or_name_the_first_bad_row():
-    """Norms in (tol.bound(), inf) divide; otherwise the lowest bad row is
-    reported, counted over the second-to-last axis with leading axes as sides."""
+    """Norms in (tol.bound(), inf) away from 1 divide; otherwise the lowest
+    bad row is reported, counted over the second-to-last axis with leading
+    axes as sides."""
     tol = Tolerance()
     v = np.array([[3, 4j, 0], [0, 0, 2]], dtype=complex)
     assert np.array_equal(unit_rows(v, tol, ValueError), v / np.linalg.norm(v, axis=1)[:, None])
@@ -195,6 +196,34 @@ def test_unit_rows_divide_or_name_the_first_bad_row():
     assert unit_rows(v, Tolerance(1e-4), ValueError).shape == (2, 3)
     with pytest.raises(ValueError, match="^0$"):
         unit_rows(np.array([[1e-5, 0, 0]], dtype=complex), Tolerance(1e-4), ValueError)
+
+
+class TestUnitRowsKeepUnitRows:
+    """A row whose norm lies within 8 n u of 1 is kept bit for bit; one
+    division lands inside that bound, so a second pass changes no bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 64])
+    def test_rows_at_the_bound_are_kept_and_beyond_it_divided(self, n):
+        tol = Tolerance()
+        bound = 8 * n * 2.0**-53
+        v = np.zeros((4, n), dtype=complex)
+        v[:, 0] = [1 - bound, 1 + bound, 1 - bound - 2**-53, 1 + bound + 2**-52]  # exact norms
+        got = unit_rows(v, tol, ValueError)
+        assert got is not v
+        assert got[:2].tobytes() == v[:2].tobytes()
+        assert got[2:].tobytes() == (v[2:] / np.abs(v[2:, :1])).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_a_second_pass_changes_no_bit(self, n):
+        tol = Tolerance()
+        rng = make_generator(500 + n)
+        for scale in (1.0, 1e-6, 3.0, 1e150):
+            v = (rng.standard_normal((2000, n)) + 1j * rng.standard_normal((2000, n))) * scale
+            v[::5, 1:] *= 1e-9  # rows led by one entry
+            v[1::5, :] = np.exp(1j * rng.uniform(0, 2 * np.pi, (400, n))) / np.sqrt(n)
+            once = unit_rows(v, tol, ValueError)
+            assert unit_rows(once, tol, ValueError).tobytes() == once.tobytes()
+            assert np.abs(np.linalg.norm(once, axis=1) - 1).max() <= 8 * n * 2.0**-53
 
 
 def test_product_norm_is_the_projector_product():

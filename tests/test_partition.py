@@ -61,7 +61,8 @@ def ref_load_ks_instance(document: dict, tol: Tolerance = DEFAULT_TOL) -> KSInst
         norm = float(np.linalg.norm(vectors[m]))
         if norm <= tol.bound():
             raise MalformedDocument(f"vector {m} is (numerically) zero")
-        vectors[m] /= norm
+        if abs(norm - 1) > 8 * dim * 2.0**-53:  # else unit to rounding, kept as written
+            vectors[m] /= norm
 
     bases: list[tuple[int, ...]] = []
     for b, basis in enumerate(raw_bases):

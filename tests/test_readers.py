@@ -2,9 +2,10 @@
 
 The reference reader here reads one complex entry at a time, through a
 pair_to_complex and a _number per scalar, and normalizes one row at a
-time with np.linalg.norm. Every bulk reader must give bit-identical
-arrays, and every single-fault document the error line the element-wise
-readers printed.
+time with np.linalg.norm: a row whose norm lies within 8 n u of 1 (n
+entries, u = 2^-53) is kept as it is, any other divided by its norm.
+Every bulk reader must give bit-identical arrays, and every single-fault
+document the error line the element-wise readers printed.
 """
 
 import json
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_ray_map
+from helpers import random_ray_map, reread
 from qcontexts.cli import main
 from qcontexts.core import DensityOperator, make_generator
 from qcontexts.errors import MalformedDocument
@@ -32,7 +33,7 @@ from qcontexts.jsonio import (
     ray_map_from_json,
     ray_map_to_json,
 )
-from qcontexts.linalg import row_norms
+from qcontexts.linalg import DEFAULT_TOL, unit_rows
 from qcontexts.sampling import random_context, random_density, random_unitary
 
 DATASETS = sorted(p.name for p in dataset_path("").glob("*.json"))
@@ -72,8 +73,13 @@ def ref_vector(entries, dim: int) -> np.ndarray:
     return np.array([ref_pair(e) for e in entries], dtype=np.complex128)
 
 
+def ref_unit(v: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(v)
+    return v if abs(norm - 1) <= 8 * len(v) * 2.0**-53 else v / norm
+
+
 def ref_unit_rows(rows, dim: int) -> np.ndarray:
-    return np.array([v / np.linalg.norm(v) for v in (ref_vector(r, dim) for r in rows)])
+    return np.array([ref_unit(ref_vector(r, dim)) for r in rows])
 
 
 def same_bits(a, b) -> bool:
@@ -162,25 +168,35 @@ class TestBitIdenticalToReference:
             [[1, 0], 1.0, [1, -0.0]], [1, [-1, 0], 0], [[2**53 + 1, 0], 2**53 + 1, -(2**54 + 2)]]})
 
 
+@pytest.mark.parametrize("name", DATASETS)
+def test_bundled_document_reads_back_bit_for_bit(name):
+    first, again = reread(name, _load(name))
+    assert first == again
+
+
 class TestRowNorms:
+    """unit_rows takes each row's norm bit for bit as np.linalg.norm does."""
+
     @pytest.mark.parametrize("n", range(1, 17))
     def test_matches_per_row_norm_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
-        scales = 10.0 ** rng.uniform(-150, 150, size=60)
+        scales = 10.0 ** rng.uniform(-6, 150, size=60)
         v = (rng.standard_normal((60, n)) + 1j * rng.standard_normal((60, n))) * scales[:, None]
-        assert same_bits(row_norms(v), np.array([np.linalg.norm(r) for r in v]))
+        v[::4] = [r / np.linalg.norm(r) for r in v[::4]]  # rows unit to rounding
+        got = unit_rows(v, DEFAULT_TOL, ValueError)
+        assert same_bits(got, np.array([ref_unit(r) for r in v]))
         # strided rows and a leading stack axis give the same bits
-        assert same_bits(row_norms(np.asfortranarray(v)), row_norms(v))
-        assert same_bits(row_norms(np.stack([v, v[::-1]])), np.stack([row_norms(v),
-                                                                         row_norms(v[::-1])]))
+        assert same_bits(unit_rows(np.asfortranarray(v), DEFAULT_TOL, ValueError), got)
+        stack = unit_rows(np.stack([v, v[::-1]]), DEFAULT_TOL, ValueError)
+        assert same_bits(stack, np.stack([got, got[::-1]]))
 
     def test_overflowing_rows_give_inf_like_the_per_row_norm(self):
-        v = np.array([[1e308, 1e308, 0], [1e200j, 1, 1], [1, 2, 3]], dtype=complex)
+        v = np.array([[1, 2, 3], [1e308, 1e308, 0], [1e200j, 1, 1]], dtype=complex)
         with np.errstate(over="ignore"):
-            ref = np.array([np.linalg.norm(r) for r in v])
-        got = row_norms(v)
-        assert np.isinf(got[:2]).all() and np.isinf(ref[:2]).all()
-        assert same_bits(got, ref)
+            assert np.isinf([np.linalg.norm(r) for r in v[1:]]).all()
+        for start, row in ((0, 1), (1, 0), (2, 0)):  # the lowest overflowing row is named
+            with pytest.raises(IndexError, match=f"^{row}$"):
+                unit_rows(v[start:], DEFAULT_TOL, IndexError)
 
 
 def test_ray_map_reader_builds_no_pairs():
@@ -486,6 +502,27 @@ def test_single_fault_gives_the_element_wise_line(capsys, tmp_path, reader, faul
 def test_every_reader_meets_every_fault():
     assert {r for r, _ in EXPECTED} == set(READERS)
     assert len(EXPECTED) == len(READERS) * len(FAULTS) + 1
+
+
+def nonpositive_dim_documents():
+    """A context, a contexts list and grouped samples whose dimension is below 1."""
+    for dim in (0, -1):
+        doc = READERS["context"][0]()
+        doc["dim"] = dim
+        yield "context", dim, doc
+        doc = READERS["contexts"][0]()
+        doc["contexts"][0]["dim"] = dim
+        yield "contexts", dim, doc
+    doc = _grouped()  # a group's dimension is its number of vectors
+    doc["contexts"][1]["vectors"] = []
+    yield "grouped", 0, doc
+
+
+@pytest.mark.parametrize("reader,dim,doc", list(nonpositive_dim_documents()),
+                         ids=[f"{r}-dim{d}" for r, d, _ in nonpositive_dim_documents()])
+def test_context_dimension_must_be_positive(capsys, tmp_path, reader, dim, doc):
+    assert (_run(capsys, tmp_path, reader, doc)
+            == f"error: MalformedDocument: dimension must be positive, got {dim}\n")
 
 
 @pytest.mark.parametrize("case", range(len(MULTI)))
