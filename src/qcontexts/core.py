@@ -12,20 +12,20 @@ ContextTransform its matrix; dim is read from that array, and projector
 matrices are built on first use. Projector(), make_context and the from_*
 classmethods validate their input once; nothing re-checks it later. The
 ray rules are linalg's: unit_rows (the one normalization, which keeps unit
-rows), same_ray_pairs (extravalence) and product_norm (exclusivity).
+rows), same_ray_pairs (extravalence) and overlap_moduli (exclusivity and
+orthonormality).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotOrthonormal
 from .linalg import (DEFAULT_TOL, Frozen, Tolerance, as_matrix, as_vector, in_unit_interval,
-                     is_unitary, max_abs, product_norm, same_ray_pairs, unit_rows)
+                     is_unitary, max_abs, overlap_moduli, same_ray_pairs, unit_rows)
 
 __all__ = [
     "Projector",
@@ -128,8 +128,8 @@ class Context(Frozen):
         return [self.modality(i) for i in range(self.dim)]
 
     def exclusivity_defect(self) -> float:
-        """max over i != j of ||P_i P_j||_max."""
-        return max((product_norm(u, v) for u, v in combinations(self.basis.T, 2)), default=0.0)
+        """max over i < j of the overlap modulus |<v_i|v_j>| = ||P_i P_j||."""
+        return float(np.triu(overlap_moduli(self.basis.T), 1).max())
 
     def completeness_defect(self) -> float:
         """||sum_i P_i - I||_max."""
@@ -222,11 +222,10 @@ def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Cont
     raw = np.column_stack(vs)
     # entries that overflow the Gram matrix leave an infinite diagonal entry, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = raw.conj().T @ raw
-        bad = np.argwhere(np.triu(np.abs(gram - np.eye(n)) > tol.bound()))
-    if bad.size:  # the first pair in row order, (i, i) before (i, j > i)
-        i, j = map(int, bad[0])
-        raise NotOrthonormal(i, j, complex(gram[i, j]))
+        bad = np.argwhere(np.triu(np.abs(overlap_moduli(raw.T) - np.eye(n)) > tol.bound()))
+        if bad.size:  # the first pair in row order, (i, i) before (i, j > i)
+            i, j = map(int, bad[0])
+            raise NotOrthonormal(i, j, complex((raw.conj().T @ raw)[i, j]))
     return Context(basis=_readonly(unit_rows(raw.T, tol, ValueError).T), label=label)
 
 
@@ -257,9 +256,11 @@ def context_distribution(rho: DensityOperator, c: Context,
 
 def are_exclusive(m1: Modality, m2: Modality,
                   tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Mutually exclusive iff the projector product vanishes."""
+    """Mutually exclusive iff the projector product vanishes: the overlap
+    modulus |<u|v>| = ||P_u P_v|| is at most tol.abs_eps."""
     _check_dims(m1.projector.dim, m2.projector.dim)
-    return product_norm(m1.projector.vector, m2.projector.vector) <= tol.abs_eps
+    rows = np.stack([m1.projector.vector, m2.projector.vector])
+    return bool(overlap_moduli(rows)[0, 1] <= tol.abs_eps)
 
 
 def extravalent(m1: Modality, m2: Modality,

@@ -84,6 +84,11 @@ def _require_int(doc: dict, key: str) -> int:
     return _int(_require(doc, key), f"field '{key}'")
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise MalformedDocument(f"dimension must be positive, got {dim}")
+
+
 def _objects(doc: dict, key: str, item: str, fields: tuple[str, ...]) -> list[tuple]:
     """The required fields of every entry of doc[key], a non-empty list of
     objects: the list is checked first, then every entry's type, then the
@@ -167,8 +172,7 @@ def context_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> Context:
     dim = _require_int(doc, "dim")
     label = _label(doc.get("label", ""), "a context label")
     raw = _require(doc, "vectors")
-    if dim < 1:
-        raise MalformedDocument(f"dimension must be positive, got {dim}")
+    _check_dim(dim)
     if not isinstance(raw, list) or len(raw) != dim:
         raise MalformedDocument(f"context needs exactly {dim} vectors")
     return make_context(_complex_array(raw, (dim, dim)), label=label, tol=tol)
@@ -217,6 +221,7 @@ def ray_map_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> RayMap:
     """{"dim", "pairs": [{"source", "target"}]}; other keys are ignored."""
     dim = _require_int(doc, "dim")
     pairs = _objects(doc, "pairs", "pair", ("source", "target"))
+    _check_dim(dim)
     vectors = _complex_array([row for pair in pairs for row in pair], (len(pairs), 2, dim))
     try:  # RayMap checks the row norms
         return RayMap(dim, vectors[:, 0], vectors[:, 1], tol)
@@ -234,6 +239,7 @@ def frame_samples_from_json(doc: dict,
                 for c, values in groups for i in range(c.dim)]
     dim = _require_int(doc, "dim")
     rows, values = zip(*_objects(doc, "samples", "sample", ("vector", "value")))
+    _check_dim(dim)
     v = _complex_array(rows, (len(rows), dim))
     values = [_number(x, f"the value of sample {k}") for k, x in enumerate(values)]
     unit = unit_rows(v, tol, lambda k: MalformedDocument(
@@ -284,8 +290,7 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
     dim = _require_int(doc, "dim")
     raw_vectors = _require(doc, "vectors")
     raw_bases = _require(doc, "bases")
-    if dim < 1:
-        raise MalformedDocument(f"dimension must be positive, got {dim}")
+    _check_dim(dim)
     if not isinstance(raw_vectors, list) or not isinstance(raw_bases, list):
         raise MalformedDocument("'vectors' and 'bases' must be lists")
     if not raw_vectors or not raw_bases:
@@ -307,7 +312,7 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
     i, j = np.triu_indices(dim, 1)  # the pairs of a basis in combinations order
     for s in linalg.row_blocks(len(bases), dim * dim):  # bases per batched Gram
         block = vectors[np.array(bases[s])]
-        overlaps = np.abs(block.conj() @ block.transpose(0, 2, 1))[:, i, j]
+        overlaps = linalg.overlap_moduli(block)[:, i, j]
         hits = np.argwhere(overlaps > tol.bound())  # in (basis, pair) order
         if hits.size:
             (b, p), a = hits[0], s.start

@@ -3,7 +3,7 @@
 All matrices are numpy arrays of dtype complex128 (64-bit floats per
 component). One `Tolerance` value governs every approximate comparison
 downstream; the defaults are overridable per call. The three ray rules
-are decided here once each: unit_rows, same_ray_pairs and product_norm.
+are decided here once each: unit_rows, same_ray_pairs and overlap_moduli.
 unit_rows keeps a row already unit to rounding, so it is idempotent.
 """
 
@@ -23,7 +23,7 @@ __all__ = [
     "UNIT_NORM_ROUNDING",
     "unit_rows",
     "projector_stack",
-    "product_norm",
+    "overlap_moduli",
     "row_blocks",
     "same_ray_pairs",
     "first_repeated_ray",
@@ -145,9 +145,14 @@ def projector_stack(v: np.ndarray) -> np.ndarray:
     return v[:, :, None] * v.conj()[:, None, :]
 
 
-def product_norm(u: np.ndarray, v: np.ndarray) -> float:
-    """||P_u P_v||_max of |u><u| and |v><v|: exclusive rays give at most eps."""
-    return max_abs(np.outer(u, u.conj()) @ np.outer(v, v.conj()))
+def overlap_moduli(v: np.ndarray) -> np.ndarray:
+    """(..., k, k) moduli |<v_i|v_j>| of the rows on the last axis of v, one
+    Gram product per stack on the leading axes: two unit rows are orthogonal
+    when theirs is at most tol.abs_eps. It is ||P_i P_j|| (operator norm), so
+    the rule is basis-free. For n entries and norms within 8 n u of 1 each is
+    within (2 sqrt2 n + 1) u of exact, u = 2^-53: 2n products per part whose
+    moduli sum to at most 1 (Cauchy-Schwarz), then one rounded modulus."""
+    return np.abs(v.conj() @ np.swapaxes(v, -1, -2))
 
 
 _BLOCK_ENTRIES = 1 << 15  # complex entries per block: 512 KiB, about 1 MiB with its temporaries

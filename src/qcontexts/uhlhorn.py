@@ -13,15 +13,15 @@ O(k n^2 + k^2) memory. A RayMap holds its source and target unit
 vectors once, as (k, n) arrays made by linalg.unit_rows, and caches no
 more than its Projector pairs, built when asked for. Its tol is the one
 tolerance of its certification: bijectivity is checked at it once, when
-the map is built, by linalg.first_repeated_ray, and orthogonality once
-per certification, by a Gram screen that leaves its open pairs to
-linalg.product_norm, O(k^2 n) each: the stages run check(m),
-classify(m, check), fit(m, classification). The branch is two
-O(k^2) gauge fits along one spanning forest, in row blocks, and each
-rejected branch's witness is read off that forest in the same pass: its
-first misfit entry, closed into a cycle by the forest path between its
-ends. The fit is one n x n SVD and checks one stacked U S U^dag. Pair
-checks reproduce the per-pair arithmetic bit for bit.
+the map is built, by linalg.first_repeated_ray. The stages run check(m),
+classify(m, check), fit(m, classification). Two rays are orthogonal when
+their overlap modulus |<v_i|v_j>|, linalg.overlap_moduli's, is at most
+tol: a basis-free rule, so a map that an operator induces keeps it. The
+branch is two O(k^2) gauge fits along one spanning forest, in row blocks,
+and each rejected branch's witness is read off that forest in the same
+pass: its first misfit entry, closed into a cycle by the forest path
+between its ends. The fit is one n x n SVD and checks one stacked
+U S U^dag, bit for bit the per-pair residual.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .errors import (
     FitFailed,
     HypothesisViolated,
 )
-from .linalg import (DEFAULT_TOL, Frozen, Tolerance, first_repeated_ray, max_abs, product_norm,
-                     unit_rows)
+from .linalg import DEFAULT_TOL, Frozen, Tolerance, first_repeated_ray, max_abs, unit_rows
 
 __all__ = [
     "RayMap",
@@ -97,7 +96,8 @@ class RayMap(Frozen):
 
 
 class OrthogonalityCheck(NamedTuple):
-    """Verdict of the both-ways orthogonality-preservation test."""
+    """Verdict of the both-ways orthogonality-preservation test; a failed
+    one names its first violating pair and that pair's two overlap moduli."""
 
     ok: bool
     violating_pair: tuple[int, int] | None = None
@@ -135,35 +135,20 @@ class FitResult(NamedTuple):
 
 
 def check_orthogonality_preserving(m: RayMap) -> OrthogonalityCheck:
-    """Test ||P_i P_j|| <= m.tol  <=>  ||T_i T_j|| <= m.tol over all listed pairs.
+    """Test |<s_i|s_j>| <= m.tol  <=>  |<t_i|t_j>| <= m.tol over all listed pairs.
 
-    The product norm, linalg.product_norm, decides and is reported, but it
-    is only taken, in lexicographic order, on pairs a Gram screen leaves open. The
-    estimate |<v_i|v_j>| max|v_i| max|v_j| equals it in exact arithmetic;
-    for unit rows and u = 2^-53 the two differ by under (5.7n + 10.5) u.
-    Each sums 2n real products per real part whose moduli add up to at
-    most 1 (Cauchy-Schwarz), so it is within 2 sqrt2 n u in any order, with
-    or without FMA; the entries of P_i and P_j add 2 sqrt5 u, the moduli,
-    row maxima and their products 5u; norms within 8n u of 1 (unit_rows)
-    add only terms of order (n u)^2, and underflow far less. Outside the
-    band 16 (n + 2) u around tol, twice that, the estimate decides as the
-    product does, so only pairs with an estimate in the band or estimates
-    deciding differently on the two sides are left open, and verdict, pair
-    and norms are those of the product test.
-    Cost: O(k^2 n) time and O(k^2) memory, plus O(n^3) per open pair.
+    The moduli are linalg.overlap_moduli's, ||P_i P_j|| for unit rows, so
+    the verdict does not depend on the basis the rays are written in. The
+    first pair in lexicographic order whose sides disagree is reported with
+    both moduli. Cost: O(k^2 n) time and O(k^2) memory.
     """
-    eps, band = m.tol.abs_eps, 16 * (m.dim + 2) * 2.0 ** -53
-    sides = (m.source_vectors, m.target_vectors)
-    peaks = [np.abs(v).max(axis=1) for v in sides]
-    est = [np.abs(v.conj() @ v.T) * p[:, None] * p for v, p in zip(sides, peaks)]
-    near = [np.abs(e - eps) <= band for e in est]
-    undecided = ((est[0] <= eps) != (est[1] <= eps)) | near[0] | near[1]
-    for i, j in zip(*np.nonzero(np.triu(undecided, 1))):  # row-major: lexicographic
-        s, t = (product_norm(v[i], v[j]) for v in sides)
-        if (s <= eps) != (t <= eps):
-            return OrthogonalityCheck(ok=False, violating_pair=(int(i), int(j)),
-                                      source_product_norm=s, target_product_norm=t)
-    return OrthogonalityCheck(ok=True)
+    eps = m.tol.abs_eps
+    s, t = (linalg.overlap_moduli(v) for v in (m.source_vectors, m.target_vectors))
+    bad = np.argwhere(np.triu((s <= eps) != (t <= eps), 1))  # row-major: lexicographic
+    if not bad.size:
+        return OrthogonalityCheck(ok=True)
+    i, j = map(int, bad[0])
+    return OrthogonalityCheck(False, (i, j), float(s[i, j]), float(t[i, j]))
 
 
 def bargmann_invariant(*projectors: Projector) -> complex:

@@ -33,7 +33,7 @@ from qcontexts.core import (
 from qcontexts import core
 from qcontexts.core import _philox_uniforms
 from qcontexts.errors import DimensionMismatch, NotOrthonormal
-from qcontexts.linalg import Tolerance, max_abs
+from qcontexts.linalg import Tolerance, max_abs, overlap_moduli
 from qcontexts.sampling import random_context, random_density, random_unitary
 
 
@@ -305,25 +305,26 @@ class TestExclusivityAndExtravalence:
                 assert ([1, 11] in expected) == (eps >= d)
             assert [0, 4, 9] in expected and [2, 13] in expected
 
-    def test_exclusivity_is_the_projector_product(self):
-        """are_exclusive and exclusivity_defect take the product of the
-        projector matrices, bit for bit, through linalg.product_norm."""
+    def test_exclusivity_is_the_overlap_modulus(self):
+        """are_exclusive and exclusivity_defect decide on the overlap modulus
+        |<u|v>| of linalg.overlap_moduli: within rounding of each np.vdot,
+        and exact on a ray against e1."""
         rng = make_generator(409)
         for n in (3, 4, 6):
             c = random_context(n, rng, "A")
-            expected = max(max_abs(p.matrix @ q.matrix)
-                           for i, p in enumerate(c.projectors) for q in c.projectors[i + 1:])
-            assert c.exclusivity_defect() == expected
+            moduli = overlap_moduli(c.basis.T)
+            assert c.exclusivity_defect() == max(moduli[i, j] for i, j in combinations(range(n), 2))
+            assert c.exclusivity_defect() <= 1e-15
             d = random_context(n, rng, "B")
             for m1 in c.modalities():
                 for m2 in d.modalities() + c.modalities():
-                    product = max_abs(m1.projector.matrix @ m2.projector.matrix)
-                    assert are_exclusive(m1, m2) == (product <= 1e-9)
-        # a ray 1e-6 off orthogonal to e1, at its product and 1 ulp below
+                    overlap = abs(np.vdot(m1.projector.vector, m2.projector.vector))
+                    assert are_exclusive(m1, m2) == (overlap <= 1e-9)
+        # a ray 1e-6 off orthogonal to e1, at its overlap and 1 ulp below
         near = Modality("near", 0, Projector.from_vector([1e-6, 1, 0]))
         e1 = standard_context(3).modality(0)
-        product = max_abs(e1.projector.matrix @ near.projector.matrix)
-        for eps, exclusive in ((np.nextafter(product, 0), False), (product, True)):
+        overlap = near.projector.vector[0].real
+        for eps, exclusive in ((np.nextafter(overlap, 0), False), (overlap, True)):
             assert are_exclusive(e1, near, Tolerance(eps)) == exclusive
         assert make_context([[1.0]]).exclusivity_defect() == 0.0
 

@@ -10,7 +10,7 @@ from qcontexts.linalg import (
     first_repeated_ray,
     in_unit_interval,
     is_unitary,
-    product_norm,
+    overlap_moduli,
     same_ray_pairs,
     unit_rows,
 )
@@ -226,13 +226,29 @@ class TestUnitRowsKeepUnitRows:
             assert np.abs(np.linalg.norm(once, axis=1) - 1).max() <= 8 * n * 2.0**-53
 
 
-def test_product_norm_is_the_projector_product():
-    rng = make_generator(407)
-    u, v = _random_rays(rng, 2, 4)
-    p, q = np.outer(u, u.conj()), np.outer(v, v.conj())
-    assert product_norm(u, v) == np.abs(p @ q).max()
-    assert product_norm(u, u) == np.abs(p).max()
-    assert product_norm(np.eye(3)[0], np.eye(3)[1]) == 0.0
+@pytest.mark.parametrize("n", [1, 3, 4, 16])
+def test_overlap_moduli_are_the_projector_operator_norms(n):
+    """|<v_i|v_j>| within (2 sqrt2 n + 1) u of each np.vdot and of
+    ||P_i P_j|| in operator norm, the same under a unitary change of basis,
+    and bit for bit the same whether stacked along leading axes or not."""
+    rng = make_generator(407 + n)
+    v = _random_rays(rng, 2 * 5, n).reshape(2, 5, n)
+    got = overlap_moduli(v)
+    assert got.shape == (2, 5, 5)
+    assert [overlap_moduli(rows).tobytes() for rows in v] == [g.tobytes() for g in got]
+    bound = (2 * np.sqrt(2) * n + 1) * 2.0 ** -53
+    w = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    turned = overlap_moduli(v @ w.T)
+    for rows, g, t in zip(v, got, turned):
+        for i, j in combinations(range(5), 2):
+            assert abs(g[i, j] - abs(np.vdot(rows[i], rows[j]))) <= bound
+            p, q = (np.outer(rows[k], rows[k].conj()) for k in (i, j))
+            assert abs(g[i, j] - np.linalg.norm(p @ q, 2)) <= 1e-14
+            assert abs(t[i, j] - g[i, j]) <= 1e-14
+    # e0 against (eps, sqrt(1 - eps^2), 0): the modulus is eps to the last bit
+    eps = 1e-9
+    tie = overlap_moduli(np.array([[1, 0, 0], [eps, np.sqrt(1 - eps * eps), 0]], dtype=complex))
+    assert tie[0, 1] == eps and overlap_moduli(np.eye(3))[0, 1] == 0.0
 
 
 def test_row_blocks_hold_the_entry_budget(monkeypatch):

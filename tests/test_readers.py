@@ -505,11 +505,13 @@ def test_every_reader_meets_every_fault():
 
 
 def nonpositive_dim_documents():
-    """A context, a contexts list and grouped samples whose dimension is below 1."""
+    """Every reader's document with a dimension below 1: a context, a
+    contexts list, a ray map, flat samples, a ks document, grouped samples."""
     for dim in (0, -1):
-        doc = READERS["context"][0]()
-        doc["dim"] = dim
-        yield "context", dim, doc
+        for reader in ("context", "raymap", "samples", "ks"):
+            doc = READERS[reader][0]()
+            doc["dim"] = dim
+            yield reader, dim, doc
         doc = READERS["contexts"][0]()
         doc["contexts"][0]["dim"] = dim
         yield "contexts", dim, doc
