@@ -13,7 +13,7 @@ matrices are built on first use. Projector(), make_context and the from_*
 classmethods validate their input once; nothing re-checks it later. The
 ray rules are linalg's: unit_rows (the one normalization, which keeps unit
 rows), same_ray_pairs (extravalence) and overlap_moduli (exclusivity and
-orthonormality).
+orthonormality). Born's rule, <v|rho|v> on unit rows, is born_values.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotOrthonormal
 from .linalg import (DEFAULT_TOL, Frozen, Tolerance, as_matrix, as_vector, in_unit_interval,
-                     is_unitary, max_abs, overlap_moduli, same_ray_pairs, unit_rows)
+                     is_unitary, max_abs, overlap_moduli, projector_stack, row_blocks,
+                     same_ray_pairs, unit_rows)
 
 __all__ = [
     "Projector",
@@ -36,6 +37,7 @@ __all__ = [
     "check_seed",
     "make_generator",
     "make_context",
+    "born_values",
     "born_probability",
     "context_distribution",
     "are_exclusive",
@@ -122,6 +124,8 @@ class Context(Frozen):
         return tuple(Projector(self.basis[:, k]) for k in range(self.dim))
 
     def modality(self, index: int) -> "Modality":
+        if not 0 <= index < self.dim:
+            raise IndexError(f"modality index {index} outside [0, {self.dim})")
         return Modality(self.label, index, self.projectors[index])
 
     def modalities(self) -> list["Modality"]:
@@ -158,8 +162,8 @@ class DensityOperator(Frozen):
     @classmethod
     def from_matrix(cls, m, tol: Tolerance = DEFAULT_TOL) -> "DensityOperator":
         mat = as_matrix(m)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got {mat.shape}")
+        if mat.shape[0] != mat.shape[1] or not mat.size:
+            raise ValueError(f"density matrix must be square and nonempty, got {mat.shape}")
         # entries near the float limit overflow here; rejected below, without a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             if max_abs(mat - mat.conj().T) > tol.bound(max_abs(mat)):
@@ -194,8 +198,8 @@ class ContextTransform(Frozen):
     def from_matrix(cls, m, antiunitary: bool = False,
                     tol: Tolerance = DEFAULT_TOL) -> "ContextTransform":
         mat = as_matrix(m)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"transform matrix must be square, got {mat.shape}")
+        if mat.shape[0] != mat.shape[1] or not mat.size:
+            raise ValueError(f"transform matrix must be square and nonempty, got {mat.shape}")
         check = is_unitary(mat, tol)
         if not check:
             raise ValueError(f"transform matrix is not unitary "
@@ -229,29 +233,27 @@ def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Cont
     return Context(basis=_readonly(unit_rows(raw.T, tol, ValueError).T), label=label)
 
 
-def born_probability(rho: DensityOperator, p: Projector,
-                     tol: Tolerance = DEFAULT_TOL) -> float:
-    """Tr(rho P), clamped to [0, 1] only within tolerance of the ends."""
-    _check_dims(rho.dim, p.dim)
-    value = float(np.trace(rho.matrix @ p.matrix).real)
-    if not in_unit_interval(value, tol):
-        raise ValueError(f"Tr(rho P) = {value} lies outside [0, 1] beyond tolerance")
-    return min(1.0, max(0.0, value))
+def born_values(rho: np.ndarray, rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Born's rule, evaluated here only: <v_k|rho|v_k> over the unit rows v_k of
+    rows for an (n, n) density matrix or a (..., n, n) stack, clipped to [0, 1]
+    within tol. Rows are made C-contiguous, so each gets the same bits alone."""
+    _check_dims(rho.shape[-1], rows.shape[-1])
+    rows = np.ascontiguousarray(rows)
+    values = np.einsum("ki,...ij,kj->...k", rows.conj(), rho, rows).real
+    if not in_unit_interval(values, tol):
+        raise ValueError("a Born value <v|rho|v> lies outside [0, 1] beyond tolerance")
+    return np.clip(values, 0.0, 1.0)
+
+
+def born_probability(rho: DensityOperator, p: Projector, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Tr(rho P) by born_values on P's unit vector."""
+    return float(born_values(rho.matrix, p.vector[None], tol)[0])
 
 
 def context_distribution(rho: DensityOperator, c: Context,
                          tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Probability vector (Tr(rho P_i))_i over the context's modalities.
-
-    Evaluated as diag(B^dag rho B) with B the basis of representatives,
-    which equals the per-projector trace formula. Components sum to 1
-    within 1e-10 for any well-formed context.
-    """
-    _check_dims(rho.dim, c.dim)
-    probs = np.einsum("ij,jk,ki->i", c.basis.conj().T, rho.matrix, c.basis).real
-    if not in_unit_interval(probs, tol):
-        raise ValueError("context distribution leaves [0, 1] beyond tolerance")
-    return np.clip(probs, 0.0, 1.0)
+    """Probabilities Tr(rho P_i) of the context's modalities, by born_values."""
+    return born_values(rho.matrix, c.basis.T, tol)
 
 
 def are_exclusive(m1: Modality, m2: Modality,
@@ -345,19 +347,19 @@ def _sample_outcomes(initial: Projector, contexts: Sequence[Context],
     """Outcome indices (runs, steps), run k drawing uniforms[k, t] at step t.
 
     Before step t every run holds the initial state (t = 0) or one of
-    context t-1's basis vectors s; each s that some run holds gets one
-    table row, the cumsum of context_distribution of |s><s|. The outcome
-    is searchsorted(cdf, u * cdf[-1], side="right") clamped to dim - 1;
-    on a non-decreasing CDF that is the count of the first dim - 1
+    context t-1's basis vectors s; each held s gets one table row, the
+    cumsum of born_values of |s><s| (one projector stack per row block).
+    The outcome is searchsorted(cdf, u * cdf[-1], side="right") clamped to
+    dim - 1; on a non-decreasing CDF that is the count of the first dim - 1
     entries <= u * cdf[-1].
     """
     outcomes = np.empty(uniforms.shape, dtype=np.intp)
     states, prev = initial.vector[None], np.zeros(len(uniforms), dtype=np.intp)
     for t, c in enumerate(contexts):
+        held = np.flatnonzero(np.bincount(prev, minlength=len(states)))
         table = np.empty((len(states), c.dim))
-        for s in np.flatnonzero(np.bincount(prev, minlength=len(states))):
-            rho = DensityOperator(np.outer(states[s], states[s].conj()))
-            table[s] = np.cumsum(context_distribution(rho, c))
+        for s in (held[b] for b in row_blocks(len(held), c.dim ** 2)):
+            table[s] = np.cumsum(born_values(projector_stack(states[s]), c.basis.T), axis=1)
         rows = table[prev]
         u = uniforms[:, t] * rows[:, -1]
         prev = outcomes[:, t] = (rows[:, :-1] <= u[:, None]).sum(axis=1)

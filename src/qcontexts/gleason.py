@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Context, DensityOperator, Projector
+from .core import Context, DensityOperator, Projector, born_values
 from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -149,12 +149,12 @@ def reconstruct_density(samples: Sequence[FrameSample],
                         tol: Tolerance = DEFAULT_TOL) -> ReconstructionReport:
     """Recover the density operator behind sampled frame-function values.
 
-    Solves the least-squares problem Tr(rho P_k) ~ value_k over the
-    trace-1 affine slice of self-adjoint matrices, rho = I/n + X with X's
-    last diagonal entry minus the sum of the others (unique, as the design
-    rank must be n^2), then projects onto the PSD cone by eigenvalue
-    clipping and a trace renormalization. Exact Born input reproduces its
-    source within 1e-8 Frobenius. Costs O(k n^2) to design, O(k n^4) to solve.
+    Solves the least-squares problem Tr(rho P_k) ~ value_k over the trace-1
+    affine slice of self-adjoint matrices, rho = I/n + X with X's last
+    diagonal entry minus the sum of the others (unique at design rank n^2),
+    then projects onto the PSD cone by eigenvalue clipping and a trace
+    renormalization. The residual is on the fit's core.born_values; exact Born
+    input returns its source within 1e-8 Frobenius.
     """
     if not samples:
         raise ValueError("no samples supplied")
@@ -190,7 +190,7 @@ def reconstruct_density(samples: Sequence[FrameSample],
     psd_correction = float(np.linalg.norm(projected - raw))
 
     rho = DensityOperator.from_matrix(projected, tol)
-    fitted = np.einsum("ki,ij,kj->k", v.conj(), rho.matrix, v).real
+    fitted = born_values(rho.matrix, v, tol)
     residual_rms = float(np.sqrt(np.mean((fitted - values) ** 2)))
     return ReconstructionReport(rho=rho, residual_rms=residual_rms,
                                 design_rank=rank, condition_number=cond,

@@ -18,6 +18,7 @@ from helpers import (
 )
 from qcontexts.core import (
     ContextTransform,
+    DensityOperator,
     Modality,
     Projector,
     apply_transform,
@@ -30,7 +31,7 @@ from qcontexts.core import (
     make_generator,
     repeat_simulation,
 )
-from qcontexts import core
+from qcontexts import core, linalg
 from qcontexts.core import _philox_uniforms
 from qcontexts.errors import DimensionMismatch, NotOrthonormal
 from qcontexts.linalg import Tolerance, max_abs, overlap_moduli
@@ -123,6 +124,19 @@ class TestDataModel:
             assert getattr(obj, name) is before
         assert Projector(p.vector) != p and p == p
 
+    @pytest.mark.parametrize("build", [DensityOperator.from_matrix, ContextTransform.from_matrix])
+    def test_empty_matrix_rejected(self, build):
+        with pytest.raises(ValueError):
+            build(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("index", [-4, -1, 3, 7])
+    def test_modality_index_outside_the_context_rejected(self, index):
+        # a negative index named the same projector as index + dim but compared unequal
+        c = standard_context(3)
+        with pytest.raises(IndexError):
+            c.modality(index)
+        assert c.modality(2) == c.modalities()[2] == Modality("standard", 2, c.projectors[2])
+
     def test_context_projectors_are_built_once(self):
         c = random_context(4, make_generator(5))
         first = c.projectors
@@ -164,6 +178,15 @@ class TestBornProbability:
         expected = abs(np.vdot(q.vector, p.vector)) ** 2
         assert got == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_equals_its_context_distribution_entry_bit_for_bit(self, n):
+        # one Born function: a projector alone gets the bits it gets in its context
+        rng = make_generator(1000 + n)
+        for _ in range(20):
+            rho, c = random_density(n, rng), random_context(n, rng)
+            per = [born_probability(rho, p) for p in c.projectors]
+            assert per == context_distribution(rho, c).tolist()
+
 
 class TestContextDistribution:
     def test_pure_state_in_own_context(self):
@@ -182,7 +205,7 @@ class TestContextDistribution:
         c = random_context(4, rng)
         d = context_distribution(rho, c)
         per = [born_probability(rho, p) for p in c.projectors]
-        assert np.allclose(d, per, atol=1e-12)
+        assert np.array_equal(d, per)
 
     def test_thousand_random_contexts_sum_to_one(self):
         rng = make_generator(404)
@@ -438,15 +461,46 @@ class TestBatchSimulation:
 
     def test_a_step_builds_rows_only_for_held_states(self, monkeypatch):
         """One run at dim 8 holds one state before each step, so each of the
-        five steps evaluates one distribution, not one per basis vector."""
-        calls = []
-        evaluate = core.context_distribution
-        monkeypatch.setattr(core, "context_distribution",
-                            lambda rho, c: calls.append(c) or evaluate(rho, c))
+        five steps hands one state to born_values, not one per basis vector."""
+        states = []
+        evaluate = core.born_values
+        monkeypatch.setattr(core, "born_values",
+                            lambda rhos, rows: states.append(len(rhos)) or evaluate(rhos, rows))
         rng = make_generator(5)
         contexts = [random_context(8, rng, f"c{k}") for k in range(5)]
         repeat_simulation(random_projector(8, rng), contexts, seed=3, repeats=1)
-        assert len(calls) == len(contexts)
+        assert states == [1] * len(contexts)
+
+    def test_step_tables_are_the_cumulative_context_distributions(self, monkeypatch):
+        """Each held state's table row, the cumsum of born_values on its
+        projector stack, is the cumsum of its context distribution to the bit,
+        in steps that hold one state of six and stacks split over row blocks."""
+        n, calls = 6, []
+        evaluate = core.born_values
+
+        def record(rhos, rows):
+            values = evaluate(rhos, rows)
+            calls.append((rhos, rows, np.cumsum(values, axis=1)))
+            return values
+
+        monkeypatch.setattr(core, "born_values", record)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 2 * n * n)  # two states per block
+        rng = make_generator(11)
+        contexts = [random_context(n, rng, f"c{k}") for k in range(5)]
+        initial = contexts[0].projectors[2]  # certain at step 0, so step 1 holds one state
+        outcomes = repeat_simulation(initial, contexts, seed=7, repeats=400)
+        monkeypatch.undo()
+        held = [[initial]] + [[contexts[t - 1].projectors[s] for s in np.unique(outcomes[:, t - 1])]
+                              for t in range(1, len(contexts))]
+        assert [len(h) for h in held] == [1, 1, n, n, n]
+        assert [len(rhos) for rhos, _, _ in calls] == [1, 1] + [2, 2, 2] * 3
+        expected = [(c, s) for c, states in zip(contexts, held) for s in states]
+        got = [(rows, rho, row) for rhos, rows, table in calls for rho, row in zip(rhos, table)]
+        assert len(got) == len(expected)
+        for (c, s), (rows, rho, row) in zip(expected, got):
+            assert np.array_equal(rows, c.basis.T)
+            assert np.array_equal(rho, s.matrix)
+            assert np.array_equal(row, np.cumsum(context_distribution(pure_density(s), c)))
 
 
 class TestMakeGenerator:

@@ -1,6 +1,8 @@
 """Layering guards: what the CLI loads, its BLAS thread policy, its frozen
-import heap, how records are built, and which module reads documents."""
+import heap, how records are built, which module reads documents, and the
+one function that evaluates Born's rule."""
 
+import ast
 import gc
 import inspect
 import os
@@ -135,3 +137,59 @@ def test_objects_a_command_creates_stay_collectable():
              "cli.main = main\n"
              "print(cli.entry() >= 1)")
     assert _probe(probe) == "True"
+
+
+CONTRACTIONS = {"einsum", "trace", "vdot", "inner", "dot", "tensordot"}
+
+
+def _contractions() -> dict[tuple[str, str], set[str]]:
+    """(file, enclosing function) -> the contraction calls in it, plus "@"
+    for a matrix product with an operand that names rho."""
+    found: dict[tuple[str, str], set[str]] = {}
+
+    def visit(node, file: str, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            child_scope = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                child_scope = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr in CONTRACTIONS:
+                found.setdefault((file, scope), set()).add(child.func.attr)
+            elif isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult) \
+                    and "rho" in ast.unparse(child):
+                found.setdefault((file, scope), set()).add("@")
+            visit(child, file, child_scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    return found
+
+
+def test_born_rule_is_contracted_in_one_function():
+    # the traces compute a trace, a Bargmann invariant and a normalization, not <v|rho|v>
+    assert _contractions() == {
+        ("core.py", "born_values"): {"einsum"},
+        ("core.py", "DensityOperator.from_matrix"): {"trace"},
+        ("uhlhorn.py", "bargmann_invariant"): {"trace"},
+        ("sampling.py", "random_density"): {"trace"},
+    }
+
+
+@pytest.mark.parametrize("name, caller", [("born_mixed_fourier.json", "context_distribution"),
+                                          ("gleason_demo.json", "reconstruct_density"),
+                                          ("simulate_fourier_100.json", "_sample_outcomes")])
+def test_born_commands_reach_the_one_born_function(name, caller, capsys):
+    from qcontexts.core import born_values
+
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is born_values.__code__:
+            calls.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        status = qcontexts.cli.main(golden_cases()[name])
+    finally:
+        sys.setprofile(None)
+    assert status == 0 and set(calls) == {caller}

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from qcontexts.core import (Context, ContextTransform, DensityOperator, Projector, make_context,
-                            make_generator)
+from qcontexts.core import (Context, ContextTransform, DensityOperator, Projector,
+                            born_probability, make_context, make_generator)
 from qcontexts.gleason import FrameSample
 from qcontexts.jsonio import complex_to_json, context_to_json, density_to_json, ray_map_to_json
 from qcontexts.sampling import random_state_vector, random_unitary
@@ -69,12 +69,12 @@ def gen_contexts_and_densities() -> None:
 
 def gen_gleason_demo() -> None:
     """Exact Born samples of diag(0.5, 0.3, 0.2) over four unbiased bases."""
-    rho = np.diag([0.5, 0.3, 0.2]).astype(np.complex128)
+    rho = DensityOperator.from_matrix(np.diag([0.5, 0.3, 0.2]))
     samples = []
     for basis in mub_bases_dim3():
         for v in basis:
             p = Projector.from_vector(v)
-            value = float(np.trace(rho @ p.matrix).real)
+            value = born_probability(rho, p)
             samples.append({"vector": complex_to_json(p.vector), "value": value})
             FrameSample(p, value)  # sanity: constructible
     write("gleason_demo_dim3.json", {"dim": 3, "samples": samples})
