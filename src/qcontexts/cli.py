@@ -229,14 +229,9 @@ def cmd_simulate(args, tol: Tolerance) -> tuple[dict, int]:
         "seed": args.seed,
         "repeats": args.repeats,
         "sequence": sequence,
-        "frequencies": [
-            {
-                "context_label": contexts[step].label,
-                "counts": [int(x) for x in counts[step]],
-                "frequencies": [float(x) / args.repeats for x in counts[step]],
-            }
-            for step in range(len(contexts))
-        ],
+        "frequencies": [{"context_label": c.label, "counts": [int(x) for x in n],
+                         "frequencies": [float(x) / args.repeats for x in n]}
+                        for c, n in zip(contexts, counts)],
     }
     return payload, EXIT_OK
 

@@ -12,9 +12,9 @@ ContextTransform its matrix; dim is read from that array, and projector
 matrices are built on first use. Projector(), make_context and the from_*
 classmethods validate their input once; nothing re-checks it later. The
 ray rules are linalg's: unit_rows (the one normalization, which keeps unit
-rows), same_ray_pairs (extravalence) and overlap_moduli (exclusivity and
-orthonormality). Born's rule, <v|rho|v> on unit rows, is born_values.
-"""
+rows), ray_distance (extravalence, through same_ray_pairs) and overlap_moduli
+(exclusivity and orthonormality). Born's rule, <v|rho|v> on unit rows, is
+born_values."""
 
 from __future__ import annotations
 

@@ -195,6 +195,7 @@ def density_to_json(rho: DensityOperator) -> dict:
 def density_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> DensityOperator:
     dim = _require_int(doc, "dim")
     rows = _require(doc, "matrix")
+    _check_dim(dim)
     if not isinstance(rows, (list, tuple)) or not rows:
         raise MalformedDocument("expected a non-empty matrix (list of rows)")
     if not all(isinstance(row, (list, tuple)) and len(row) == len(rows[0]) for row in rows):
@@ -266,6 +267,7 @@ def grouped_samples_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL
 def permutation_from_json(doc: dict) -> Permutation:
     n = _require_int(doc, "n")
     images = _require(doc, "images")
+    _check_dim(n)
     if not isinstance(images, list):
         raise MalformedDocument("'images' must be a list")
     try:

@@ -9,19 +9,20 @@ between the Gram matrices to decide the branch, then fit the operator
 to the rephased rays by orthogonal Procrustes and verify it on every pair.
 
 For k rays in dimension n a certification costs O(k^2 n) time and
-O(k n^2 + k^2) memory. A RayMap holds its source and target unit
-vectors once, as (k, n) arrays made by linalg.unit_rows, and caches no
-more than its Projector pairs, built when asked for. Its tol is the one
-tolerance of its certification: bijectivity is checked at it once, when
-the map is built, by linalg.first_repeated_ray. The stages run check(m),
-classify(m, check), fit(m, classification). Two rays are orthogonal when
-their overlap modulus |<v_i|v_j>|, linalg.overlap_moduli's, is at most
-tol: a basis-free rule, so a map that an operator induces keeps it. The
-branch is two O(k^2) gauge fits along one spanning forest, in row blocks,
-and each rejected branch's witness is read off that forest in the same
-pass: its first misfit entry, closed into a cycle by the forest path
-between its ends. The fit is one n x n SVD and checks one stacked
-U S U^dag, bit for bit the per-pair residual.
+O(k n + k^2) memory. A RayMap holds its source and target unit vectors
+once, as (k, n) arrays made by linalg.unit_rows, and caches no more than
+its Projector pairs, built when asked for. Its tol is the one tolerance
+of its certification; bijectivity is checked at it once, when the map is
+built. The stages run check(m), classify(m, check), fit(m, classification).
+Two rays are the same when their distance ||P_i - P_j|| (linalg.ray_distance)
+is at most tol, and orthogonal when their overlap ||P_i P_j|| is: both
+rules are basis-free, so a map an operator induces is bijective on both
+sides or neither, and keeps orthogonality. The branch is two O(k^2) gauge
+fits along one spanning forest, in row blocks, and each rejected branch's
+witness is read off that forest in the same pass: its first misfit entry,
+closed into a cycle by the forest path between its ends. The fit is one
+n x n SVD; its residual is the largest distance from a target ray to its
+source's image.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     FitFailed,
     HypothesisViolated,
 )
-from .linalg import DEFAULT_TOL, Frozen, Tolerance, first_repeated_ray, max_abs, unit_rows
+from .linalg import DEFAULT_TOL, Frozen, Tolerance, first_repeated_ray, unit_rows
 
 __all__ = [
     "RayMap",
@@ -259,8 +260,8 @@ def fit_transform(m: RayMap, classification: TransformClassification) -> FitResu
     nonreal data the wrong branch ends in FitFailed. Sources that do not
     span C^n leave U free off their span: it is one of many operators
     that reproduce every pair. U's global phase makes the first nonzero
-    entry of its first column real positive. The residual is the max-norm
-    of T_i - U S_i U^dag (S_i conjugated if anti-unitary) over the stack.
+    entry of its first column real positive. The residual is the largest
+    linalg.ray_distance(t_i, U s_i), s_i conjugated if anti-unitary.
     """
     verdict = classification.verdict
     if verdict is Verdict.NEITHER:
@@ -271,9 +272,8 @@ def fit_transform(m: RayMap, classification: TransformClassification) -> FitResu
     # Anti-unitary action is conjugation followed by a unitary; fitting in
     # the conjugated source gauge reduces both branches to the unitary case.
     source_reps = m.source_vectors.conj() if anti else m.source_vectors
-    target_reps = m.target_vectors
     rephased = classification.phases[:, None] * source_reps  # rows c_j s_j
-    w, _, vh = np.linalg.svd(target_reps.T @ rephased.conj())
+    w, _, vh = np.linalg.svd(m.target_vectors.T @ rephased.conj())
     u = w @ vh
 
     nonzero = np.flatnonzero(np.abs(u[:, 0]) > 1e-12)
@@ -282,8 +282,7 @@ def fit_transform(m: RayMap, classification: TransformClassification) -> FitResu
         u = u * (abs(lead) / lead)
 
     transform = ContextTransform.from_matrix(u, antiunitary=anti, tol=m.tol)
-    residual = max_abs(linalg.projector_stack(target_reps)
-                       - u @ linalg.projector_stack(source_reps) @ u.conj().T)
+    residual = float(linalg.ray_distance(m.target_vectors, source_reps @ u.T).max())
     if residual > FIT_RESIDUAL_LIMIT:
         raise FitFailed(residual, FIT_RESIDUAL_LIMIT)
     return FitResult(transform=transform, residual=residual)

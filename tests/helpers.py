@@ -84,8 +84,42 @@ def fourier_context(n: int, label: str = "fourier"):
 
 
 def projector_distance(p: Projector, q: Projector) -> float:
-    """Max-norm distance between the two projector matrices."""
-    return max_abs(p.matrix - q.matrix)
+    """||P - Q||, the operator norm of the difference of the two projector
+    matrices: the reference for linalg.ray_distance, from an SVD."""
+    return float(np.linalg.norm(p.matrix - q.matrix, 2))
+
+
+def projector_residual(targets: np.ndarray, sources: np.ndarray, u: np.ndarray) -> float:
+    """max_i ||T_i - U S_i U^dag|| (operator norm) over the projector stacks
+    of the rows of targets and sources: the reference for a fit residual."""
+    images = u @ projector_stack(sources) @ u.conj().T
+    return float(np.linalg.norm(projector_stack(targets) - images, 2, axis=(1, 2)).max())
+
+
+def planted_rays(rng: np.random.Generator, n: int, eps: float, copies=(),
+                 orthogonal=()) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """(rows, pairs): random unit rays in dimension n, shuffled, where each
+    factor f of copies plants a rephased copy of a ray at distance f eps
+    and each f of orthogonal a ray at overlap modulus f eps with another;
+    every other planted ray is short of unit norm by 5e-10. pairs lists the
+    copies with f <= 1 in lexicographic order: the same ray at eps."""
+    rows, planted = [random_state_vector(n, rng) for _ in range(2)], []
+    for factors, orthogonal_kind in ((copies, False), (orthogonal, True)):
+        for f in factors:
+            v, w = random_state_vector(n, rng), random_state_vector(n, rng)
+            w -= np.vdot(v, w) * v
+            w /= np.linalg.norm(w)
+            a, b = np.sqrt(1 - (f * eps) ** 2), f * eps
+            if orthogonal_kind:
+                a, b = b, a
+            elif f <= 1:
+                planted.append(len(rows))
+            shrink = 1 - 5e-10 * (len(rows) % 4 == 0)
+            rows += [v, np.exp(1j * rng.uniform(0, 2 * np.pi)) * (a * v + b * w) * shrink]
+    order = rng.permutation(len(rows))
+    where = np.argsort(order)  # row r lands at where[r]
+    return np.array(rows)[order], sorted(tuple(sorted((int(where[r]), int(where[r + 1]))))
+                                         for r in planted)
 
 
 def random_projector(n: int, rng: np.random.Generator) -> Projector:
@@ -199,16 +233,12 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max_abs(a - phase * b)
 
 
-def act_matrix(transform: ContextTransform, p: np.ndarray) -> np.ndarray:
-    """U P U^dag, with P conjugated first when the transform is anti-unitary."""
-    q = p.conj() if transform.antiunitary else p
-    return transform.matrix @ q @ transform.matrix.conj().T
-
-
 def ref_find_source(m: RayMap, v: np.ndarray, tol=DEFAULT_TOL) -> int | None:
-    """The lowest source whose projector differs from |v><v| by at most tol
-    in every entry, or None."""
-    dist = np.abs(projector_stack(m.source_vectors) - np.outer(v, v.conj())).max(axis=(1, 2))
+    """The lowest source whose projector lies within tol of |v><v| in
+    operator norm (v made unit first), or None."""
+    v = v / np.linalg.norm(v)
+    dist = np.linalg.norm(projector_stack(m.source_vectors) - np.outer(v, v.conj()), 2,
+                          axis=(1, 2))
     hits = np.flatnonzero(dist <= tol.abs_eps)
     return int(hits[0]) if hits.size else None
 
@@ -267,9 +297,7 @@ def ref_fit(m: RayMap, context, antiunitary: bool) -> tuple[np.ndarray, float]:
     if nonzero.size:
         lead = u[nonzero[0], 0]
         u = u * (abs(lead) / lead)
-    residual = max_abs(projector_stack(target_reps)
-                       - u @ projector_stack(source_reps) @ u.conj().T)
-    return u, residual
+    return u, projector_residual(target_reps, source_reps, u)
 
 
 def permutation_log_generator(sigma: Permutation) -> np.ndarray:

@@ -16,6 +16,7 @@ from jsonschema import Draft202012Validator
 import qcontexts
 from helpers import (
     check_witness,
+    fourier_basis,
     golden_cases,
     payload_witnesses,
     peak_allocation,
@@ -230,6 +231,23 @@ class TestUhlhorn:
         matrix = np.array(payload["matrix"]) @ [1, 1j]
         assert phase_aligned_distance(matrix, u) <= 1e-8
 
+    @pytest.mark.parametrize("image", ["identity", "fourier", "inverse-fourier"])
+    def test_near_rays_certify_in_any_basis(self, capsys, tmp_path, image):
+        # e1 and a ray 1.4e-9 from it stay 1.4e-9 apart under the Fourier
+        # matrix F, so s -> F s and its inverse are bijective as the identity is
+        near = np.array([1, 1.4e-9, 0]) / np.hypot(1, 1.4e-9)
+        rays = np.array([[1, 0, 0], near, [0, 0, 1], np.ones(3) / np.sqrt(3)], dtype=complex)
+        turned = rays @ np.column_stack(fourier_basis(3)).T
+        sources, targets = {"identity": (rays, rays), "fourier": (rays, turned),
+                            "inverse-fourier": (turned, rays)}[image]
+        doc = {"dim": 3, "pairs": [{"source": s, "target": t} for s, t in
+                                   zip(complex_to_json(sources), complex_to_json(targets))]}
+        code, out, err = _run_with_documents(capsys, tmp_path, "uhlhorn", doc)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        validate(payload, "uhlhorn")
+        assert payload["residual"] <= 1e-8
+
     def test_orthogonality_violation_exits_one(self, capsys, tmp_path):
         with open(ds("raymap_unitary_dim3.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -388,9 +406,14 @@ class TestPermPath:
 
     @pytest.mark.parametrize("n, endpoint", [(0, []), (1, [[[1.0, 0.0]]])])
     def test_trivial_permutations(self, capsys, tmp_path, n, endpoint):
-        # n = 0 builds blocks of 0 x 0 samples: all errors are zero
+        # n = 1 builds blocks of 1 x 1 samples: all errors are zero; n = 0
+        # names no permutation (the schema asks n >= 1), so the reader rejects it
         path = tmp_path / "trivial.json"
         path.write_text(json.dumps({"n": n, "images": list(range(n))}))
+        if n == 0:
+            assert run(capsys, "perm-path", str(path)) == (
+                2, "", "error: MalformedDocument: dimension must be positive, got 0\n")
+            return
         expected = {
             "command": "perm-path", "n": n, "images": list(range(n)), "steps": 101,
             "endpoint_errors": [0.0, 0.0], "max_unitarity_deviation": 0.0,
@@ -805,8 +828,9 @@ class TestUsage:
 
 
 # ------------------------------------------------------------------
-# Exit-code contract under structural mutations of the bundled documents:
-# exit 2 is one error line and no output, exit 0 or 1 a schema-valid payload.
+# Exit-code contract under structural mutations of the bundled documents,
+# and under a size field (dim, n) set below 1: exit 2 is one error line and
+# no output, exit 0 or 1 a schema-valid payload.
 
 # one value of each JSON type; a swap picks one of another type, never a
 # larger number
@@ -838,10 +862,11 @@ def mutated_documents(draw):
     name = draw(st.sampled_from(sorted(SWEEP_COMMANDS)))
     doc = _load(name)
     for _ in range(draw(st.integers(1, 2))):
-        op = draw(st.sampled_from(["drop", "swap", "wrap", "truncate", "repeat"]))
+        op = draw(st.sampled_from(["drop", "swap", "wrap", "truncate", "repeat", "size"]))
         targets = [(path, value) for path, value in _nodes(doc)
                    if (op != "drop" or isinstance(path[-1], str))
-                   and (op not in ("truncate", "repeat") or isinstance(value, list) and value)]
+                   and (op not in ("truncate", "repeat") or isinstance(value, list) and value)
+                   and (op != "size" or path[-1] in ("dim", "n") and type(value) is int)]
         if not targets:
             continue
         # a depth first, so the few top-level fields are picked as often as vector entries
@@ -860,6 +885,8 @@ def mutated_documents(draw):
             parent[path[-1]] = [value]
         elif op == "truncate":
             del value[draw(st.integers(0, len(value) - 1)):]
+        elif op == "size":  # a size field (dim, n) below 1
+            parent[path[-1]] = draw(st.sampled_from([0, -1]))
         else:
             k = draw(st.integers(0, len(value) - 1))
             value.insert(k + 1, copy.deepcopy(value[k]))

@@ -34,7 +34,7 @@ from qcontexts.core import (
 from qcontexts import core, linalg
 from qcontexts.core import _philox_uniforms
 from qcontexts.errors import DimensionMismatch, NotOrthonormal
-from qcontexts.linalg import Tolerance, max_abs, overlap_moduli
+from qcontexts.linalg import Tolerance, max_abs, overlap_moduli, ray_distance
 from qcontexts.sampling import random_context, random_density, random_unitary
 
 
@@ -303,7 +303,8 @@ class TestExclusivityAndExtravalence:
     def test_classes_equal_the_pairwise_rule(self):
         """Random rays with rephased copies, chains of copies and near copies
         1 ulp either side of eps: the classes are the transitive closure of
-        the pairwise rule, projector_distance <= eps, taken over all pairs."""
+        the pairwise rule, ray_distance(v_i, v_j) <= eps for i < j, taken
+        over all pairs."""
         rng = make_generator(408)
         for trial in range(12):
             ps = [random_projector(3 + trial % 3, rng) for _ in range(14)]
@@ -311,13 +312,13 @@ class TestExclusivityAndExtravalence:
                 ps[j] = Projector(ps[i].vector * np.exp(1j * rng.uniform(0, 2 * np.pi)))
             near = ps[1].vector + 1e-7 * random_projector(len(ps[1].vector), rng).vector
             ps[11] = Projector.from_vector(near)
-            d = projector_distance(ps[1], ps[11])
+            d = ray_distance(ps[1].vector, ps[11].vector)
             mods = [Modality("m", k, p) for k, p in enumerate(ps)]
             for eps in (1e-9, np.nextafter(d, 0), d, np.nextafter(d, 1)):
                 tol = Tolerance(eps)
                 parent = list(range(len(ps)))
                 for i, j in combinations(range(len(ps)), 2):
-                    if projector_distance(ps[i], ps[j]) <= eps:
+                    if ray_distance(ps[i].vector, ps[j].vector) <= eps:
                         a, b = parent[i], parent[j]
                         parent = [a if x == b else x for x in parent]
                 groups = {}

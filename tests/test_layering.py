@@ -1,6 +1,6 @@
 """Layering guards: what the CLI loads, its BLAS thread policy, its frozen
-import heap, how records are built, which module reads documents, and the
-one function that evaluates Born's rule."""
+import heap, how records are built, which module reads documents, the
+one function that evaluates Born's rule and the one distance between rays."""
 
 import ast
 import gc
@@ -139,12 +139,9 @@ def test_objects_a_command_creates_stay_collectable():
     assert _probe(probe) == "True"
 
 
-CONTRACTIONS = {"einsum", "trace", "vdot", "inner", "dot", "tensordot"}
-
-
-def _contractions() -> dict[tuple[str, str], set[str]]:
-    """(file, enclosing function) -> the contraction calls in it, plus "@"
-    for a matrix product with an operand that names rho."""
+def _scan(label) -> dict[tuple[str, str], set[str]]:
+    """(file, enclosing function) -> the labels label(node) gives the nodes
+    in it, over every module of the package; None labels nothing."""
     found: dict[tuple[str, str], set[str]] = {}
 
     def visit(node, file: str, scope: str) -> None:
@@ -152,12 +149,8 @@ def _contractions() -> dict[tuple[str, str], set[str]]:
             child_scope = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 child_scope = f"{scope}.{child.name}" if scope else child.name
-            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
-                    and child.func.attr in CONTRACTIONS:
-                found.setdefault((file, scope), set()).add(child.func.attr)
-            elif isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult) \
-                    and "rho" in ast.unparse(child):
-                found.setdefault((file, scope), set()).add("@")
+            elif (name := label(child)) is not None:
+                found.setdefault((file, scope), set()).add(name)
             visit(child, file, child_scope)
 
     for path in sorted(SRC.glob("*.py")):
@@ -165,9 +158,30 @@ def _contractions() -> dict[tuple[str, str], set[str]]:
     return found
 
 
+def _called(node) -> str | None:
+    """The name a call calls, a bare function or an attribute."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+    return None
+
+
+CONTRACTIONS = {"einsum", "trace", "vdot", "inner", "dot", "tensordot"}
+
+
+def _contraction(node) -> str | None:
+    """A contraction call, or "@" for a matrix product with an operand that names rho."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in CONTRACTIONS:
+        return node.func.attr
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
+            and "rho" in ast.unparse(node):
+        return "@"
+    return None
+
+
 def test_born_rule_is_contracted_in_one_function():
     # the traces compute a trace, a Bargmann invariant and a normalization, not <v|rho|v>
-    assert _contractions() == {
+    assert _scan(_contraction) == {
         ("core.py", "born_values"): {"einsum"},
         ("core.py", "DensityOperator.from_matrix"): {"trace"},
         ("uhlhorn.py", "bargmann_invariant"): {"trace"},
@@ -193,3 +207,33 @@ def test_born_commands_reach_the_one_born_function(name, caller, capsys):
     finally:
         sys.setprofile(None)
     assert status == 0 and set(calls) == {caller}
+
+
+RAY_RULES = {"ray_distance", "same_ray_pairs", "first_repeated_ray", "projector_stack", "outer"}
+
+
+def _ray_comparison(node) -> str | None:
+    """A call of a ray rule or of a projector-matrix builder, or "-" for a
+    difference with an operand that is a projector matrix."""
+    if _called(node) in RAY_RULES:
+        return _called(node)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and any(
+            ".matrix" in ast.unparse(side) or _called(side) in RAY_RULES
+            for side in (node.left, node.right)):
+        return "-"
+    return None
+
+
+def test_rays_are_compared_by_one_distance():
+    # same_ray_pairs decides with ray_distance, the fit residual is its max,
+    # and projector matrices are built only for Projector.matrix and simulate
+    assert _scan(_ray_comparison) == {
+        ("linalg.py", "same_ray_pairs"): {"ray_distance"},
+        ("linalg.py", "first_repeated_ray"): {"same_ray_pairs"},
+        ("uhlhorn.py", "RayMap.__init__"): {"first_repeated_ray"},
+        ("uhlhorn.py", "fit_transform"): {"ray_distance"},
+        ("jsonio.py", "ks_instance_from_json"): {"first_repeated_ray"},
+        ("core.py", "extravalence_classes"): {"same_ray_pairs"},
+        ("core.py", "Projector.matrix"): {"outer"},
+        ("core.py", "_sample_outcomes"): {"projector_stack"},
+    }

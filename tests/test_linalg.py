@@ -1,9 +1,12 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import fourier_basis, mub_bases_dim3, projector_distance
+from helpers import fourier_basis, mub_bases_dim3, planted_rays, projector_distance
 from qcontexts.core import Projector, make_generator
 from qcontexts.linalg import (
     Tolerance,
@@ -11,9 +14,11 @@ from qcontexts.linalg import (
     in_unit_interval,
     is_unitary,
     overlap_moduli,
+    ray_distance,
     same_ray_pairs,
     unit_rows,
 )
+from qcontexts.sampling import random_unitary
 
 
 def test_tolerance_defaults_and_sanity_bound():
@@ -30,8 +35,19 @@ def test_unit_interval_within_tolerance_rejects_nan():
     tol = Tolerance(1e-6)
     assert in_unit_interval(0.5, tol) and in_unit_interval([-1e-6, 1 + 1e-6], tol)
     assert in_unit_interval(np.array([[0.0, 1.0]]), tol) and in_unit_interval([], tol)
-    for bad in (-2e-6, 1 + 2e-6, np.nan, [0.5, np.nan], [np.inf, 0.5]):
+    assert in_unit_interval(np.empty((0, 3)), tol)
+    for bad in (-2e-6, 1 + 2e-6, np.nan, [0.5, np.nan], [np.inf, 0.5], -np.inf, [0.5, -np.inf]):
         assert not in_unit_interval(bad, tol), bad
+    # both edges: the last value in and the first one out, on either side
+    for edge, inside in ((-1e-6, True), (1 + 1e-6, True),
+                         (np.nextafter(-1e-6, -1), False), (np.nextafter(1 + 1e-6, 2), False)):
+        assert in_unit_interval(edge, tol) is inside, edge
+    stack = make_generator(410).random((8, 8, 8))
+    assert in_unit_interval(stack, tol) is True
+    for bad in (np.nan, np.inf, -np.inf, -2e-6, 1 + 2e-6):
+        spoiled = stack.copy()
+        spoiled[7, 3, 5] = bad
+        assert in_unit_interval(spoiled, tol) is False, bad
 
 
 def test_tolerance_is_an_immutable_value():
@@ -64,13 +80,32 @@ class TestIsUnitary:
         assert not bool(is_unitary(2 * np.eye(2)))
 
 
+def ray_band(n: int) -> float:
+    """How far ray_distance and projector_distance, the SVD of P - Q, may
+    differ on rows of n entries: 32 (n + 1) u, u = 2^-53, above the sum of
+    ray_distance's (6 n + 8) u and the reference's rounding."""
+    return 32 * (n + 1) * 2.0 ** -53
+
+
+def ref_same_ray_pairs(vectors, eps):
+    """Every pair i < j of rows whose rays' projectors lie within eps by
+    projector_distance, in lexicographic order; asserts that no pair lies
+    within ray_band of eps, where the reference and ray_distance may round
+    to opposite sides. Projector.from_vector makes each row unit first."""
+    projectors = [Projector.from_vector(v) for v in vectors]
+    band = ray_band(vectors.shape[1])
+    pairs = []
+    for i, j in combinations(range(len(vectors)), 2):
+        d = projector_distance(projectors[i], projectors[j])
+        assert abs(d - eps) > band, (i, j, d)
+        if d <= eps:
+            pairs.append((i, j))
+    return pairs
+
+
 def ref_first_repeated_ray(vectors, eps):
-    """Pairwise reference: the first (i, j) whose projector matrices differ by <= eps."""
-    mats = [np.outer(v, v.conj()) for v in vectors]
-    for i, j in combinations(range(len(mats)), 2):
-        if np.abs(mats[i] - mats[j]).max() <= eps:
-            return i, j
-    return None
+    """The first pair of ref_same_ray_pairs, or None."""
+    return next(iter(ref_same_ray_pairs(vectors, eps)), None)
 
 
 class TestFirstRepeatedRay:
@@ -114,22 +149,69 @@ class TestFirstRepeatedRay:
                 assert first_repeated_ray(v, 1e-9) == ref_first_repeated_ray(v, 1e-9)
 
 
-def ref_same_ray_pairs(vectors, eps):
-    """Every pair i < j whose projectors lie within eps by projector_distance."""
-    projectors = [Projector(v) for v in vectors]
-    return [(i, j) for i, j in combinations(range(len(vectors)), 2)
-            if projector_distance(projectors[i], projectors[j]) <= eps]
-
-
 def _random_rays(rng, k: int, n: int) -> np.ndarray:
     v = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def exact_sin_squared(u, v) -> Fraction:
+    """sin^2 of the angle between the rays of u and v, 1 - |<v|u>|^2 /
+    (<u|u> <v|v>), in exact rational arithmetic on the float parts."""
+    vs, us = ([(Fraction(z.real), Fraction(z.imag)) for z in w] for w in (v, u))
+    re = sum(p * r + q * s for (p, q), (r, s) in zip(vs, us))
+    im = sum(p * s - q * r for (p, q), (r, s) in zip(vs, us))
+    uu, vv = (sum(p * p + q * q for p, q in w) for w in (us, vs))
+    return 1 - (re * re + im * im) / (uu * vv)
+
+
+class TestRayDistance:
+    """ray_distance is ||P_u - P_v|| to within (6 n + 8) u, from copies
+    1e-12 apart to orthogonal rays, on rows of any norm; the same under a
+    unitary change of basis and under conjugation; the same bits alone or
+    stacked."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    def test_within_its_rounding_bound_of_the_exact_distance(self, n):
+        rng = make_generator(411 + n)
+        bound = (6 * n + 8) * 2.0 ** -53
+        for k in range(42):
+            u = _random_rays(rng, 1, n)[0] * (1, 1 - 5e-10, 3.0)[k % 3]
+            scale = (1.0, 1e-3, 1e-6, 1e-9, 1e-12, 0.0)[k % 6]
+            v = np.exp(1j * rng.uniform(0, 2 * np.pi)) * u + scale * _random_rays(rng, 1, n)[0]
+            d = float(ray_distance(u, v))
+            low = Fraction(max(d - bound, 0.0))
+            assert low * low <= exact_sin_squared(u, v) <= Fraction(d + bound) ** 2, (k, d)
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_is_the_operator_norm_and_basis_free(self, n):
+        rng = make_generator(420 + n)
+        w = random_unitary(n, rng)
+        u, v = _random_rays(rng, 20, n), _random_rays(rng, 20, n)
+        v[:10] = u[:10] + 1e-7 * v[:10]
+        d = ray_distance(u, v)
+        for row, (a, b) in enumerate(zip(u, v)):
+            assert abs(d[row] - projector_distance(Projector.from_vector(a),
+                                                   Projector.from_vector(b))) <= ray_band(n)
+        for turned in (ray_distance(u @ w.T, v @ w.T), ray_distance(u.conj(), v.conj()),
+                       ray_distance(v, u)):
+            assert np.abs(turned - d).max() <= 2 * (6 * n + 8) * 2.0 ** -53
+
+    @pytest.mark.parametrize("n", [3, 8, 9, 17, 64])
+    def test_same_bits_alone_and_stacked(self, n):
+        rng = make_generator(430 + n)
+        u, v = _random_rays(rng, 30, n), _random_rays(rng, 30, n)
+        stacked = ray_distance(u, v)
+        assert stacked.shape == (30,)
+        assert [ray_distance(a, b).tobytes() for a, b in zip(u, v)] == \
+            [x.tobytes() for x in stacked]
+        assert np.concatenate([ray_distance(u[a:a + 7], v[a:a + 7])
+                               for a in range(0, 30, 7)]).tobytes() == stacked.tobytes()
+
+
 class TestSameRayPairs:
     """same_ray_pairs yields the brute-force pair list of projector_distance,
-    in lexicographic order, at any block size; first_repeated_ray is its
-    first pair."""
+    in lexicographic order, at any block size, wherever no distance lies
+    within ray_band of eps; first_repeated_ray is its first pair."""
 
     @pytest.mark.parametrize("block", [None, 1, 40])
     def test_random_rays_with_copies(self, monkeypatch, block):
@@ -163,16 +245,36 @@ class TestSameRayPairs:
         assert list(same_ray_pairs(mub, 1e-9)) == [(4, 13), (7, 12)]
 
     def test_tolerance_edge_pairs(self):
-        """A near copy at eps equal to its distance, and 1 ulp either side."""
+        """A near copy is found at eps equal to its ray_distance and above,
+        not 1 ulp below; the reference agrees a little off the edge."""
         rng = make_generator(405)
         v = _random_rays(rng, 8, 3)
         near = v[2] + 1e-7 * _random_rays(rng, 1, 3)[0]
         v[6] = near / np.linalg.norm(near)
-        d = projector_distance(Projector(v[2]), Projector(v[6]))
+        d = float(ray_distance(v[2], v[6]))
         for eps, expected in ((np.nextafter(d, 0), []), (d, [(2, 6)]),
                               (np.nextafter(d, 1), [(2, 6)])):
-            assert ref_same_ray_pairs(v, eps) == expected
             assert list(same_ray_pairs(v, eps)) == expected
+        assert ref_same_ray_pairs(v, d * (1 - 1e-3)) == []
+        assert ref_same_ray_pairs(v, d * (1 + 1e-3)) == [(2, 6)]
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 8]),
+           eps=st.sampled_from([1e-9, 1e-6]),
+           copies=st.lists(st.sampled_from([0.5, 0.9, 1.1, 2.0]), max_size=4),
+           orthogonal=st.lists(st.sampled_from([0.5, 2.0]), max_size=2))
+    def test_rules_are_basis_free(self, seed, n, eps, copies, orthogonal):
+        """Copies planted at distances straddling eps are found exactly when
+        within it, in the rows as given, turned by a unitary and conjugated;
+        the orthogonality verdicts of overlap_moduli agree the same way."""
+        rng = make_generator(seed)
+        v, planted = planted_rays(rng, n, eps, copies, orthogonal)
+        variants = (v, v @ random_unitary(n, rng).T, v.conj())
+        assert [list(same_ray_pairs(rows, eps)) for rows in variants] == [planted] * 3
+        assert ref_same_ray_pairs(v, eps) == planted
+        verdicts = [overlap_moduli(rows) <= eps for rows in variants]
+        assert np.array_equal(verdicts[0], verdicts[1]) and np.array_equal(verdicts[0], verdicts[2])
+        assert np.triu(verdicts[0], 1).sum() == orthogonal.count(0.5)
 
 
 def test_unit_rows_divide_or_name_the_first_bad_row():

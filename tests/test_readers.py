@@ -403,11 +403,15 @@ EXPECTED = {
 }
 
 
+# reader -> its argv: READERS' and a permutation's, which has no complex rows
+ARGV = {**{reader: entry[2] for reader, entry in READERS.items()}, "perm": ["perm-path", "DOC"]}
+
+
 def _run(capsys, tmp_path, reader: str, doc: dict) -> str:
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     argv = [str(path) if a == "DOC" else str(dataset_path(a)) if a.endswith(".json") else a
-            for a in READERS[reader][2]]
+            for a in ARGV[reader]]
     assert main(argv) == 2
     return capsys.readouterr().err
 
@@ -506,15 +510,17 @@ def test_every_reader_meets_every_fault():
 
 def nonpositive_dim_documents():
     """Every reader's document with a dimension below 1: a context, a
-    contexts list, a ray map, flat samples, a ks document, grouped samples."""
+    contexts list, a ray map, flat samples, a ks document, a density, a
+    permutation (its n), grouped samples."""
     for dim in (0, -1):
-        for reader in ("context", "raymap", "samples", "ks"):
+        for reader in ("context", "raymap", "samples", "ks", "density"):
             doc = READERS[reader][0]()
             doc["dim"] = dim
             yield reader, dim, doc
         doc = READERS["contexts"][0]()
         doc["contexts"][0]["dim"] = dim
         yield "contexts", dim, doc
+        yield "perm", dim, {"n": dim, "images": []}
     doc = _grouped()  # a group's dimension is its number of vectors
     doc["contexts"][1]["vectors"] = []
     yield "grouped", 0, doc

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
-    act_matrix,
     check_witness,
     fourier_basis,
     gadget_sources,
@@ -19,8 +20,10 @@ from helpers import (
     payload_witnesses,
     peak_allocation,
     phase_aligned_distance,
+    planted_rays,
     projector_distance,
     projector_pairs,
+    projector_residual,
     random_ray_map,
     ray_map,
     ref_find_source,
@@ -113,7 +116,7 @@ class TestRayMap:
                 assert np.array_equal(row, pair[side].vector)
             with pytest.raises(ValueError):
                 rows[0, 0] = 0
-            # the stacks the checks build are the pairs' matrices, entry for entry
+            # linalg.projector_stack builds the pairs' matrices, entry for entry
             for mat, pair in zip(linalg.projector_stack(rows), pairs):
                 assert np.array_equal(mat, pair[side].matrix)
         assert not [name for name, value in vars(m).items()
@@ -424,11 +427,19 @@ class TestFitTransform:
 
 # ------------------------------------------------------------------
 # Reference implementations: the per-pair loops and the fully
-# materialised triple scan that the Gram products, the stacked kernels and
+# materialised triple scan that the Gram products, the ray distances and
 # the gauge fits replaced. Checks must reproduce them, bit for bit or within
 # overlap_band where one Gram product replaces per-pair dots, verdicts must
 # agree wherever the triangles decide (TestGaugeVerdicts has the rest), and
 # every witness must pass helpers.check_witness.
+
+def fit_reference(m: RayMap, fit) -> float:
+    """max_i ||T_i - U S_i U^dag|| (operator norm) for the fit's U, from the
+    projector stacks, S_i conjugated if the fit is anti-unitary."""
+    anti = fit.transform.antiunitary
+    sources = m.source_vectors.conj() if anti else m.source_vectors
+    return projector_residual(m.target_vectors, sources, fit.transform.matrix)
+
 
 def ref_bijectivity_error(pairs, tol=DEFAULT_TOL) -> str | None:
     for i, j in combinations(range(len(pairs)), 2):
@@ -675,11 +686,13 @@ class TestKernelsMatchReference:
 
     def test_find_source_matches_the_stack_rule(self):
         """The first pair of same_ray_pairs over [v; sources], when it starts
-        at v, names the source that helpers.ref_find_source finds by the
-        stack rule: sources as given, rephased and short of unit norm; rays
-        near a source at their distance to it and 1 ulp to either side; a
-        missing ray; all at 1e-9 and at a looser 1e-6, where sources 3 and 9
-        are the same ray, so a match among the sources alone must not count."""
+        at v, names the source that helpers.ref_find_source finds in operator
+        norm: sources as given, rephased and short of unit norm; rays near a
+        source a little inside and outside their distance to it; a missing
+        ray; all at 1e-9 and at a looser 1e-6, where sources 3 and 9 are the
+        same ray, so a match among the sources alone must not count. At
+        the distance itself, ray_distance(v, s), the ray is found, and 1 ulp
+        below it not."""
         rng = make_generator(99)
         m, _ = random_ray_map(3, rng, n_extra=10)
         sources = m.source_vectors.copy()
@@ -696,18 +709,23 @@ class TestKernelsMatchReference:
                 probes += [(v, DEFAULT_TOL), (v, loose)]
             near = s + 1e-7 * random_state_vector(3, rng)
             near /= np.linalg.norm(near)
-            d = max_abs(np.outer(near, near.conj()) - np.outer(s, s.conj()))
-            edges.append([(near, Tolerance(e)) for e in (np.nextafter(d, 0), d,
-                                                         np.nextafter(d, 1))])
-            probes += edges[-1]
-        for v, tol in probes:
+            d = float(linalg.ray_distance(near, s))
+            probes += [(near, Tolerance(d * f)) for f in (1 - 1e-3, 1 + 1e-3)]
+            edges.append((j, [(near, Tolerance(e)) for e in (np.nextafter(d, 0), d,
+                                                             np.nextafter(d, 1))]))
+
+        def found(v, tol):
             stacked = np.vstack([v, m.source_vectors])
             # pairs come in lexicographic order, so those that start at v lead
             hit = next(linalg.same_ray_pairs(stacked, tol.abs_eps), None)
-            assert (None if hit is None or hit[0] else hit[1] - 1) == ref_find_source(m, v, tol)
+            return None if hit is None or hit[0] else hit[1] - 1
+
+        for v, tol in probes:
+            assert found(v, tol) == ref_find_source(m, v, tol)
         assert ref_find_source(m, missing, loose) is None
         assert ref_find_source(m, m.source_vectors[9], loose) == 3
-        assert [ref_find_source(m, *probe) for probe in edges[0]] == [None, 0, 0]
+        for j, edge in edges[:1] + edges[-1:]:  # sources 0 and 12 lie far from the rest
+            assert [found(*probe) for probe in edge] == [None, j, j]
 
     def test_classification_is_the_same_in_any_row_blocks(self, monkeypatch):
         # blocks of 1, 7 and 59 entries split every fit and witness row
@@ -717,15 +735,14 @@ class TestKernelsMatchReference:
             monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", entries)
             assert [_outcome(classify_transform, *case) for case in cases] == expected
 
-    def test_fit_residual_bit_identical(self):
-        # the stacked residual against the per-pair act_matrix loop it replaced
+    def test_fit_residual_is_the_operator_norm_residual(self):
+        # max_i ||T_i - U S_i U^dag|| from the projector stacks, within rounding
         rng = make_generator(94)
         for dim in (3, 4):
             for anti in (False, True):
                 m, _ = random_ray_map(dim, rng, antiunitary=anti, n_extra=10)
                 fit = fit_transform(m, classify_transform(m, check_orthogonality_preserving(m)))
-                assert fit.residual == max(max_abs(t.matrix - act_matrix(fit.transform, s.matrix))
-                                           for s, t in projector_pairs(m))
+                assert abs(fit.residual - fit_reference(m, fit)) <= 1e-14
 
 
 def _gadget_map(n: int, anti: bool, seed: int):
@@ -835,8 +852,7 @@ class TestGadgetFreeFit:
         assert classification.verdict is (Verdict.ANTIUNITARY if anti else Verdict.UNITARY)
         fit = fit_transform(m, classification)
         assert fit.residual <= FIT_RESIDUAL_LIMIT
-        assert fit.residual == max(
-            max_abs(t.matrix - act_matrix(fit.transform, s.matrix)) for s, t in projector_pairs(m))
+        assert abs(fit.residual - fit_reference(m, fit)) <= 1e-14
 
 
 def _edge_rays(n: int, value: float, rng=None) -> list[np.ndarray]:
@@ -891,6 +907,36 @@ class TestToleranceEdges:
             check = check_orthogonality_preserving(m)
             assert check.ok == (value <= eps)
             assert check.ok or check.source_product_norm == value
+
+
+class TestBasisFreeRules:
+    """A map an operator induces is bijective on both sides or neither, and
+    keeps orthogonality: on rays planted at distances and overlaps that
+    straddle tol, RayMap(S, W S) and RayMap(S, W conj(S)) for a random
+    unitary W build exactly when RayMap(S, S) does, with its error line,
+    and then pass the orthogonality check."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 8]),
+           eps=st.sampled_from([1e-9, 1e-6]),
+           copies=st.lists(st.sampled_from([0.5, 0.9, 1.1, 2.0]), max_size=2),
+           orthogonal=st.lists(st.sampled_from([0.5, 2.0]), max_size=2))
+    def test_induced_maps_are_bijective_exactly_when_the_identity_is(
+            self, seed, n, eps, copies, orthogonal):
+        rng = make_generator(seed)
+        s, planted = planted_rays(rng, n, eps, copies, orthogonal)
+        w = random_unitary(n, rng)
+        outcomes = []
+        for t in (s, s @ w.T, s.conj() @ w.T):
+            try:
+                m = RayMap(n, s, t, Tolerance(eps))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(check_orthogonality_preserving(m).ok)
+        expected = ("sources %d and %d coincide; map must be bijective" % planted[0]
+                    if planted else True)
+        assert outcomes == [expected] * 3
 
 
 def _four_cycle_map(anti: bool) -> RayMap:
