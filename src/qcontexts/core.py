@@ -24,9 +24,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotOrthonormal
-from .linalg import (DEFAULT_TOL, Frozen, Tolerance, as_matrix, as_vector, in_unit_interval,
-                     is_unitary, max_abs, overlap_moduli, projector_stack, row_blocks,
-                     same_ray_pairs, unit_rows)
+from .linalg import (DEFAULT_TOL, UNIT_NORM_ROUNDING, Frozen, Tolerance, as_matrix, as_vector,
+                     in_unit_interval, is_unitary, max_abs, overlap_moduli, projector_stack,
+                     row_blocks, same_ray_pairs, unit_rows)
 
 __all__ = [
     "Projector",
@@ -72,8 +72,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 class Projector(Frozen):
-    """Rank-1 orthogonal projector |psi><psi|, stored as its unit vector
-    |psi> (phase irrelevant); from_vector normalizes any nonzero vector."""
+    """Rank-1 projector |psi><psi| stored as |psi>, a row linalg.unit_rows keeps
+    as it is (phase irrelevant); from_vector normalizes any nonzero vector."""
 
     def __init__(self, vector: np.ndarray):
         self.__dict__["vector"] = vector
@@ -87,7 +87,7 @@ class Projector(Frozen):
 
     def __post_init__(self):
         vec = as_vector(self.vector)
-        if abs(float(np.linalg.norm(vec)) - 1.0) > DEFAULT_TOL.abs_eps:
+        if abs(float(np.linalg.norm(vec)) - 1.0) > len(vec) * UNIT_NORM_ROUNDING:
             raise ValueError("projector vector does not have unit norm")
         self.__dict__["vector"] = _readonly(vec.copy())
 
@@ -136,9 +136,8 @@ class Context(Frozen):
         return float(np.triu(overlap_moduli(self.basis.T), 1).max())
 
     def completeness_defect(self) -> float:
-        """||sum_i P_i - I||_max."""
-        total = sum(p.matrix for p in self.projectors)
-        return max_abs(total - np.eye(self.dim))
+        """||sum_i P_i - I||_max, read off the basis B as ||B B^dag - I||_max."""
+        return max_abs(self.basis @ self.basis.conj().T - np.eye(self.dim))
 
 
 class Modality(NamedTuple):

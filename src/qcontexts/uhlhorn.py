@@ -9,26 +9,22 @@ between the Gram matrices to decide the branch, then fit the operator
 to the rephased rays by orthogonal Procrustes and verify it on every pair.
 
 For k rays in dimension n a certification costs O(k^2 n) time and
-O(k n + k^2) memory. A RayMap holds its source and target unit vectors
-once, as (k, n) arrays made by linalg.unit_rows, and caches no more than
-its Projector pairs, built when asked for. Its tol is the one tolerance
-of its certification; bijectivity is checked at it once, when the map is
-built. The stages run check(m), classify(m, check), fit(m, classification).
-Two rays are the same when their distance ||P_i - P_j|| (linalg.ray_distance)
-is at most tol, and orthogonal when their overlap ||P_i P_j|| is: both
-rules are basis-free, so a map an operator induces is bijective on both
-sides or neither, and keeps orthogonality. The branch is two O(k^2) gauge
-fits along one spanning forest, in row blocks, and each rejected branch's
-witness is read off that forest in the same pass: its first misfit entry,
-closed into a cycle by the forest path between its ends. The fit is one
-n x n SVD; its residual is the largest distance from a target ray to its
-source's image.
+O(k n + k^2) memory, the k^2 being the two Gram matrices <v_i|v_j>. A
+RayMap holds its unit rows (linalg.unit_rows) and its tol, at which its
+bijectivity was checked once. The stages run check(m), classify(m, check)
+and fit(m, classification); the check takes the Gram matrices once and
+hands them on. Rays are the same when ||P_i - P_j|| (linalg.ray_distance)
+is at most tol and orthogonal when ||P_i P_j|| = |<v_i|v_j>| is: both rules
+are basis-free, so a map an operator induces passes both on both sides.
+The branch is two O(k^2) gauge fits along one spanning forest, and each
+rejected branch's witness is read off it: its first misfit entry, closed
+into a cycle by the forest path between its ends.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -77,8 +73,7 @@ class RayMap(Frozen):
         unit = unit_rows(rows, tol, lambda k: ValueError(
             f"pair {k}: cannot project onto the zero vector or one whose norm overflows"))
         if dim < 3:
-            raise DimensionTooSmall(
-                f"ray maps are certified only for dimension >= 3, got {dim}")
+            raise DimensionTooSmall(f"ray maps are certified only for dimension >= 3, got {dim}")
         unit.flags.writeable = False
         # the first repeated pair in lexicographic order; sources first on a tie
         repeated = [(hit, which) for which, v in zip(("sources", "targets"), unit)
@@ -97,13 +92,14 @@ class RayMap(Frozen):
 
 
 class OrthogonalityCheck(NamedTuple):
-    """Verdict of the both-ways orthogonality-preservation test; a failed
-    one names its first violating pair and that pair's two overlap moduli."""
+    """Verdict of the both-ways orthogonality test on grams, the read-only (2, k, k)
+    Gram stack; a failed one names its first violating pair and its two moduli."""
 
     ok: bool
     violating_pair: tuple[int, int] | None = None
     source_product_norm: float | None = None
     target_product_norm: float | None = None
+    grams: np.ndarray | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -138,18 +134,29 @@ class FitResult(NamedTuple):
 def check_orthogonality_preserving(m: RayMap) -> OrthogonalityCheck:
     """Test |<s_i|s_j>| <= m.tol  <=>  |<t_i|t_j>| <= m.tol over all listed pairs.
 
-    The moduli are linalg.overlap_moduli's, ||P_i P_j|| for unit rows, so
-    the verdict does not depend on the basis the rays are written in. The
-    first pair in lexicographic order whose sides disagree is reported with
+    Both Gram matrices are one batched product, kept as grams. Their moduli,
+    ||P_i P_j|| for unit rows (basis-free; linalg.overlap_moduli's bits), are
+    taken in row blocks up to the first that holds a pair whose sides
+    disagree; the first such pair in lexicographic order is reported with
     both moduli. Cost: O(k^2 n) time and O(k^2) memory.
     """
-    eps = m.tol.abs_eps
-    s, t = (linalg.overlap_moduli(v) for v in (m.source_vectors, m.target_vectors))
-    bad = np.argwhere(np.triu((s <= eps) != (t <= eps), 1))  # row-major: lexicographic
-    if not bad.size:
-        return OrthogonalityCheck(ok=True)
-    i, j = map(int, bad[0])
-    return OrthogonalityCheck(False, (i, j), float(s[i, j]), float(t[i, j]))
+    eps, k = m.tol.abs_eps, len(m.source_vectors)
+    rows = np.stack([m.source_vectors, m.target_vectors])
+    grams = rows.conj() @ np.swapaxes(rows, -1, -2)
+    grams.flags.writeable = False
+    for r in linalg.row_blocks(k, k):
+        s, t = np.abs(grams[:, r])
+        bad = np.argwhere(np.triu((s <= eps) != (t <= eps), r.start + 1))  # row-major
+        if bad.size:
+            i, j = bad[0]
+            return OrthogonalityCheck(False, (r.start + int(i), int(j)), float(s[i, j]),
+                                      float(t[i, j]), grams)
+    return OrthogonalityCheck(True, grams=grams)
+
+
+def _cycle_product(overlap, cycle) -> complex:
+    """Tr(P_c1 ... P_cm): the product of overlap(c, c') = <v_c|v_c'> around the cycle."""
+    return complex(np.prod(overlap(list(cycle), [*cycle[1:], cycle[0]])))
 
 
 def bargmann_invariant(*projectors: Projector) -> complex:
@@ -159,17 +166,17 @@ def bargmann_invariant(*projectors: Projector) -> complex:
         raise ValueError("a Bargmann invariant takes at least two projectors")
     if len({p.dim for p in projectors}) > 1:
         raise DimensionMismatch("projectors live in different dimensions")
-    return complex(np.trace(reduce(np.matmul, (p.matrix for p in projectors))))
+    v = np.stack([p.vector for p in projectors])
+    return _cycle_product(lambda a, b: np.sum(v[a].conj() * v[b], axis=1), range(len(v)))
 
 
 def _witness(gs, gt, parent, i: int, j: int, anti: bool, eps: float) -> tuple:
     """(cycle, source value, target value) for the misfit entry (i, j): the
     pair (i, j) if |gs[i, j]| and |gt[i, j]| differ by more than eps, which
     no operator allows, else i, the forest path to j, then j. The values
-    are the products Tr(P_i ... P_j) of Gram entries around the cycle, the
-    source's conjugated if anti. Each tree edge on the path is at least as
-    strong as the entry, so they do not vanish, and their rounding stays
-    near cycle length x ulp."""
+    are _cycle_product's of Gram entries, the source's conjugated if anti.
+    Each tree edge on the path is at least as strong as the entry, so they
+    do not vanish, and their rounding stays near cycle length x ulp."""
     cycle, up = [i, j], [i]
     if abs(abs(gs[i, j]) - abs(gt[i, j])) <= eps:
         while up[-1]:  # the root 0 is its own parent
@@ -178,32 +185,31 @@ def _witness(gs, gt, parent, i: int, j: int, anti: bool, eps: float) -> tuple:
         while down[-1] not in depth:
             down.append(int(parent[down[-1]]))
         cycle = up[:depth[down[-1]]] + down[::-1]
-    edges = (cycle, cycle[1:] + cycle[:1])
-    source, target = np.prod(gs[edges]), np.prod(gt[edges])
-    return tuple(cycle), complex(source.conjugate() if anti else source), complex(target)
+    source, target = (_cycle_product(lambda a, b: g[a, b], cycle) for g in (gs, gt))
+    return tuple(cycle), source.conjugate() if anti else source, target
 
 
 def _gauge_fits(gs: np.ndarray, gt: np.ndarray, eps: float) -> tuple:
     """(residuals, c, witnesses) of both branches' gauge fits: c is a
     read-only (2, k) array of unit phases c_j fixed along one maximum
-    spanning forest of |gs| (Prim, O(k^2)), and the residuals are
-    max |gt[i, j] - conj(c_i) c_j g[i, j]| for g = gs (row 0, unitary
-    branch) and g = conj(gs) (row 1, anti-unitary); |conj(gs)| is |gs| bit
+    spanning forest of |gs| (Prim, O(k^2), a row of |gs| a step), and the
+    residuals are max |gt[i, j] - conj(c_i) c_j g[i, j]| for g = gs (row 0,
+    unitary) and g = conj(gs) (row 1, anti-unitary); |conj(gs)| is |gs| bit
     for bit, so both branches share the forest. The max runs over the row
     blocks of linalg.row_blocks, which also find the first entry above eps
     in row-major order of each branch that has one, sorted to i < j (the
     residuals are Hermitian up to rounding): its witness is _witness's."""
-    k, weight = len(gs), np.abs(gs)
+    k = len(gs)
     c, free = np.ones((2, k), dtype=np.complex128), np.arange(k) > 0
-    best, parent = weight[0].copy(), np.zeros(k, dtype=np.intp)  # strongest link to the tree
+    best, parent = np.abs(gs[0]), np.zeros(k, dtype=np.intp)  # strongest link to the tree
     for _ in range(k - 1):
         j = int(np.argmax(np.where(free, best, -1.0)))
         p = parent[j]
         for b, z in enumerate((gt[p, j] * gs[p, j].conjugate(), gt[p, j] * gs[p, j])):
             c[b, j] = c[b, p] * (z / abs(z) if z else 1.0)
         free[j] = False
-        closer = free & (weight[j] > best)
-        best[closer], parent[closer] = weight[j, closer], j
+        closer = free & (np.abs(gs[j]) > best)
+        best[closer], parent[closer] = np.abs(gs[j, closer]), j
     residuals, witnesses = [0.0, 0.0], {}
     for r in linalg.row_blocks(k, k):
         for b, branch in enumerate((Verdict.UNITARY, Verdict.ANTIUNITARY)):
@@ -228,17 +234,14 @@ def classify_transform(m: RayMap, check: OrthogonalityCheck) -> TransformClassif
     fit_transform builds the operator from. Each rejected branch gets the
     witness _gauge_fits reads off its first misfit entry: a pair whose
     overlap modulus moved, or a cycle whose invariants no phase gauge of
-    that branch can match. Fits and moduli are compared at m.tol. check
-    is the caller's check_orthogonality_preserving(m); a failed one
-    raises HypothesisViolated. Cost: O(k^2 n) for the Gram matrices and
-    O(k^2) for the fits and witnesses.
+    that branch can match, compared at m.tol. G_s and G_t are the grams of
+    check, the caller's check_orthogonality_preserving(m); a failed one
+    raises HypothesisViolated. Cost: O(k^2) time, no new (k, k) array.
     """
     if not check:
         raise HypothesisViolated("map does not preserve orthogonality both ways")
     eps = m.tol.abs_eps
-    gs = m.source_vectors.conj() @ m.source_vectors.T  # Gram matrices <v_i|v_j>
-    gt = m.target_vectors.conj() @ m.target_vectors.T
-    residuals, phases, witnesses = _gauge_fits(gs, gt, eps)
+    residuals, phases, witnesses = _gauge_fits(*check.grams, eps)
     unitary, anti = (residual <= eps for residual in residuals)
     if not (unitary or anti):
         return TransformClassification(Verdict.NEITHER, witnesses, None)
@@ -250,10 +253,9 @@ def classify_transform(m: RayMap, check: OrthogonalityCheck) -> TransformClassif
 def fit_transform(m: RayMap, classification: TransformClassification) -> FitResult:
     """Fit the single operator inducing the map and verify it everywhere.
 
-    The branch and the gauge c are classification's verdict and phases,
-    from classify_transform(m, check); nothing is searched here. On that
-    branch the rows c_j s_j (s_j conjugated if anti-unitary) and t_j have
-    equal Gram matrices, so U is the orthogonal Procrustes solution
+    The branch and the gauge c are classification's verdict and phases; on
+    that branch the rows c_j s_j (s_j conjugated if anti-unitary) and t_j
+    have equal Gram matrices, so U is the orthogonal Procrustes solution
     W V^dag of the SVD W S V^dag of sum_j t_j (c_j s_j)^dag (Schonemann
     1966), checked unitary at m.tol. Inconclusive (all-real data, where
     the branches coincide) takes the unitary fit and is flagged; on
@@ -265,8 +267,7 @@ def fit_transform(m: RayMap, classification: TransformClassification) -> FitResu
     """
     verdict = classification.verdict
     if verdict is Verdict.NEITHER:
-        raise HypothesisViolated(
-            "Bargmann invariants are inconsistent with any single operator")
+        raise HypothesisViolated("Bargmann invariants are inconsistent with any single operator")
     anti = verdict is Verdict.ANTIUNITARY
 
     # Anti-unitary action is conjugation followed by a unitary; fitting in

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import tracemalloc
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from qcontexts.jsonio import (
 from qcontexts.linalg import DEFAULT_TOL, is_unitary, max_abs, projector_stack
 from qcontexts.sampling import random_context, random_state_vector, random_unitary
 from qcontexts.topology import Permutation, _eigensystem, permutation_matrix
-from qcontexts.uhlhorn import RayMap, Verdict, bargmann_invariant
+from qcontexts.uhlhorn import RayMap, Verdict
 
 
 def load_tool(name: str):
@@ -186,6 +187,12 @@ def reread(name: str, doc: dict) -> tuple | None:
     return bits(first), bits(read(json.loads(json.dumps(write(first)))))
 
 
+def trace_invariant(*projectors: Projector) -> complex:
+    """Tr(P_1 P_2 ... P_m) from the projector matrices: the reference for
+    uhlhorn's Bargmann invariants, which multiply Gram entries instead."""
+    return complex(np.trace(reduce(np.matmul, (p.matrix for p in projectors))))
+
+
 _REJECTED = {Verdict.UNITARY: {Verdict.ANTIUNITARY}, Verdict.ANTIUNITARY: {Verdict.UNITARY},
              Verdict.NEITHER: {Verdict.UNITARY, Verdict.ANTIUNITARY}, Verdict.INCONCLUSIVE: set()}
 
@@ -209,7 +216,7 @@ def check_witness(m: RayMap, verdict: Verdict, witnesses) -> None:
         assert len(set(cycle)) == len(cycle) >= 2
         sources = [Projector(m.source_vectors[i]) for i in cycle]
         targets = [Projector(m.target_vectors[i]) for i in cycle]
-        s, t = bargmann_invariant(*sources), bargmann_invariant(*targets)
+        s, t = trace_invariant(*sources), trace_invariant(*targets)
         if branch is Verdict.ANTIUNITARY:
             s = s.conjugate()
         slack = 64 * (len(cycle) + m.dim) * 2.0 ** -53

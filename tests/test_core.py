@@ -35,7 +35,7 @@ from qcontexts import core, linalg
 from qcontexts.core import _philox_uniforms
 from qcontexts.errors import DimensionMismatch, NotOrthonormal
 from qcontexts.linalg import Tolerance, max_abs, overlap_moduli, ray_distance
-from qcontexts.sampling import random_context, random_density, random_unitary
+from qcontexts.sampling import random_context, random_density, random_state_vector, random_unitary
 
 
 class TestMakeContext:
@@ -101,6 +101,29 @@ class TestDataModel:
     def test_projector_constructor_rejects_non_unit_non_finite_and_2d(self, vector):
         with pytest.raises(ValueError):
             Projector(np.asarray(vector, dtype=np.complex128))
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_projector_accepts_exactly_the_rows_unit_rows_keeps(self, n):
+        """A vector is a Projector's exactly when linalg.unit_rows keeps it as
+        it is, so its matrix is idempotent to rounding: 5e-10 short of unit
+        norm, which a 1e-9 slack once let through, is refused."""
+        v = random_state_vector(n, make_generator(n))
+        with pytest.raises(ValueError, match="does not have unit norm"):
+            Projector(v * (1 - 5e-10))
+        seen = set()
+        for f in (-5e-10, -1e-14, -3 * n * 2.0**-53, 0.0, 2.0**-52, 9 * n * 2.0**-53, 1e-9):
+            w = v * (1 + f)
+            kept = np.array_equal(linalg.unit_rows(w, Tolerance(), ValueError), w)
+            seen.add(kept)
+            try:
+                p = Projector(w)
+            except ValueError:
+                assert not kept, f
+            else:
+                assert kept, f
+                # |v|^2 lies within 16 n u of 1, and each product entry adds n roundings
+                assert max_abs(p.matrix @ p.matrix - p.matrix) <= 24 * n * 2.0**-53
+        assert seen == {True, False}
 
     def test_projector_constructor_keeps_its_own_read_only_copy(self):
         v = np.array([0.6, 0.8j, 0.0])
@@ -378,6 +401,14 @@ class TestApplyTransform:
                 out = apply_transform(c, g)
                 assert out.exclusivity_defect() <= 1e-9
                 assert out.completeness_defect() <= 1e-9
+
+    def test_completeness_defect_is_read_off_the_basis(self):
+        # oracle: ||sum_i P_i - I||_max over projector matrices; no Projector is built
+        for n in (1, 3, 8):
+            c = random_context(n, make_generator(n))
+            oracle = max_abs(sum(np.outer(v, v.conj()) for v in c.basis.T) - np.eye(n))
+            assert abs(c.completeness_defect() - oracle) <= 4 * n * 2.0**-53
+            assert "projectors" not in vars(c)
 
     def test_antiunitary_action_conjugates(self):
         c = fourier_context(3)

@@ -1,6 +1,7 @@
 """Layering guards: what the CLI loads, its BLAS thread policy, its frozen
 import heap, how records are built, which module reads documents, the
-one function that evaluates Born's rule and the one distance between rays."""
+one function that evaluates Born's rule, the one distance between rays and
+the one Gram product of a ray-map certification."""
 
 import ast
 import gc
@@ -180,11 +181,10 @@ def _contraction(node) -> str | None:
 
 
 def test_born_rule_is_contracted_in_one_function():
-    # the traces compute a trace, a Bargmann invariant and a normalization, not <v|rho|v>
+    # the traces compute a trace and a normalization, not <v|rho|v>
     assert _scan(_contraction) == {
         ("core.py", "born_values"): {"einsum"},
         ("core.py", "DensityOperator.from_matrix"): {"trace"},
-        ("uhlhorn.py", "bargmann_invariant"): {"trace"},
         ("sampling.py", "random_density"): {"trace"},
     }
 
@@ -237,3 +237,18 @@ def test_rays_are_compared_by_one_distance():
         ("core.py", "Projector.matrix"): {"outer"},
         ("core.py", "_sample_outcomes"): {"projector_stack"},
     }
+
+
+def _gram_product(node) -> str | None:
+    """"@" for a matrix product whose left operand is a conjugate, v.conj() @ ..."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
+            and _called(node.left) == "conj":
+        return "@"
+    return None
+
+
+def test_certification_takes_one_gram_stack():
+    # the check takes both Gram matrices and hands them on: classify_transform,
+    # the gauge fits, the witnesses and bargmann_invariant multiply no rows
+    assert {scope for (file, scope) in _scan(_gram_product) if file == "uhlhorn.py"} == {
+        "check_orthogonality_preserving"}

@@ -31,6 +31,7 @@ from helpers import (
     ref_gauge_residual,
     standard_basis,
     standard_context,
+    trace_invariant,
 )
 from qcontexts import cli, jsonio, linalg, uhlhorn
 from qcontexts.core import ContextTransform, Projector, make_context, make_generator
@@ -281,6 +282,15 @@ class TestBargmannInvariant:
         assert bargmann_invariant(*ps) == pytest.approx(oracle, abs=1e-15)
         with pytest.raises(ValueError, match="at least two projectors"):
             bargmann_invariant(ps[0])
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_matches_the_trace_of_projector_products(self, n):
+        # oracle: Tr(P_1 ... P_m) of the projector matrices, within rounding
+        rng = make_generator(6)
+        ps = [proj(random_state_vector(n, rng)) for _ in range(6)]
+        for m in range(2, 7):
+            slack = 16 * (m + n) * 2.0**-53
+            assert abs(bargmann_invariant(*ps[:m]) - trace_invariant(*ps[:m])) <= slack
 
 
 class TestClassifyTransform:
@@ -641,9 +651,9 @@ class TestKernelsMatchReference:
 
     def test_bijectivity_error_bit_identical(self):
         rng = make_generator(91)
-        # a Projector accepts |norm - 1| <= 1e-9, enough to move |<u, u>|^2 below
-        # a same-ray screen that assumes unit rows
-        short = Projector(np.array([1, 1j, -1]) / np.sqrt(3) * (1 - 5e-10))
+        # a raw row 5e-10 short of unit norm, which a Projector refuses: RayMap
+        # gets it as it is, and the reference sees its unit ray
+        short = np.array([1, 1j, -1]) / np.sqrt(3) * (1 - 5e-10)
         for anti in (False, True):
             m, _ = random_ray_map(3, rng, antiunitary=anti, n_extra=8)
             pairs = projector_pairs(m)
@@ -658,12 +668,16 @@ class TestKernelsMatchReference:
                     + [(pairs[2][0], pairs[-1][1])],
                 "rephased": pairs + [(proj(1j * pairs[k - 1][0].vector),
                                       proj(pairs[0][1].vector))],
-                "short-norm-copies": [(short, pairs[0][1]), (short, pairs[1][1])] + pairs[2:],
+                "short-norm-copies": [(Projector.from_vector(short), t) for _, t in pairs[:2]]
+                + pairs[2:],
             }
             for label, ps in variants.items():
                 expected = ref_bijectivity_error(ps)
+                sources = [s.vector for s, _ in ps]
+                if label == "short-norm-copies":
+                    sources[:2] = short, short
                 try:
-                    ray_map(3, tuple(ps))
+                    RayMap(3, sources, [t.vector for _, t in ps])
                     got = None
                 except ValueError as exc:
                     got = str(exc)
@@ -1235,34 +1249,48 @@ def test_witness_is_the_same_in_any_row_blocks(monkeypatch):
     witnesses = uhlhorn._gauge_fits(gs, gt, 1e-9)[2]
     unitary, anti = (witnesses[branch][0] for branch in (Verdict.UNITARY, Verdict.ANTIUNITARY))
     assert unitary[0] == 0 and (anti[0], anti[-1]) == (45, 50) and len(anti) > 2
+    for branch, (cycle, source, target) in witnesses.items():
+        # products of Gram entries around the cycle, as the goldens print them
+        edges = (list(cycle), list(cycle[1:] + cycle[:1]))
+        value = complex(np.prod(gs[edges]))
+        assert source == (value.conjugate() if branch is Verdict.ANTIUNITARY else value)
+        assert target == complex(np.prod(gt[edges]))
     for rows in (1, 7, 59):
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 60 * rows)
         assert uhlhorn._gauge_fits(gs, gt, 1e-9)[2] == witnesses
 
 
+def _check_and_classify(m: RayMap) -> TransformClassification:
+    return classify_transform(m, check_orthogonality_preserving(m))
+
+
 def test_classification_memory_grows_as_k_squared():
-    """Peak allocation of classify_transform at k=200 and k=400. O(k^2)
-    memory gives a ratio of 4; the slack of 1.25 covers fixed overheads
-    and still rejects the 8 of an O(k^3) table."""
+    """Peak allocation of check_orthogonality_preserving and
+    classify_transform together, which share one Gram stack, at k=200 and
+    k=400. O(k^2) memory gives a ratio of 4; the slack of 1.25 covers fixed
+    overheads and still rejects the 8 of an O(k^3) table."""
     peaks = []
     for k in (200, 400):
-        m = _sweep_map(k)
-        classification, peak = peak_allocation(classify_transform, m,
-                                               check_orthogonality_preserving(m))
+        classification, peak = peak_allocation(_check_and_classify, _sweep_map(k))
         assert classification.verdict is Verdict.ANTIUNITARY
         peaks.append(peak)
     assert peaks[1] / peaks[0] <= 4 * 1.25
 
 
 def test_classification_peak_at_1200_rays():
-    """The two (k, k) complex Gram matrices (44 MiB at k=1200) and the
-    forest's weights (11 MiB) set classify_transform's peak; the residual
-    blocks add about 1 MiB on top, and the witnesses read single entries."""
+    """The check's (2, k, k) complex Gram stack (43.9 MiB at k=1200) sets
+    the peak of the check and classify_transform together: the moduli and
+    the residuals take row blocks of about 1 MiB, the forest one row of
+    |G_s| a step, and the witnesses single entries. Given the check,
+    classify_transform allocates less than one (k, k) float array (11 MiB)."""
     m = _large_map(1200)
-    classification, peak = peak_allocation(classify_transform, m,
-                                           check_orthogonality_preserving(m))
+    classification, peak = peak_allocation(_check_and_classify, m)
     assert classification.verdict is Verdict.ANTIUNITARY
-    assert peak / 2**20 < 64
+    assert peak / 2**20 < 48
+    check = check_orthogonality_preserving(m)
+    classification, peak = peak_allocation(classify_transform, m, check)
+    assert classification.verdict is Verdict.ANTIUNITARY
+    assert peak / 2**20 < 8
 
 
 def test_orthogonality_check_memory_grows_as_k_squared():
@@ -1275,3 +1303,85 @@ def test_orthogonality_check_memory_grows_as_k_squared():
         assert check.ok
         peaks.append(peak)
     assert peaks[1] / peaks[0] <= 4 * 1.25
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16])
+def test_gram_stack_is_the_per_side_products(n):
+    """The check's grams are the read-only (2, k, k) stack of the per-side
+    products v.conj() @ v.T, bit for bit, passed or failed; its moduli are
+    linalg.overlap_moduli's, bit for bit."""
+    rng = make_generator(n)
+    for anti in (False, True):
+        m = random_ray_map(n, rng, antiunitary=anti, n_extra=40)[0]
+        cases = (m, _swap_last_targets(m), _turned_map(m, [(5, 30)]))
+        checks = [check_orthogonality_preserving(case) for case in cases]
+        assert [check.ok for check in checks] == [True, True, False]
+        for case, grams in zip(cases, (check.grams for check in checks)):
+            assert grams.shape == (2, len(case.source_vectors), len(case.source_vectors))
+            assert not grams.flags.writeable
+            assert [g.tobytes() for g in grams] == [g.tobytes() for g in _grams(case)]
+            moduli = [linalg.overlap_moduli(v) for v in (case.source_vectors, case.target_vectors)]
+            assert np.abs(grams).tobytes() == np.stack(moduli).tobytes()
+
+
+def _turned_map(m: RayMap, pairs) -> RayMap:
+    """m with source j of each (i, j) in pairs turned orthogonal to source i
+    and target j a random ray: those pairs, and almost surely no others,
+    violate orthogonality preservation."""
+    rng = make_generator(len(pairs))
+    sources, targets = m.source_vectors.copy(), m.target_vectors.copy()
+    for i, j in pairs:
+        v = random_state_vector(m.dim, rng)
+        sources[j] = v - np.vdot(sources[i], v) * sources[i]
+        targets[j] = random_state_vector(m.dim, rng)
+    return RayMap(m.dim, sources, targets)
+
+
+@pytest.mark.parametrize("pairs", [[(7, 30)], [(59, 65)], [(59, 65), (7, 30)]])
+def test_check_is_the_same_in_any_row_blocks(monkeypatch, pairs):
+    """A passing 70-ray map and one violating at pairs: blocks of 1, 7 and
+    59 rows give the verdict, the first violating pair and its moduli of the
+    default block, which holds every row, bit for bit. Rows 7 and 59 are
+    the first past a block boundary of 7 and of 59 rows."""
+    m = _sweep_map(70)
+    maps = [m, _turned_map(m, pairs)]
+    expected = [check_orthogonality_preserving(case)[:4] for case in maps]
+    assert expected[0] == (True, None, None, None)
+    assert expected[1][1] == min(pairs) == ref_check(maps[1]).violating_pair
+    for rows in (1, 7, 59):
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 70 * rows)
+        assert [check_orthogonality_preserving(case)[:4] for case in maps] == expected
+
+
+class _CountedRows(np.ndarray):
+    """Rows that record the shape of every matrix product taken from them,
+    or from arrays made from them."""
+
+    products: list[tuple[int, ...]] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _CountedRows) else x for x in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            _CountedRows.products.append(out.shape)
+        return out.view(_CountedRows) if isinstance(out, np.ndarray) else out
+
+    def __array_function__(self, func, types, args, kwargs):
+        out = super().__array_function__(func, types, args, kwargs)
+        return out.view(_CountedRows) if isinstance(out, np.ndarray) else out
+
+
+@pytest.mark.parametrize("anti", [False, True])
+def test_one_gram_product_per_certification(monkeypatch, anti):
+    """Check, classification and fit of a 60-ray map take one product with
+    a (k, k) result, the (2, k, k) Gram stack, and give the fit's bits."""
+    m = random_ray_map(3, make_generator(98), antiunitary=anti, n_extra=60 - 7)[0]
+    counted = object.__new__(RayMap)
+    vars(counted).update(vars(m), source_vectors=m.source_vectors.view(_CountedRows),
+                         target_vectors=m.target_vectors.view(_CountedRows))
+    monkeypatch.setattr(_CountedRows, "products", [])
+    fit = fit_transform(counted, _check_and_classify(counted))
+    assert [s for s in _CountedRows.products if s[-2:] == (60, 60)] == [(2, 60, 60)]
+    expected = fit_transform(m, _check_and_classify(m))
+    assert fit.residual == expected.residual
+    assert fit.transform.matrix.tobytes() == expected.transform.matrix.tobytes()
