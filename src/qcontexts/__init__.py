@@ -2,8 +2,8 @@
 
 Submodules:
     linalg    -- tolerance policy, coercion, same-ray screen, unitarity check
-    core      -- projectors (a unit vector each), contexts (an orthonormal basis
-                 each), modalities, densities, measurement simulator
+    core      -- projectors (a unit vector each), contexts (n orthonormal unit
+                 rows each), modalities, densities, measurement simulator
     gleason   -- frame-function validation, density reconstruction
     uhlhorn   -- ray-map certification and operator fitting
     partition -- {0,1} valuation search and parity certificates on vector systems

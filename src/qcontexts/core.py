@@ -7,7 +7,7 @@ phase-dependent representative vectors, so global phase is quotiented
 out everywhere.
 
 Each type stores one representation: a Projector its unit vector, a
-Context its orthonormal basis matrix, a DensityOperator or a
+Context the (n, n) array of its unit rows, a DensityOperator or a
 ContextTransform its matrix; dim is read from that array, and projector
 matrices are built on first use. Projector(), make_context and the from_*
 classmethods validate their input once; nothing re-checks it later. The
@@ -108,20 +108,20 @@ def _check_dims(*dims: int) -> None:
 
 class Context(Frozen):
     """Ordered complete set of N mutually orthogonal rank-1 projectors,
-    stored as the basis matrix of their unit vectors. Build it with
-    make_context, which validates the basis; this constructor trusts it."""
+    stored as vectors: row k is modality k's unit vector. Build it with
+    make_context, which validates the rows; this constructor trusts them."""
 
-    def __init__(self, basis: np.ndarray, label: str = ""):
-        self.__dict__.update(basis=basis, label=label)
+    def __init__(self, vectors: np.ndarray, label: str = ""):
+        self.__dict__.update(vectors=vectors, label=label)
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.vectors.shape[0]
 
     @cached_property
     def projectors(self) -> tuple[Projector, ...]:
-        """One projector per basis column, built on first use."""
-        return tuple(Projector(self.basis[:, k]) for k in range(self.dim))
+        """One projector per row, built on first use."""
+        return tuple(Projector(v) for v in self.vectors)
 
     def modality(self, index: int) -> "Modality":
         if not 0 <= index < self.dim:
@@ -133,11 +133,11 @@ class Context(Frozen):
 
     def exclusivity_defect(self) -> float:
         """max over i < j of the overlap modulus |<v_i|v_j>| = ||P_i P_j||."""
-        return float(np.triu(overlap_moduli(self.basis.T), 1).max())
+        return float(np.triu(overlap_moduli(self.vectors), 1).max())
 
     def completeness_defect(self) -> float:
-        """||sum_i P_i - I||_max, read off the basis B as ||B B^dag - I||_max."""
-        return max_abs(self.basis @ self.basis.conj().T - np.eye(self.dim))
+        """||sum_i P_i - I||_max, read off the rows V as ||V^T conj(V) - I||_max."""
+        return max_abs(self.vectors.T @ self.vectors.conj() - np.eye(self.dim))
 
 
 class Modality(NamedTuple):
@@ -174,7 +174,7 @@ class DensityOperator(Frozen):
             if eigs[0] < -tol.abs_eps:
                 raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
             tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > tol.bound():
+        if abs(tr - 1.0) > tol.abs_eps:
             raise ValueError(f"density matrix has trace {tr}, expected 1")
         return cls(_readonly(mat))
 
@@ -206,14 +206,15 @@ class ContextTransform(Frozen):
         return cls(_readonly(mat), antiunitary=antiunitary)
 
     def act_vector(self, v: np.ndarray) -> np.ndarray:
-        v = as_vector(v)
-        return self.matrix @ (v.conj() if self.antiunitary else v)
+        """U v, or U conj(v) if antiunitary, on each row of v: v @ U^T (1-D: U @ v's bits)."""
+        v = np.asarray(v, dtype=np.complex128)
+        return (v.conj() if self.antiunitary else v) @ self.matrix.T
 
 
 def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Context:
-    """Build a context from an orthonormal basis, columns made unit rays by
+    """Build a context from an orthonormal basis, rows made unit rays by
     linalg.unit_rows. Raises NotOrthonormal with the first offending pair
-    (i == j flags a non-unit norm, so unit_rows finds no bad column).
+    (i == j flags a non-unit norm, so unit_rows finds no bad row).
     """
     vs = [as_vector(v) for v in vectors]
     n = len(vs)
@@ -222,14 +223,14 @@ def make_context(vectors, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Cont
     for k, v in enumerate(vs):
         if v.shape[0] != n:
             raise DimensionMismatch(f"vector {k} has dimension {v.shape[0]}, expected {n}")
-    raw = np.column_stack(vs)
+    raw = np.stack(vs)
     # entries that overflow the Gram matrix leave an infinite diagonal entry, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = np.argwhere(np.triu(np.abs(overlap_moduli(raw.T) - np.eye(n)) > tol.bound()))
+        bad = np.argwhere(np.triu(np.abs(overlap_moduli(raw) - np.eye(n)) > tol.abs_eps))
         if bad.size:  # the first pair in row order, (i, i) before (i, j > i)
             i, j = map(int, bad[0])
-            raise NotOrthonormal(i, j, complex((raw.conj().T @ raw)[i, j]))
-    return Context(basis=_readonly(unit_rows(raw.T, tol, ValueError).T), label=label)
+            raise NotOrthonormal(i, j, complex((raw.conj() @ raw.T)[i, j]))
+    return Context(_readonly(unit_rows(raw, tol, ValueError)), label=label)
 
 
 def born_values(rho: np.ndarray, rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -252,7 +253,7 @@ def born_probability(rho: DensityOperator, p: Projector, tol: Tolerance = DEFAUL
 def context_distribution(rho: DensityOperator, c: Context,
                          tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Probabilities Tr(rho P_i) of the context's modalities, by born_values."""
-    return born_values(rho.matrix, c.basis.T, tol)
+    return born_values(rho.matrix, c.vectors, tol)
 
 
 def are_exclusive(m1: Modality, m2: Modality,
@@ -297,10 +298,9 @@ def extravalence_classes(modalities: Sequence[Modality],
 
 def apply_transform(c: Context, g: ContextTransform,
                     tol: Tolerance = DEFAULT_TOL) -> Context:
-    """Carry a context to its image: projector i becomes U act(P_i) U^dag."""
+    """Carry a context to its image, U act(P_i) U^dag: all rows in one act_vector."""
     _check_dims(c.dim, g.dim)
-    vectors = [g.act_vector(p.vector) for p in c.projectors]
-    return make_context(vectors, label=f"{c.label}*", tol=tol)
+    return make_context(g.act_vector(c.vectors), label=f"{c.label}*", tol=tol)
 
 
 # Philox4x64-10 constants (Salmon et al., SC'11), as numpy's Philox uses them
@@ -358,11 +358,11 @@ def _sample_outcomes(initial: Projector, contexts: Sequence[Context],
         held = np.flatnonzero(np.bincount(prev, minlength=len(states)))
         table = np.empty((len(states), c.dim))
         for s in (held[b] for b in row_blocks(len(held), c.dim ** 2)):
-            table[s] = np.cumsum(born_values(projector_stack(states[s]), c.basis.T), axis=1)
+            table[s] = np.cumsum(born_values(projector_stack(states[s]), c.vectors), axis=1)
         rows = table[prev]
         u = uniforms[:, t] * rows[:, -1]
         prev = outcomes[:, t] = (rows[:, :-1] <= u[:, None]).sum(axis=1)
-        states = c.basis.T
+        states = c.vectors
     return outcomes
 
 

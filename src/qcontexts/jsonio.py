@@ -162,7 +162,7 @@ def context_to_json(c: Context) -> dict:
     return {
         "dim": c.dim,
         "label": c.label,
-        "vectors": complex_to_json(c.basis.T),
+        "vectors": complex_to_json(c.vectors),
     }
 
 
@@ -315,7 +315,7 @@ def ks_instance_from_json(doc: dict, tol: Tolerance = DEFAULT_TOL) -> KSInstance
     for s in linalg.row_blocks(len(bases), dim * dim):  # bases per batched Gram
         block = vectors[np.array(bases[s])]
         overlaps = linalg.overlap_moduli(block)[:, i, j]
-        hits = np.argwhere(overlaps > tol.bound())  # in (basis, pair) order
+        hits = np.argwhere(overlaps > tol.abs_eps)  # in (basis, pair) order
         if hits.size:
             (b, p), a = hits[0], s.start
             basis = bases[a + b]

@@ -127,13 +127,13 @@ def unit_rows(v: np.ndarray, tol: Tolerance, fault: Callable[[int], Exception]) 
     """The one rule for a unit ray: each row along the last axis of v as it is
     when its norm lies within n * UNIT_NORM_ROUNDING of 1, else divided by that
     norm, in a new array. Norms are bit for bit np.linalg.norm's, inf on
-    overflow; unless all lie in (tol.bound(), inf), fault(r) is raised for the
+    overflow; unless all lie in (tol.abs_eps, inf), fault(r) is raised for the
     lowest bad row r, leading axes counting as sides of one row, 1-D v as row 0."""
     re, im = v.real, v.imag
     with np.errstate(over="ignore"):
         squares = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
     norms = np.sqrt(squares[..., 0, 0])
-    ok = (tol.bound() < norms) & (norms < np.inf)
+    ok = (tol.abs_eps < norms) & (norms < np.inf)
     bad = np.flatnonzero(~ok.all(axis=tuple(range(ok.ndim - 1))))
     if bad.size:
         raise fault(int(bad[0]))

@@ -35,8 +35,8 @@ def random_state_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_context(n: int, rng: np.random.Generator, label: str = "") -> Context:
-    u = random_unitary(n, rng)
-    return make_context([u[:, k] for k in range(n)], label=label)
+    """The context whose vectors are the columns of a Haar-random unitary."""
+    return make_context(random_unitary(n, rng).T, label=label)
 
 
 def random_density(n: int, rng: np.random.Generator) -> DensityOperator:

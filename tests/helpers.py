@@ -150,7 +150,7 @@ def ray_map(dim: int, pairs, tol=DEFAULT_TOL) -> RayMap:
 
 
 def _context_bits(c) -> tuple:
-    return c.label, c.basis.tobytes()
+    return c.label, c.vectors.tobytes()
 
 
 # document kind (a dataset name prefix) -> (reader, a writer of what it read,
@@ -255,7 +255,7 @@ def ref_locate_gadget(m: RayMap, context, source_reps: np.ndarray):
     once required it: basis indices found at m.tol by ref_find_source and,
     per column k, the first candidate pair in combinations order whose
     phase ratio is +i or -i, oriented to +i."""
-    basis_idx = [ref_find_source(m, v, m.tol) for v in context.basis.T]
+    basis_idx = [ref_find_source(m, v, m.tol) for v in context.vectors]
     assert None not in basis_idx, "fiduciary projector missing from sources"
     overlaps = source_reps @ source_reps[basis_idx].conj().T
     weights = np.abs(overlaps)

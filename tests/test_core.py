@@ -75,9 +75,9 @@ class TestMakeContext:
 class TestDataModel:
     @pytest.mark.parametrize("n", [3, 8])
     def test_basis_columns_are_the_inputs_normalized_one_by_one(self, n):
-        # oracle: each input column as it is when its own norm lies within
-        # 8 n u of 1, else divided by that norm, to the last bit; a per-column
-        # norm over axis 0 rounds differently
+        # oracle: each input vector (a column of u) as it is when its own norm
+        # lies within 8 n u of 1, else divided by that norm, to the last bit, as
+        # the context's row; a norm over axis 0 of u rounds differently
         def ref(v):
             norm = np.linalg.norm(v)
             return v if abs(norm - 1) <= 8 * n * 2.0**-53 else v / norm
@@ -87,8 +87,8 @@ class TestDataModel:
             c = random_context(n, make_generator(seed))
             stretched = make_context(list((u * (1 + 1e-12)).T))
             for k in range(n):
-                assert np.array_equal(c.basis[:, k], ref(u[:, k]))
-                assert np.array_equal(stretched.basis[:, k], u[:, k] * (1 + 1e-12) /
+                assert np.array_equal(c.vectors[k], ref(u[:, k]))
+                assert np.array_equal(stretched.vectors[k], u[:, k] * (1 + 1e-12) /
                                       np.linalg.norm(u[:, k] * (1 + 1e-12)))
 
     @pytest.mark.parametrize("vector", [
@@ -165,7 +165,7 @@ class TestDataModel:
         first = c.projectors
         assert c.projectors is first
         for k, p in enumerate(first):
-            assert np.array_equal(p.vector, c.basis[:, k])
+            assert np.array_equal(p.vector, c.vectors[k])
 
 
 class TestBornProbability:
@@ -359,7 +359,7 @@ class TestExclusivityAndExtravalence:
         rng = make_generator(409)
         for n in (3, 4, 6):
             c = random_context(n, rng, "A")
-            moduli = overlap_moduli(c.basis.T)
+            moduli = overlap_moduli(c.vectors)
             assert c.exclusivity_defect() == max(moduli[i, j] for i, j in combinations(range(n), 2))
             assert c.exclusivity_defect() <= 1e-15
             d = random_context(n, rng, "B")
@@ -402,11 +402,31 @@ class TestApplyTransform:
                 assert out.exclusivity_defect() <= 1e-9
                 assert out.completeness_defect() <= 1e-9
 
+    @pytest.mark.parametrize("antiunitary", [False, True])
+    def test_one_product_matches_the_per_vector_action(self, antiunitary, monkeypatch):
+        # reference: U v (U conj(v) when antiunitary) one row at a time, which
+        # act_vector gives bit for bit on 1-D v; the batched rows round within 4 n u
+        built = []
+        post_init = Projector.__post_init__
+        monkeypatch.setattr(Projector, "__post_init__", lambda p: built.append(p) or post_init(p))
+        rng = make_generator(79)
+        for n in (1, 3, 8, 16):
+            for _ in range(20):
+                c = random_context(n, rng, "c")
+                g = ContextTransform.from_matrix(random_unitary(n, rng), antiunitary)
+                per_vector = [g.matrix @ (v.conj() if antiunitary else v) for v in c.vectors]
+                for v, w in zip(c.vectors, per_vector):
+                    assert g.act_vector(v).tobytes() == w.tobytes()
+                out = apply_transform(c, g)
+                assert out.label == "c*"
+                assert max_abs(out.vectors - make_context(per_vector).vectors) <= 4 * n * 2.0**-53
+        assert built == []
+
     def test_completeness_defect_is_read_off_the_basis(self):
         # oracle: ||sum_i P_i - I||_max over projector matrices; no Projector is built
         for n in (1, 3, 8):
             c = random_context(n, make_generator(n))
-            oracle = max_abs(sum(np.outer(v, v.conj()) for v in c.basis.T) - np.eye(n))
+            oracle = max_abs(sum(np.outer(v, v.conj()) for v in c.vectors) - np.eye(n))
             assert abs(c.completeness_defect() - oracle) <= 4 * n * 2.0**-53
             assert "projectors" not in vars(c)
 
@@ -530,7 +550,7 @@ class TestBatchSimulation:
         got = [(rows, rho, row) for rhos, rows, table in calls for rho, row in zip(rhos, table)]
         assert len(got) == len(expected)
         for (c, s), (rows, rho, row) in zip(expected, got):
-            assert np.array_equal(rows, c.basis.T)
+            assert np.array_equal(rows, c.vectors)
             assert np.array_equal(rho, s.matrix)
             assert np.array_equal(row, np.cumsum(context_distribution(pure_density(s), c)))
 

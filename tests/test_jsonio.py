@@ -165,8 +165,8 @@ class TestWhatIsWrittenReadsBackBitForBit:
     def test_contexts(self):
         for seed in range(200):
             c = random_context(4, make_generator(seed))
-            assert context_from_json(_through_text(context_to_json(c))).basis.tobytes() \
-                == c.basis.tobytes()
+            assert context_from_json(_through_text(context_to_json(c))).vectors.tobytes() \
+                == c.vectors.tobytes()
 
     def test_densities(self):
         for seed in range(200):

@@ -1,7 +1,7 @@
 """Layering guards: what the CLI loads, its BLAS thread policy, its frozen
 import heap, how records are built, which module reads documents, the
-one function that evaluates Born's rule, the one distance between rays and
-the one Gram product of a ray-map certification."""
+one function that evaluates Born's rule, the one distance between rays,
+the one Gram product of a ray-map certification and contexts read as rows."""
 
 import ast
 import gc
@@ -245,6 +245,20 @@ def _gram_product(node) -> str | None:
             and _called(node.left) == "conj":
         return "@"
     return None
+
+
+def _column_layout(node) -> str | None:
+    """A column_stack call or a read of a .basis attribute: rays laid out as columns."""
+    if _called(node) == "column_stack":
+        return "column_stack"
+    if isinstance(node, ast.Attribute) and node.attr == "basis":
+        return ".basis"
+    return None
+
+
+def test_contexts_are_read_as_rows():
+    # a context is its (n, n) array of unit rows, like every other ray set
+    assert _scan(_column_layout) == {}
 
 
 def test_certification_takes_one_gram_stack():

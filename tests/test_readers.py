@@ -88,8 +88,7 @@ def same_bits(a, b) -> bool:
 
 
 def check_context(doc: dict, context) -> None:
-    basis = ref_unit_rows(doc["vectors"], doc["dim"]).T
-    assert same_bits(context.basis, np.ascontiguousarray(basis))
+    assert same_bits(context.vectors, ref_unit_rows(doc["vectors"], doc["dim"]))
 
 
 def check_document(name: str, doc: dict) -> None:
@@ -172,6 +171,34 @@ class TestBitIdenticalToReference:
 def test_bundled_document_reads_back_bit_for_bit(name):
     first, again = reread(name, _load(name))
     assert first == again
+
+
+def ray_containers(name: str, doc: dict) -> list:
+    """(rows, the document's rows they were read from, dim) for every ray array
+    a reader builds from doc: context vectors, ray-map sides, KS vectors."""
+    if name.startswith("context_"):
+        return [(context_from_json(doc).vectors, doc["vectors"], doc["dim"])]
+    if name.startswith("contexts_"):
+        return [(c.vectors, e["vectors"], e["dim"])
+                for c, e in zip(contexts_from_json(doc), doc["contexts"])]
+    if name.startswith("raymap_"):
+        m = ray_map_from_json(doc)
+        return [(m.source_vectors, [p["source"] for p in doc["pairs"]], doc["dim"]),
+                (m.target_vectors, [p["target"] for p in doc["pairs"]], doc["dim"])]
+    if name.startswith("ks_"):
+        return [(ks_instance_from_json(doc).vectors, doc["vectors"], doc["dim"])]
+    return []
+
+
+@pytest.mark.parametrize("name", [n for n in DATASETS if n.startswith(("context", "raymap_", "ks_"))])
+def test_every_ray_container_is_read_only_unit_rows(name):
+    # one layout for every ray set: a read-only, C-contiguous (k, n) complex array of unit rows
+    containers = ray_containers(name, _load(name))
+    assert containers
+    for rows, raw, dim in containers:
+        assert not rows.flags.writeable and rows.flags.c_contiguous
+        assert rows.dtype == np.complex128 and rows.shape == (len(raw), dim)
+        assert same_bits(rows, ref_unit_rows(raw, dim))
 
 
 class TestRowNorms:

@@ -83,7 +83,7 @@ def gen_gleason_demo() -> None:
 def gadget_sources(context: Context) -> list[np.ndarray]:
     """A context's basis rays plus (e1 + ek)/sqrt(2) and (e1 + i ek)/sqrt(2)
     for k = 2..N, rays that fix an inducing operator up to phase."""
-    e = list(context.basis.T)
+    e = list(context.vectors)
     rays = list(e)
     for k in range(1, context.dim):
         rays.append((e[0] + e[k]) / np.sqrt(2.0))
